@@ -46,19 +46,18 @@ use std::time::Instant;
 use fisheye_geom::{
     CameraRig, FisheyeLens, Mat3, MountedLens, OutputProjection, RectifiedPair, StereoRig,
 };
-use par_runtime::ThreadPool;
 use pixmap::{Gray8, GrayF32, Image, Pixel};
 
 use crate::engine::{
     active_post, post_pass, EngineError, EnginePixel, EngineSpec, FrameReport, HostEnv,
 };
-use crate::frame::{Frame, FrameFormat};
+use crate::frame::FrameFormat;
 use crate::interp::{
     sample_bicubic, sample_bilinear, sample_bilinear_fixed_gray8, sample_nearest, Interpolator,
 };
 use crate::map::{FixedRemapMap, MapEntry, RemapMap};
 use crate::plan::{correct_plan, Fnv, PlanOptions, RemapPlan};
-use crate::post::{PostPixel, PostPlan, PostStage};
+use crate::post::{PostPixel, PostPlan};
 
 // ---------------------------------------------------------------------
 // Geometry tracing
@@ -1411,155 +1410,6 @@ impl CompositeViewPlan {
     }
 }
 
-/// Executes a [`CompositeViewPlan`] over multi-source [`Frame`]s: one
-/// frame per rig camera in, one composited frame out, every plane
-/// through [`execute_composite_host`] on the configured backend. The
-/// frame-level analogue of [`crate::FrameCorrector`] for composite
-/// workloads.
-pub struct CompositeFrameCorrector {
-    spec: EngineSpec,
-    interp: Interpolator,
-    plan: CompositeViewPlan,
-    pool: Option<ThreadPool>,
-    /// Compiled post plan per plane (None = no post stage).
-    post: Vec<Option<PostPlan>>,
-}
-
-impl CompositeFrameCorrector {
-    /// Build a corrector on a host backend. `threads` sizes the pool
-    /// the smp spec requires (ignored by the others).
-    pub fn host(
-        spec: EngineSpec,
-        interp: Interpolator,
-        plan: CompositeViewPlan,
-        threads: usize,
-    ) -> Result<CompositeFrameCorrector, EngineError> {
-        if !spec.is_host() {
-            return Err(EngineError::unsupported(
-                spec.name(),
-                "composite frames run on host backends",
-            ));
-        }
-        let pool = match spec {
-            EngineSpec::Smp { .. } => Some(ThreadPool::new(threads.max(1))),
-            _ => None,
-        };
-        let planes = plan.format.planes();
-        Ok(CompositeFrameCorrector {
-            spec,
-            interp,
-            plan,
-            pool,
-            post: vec![None; planes],
-        })
-    }
-
-    /// Attach a post stage, compiled per plane channel (chroma planes
-    /// get the curve-exempt compilation, exactly as the single-camera
-    /// frame corrector does).
-    pub fn set_post(&mut self, stage: &PostStage) {
-        self.post = self
-            .plan
-            .format
-            .plane_channels()
-            .iter()
-            .map(|&ch| Some(stage.compile(ch)))
-            .collect();
-    }
-
-    /// The plan this corrector executes.
-    pub fn plan(&self) -> &CompositeViewPlan {
-        &self.plan
-    }
-
-    /// Composite one output frame from `srcs` (one frame per rig
-    /// camera, every one in the plan's format at its camera's sensor
-    /// dimensions).
-    pub fn correct_frames(&self, srcs: &[&Frame]) -> Result<(Frame, FrameReport), EngineError> {
-        let name = self.spec.name();
-        let format = self.plan.format;
-        for (i, f) in srcs.iter().enumerate() {
-            if f.format() != format {
-                return Err(EngineError::backend(
-                    &name,
-                    format!("source frame {i} is {}, plan is {format}", f.format()),
-                ));
-            }
-        }
-        let env = HostEnv {
-            pool: self.pool.as_ref(),
-            ..HostEnv::default()
-        };
-        let mut out = Frame::new(format, self.plan.width, self.plan.height);
-        let mut merged = FrameReport::new(&name);
-        let labels = format.plane_labels();
-        if format.has_u8_planes() {
-            let plane_sets: Vec<Vec<&Image<Gray8>>> = srcs
-                .iter()
-                .map(|f| {
-                    f.u8_planes()
-                        .ok_or_else(|| EngineError::backend(&name, "u8 format without u8 planes"))
-                })
-                .collect::<Result<_, _>>()?;
-            let mut out_planes = match out.u8_planes_mut() {
-                Some(p) => p,
-                None => return Err(EngineError::backend(&name, "u8 format without u8 planes")),
-            };
-            for (p, out_plane) in out_planes.iter_mut().enumerate() {
-                let plane_srcs: Vec<&Image<Gray8>> = plane_sets.iter().map(|set| set[p]).collect();
-                let report = execute_composite_host(
-                    &self.spec,
-                    self.interp,
-                    &plane_srcs,
-                    self.plan.plane_plan(p),
-                    self.post[p].as_ref(),
-                    &env,
-                    out_plane,
-                )?;
-                merge_plane_report(&mut merged, labels[p], &report);
-            }
-        } else {
-            let plane_srcs: Vec<&Image<GrayF32>> = srcs
-                .iter()
-                .map(|f| match f {
-                    Frame::GrayF32(img) => Ok(img),
-                    _ => Err(EngineError::backend(&name, "float format mismatch")),
-                })
-                .collect::<Result<_, _>>()?;
-            let out_img = match &mut out {
-                Frame::GrayF32(img) => img,
-                _ => return Err(EngineError::backend(&name, "float format mismatch")),
-            };
-            let report = execute_composite_host(
-                &self.spec,
-                self.interp,
-                &plane_srcs,
-                self.plan.plane_plan(0),
-                self.post[0].as_ref(),
-                &env,
-                out_img,
-            )?;
-            merge_plane_report(&mut merged, labels[0], &report);
-        }
-        merged.kv("planes", format.planes() as f64);
-        merged.kv("sources", srcs.len() as f64);
-        Ok((out, merged))
-    }
-}
-
-/// Fold one plane's report into the frame-level report: times and row
-/// counts sum, per-plane statistics keep their identity under a
-/// `label.` prefix — the same convention the single-camera frame
-/// corrector's merged reports use.
-fn merge_plane_report(merged: &mut FrameReport, label: &str, report: &FrameReport) {
-    merged.rows += report.rows;
-    merged.invalid_pixels += report.invalid_pixels;
-    merged.correct_time += report.correct_time;
-    for (k, v) in &report.model {
-        merged.kv(&format!("{label}.{k}"), *v);
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
@@ -1895,86 +1745,6 @@ mod tests {
         // the central region must be visible to both eyes
         assert!(sp.left.invalid_pixels() < (96 * 72) / 2);
         assert!(sp.right.invalid_pixels() < (96 * 72) / 2);
-    }
-
-    #[test]
-    fn yuv420_panorama_composites_every_plane() {
-        use crate::synth::capture_fisheye_yuv;
-        struct UField;
-        impl Scene for UField {
-            fn sample(&self, u: f64, _v: f64) -> f32 {
-                u as f32
-            }
-        }
-        struct VField;
-        impl Scene for VField {
-            fn sample(&self, _u: f64, v: f64) -> f32 {
-                v as f32
-            }
-        }
-        let rig = CameraRig::symmetric(128, 128, 195.0);
-        let lens = rig.cameras()[0].lens;
-        let (luma, cb, cr) = (RadialGradient, VField, UField);
-        let front = capture_fisheye_yuv(&luma, &cb, &cr, World::Spherical, &lens, 128, 128, 2);
-        let back = capture_fisheye_yuv(
-            &Rotated(&luma),
-            &Rotated(&cb),
-            &Rotated(&cr),
-            World::Spherical,
-            &lens,
-            128,
-            128,
-            2,
-        );
-        let plan = CompositeViewPlan::compile_panorama(
-            &rig,
-            FrameFormat::Yuv420,
-            96,
-            48,
-            &PlanOptions::default(),
-        );
-        // chroma plans live at half resolution with zero holes too
-        assert_eq!(plan.class_plans().len(), 2);
-        assert_eq!(
-            (
-                plan.class_plans()[1].width(),
-                plan.class_plans()[1].height()
-            ),
-            (48, 24)
-        );
-        assert_eq!(plan.class_plans()[1].uncovered_pixels(), 0);
-        let corr = CompositeFrameCorrector::host(
-            EngineSpec::Serial,
-            Interpolator::Bilinear,
-            plan.clone(),
-            1,
-        )
-        .expect("corrector");
-        let (out, report) = corr
-            .correct_frames(&[&Frame::Yuv420(front.clone()), &Frame::Yuv420(back.clone())])
-            .expect("yuv composite");
-        assert_eq!(out.format(), FrameFormat::Yuv420);
-        assert_eq!(out.dims(), (96, 48));
-        assert_eq!(report.model.get("planes"), Some(&3.0));
-        // each plane must match the plane-wise serial composite
-        let (front_f, back_f) = (Frame::Yuv420(front), Frame::Yuv420(back));
-        let (front_p, back_p) = (front_f.u8_planes().unwrap(), back_f.u8_planes().unwrap());
-        let out_planes = out.u8_planes().unwrap();
-        for p in 0..3 {
-            let pp = plan.plane_plan(p);
-            let mut want = Image::new(pp.width(), pp.height());
-            execute_composite_host(
-                &EngineSpec::Serial,
-                Interpolator::Bilinear,
-                &[front_p[p], back_p[p]],
-                pp,
-                None,
-                &HostEnv::default(),
-                &mut want,
-            )
-            .expect("plane composite");
-            assert_eq!(*out_planes[p], want, "plane {p}");
-        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! it, and every run returns a [`FrameReport`] — a uniform
 //! observability payload (phase timing, rows/tiles processed, invalid
 //! pixels, and backend-specific model statistics folded into one
-//! key/value section) that `PipelineStats`, the videopipe latency
-//! accounting and the bench CSV emission all consume.
+//! key/value section) that the facade `Corrector`, the videopipe
+//! latency accounting, the serve metrics and the bench CSV emission
+//! all consume.
 //!
 //! Host paths (`serial`, `smp`, `direct`, `fixed`, `simd`) are
 //! implemented here; the accelerator models (`cell` in `cellsim`,
@@ -147,6 +148,19 @@ impl FrameReport {
     /// Insert a model statistic.
     pub fn kv(&mut self, key: &str, value: f64) {
         self.model.insert(key.to_string(), value);
+    }
+
+    /// Fold one plane's (or stereo eye's) report into this
+    /// frame-level report: times and counters sum, and the plane's
+    /// model statistics keep their identity under a `label.` prefix.
+    pub fn merge_plane(&mut self, label: &str, plane: &FrameReport) {
+        self.correct_time += plane.correct_time;
+        self.rows += plane.rows;
+        self.tiles += plane.tiles;
+        self.invalid_pixels += plane.invalid_pixels;
+        for (k, v) in &plane.model {
+            self.kv(&format!("{label}.{k}"), *v);
+        }
     }
 
     /// The model section as sorted `key=value` strings (CSV/report
@@ -820,8 +834,8 @@ impl EnginePixel for pixmap::RgbF32 {}
 // ---------------------------------------------------------------------
 
 /// Shared resources a host execution may borrow from its caller. The
-/// boxed host engines own their resources; callers that already hold
-/// a pool / geometry (e.g. `CorrectionPipeline`) pass them here
+/// boxed host engine owns its resources; callers that already hold
+/// a pool / geometry (e.g. serve's composite sessions) pass them here
 /// instead so nothing is rebuilt per frame. Map-derived state
 /// (quantized LUTs, span indices) comes from the compiled
 /// [`RemapPlan`], never from here.
@@ -862,30 +876,19 @@ fn check_frame_dims<P: Pixel>(
     Ok(())
 }
 
-/// Execute a host spec over a compiled plan. This is the single
-/// dispatch point the boxed host engines, `CorrectionPipeline` and
-/// videopipe all share — one kernel per path, measured and reported
-/// identically. The float paths iterate the plan's valid spans (no
-/// per-pixel validity branch); `fixed` uses the plan's prequantized
-/// LUT, requantizing (and reporting `plan_miss=1`) only when the plan
-/// was compiled without the requested width.
-pub fn execute_host<P: EnginePixel>(
-    spec: &EngineSpec,
-    interp: Interpolator,
-    src: &Image<P>,
-    plan: &RemapPlan,
-    env: &HostEnv,
-    out: &mut Image<P>,
-) -> Result<FrameReport, EngineError> {
-    execute_host_post(spec, interp, src, plan, None, env, out)
-}
-
-/// [`execute_host`] with an optional compiled post stage. The
-/// row-oriented float paths (`serial`, `smp`) fuse the stage into the
-/// span traversal (`fused=1`, cost inside `correct_time`); the
-/// kernel paths (`fixed`, `simd`) and `direct` run their kernel and
-/// then one post pass over the output (`fused=0`, cost in
-/// `post_ms`). All paths are bit-exact with each other.
+/// Execute a host spec over a compiled plan, with an optional
+/// compiled post stage. This is the single dispatch point the boxed
+/// host engine and videopipe share — one kernel per path, measured and
+/// reported identically. The float paths iterate the plan's valid
+/// spans (no per-pixel validity branch); `fixed` uses the plan's
+/// prequantized LUT, requantizing (and reporting `plan_miss=1`) only
+/// when the plan was compiled without the requested width.
+///
+/// The row-oriented float paths (`serial`, `smp`) fuse the post stage
+/// into the span traversal (`fused=1`, cost inside `correct_time`);
+/// the kernel paths (`fixed`, `simd`) and `direct` run their kernel and
+/// then one post pass over the output (`fused=0`, cost in `post_ms`).
+/// All paths are bit-exact with each other.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_host_post<P: EnginePixel>(
     spec: &EngineSpec,
@@ -1106,31 +1109,28 @@ pub fn build_host<P: EnginePixel>(
     ctx: &HostCtx,
 ) -> Result<Box<dyn CorrectionEngine<P>>, EngineError> {
     let name = spec.name();
+    let mut engine = HostEngine {
+        spec: *spec,
+        interp: ctx.interp,
+        pool: None,
+        geometry: None,
+    };
     match *spec {
-        EngineSpec::Serial => Ok(Box::new(SerialEngine { interp: ctx.interp })),
-        EngineSpec::Smp { schedule } => Ok(Box::new(SmpEngine {
-            spec: EngineSpec::Smp { schedule },
-            interp: ctx.interp,
-            pool: ThreadPool::new(ctx.threads.max(1)),
-        })),
+        EngineSpec::Serial => {}
+        EngineSpec::Smp { .. } => engine.pool = Some(ThreadPool::new(ctx.threads.max(1))),
         EngineSpec::Direct => {
             let (lens, view) = ctx.geometry.ok_or_else(|| {
                 EngineError::unsupported(&name, "direct needs lens+view (HostCtx::geometry)")
             })?;
-            Ok(Box::new(DirectEngine {
-                interp: ctx.interp,
-                lens: *lens,
-                view: *view,
-            }))
+            engine.geometry = Some((*lens, *view));
         }
-        EngineSpec::FixedPoint { frac_bits } => {
+        EngineSpec::FixedPoint { .. } => {
             if !P::HAS_FIXED {
                 return Err(EngineError::unsupported(
                     &name,
                     "no integer datapath for this pixel type",
                 ));
             }
-            Ok(Box::new(FixedPointEngine { frac_bits }))
         }
         EngineSpec::Simd => {
             if !P::HAS_SIMD {
@@ -1145,68 +1145,30 @@ pub fn build_host<P: EnginePixel>(
                     format!("simd implements bilinear only, not {}", ctx.interp.name()),
                 ));
             }
-            Ok(Box::new(SimdEngine))
         }
         EngineSpec::Cell { .. } | EngineSpec::Gpu { .. } | EngineSpec::Simt { .. } => {
-            Err(EngineError::unsupported(
+            return Err(EngineError::unsupported(
                 &name,
                 "accelerator model — build it via the facade crate's engine module",
-            ))
+            ));
         }
     }
+    Ok(Box::new(engine))
 }
 
-struct SerialEngine {
-    interp: Interpolator,
-}
-
-impl<P: EnginePixel> CorrectionEngine<P> for SerialEngine {
-    fn name(&self) -> String {
-        EngineSpec::Serial.name()
-    }
-
-    fn correct_frame(
-        &self,
-        src: &Image<P>,
-        plan: &RemapPlan,
-        out: &mut Image<P>,
-    ) -> Result<FrameReport, EngineError> {
-        execute_host(
-            &EngineSpec::Serial,
-            self.interp,
-            src,
-            plan,
-            &HostEnv::default(),
-            out,
-        )
-    }
-
-    fn correct_frame_post(
-        &self,
-        src: &Image<P>,
-        plan: &RemapPlan,
-        post: Option<&PostPlan>,
-        out: &mut Image<P>,
-    ) -> Result<FrameReport, EngineError> {
-        execute_host_post(
-            &EngineSpec::Serial,
-            self.interp,
-            src,
-            plan,
-            post,
-            &HostEnv::default(),
-            out,
-        )
-    }
-}
-
-struct SmpEngine {
+/// The one boxed host engine: every host spec runs through
+/// [`execute_host_post`] with the resources [`build_host`] resolved
+/// for it.
+struct HostEngine {
     spec: EngineSpec,
     interp: Interpolator,
-    pool: ThreadPool,
+    /// Row-level pool, `smp` only.
+    pool: Option<ThreadPool>,
+    /// Lens + view, `direct` only.
+    geometry: Option<(FisheyeLens, PerspectiveView)>,
 }
 
-impl<P: EnginePixel> CorrectionEngine<P> for SmpEngine {
+impl<P: EnginePixel> CorrectionEngine<P> for HostEngine {
     fn name(&self) -> String {
         self.spec.name()
     }
@@ -1217,11 +1179,7 @@ impl<P: EnginePixel> CorrectionEngine<P> for SmpEngine {
         plan: &RemapPlan,
         out: &mut Image<P>,
     ) -> Result<FrameReport, EngineError> {
-        let env = HostEnv {
-            pool: Some(&self.pool),
-            ..Default::default()
-        };
-        execute_host(&self.spec, self.interp, src, plan, &env, out)
+        self.correct_frame_post(src, plan, None, out)
     }
 
     fn correct_frame_post(
@@ -1232,142 +1190,10 @@ impl<P: EnginePixel> CorrectionEngine<P> for SmpEngine {
         out: &mut Image<P>,
     ) -> Result<FrameReport, EngineError> {
         let env = HostEnv {
-            pool: Some(&self.pool),
-            ..Default::default()
+            pool: self.pool.as_ref(),
+            geometry: self.geometry.as_ref().map(|(lens, view)| (lens, view)),
         };
         execute_host_post(&self.spec, self.interp, src, plan, post, &env, out)
-    }
-}
-
-struct DirectEngine {
-    interp: Interpolator,
-    lens: FisheyeLens,
-    view: PerspectiveView,
-}
-
-impl<P: EnginePixel> CorrectionEngine<P> for DirectEngine {
-    fn name(&self) -> String {
-        EngineSpec::Direct.name()
-    }
-
-    fn correct_frame(
-        &self,
-        src: &Image<P>,
-        plan: &RemapPlan,
-        out: &mut Image<P>,
-    ) -> Result<FrameReport, EngineError> {
-        let env = HostEnv {
-            geometry: Some((&self.lens, &self.view)),
-            ..Default::default()
-        };
-        execute_host(&EngineSpec::Direct, self.interp, src, plan, &env, out)
-    }
-
-    fn correct_frame_post(
-        &self,
-        src: &Image<P>,
-        plan: &RemapPlan,
-        post: Option<&PostPlan>,
-        out: &mut Image<P>,
-    ) -> Result<FrameReport, EngineError> {
-        let env = HostEnv {
-            geometry: Some((&self.lens, &self.view)),
-            ..Default::default()
-        };
-        execute_host_post(&EngineSpec::Direct, self.interp, src, plan, post, &env, out)
-    }
-}
-
-struct FixedPointEngine {
-    frac_bits: u32,
-}
-
-impl<P: EnginePixel> CorrectionEngine<P> for FixedPointEngine {
-    fn name(&self) -> String {
-        EngineSpec::FixedPoint {
-            frac_bits: self.frac_bits,
-        }
-        .name()
-    }
-
-    fn correct_frame(
-        &self,
-        src: &Image<P>,
-        plan: &RemapPlan,
-        out: &mut Image<P>,
-    ) -> Result<FrameReport, EngineError> {
-        execute_host(
-            &EngineSpec::FixedPoint {
-                frac_bits: self.frac_bits,
-            },
-            Interpolator::Bilinear,
-            src,
-            plan,
-            &HostEnv::default(),
-            out,
-        )
-    }
-
-    fn correct_frame_post(
-        &self,
-        src: &Image<P>,
-        plan: &RemapPlan,
-        post: Option<&PostPlan>,
-        out: &mut Image<P>,
-    ) -> Result<FrameReport, EngineError> {
-        execute_host_post(
-            &EngineSpec::FixedPoint {
-                frac_bits: self.frac_bits,
-            },
-            Interpolator::Bilinear,
-            src,
-            plan,
-            post,
-            &HostEnv::default(),
-            out,
-        )
-    }
-}
-
-struct SimdEngine;
-
-impl<P: EnginePixel> CorrectionEngine<P> for SimdEngine {
-    fn name(&self) -> String {
-        EngineSpec::Simd.name()
-    }
-
-    fn correct_frame(
-        &self,
-        src: &Image<P>,
-        plan: &RemapPlan,
-        out: &mut Image<P>,
-    ) -> Result<FrameReport, EngineError> {
-        execute_host(
-            &EngineSpec::Simd,
-            Interpolator::Bilinear,
-            src,
-            plan,
-            &HostEnv::default(),
-            out,
-        )
-    }
-
-    fn correct_frame_post(
-        &self,
-        src: &Image<P>,
-        plan: &RemapPlan,
-        post: Option<&PostPlan>,
-        out: &mut Image<P>,
-    ) -> Result<FrameReport, EngineError> {
-        execute_host_post(
-            &EngineSpec::Simd,
-            Interpolator::Bilinear,
-            src,
-            plan,
-            post,
-            &HostEnv::default(),
-            out,
-        )
     }
 }
 
@@ -1551,11 +1377,27 @@ mod tests {
 
     #[test]
     fn accelerator_specs_rejected_by_host_builder() {
+        let (_, _, map, src) = workload();
+        let plan = plan_for(&map);
         let ctx = HostCtx::default();
         for s in ["cell", "gpu", "simt"] {
             let spec = EngineSpec::parse(s).unwrap();
             assert!(matches!(
                 build_host::<Gray8>(&spec, &ctx),
+                Err(EngineError::Unsupported { .. })
+            ));
+            // the host dispatcher refuses them too, recoverably
+            let mut out = Image::new(80, 60);
+            assert!(matches!(
+                execute_host_post(
+                    &spec,
+                    Interpolator::Bilinear,
+                    &src,
+                    &plan,
+                    None,
+                    &HostEnv::default(),
+                    &mut out
+                ),
                 Err(EngineError::Unsupported { .. })
             ));
         }
@@ -1597,6 +1439,29 @@ mod tests {
             build_host::<Gray8>(&EngineSpec::Direct, &HostCtx::default()),
             Err(EngineError::Unsupported { .. })
         ));
+        // the dispatcher refuses a spec whose borrowed resource is
+        // missing (direct without geometry, smp without a pool) with
+        // a recoverable error, not a panic
+        let (_, _, map, src) = workload();
+        let plan = plan_for(&map);
+        let smp = EngineSpec::Smp {
+            schedule: Schedule::default_static(),
+        };
+        for spec in [EngineSpec::Direct, smp] {
+            let mut out = Image::new(80, 60);
+            assert!(matches!(
+                execute_host_post(
+                    &spec,
+                    Interpolator::Bilinear,
+                    &src,
+                    &plan,
+                    None,
+                    &HostEnv::default(),
+                    &mut out
+                ),
+                Err(EngineError::Unsupported { .. })
+            ));
+        }
     }
 
     #[test]
@@ -1607,6 +1472,13 @@ mod tests {
         let mut wrong: Image<Gray8> = Image::new(10, 10);
         assert!(matches!(
             engine.correct_frame(&src, &plan, &mut wrong),
+            Err(EngineError::Backend { .. })
+        ));
+        // a source frame of the wrong size is refused the same way
+        let small: Image<Gray8> = Image::new(10, 10);
+        let mut out = Image::new(80, 60);
+        assert!(matches!(
+            engine.correct_frame(&small, &plan, &mut out),
             Err(EngineError::Backend { .. })
         ));
     }

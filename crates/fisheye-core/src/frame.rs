@@ -173,6 +173,20 @@ impl FrameFormat {
         }
     }
 
+    /// Compile `stage` once per plane with the plane's channel
+    /// semantics ([`FrameFormat::plane_channels`]), in plane order;
+    /// `None` for planes the stage is inert on, so engines skip post
+    /// there entirely.
+    pub fn compile_post(self, stage: &PostStage) -> Vec<Option<PostPlan>> {
+        self.plane_channels()
+            .iter()
+            .map(|&ch| {
+                let plan = stage.compile(ch);
+                (!plan.is_noop()).then_some(plan)
+            })
+            .collect()
+    }
+
     /// The *distinct* plane classes (one compiled plan each), in
     /// order: `[Full]` or `[Full, HalfChroma]`.
     pub fn classes(self) -> &'static [PlaneClass] {
@@ -875,15 +889,7 @@ impl FrameCorrector {
     /// stage clears post entirely.
     pub fn set_post(&mut self, stage: &PostStage) {
         self.post_stage = stage.clone();
-        self.post = self
-            .format
-            .plane_channels()
-            .iter()
-            .map(|&ch| {
-                let plan = stage.compile(ch);
-                (!plan.is_noop()).then_some(plan)
-            })
-            .collect();
+        self.post = self.format.compile_post(stage);
     }
 
     /// The configured post stage (identity when unset).
@@ -1138,19 +1144,13 @@ fn merge_reports(
 ) -> FrameReport {
     let mut merged = FrameReport::new(backend);
     for (label, r) in per_plane {
-        merged.correct_time += r.correct_time;
-        merged.rows += r.rows;
-        merged.tiles += r.tiles;
-        merged.invalid_pixels += r.invalid_pixels;
         merged.kv(
             &format!("{label}.correct_ms"),
             r.correct_time.as_secs_f64() * 1e3,
         );
         merged.kv(&format!("{label}.rows"), r.rows as f64);
         merged.kv(&format!("{label}.invalid"), r.invalid_pixels as f64);
-        for (k, v) in &r.model {
-            merged.kv(&format!("{label}.{k}"), *v);
-        }
+        merged.merge_plane(label, r);
     }
     merged.kv("planes", per_plane.len() as f64);
     merged.kv("plane_concurrent", if concurrent { 1.0 } else { 0.0 });

@@ -27,9 +27,6 @@
 //!   [`RemapMap`] into an immutable execution artifact (SoA coordinate
 //!   planes, per-row valid spans, prequantized fixed-point LUTs, tile
 //!   plans) that every engine consumes (DESIGN.md §2.2).
-//! * [`pipeline`] — ties it together with per-phase timing, plan
-//!   caching, pooled output frames, and the direct (no-LUT) mode for
-//!   the F9 crossover experiment.
 
 pub mod antialias;
 pub mod composite;
@@ -41,7 +38,6 @@ pub mod engine;
 pub mod frame;
 pub mod interp;
 pub mod map;
-pub mod pipeline;
 pub mod plan;
 // the post stage runs inside the fused span loop on every frame; a
 // panic here takes down whole streams, so unwrap is denied at the
@@ -56,8 +52,8 @@ pub use antialias::{correct_antialiased, AaConfig};
 pub use composite::{
     compose_layers, compose_two_pass, composite_plan_row, composite_plan_row_post,
     execute_composite_host, panorama_camera_digest, panorama_camera_map, panorama_scores,
-    rectified_camera_digest, rectified_camera_map, CompositeFrameCorrector, CompositePixel,
-    CompositePlan, CompositeViewPlan, StereoPlan,
+    rectified_camera_digest, rectified_camera_map, CompositePixel, CompositePlan,
+    CompositeViewPlan, StereoPlan,
 };
 pub use correct::{correct, correct_fixed, correct_fixed_into, correct_into, correct_parallel};
 pub use engine::{
@@ -68,7 +64,6 @@ pub use frame::{
 };
 pub use interp::Interpolator;
 pub use map::{FixedRemapMap, MapEntry, RemapMap};
-pub use pipeline::{CorrectionPipeline, PipelineConfig, PipelineStats};
 pub use plan::{
     correct_plan, correct_plan_into, plan_request_digest, PlanOptions, RemapPlan, ValidSpan,
 };

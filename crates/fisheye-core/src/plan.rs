@@ -28,7 +28,7 @@
 //!
 //! Execution contract: every [`crate::engine::CorrectionEngine`]
 //! consumes `&RemapPlan`. Whoever owns the view owns the plan —
-//! `CorrectionPipeline` recompiles on `set_view`, videopipe and the
+//! the facade `Corrector` recompiles on `set_view`, videopipe and the
 //! CLI compile once up front — and engines hold **no** derived state
 //! of their own. An engine asked for an artifact the plan was not
 //! compiled with (a missing `frac_bits` width, a missing tile

@@ -587,15 +587,14 @@ impl Server {
             EngineSpec::Smp { .. } => Some(ThreadPool::new(self.inner.cfg.threads.max(1))),
             _ => None,
         };
-        let graded = !cfg.post.is_identity();
         Ok(PanoramaState {
             rig: rig.clone(),
             spec: cfg.backend,
             plan,
             interp,
             dims,
-            post: compile_plane_post(cfg.format, &cfg.post, graded),
-            graded,
+            post: cfg.format.compile_post(&cfg.post),
+            graded: !cfg.post.is_identity(),
             pool,
         })
     }
@@ -1102,7 +1101,8 @@ struct PanoramaState {
     interp: Interpolator,
     /// Applied full-resolution output dims.
     dims: (u32, u32),
-    /// Compiled post plan per plane (`None` entries when ungraded).
+    /// Compiled post plan per plane (`None` where the applied stage
+    /// is inert).
     post: Vec<Option<PostPlan>>,
     /// Whether the session's base grading is currently applied.
     graded: bool,
@@ -1128,23 +1128,6 @@ struct StereoState {
     post: Option<PostPlan>,
     /// Whether the session's base grading is currently applied.
     graded: bool,
-}
-
-/// Compile a session post stage per plane channel (`None` entries
-/// when the stage is shed or identity).
-fn compile_plane_post(
-    format: FrameFormat,
-    stage: &PostStage,
-    graded: bool,
-) -> Vec<Option<PostPlan>> {
-    if !graded {
-        return vec![None; format.planes()];
-    }
-    format
-        .plane_channels()
-        .iter()
-        .map(|&ch| Some(stage.compile(ch)))
-        .collect()
 }
 
 /// One admitted view-session: a corrector on a cache-shared plan, a
@@ -1548,7 +1531,7 @@ impl Session {
                     st.dims = desired_dims;
                     if st.graded != desired_graded {
                         st.graded = desired_graded;
-                        st.post = compile_plane_post(format, &desired_post, desired_graded);
+                        st.post = format.compile_post(&desired_post);
                     }
                 }
             }
@@ -1776,7 +1759,7 @@ fn correct_panorama(
                     &env,
                     &mut **out,
                 )?;
-                merge_composite_report(&mut merged, labels[p], &report);
+                merged.merge_plane(labels[p], &report);
             }
             Ok((merged, ServedFrame::Planes { format, planes }))
         }
@@ -1830,7 +1813,7 @@ fn correct_stereo(
         let report =
             st.engine
                 .correct_frame_post(eyes[i], plans[i], st.post.as_ref(), &mut **out)?;
-        merge_composite_report(&mut merged, labels[i], &report);
+        merged.merge_plane(labels[i], &report);
     }
     let right = planes.pop();
     let left = planes.pop();
@@ -1838,18 +1821,6 @@ fn correct_stereo(
         (Some(left), Some(right)) => Ok((merged, ServedFrame::Stereo { left, right })),
         // the pool is built from two eye dims: structurally unreachable
         _ => Err(fisheye::Error::config("stereo pool lost an eye buffer")),
-    }
-}
-
-/// Fold one plane's (or eye's) report into the session-level report:
-/// times and row counts sum, per-plane statistics keep their identity
-/// under a `label.` prefix — the frame corrector's merge convention.
-fn merge_composite_report(merged: &mut FrameReport, label: &str, report: &FrameReport) {
-    merged.rows += report.rows;
-    merged.invalid_pixels += report.invalid_pixels;
-    merged.correct_time += report.correct_time;
-    for (k, v) in &report.model {
-        merged.kv(&format!("{label}.{k}"), *v);
     }
 }
 

@@ -665,7 +665,7 @@ fn degraded_interp_never_seeds_delta_recompilation() {
 
 mod composite_sessions {
     use super::*;
-    use fisheye_core::composite::{CompositePlan, StereoPlan};
+    use fisheye_core::composite::{CompositePlan, CompositeViewPlan, StereoPlan};
     use fisheye_core::engine::{EngineSpec, HostEnv};
     use fisheye_core::frame::Frame;
     use fisheye_core::plan::PlanOptions;
@@ -742,6 +742,58 @@ mod composite_sessions {
         )
         .expect("serial composite");
         assert_eq!(&**served, &want);
+    }
+
+    #[test]
+    fn yuv420_panorama_sessions_composite_every_plane() {
+        let server = test_server(1);
+        let mut s = server
+            .connect(SessionConfig {
+                format: FrameFormat::Yuv420,
+                ..pano_cfg(128, 64)
+            })
+            .expect("slot");
+        let frames: Vec<Arc<Frame>> = (0..2)
+            .map(|i| {
+                Arc::new(Frame::Yuv420(pixmap::yuv::Yuv420 {
+                    y: pixmap::scene::random_gray(96, 96, 40 + i),
+                    cb: pixmap::scene::random_gray(48, 48, 50 + i),
+                    cr: pixmap::scene::random_gray(48, 48, 60 + i),
+                }))
+            })
+            .collect();
+        assert_eq!(s.submit_rig(frames.clone()), SubmitOutcome::Queued);
+        let out = s.pump_one().expect("engine ok").expect("frame pending");
+        assert_eq!(out.frame.format(), FrameFormat::Yuv420);
+        assert_eq!(out.report.model.get("cr.sources").copied(), Some(2.0));
+        let served = out.frame.into_planes();
+
+        // every plane is bit-exact with the directly compiled serial
+        // composite of its class plan; chroma runs at half resolution
+        let opts = PlanOptions::for_spec(&EngineSpec::Serial, Interpolator::Bilinear);
+        let plan =
+            CompositeViewPlan::compile_panorama(&pano_rig(), FrameFormat::Yuv420, 128, 64, &opts);
+        let cams: Vec<Vec<&Image<Gray8>>> = frames
+            .iter()
+            .map(|f| f.u8_planes().expect("yuv planes"))
+            .collect();
+        assert_eq!(served.len(), 3);
+        for (p, got) in served.iter().enumerate() {
+            let pp = plan.plane_plan(p);
+            let mut want: Image<Gray8> = Image::new(pp.width(), pp.height());
+            execute_composite_host(
+                &EngineSpec::Serial,
+                Interpolator::Bilinear,
+                &[cams[0][p], cams[1][p]],
+                pp,
+                None,
+                &HostEnv::default(),
+                &mut want,
+            )
+            .expect("plane composite");
+            assert_eq!(&**got, &want, "plane {p}");
+        }
+        assert_eq!(served[1].dims(), (64, 32));
     }
 
     #[test]

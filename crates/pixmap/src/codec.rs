@@ -162,25 +162,23 @@ pub fn decode_pgm(bytes: &[u8]) -> Result<Image<Gray8>, CodecError> {
     if maxval == 0 || maxval > 65535 {
         return Err(malformed(format!("invalid maxval {maxval}")));
     }
-    let n = w as usize * h as usize;
-    let mut data = Vec::with_capacity(n);
-    if binary {
+    let n = raster_len(w, h, 1)?;
+    let data: Vec<Gray8> = if binary {
         let start = t.raster_start();
         if maxval < 256 {
-            let raster = bytes
-                .get(start..start + n)
-                .ok_or_else(|| malformed("raster truncated"))?;
-            data.extend(raster.iter().map(|&b| Gray8(scale_to_u8(b as u32, maxval))));
+            raster(bytes, start, n)?
+                .iter()
+                .map(|&b| Gray8(scale_to_u8(b as u32, maxval)))
+                .collect()
         } else {
-            let raster = bytes
-                .get(start..start + 2 * n)
-                .ok_or_else(|| malformed("raster truncated"))?;
-            for c in raster.chunks_exact(2) {
-                let v = u16::from_be_bytes([c[0], c[1]]) as u32;
-                data.push(Gray8(scale_to_u8(v, maxval)));
-            }
+            raster(bytes, start, raster_len(w, h, 2)?)?
+                .chunks_exact(2)
+                .map(|c| Gray8(scale_to_u8(u16::from_be_bytes([c[0], c[1]]) as u32, maxval)))
+                .collect()
         }
     } else {
+        // every ASCII sample takes at least one input byte
+        let mut data = Vec::with_capacity(n.min(bytes.len()));
         for _ in 0..n {
             let v = t.number()?;
             if v > maxval {
@@ -188,8 +186,27 @@ pub fn decode_pgm(bytes: &[u8]) -> Result<Image<Gray8>, CodecError> {
             }
             data.push(Gray8(scale_to_u8(v, maxval)));
         }
-    }
+        data
+    };
     Ok(Image::from_vec(w, h, data))
+}
+
+/// Byte length of a `w`×`h` raster at `per_pixel` bytes per pixel,
+/// or `Malformed` when the header's dimensions overflow it.
+fn raster_len(w: u32, h: u32, per_pixel: usize) -> Result<usize, CodecError> {
+    (w as usize)
+        .checked_mul(h as usize)
+        .and_then(|n| n.checked_mul(per_pixel))
+        .ok_or_else(|| malformed(format!("{w}x{h} raster size overflows")))
+}
+
+/// The `len` raster bytes at `start`, or `Malformed` when the input
+/// ends first.
+fn raster(bytes: &[u8], start: usize, len: usize) -> Result<&[u8], CodecError> {
+    start
+        .checked_add(len)
+        .and_then(|end| bytes.get(start..end))
+        .ok_or_else(|| malformed("raster truncated"))
 }
 
 /// Scale a sample in `[0, maxval]` to `[0, 255]` with rounding.
@@ -233,21 +250,21 @@ pub fn decode_ppm(bytes: &[u8]) -> Result<Image<Rgb8>, CodecError> {
             "PPM maxval {maxval} (only <=255 supported)"
         )));
     }
-    let n = w as usize * h as usize;
-    let mut data = Vec::with_capacity(n);
-    if binary {
-        let start = t.raster_start();
-        let raster = bytes
-            .get(start..start + 3 * n)
-            .ok_or_else(|| malformed("raster truncated"))?;
-        for c in raster.chunks_exact(3) {
-            data.push(Rgb8::new(
-                scale_to_u8(c[0] as u32, maxval),
-                scale_to_u8(c[1] as u32, maxval),
-                scale_to_u8(c[2] as u32, maxval),
-            ));
-        }
+    let n = raster_len(w, h, 1)?;
+    let data: Vec<Rgb8> = if binary {
+        raster(bytes, t.raster_start(), raster_len(w, h, 3)?)?
+            .chunks_exact(3)
+            .map(|c| {
+                Rgb8::new(
+                    scale_to_u8(c[0] as u32, maxval),
+                    scale_to_u8(c[1] as u32, maxval),
+                    scale_to_u8(c[2] as u32, maxval),
+                )
+            })
+            .collect()
     } else {
+        // every ASCII sample takes at least one input byte
+        let mut data = Vec::with_capacity(n.min(bytes.len()));
         for _ in 0..n {
             let r = t.number()?;
             let g = t.number()?;
@@ -261,7 +278,8 @@ pub fn decode_ppm(bytes: &[u8]) -> Result<Image<Rgb8>, CodecError> {
                 scale_to_u8(b, maxval),
             ));
         }
-    }
+        data
+    };
     Ok(Image::from_vec(w, h, data))
 }
 
@@ -457,6 +475,24 @@ mod tests {
         assert!(decode_pgm(b"P5\n2 2\n255\nab").is_err()); // truncated raster
         assert!(decode_pgm(b"P2\n1 1\n255\n300\n").is_err()); // > maxval
         assert!(decode_pgm(b"P2\n1 1\n0\n0\n").is_err()); // maxval 0
+    }
+
+    #[test]
+    fn oversized_pnm_headers_are_malformed_not_panics() {
+        // headers claiming rasters the input cannot hold: no panic, no
+        // allocation sized by the header
+        for dims in ["4294967295 4294967295", "65535 65535"] {
+            for magic in ["P5", "P2"] {
+                let data = format!("{magic}\n{dims}\n255\n");
+                let r = decode_pgm(data.as_bytes());
+                assert!(matches!(r, Err(CodecError::Malformed(_))), "{data:?}");
+            }
+            for magic in ["P6", "P3"] {
+                let data = format!("{magic}\n{dims}\n255\n");
+                let r = decode_ppm(data.as_bytes());
+                assert!(matches!(r, Err(CodecError::Malformed(_))), "{data:?}");
+            }
+        }
     }
 
     #[test]

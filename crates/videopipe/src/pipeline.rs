@@ -28,7 +28,7 @@
 
 use std::time::{Duration, Instant};
 
-use fisheye_core::engine::{execute_host, Capabilities, EngineSpec, HostEnv};
+use fisheye_core::engine::{execute_host_post, Capabilities, EngineSpec, HostEnv};
 use fisheye_core::frame::{FrameCorrector, ViewPlan};
 use fisheye_core::plan::RemapPlan;
 use fisheye_core::Interpolator;
@@ -127,8 +127,7 @@ pub struct PipeReport {
 
 impl PipeReport {
     /// Mean per-frame kernel time (`Duration::ZERO` when no frames
-    /// reached the sink — same zero-frame contract as
-    /// `PipelineStats`).
+    /// reached the sink, never a division by zero).
     pub fn kernel_per_frame(&self) -> Duration {
         if self.frames == 0 {
             Duration::ZERO
@@ -256,9 +255,16 @@ pub fn run_pipeline(
                     let env = HostEnv::default();
                     while let Some(frame) = q_in.pop() {
                         let mut image = pool.acquire();
-                        let report =
-                            execute_host(&spec, interp, &frame.image, plan, &env, &mut image)
-                                .expect("engine validated before workers started");
+                        let report = execute_host_post(
+                            &spec,
+                            interp,
+                            &frame.image,
+                            plan,
+                            None,
+                            &env,
+                            &mut image,
+                        )
+                        .expect("engine validated before workers started");
                         let done = CorrectedFrame {
                             seq: frame.seq,
                             captured_at: frame.captured_at,
@@ -687,9 +693,13 @@ mod tests {
     fn resequencer_restores_order_with_many_workers() {
         let plan = test_plan();
         let src = Box::new(ShiftVideo::new(random_gray(128, 96, 7), 1, 50));
+        // the buffer outlasts the stream: with more workers than
+        // cores, one worker can be descheduled while the others finish
+        // more frames than a shallower window holds, and the
+        // resequencer then drops the late frame by design
         let config = PipeConfig {
             workers: 4,
-            resequence: Some(16),
+            resequence: Some(64),
             ..Default::default()
         };
         let mut seqs = Vec::new();
@@ -906,10 +916,12 @@ mod tests {
     fn frame_pipeline_resequences_in_order() {
         let plan = yuv_test_plan_for(&EngineSpec::Simd);
         let src = Box::new(CycledFrames::new(vec![yuv_frame(41)], 30));
+        // as above, a buffer deeper than the stream so no scheduling
+        // can make a frame late enough to drop
         let config = PipeConfig {
             workers: 4,
             engine: EngineSpec::Simd,
-            resequence: Some(16),
+            resequence: Some(32),
             ..Default::default()
         };
         let mut seqs = Vec::new();

@@ -7,12 +7,13 @@
 //! cargo run --release --example realtime_video
 //! ```
 
+use std::time::Duration;
+
 use fisheye::core::plan::{PlanOptions, RemapPlan};
-use fisheye::core::{CorrectionPipeline, PipelineConfig};
 use fisheye::prelude::*;
 use fisheye::video::{run_pipeline, PipeConfig, ShiftVideo};
 
-fn main() {
+fn main() -> Result<(), fisheye::Error> {
     let (w, h) = (640u32, 480u32);
     let lens = FisheyeLens::equidistant_fov(w, h, 180.0);
     let view = PerspectiveView::centered(w, h, 90.0);
@@ -54,7 +55,7 @@ fn main() {
     // (fisheye::geom::PtzPath), so every frame has a new view and pays
     // a LUT rebuild — the worst case for the LUT strategy (cf. F9).
     // ------------------------------------------------------------------
-    println!("\n--- PTZ sweep along a smooth path (stateful pipeline) ---");
+    println!("\n--- PTZ sweep along a smooth path (stateful corrector) ---");
     use fisheye::geom::{Keyframe, PtzPath};
     let path = PtzPath::new(vec![
         Keyframe {
@@ -70,15 +71,22 @@ fn main() {
             view: PerspectiveView::centered(w, h, 100.0).look(-40.0, 15.0),
         },
     ]);
-    let mut pipe = CorrectionPipeline::new(lens, view, w, h, PipelineConfig::default());
+    let mut corrector = Corrector::builder()
+        .lens(lens)
+        .view(view)
+        .source(w, h)
+        .build()?;
     let frame = base;
     let t0 = std::time::Instant::now();
     let views = path.sample(6.0); // 6 fps sweep for the demo printout
     let n_views = views.len();
+    let (mut map_time, mut correct_time) = (Duration::ZERO, Duration::ZERO);
     for (i, v) in views.into_iter().enumerate() {
-        pipe.set_view(v);
         let tf = std::time::Instant::now();
-        let _ = pipe.process(&frame);
+        corrector.set_view(v)?;
+        let (_, report) = corrector.correct(&frame)?;
+        map_time += corrector.map_time();
+        correct_time += report.correct_time;
         println!(
             "frame {i:2}: pan {:+6.1}° tilt {:+5.1}° fov {:5.1}° -> {:5.1} ms",
             v.pan.to_degrees(),
@@ -88,17 +96,13 @@ fn main() {
         );
     }
     println!(
-        "swept {} views in {:.0} ms ({} LUT rebuilds — one per frame, as F9 predicts is the LUT's worst case)",
-        n_views,
+        "swept {n_views} views in {:.0} ms (one LUT rebuild per view, as F9 predicts is the LUT's worst case)",
         t0.elapsed().as_secs_f64() * 1e3,
-        pipe.stats().map_builds
     );
-    let s = pipe.stats();
     println!(
-        "\ntotals: {} frames, {} LUT builds, map {:.1} ms, correct {:.1} ms",
-        s.frames,
-        s.map_builds,
-        s.map_time.as_secs_f64() * 1e3,
-        s.correct_time.as_secs_f64() * 1e3
+        "\ntotals: {n_views} frames, map {:.1} ms, correct {:.1} ms",
+        map_time.as_secs_f64() * 1e3,
+        correct_time.as_secs_f64() * 1e3
     );
+    Ok(())
 }

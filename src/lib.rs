@@ -75,9 +75,9 @@ pub use error::{Error, ErrorKind};
 pub mod prelude {
     pub use crate::codegen::{emit_kernel, EmittedKernel, KernelTarget};
     pub use crate::core::{
-        CorrectionEngine, CorrectionPipeline, DitherSeed, EngineSpec, FixedRemapMap, Frame,
-        FrameCorrector, FrameFormat, FrameReport, Interpolator, Lut3d, PipelineConfig, PlanOptions,
-        PlaneClass, PostStage, RemapMap, RemapPlan, TilePlan, ToneMap, ViewPlan,
+        CorrectionEngine, DitherSeed, EngineSpec, FixedRemapMap, Frame, FrameCorrector,
+        FrameFormat, FrameReport, Interpolator, Lut3d, PlanOptions, PlaneClass, PostStage,
+        RemapMap, RemapPlan, TilePlan, ToneMap, ViewPlan,
     };
     pub use crate::corrector::{Corrector, CorrectorBuilder, CorrectorPixel};
     pub use crate::error::{Error, ErrorKind};

@@ -22,7 +22,6 @@ use fisheye::prelude::{
     BrownConrady,
     // core: plans, maps, engines, pipeline
     CorrectionEngine,
-    CorrectionPipeline,
     // corrector: the single entry point for correction
     Corrector,
     CorrectorBuilder,
@@ -52,7 +51,6 @@ use fisheye::prelude::{
     Lut3d,
     OutputProjection,
     PerspectiveView,
-    PipelineConfig,
     Pixel,
     PlanOptions,
     PlaneClass,
