@@ -59,6 +59,7 @@ pub mod cache;
 pub mod client;
 pub mod feed;
 pub mod metrics;
+mod readiness;
 pub mod server;
 pub mod shard;
 pub mod wire;

@@ -5,8 +5,11 @@
 //! thread assigns each incoming connection a globally unique session
 //! id and routes it to the shard the id hashes to;
 //! N worker shards each run a small readiness loop over their own
-//! nonblocking sockets. Everything that matters per frame is
-//! **shard-local**:
+//! nonblocking sockets. A shard with nothing to do blocks in `poll(2)`
+//! on its connections plus a wake socket, and the acceptor on its
+//! listener plus its own: a command is sent first and then woken, so
+//! no thread sleeps a fixed interval while idle. Everything that
+//! matters per frame is **shard-local**:
 //!
 //! * each shard owns a [`Server`] whose hot [`PlanCache`] fronts one
 //!   shared cold tier (compiles still single-flight process-wide,
@@ -45,6 +48,7 @@ use pixmap::{Gray8, Image};
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::metrics::Registry;
+use crate::readiness::{Poller, Waker};
 use crate::server::{AdmissionBudget, Server, ServerConfig, Session, SessionConfig, SubmitOutcome};
 use crate::wire::{self, Message, SessionDesc, ShedReason, WireError};
 
@@ -94,6 +98,7 @@ enum ShardCmd {
 
 struct ShardHandle {
     tx: Sender<ShardCmd>,
+    waker: Waker,
     join: Option<JoinHandle<()>>,
     server: Server,
 }
@@ -109,6 +114,7 @@ pub struct NetServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
+    accept_waker: Waker,
     shards: Vec<ShardHandle>,
     budget: AdmissionBudget,
     cold: PlanCache,
@@ -144,26 +150,31 @@ impl NetServer {
         let cold = PlanCache::new(cfg.server.plan_cache_capacity)?;
         let stop = Arc::new(AtomicBool::new(false));
 
+        let poller =
+            || Poller::new().map_err(|e| fisheye::Error::runtime(format!("wake socket: {e}")));
         let mut shards = Vec::with_capacity(cfg.shards);
-        let mut txs = Vec::with_capacity(cfg.shards);
+        let mut routes = Vec::with_capacity(cfg.shards);
         for i in 0..cfg.shards {
             let hot = PlanCache::with_cold_tier(cfg.hot_cache_capacity, cold.clone())?;
             let server = Server::with_parts(cfg.server, budget.clone(), hot, Registry::new())?;
             let (tx, rx) = std::sync::mpsc::channel();
+            let (shard_poller, waker) = poller()?;
             let worker = server.clone();
             let max_write = cfg.max_write_buffer;
             let join = std::thread::Builder::new()
                 .name(format!("fisheye-shard-{i}"))
-                .spawn(move || shard_loop(worker, rx, max_write))
+                .spawn(move || shard_loop(worker, rx, shard_poller, max_write))
                 .map_err(|e| fisheye::Error::runtime(format!("spawn shard: {e}")))?;
-            txs.push(tx.clone());
+            routes.push((tx.clone(), waker.clone()));
             shards.push(ShardHandle {
                 tx,
+                waker,
                 join: Some(join),
                 server,
             });
         }
 
+        let (mut accept_poller, accept_waker) = poller()?;
         let accept_stop = Arc::clone(&stop);
         let shard_count = cfg.shards;
         let acceptor = std::thread::Builder::new()
@@ -180,14 +191,21 @@ impl NetServer {
                                 continue;
                             }
                             let shard = shard_of(session_id, shard_count);
-                            if let Some(tx) = txs.get(shard) {
-                                let _ = tx.send(ShardCmd::Accept { stream, session_id });
+                            if let Some((tx, waker)) = routes.get(shard) {
+                                if tx.send(ShardCmd::Accept { stream, session_id }).is_ok() {
+                                    waker.wake();
+                                }
                             }
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(1));
+                            // `shutdown` stores `stop`, then wakes
+                            accept_poller.clear();
+                            accept_poller.watch(&listener, true, false);
+                            accept_poller.wait(None);
                         }
-                        Err(_) => std::thread::sleep(Duration::from_millis(1)),
+                        // e.g. EMFILE: the listener stays readable, so
+                        // a wait would return at once
+                        Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
                     }
                 }
             })
@@ -197,6 +215,7 @@ impl NetServer {
             addr: local,
             stop,
             acceptor: Some(acceptor),
+            accept_waker,
             shards,
             budget,
             cold,
@@ -266,12 +285,17 @@ impl NetServer {
     /// with `Shed(Shutdown)`, connections get a `Goodbye`), and join
     /// all threads. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for sh in &self.shards {
-            let _ = sh.tx.send(ShardCmd::Shutdown);
-        }
+        // The acceptor stops first, so no `Accept` follows a shard's
+        // `Shutdown`, and only live threads are woken.
         if let Some(j) = self.acceptor.take() {
+            self.stop.store(true, Ordering::SeqCst);
+            self.accept_waker.wake();
             let _ = j.join();
+        }
+        for sh in self.shards.iter().filter(|sh| sh.join.is_some()) {
+            if sh.tx.send(ShardCmd::Shutdown).is_ok() {
+                sh.waker.wake();
+            }
         }
         for sh in &mut self.shards {
             if let Some(j) = sh.join.take() {
@@ -291,10 +315,19 @@ impl Drop for NetServer {
 /// force-closing the stragglers.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
 
-fn shard_loop(server: Server, rx: Receiver<ShardCmd>, max_write: usize) {
+/// How long the acceptor backs off after an accept error.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(1);
+
+/// Pass over every connection, and repeat while the last pass made
+/// progress. Then wait for a socket event or a command, the only
+/// things that can create work: a `Session` has no timers, since
+/// deadlines are judged inside `pump_one` and the ladder steps on
+/// completions.
+fn shard_loop(server: Server, rx: Receiver<ShardCmd>, mut poller: Poller, max_write: usize) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut draining: Option<Instant> = None;
     loop {
+        poller.drain_wakes();
         loop {
             match rx.try_recv() {
                 Ok(ShardCmd::Accept { stream, session_id }) => {
@@ -314,20 +347,25 @@ fn shard_loop(server: Server, rx: Receiver<ShardCmd>, max_write: usize) {
         let shutdown = draining.is_some();
         let mut progress = false;
         conns.retain_mut(|c| c.tick(&server, max_write, shutdown, &mut progress));
+        let mut timeout = None;
         if let Some(started) = draining {
             if conns.is_empty() {
                 return;
             }
-            if started.elapsed() > DRAIN_DEADLINE {
+            let Some(left) = DRAIN_DEADLINE.checked_sub(started.elapsed()) else {
                 for c in &mut conns {
                     c.force_close(&server);
                 }
                 return;
-            }
-            continue;
+            };
+            timeout = Some(left);
         }
         if !progress {
-            std::thread::sleep(Duration::from_micros(500));
+            poller.clear();
+            for c in &conns {
+                c.watch(&mut poller);
+            }
+            poller.wait(timeout);
         }
     }
 }
@@ -403,6 +441,16 @@ impl Conn {
             return false;
         }
         true
+    }
+
+    /// Register the readiness this connection waits for: readable
+    /// while it still takes input, writable while output is unsent
+    /// (how a session held back by `max_write` resumes, and all a
+    /// draining connection waits for).
+    fn watch(&self, poller: &mut Poller) {
+        let readable = !self.closing && !self.dead;
+        let writable = self.wpos < self.wbuf.len();
+        poller.watch(&self.stream, readable, writable);
     }
 
     /// Shutdown drain: shed the queue (each shed frame gets a typed

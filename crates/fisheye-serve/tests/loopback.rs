@@ -8,11 +8,13 @@
 //! The rest covers the protocol's operational promises: admission
 //! rejection over the socket, malformed input costing only its own
 //! connection, and graceful shutdown preserving the frame
-//! conservation invariant.
+//! conservation invariant — also against peers that stop reading or
+//! vanish mid-frame, and across the shards' idle waits.
 
-use std::io::Write;
+use std::io::{Read, Write};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fisheye_core::engine::EngineSpec;
 use fisheye_core::frame::{Frame, FrameFormat};
@@ -20,8 +22,8 @@ use fisheye_core::post::PostStage;
 use fisheye_core::Interpolator;
 use fisheye_geom::{FisheyeLens, PerspectiveView};
 use fisheye_serve::{
-    CameraFeed, Client, ClientEvent, NetServer, NetServerConfig, Registry, ServedFrame, Server,
-    ServerConfig, SessionConfig, SessionDesc, ShedReason,
+    wire, CameraFeed, Client, ClientEvent, Message, NetServer, NetServerConfig, Registry,
+    ServedFrame, Server, ServerConfig, SessionConfig, SessionDesc, ShedReason,
 };
 
 fn lens() -> FisheyeLens {
@@ -41,6 +43,17 @@ fn desc(format: FrameFormat) -> SessionDesc<'static> {
         interp: Interpolator::Bilinear,
         deadline_us: 0,
         backend: "serial",
+    }
+}
+
+/// A gray8 session with a `w`×`h` nearest-neighbour view of the 64×48
+/// source: small submits and large `FrameDone`s, so unread results
+/// fill the loopback socket buffers.
+fn wide_desc(w: u32, h: u32) -> SessionDesc<'static> {
+    SessionDesc {
+        view: PerspectiveView::centered(w, h, 90.0),
+        interp: Interpolator::Nearest,
+        ..desc(FrameFormat::Gray8)
     }
 }
 
@@ -85,6 +98,41 @@ fn recv_done(client: &mut Client) -> (u64, Frame) {
         }
     }
     panic!("timed out waiting for a corrected frame");
+}
+
+/// Run `body` on its own thread and fail if it has not finished within
+/// `limit`: a lost wake-up hangs a test instead of failing it.
+fn watchdog(limit: Duration, body: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        body();
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(()) | Err(RecvTimeoutError::Disconnected) => {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("hung for {limit:?}: a wake-up was lost"),
+    }
+}
+
+/// Wait until `srv`'s merged metrics satisfy `done`, failing after 30 s.
+fn wait_for_metrics(srv: &NetServer, what: &str, done: impl Fn(&Registry) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let snap = srv.metrics_snapshot();
+        if done(&snap) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "timed out waiting for {what}:\n{}",
+            snap.snapshot()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 fn assert_bit_exact(wire_frame: &Frame, served: ServedFrame) {
@@ -218,8 +266,10 @@ fn shutdown_drains_every_shard_and_conserves_frames() {
             c.submit(round, &frame).expect("submit");
         }
     }
-    // let the shards ingest the submissions before the drain begins
-    std::thread::sleep(Duration::from_millis(100));
+    // the shards ingest every submission before the drain begins
+    wait_for_metrics(&srv, "18 submissions", |m| {
+        m.counter("serve.frames.submitted") == 18
+    });
     srv.shutdown();
 
     assert_eq!(srv.active_sessions(), 0, "every slot released");
@@ -292,4 +342,193 @@ fn view_churn_over_the_socket_tracks_the_reference_path() {
         assert_bit_exact(&got, expected.frame);
     }
     srv.shutdown();
+}
+
+#[test]
+fn shutdown_of_an_idle_server_returns_promptly() {
+    for idle_clients in [0, 2] {
+        watchdog(Duration::from_secs(10), move || {
+            let mut srv = NetServer::bind("127.0.0.1:0", net_cfg()).expect("bind");
+            let d = desc(FrameFormat::Gray8);
+            let clients: Vec<Client> = (0..idle_clients)
+                .map(|_| Client::connect(srv.addr(), &d, Duration::from_secs(10)).expect("connect"))
+                .collect();
+            let started = Instant::now();
+            srv.shutdown();
+            let took = started.elapsed();
+            assert!(
+                took < Duration::from_secs(1),
+                "shutdown with {idle_clients} idle clients took {took:?}"
+            );
+            assert_eq!(srv.active_sessions(), 0);
+            drop(clients);
+        });
+    }
+}
+
+#[test]
+fn a_client_arriving_after_the_shards_idle_is_served() {
+    watchdog(Duration::from_secs(30), || {
+        let mut srv = NetServer::bind("127.0.0.1:0", net_cfg()).expect("bind");
+        // long enough for every thread to block in its idle wait
+        std::thread::sleep(Duration::from_millis(50));
+        let d = desc(FrameFormat::Gray8);
+        let mut client = Client::connect(srv.addr(), &d, Duration::from_secs(10)).expect("connect");
+        let reference = Server::new(server_cfg()).expect("server");
+        let mut ref_session = reference.connect(session_cfg(&d)).expect("ref connect");
+        let frame = CameraFeed::new(64, 48, 5).next_frame_in(FrameFormat::Gray8);
+        client.submit(0, &frame).expect("submit");
+        ref_session.submit_frame(frame);
+        let expected = ref_session
+            .pump_one()
+            .expect("ref pump")
+            .expect("ref frame");
+        let (seq, got) = recv_done(&mut client);
+        assert_eq!(seq, 0);
+        assert_bit_exact(&got, expected.frame);
+        srv.shutdown();
+    });
+}
+
+#[test]
+fn a_slow_reader_resumes_when_its_socket_drains() {
+    watchdog(Duration::from_secs(60), || {
+        let cfg = NetServerConfig {
+            server: ServerConfig {
+                queue_depth: 8,
+                ..server_cfg()
+            },
+            // below one FrameDone: each result waits for the last to
+            // leave, so unread results stall the session on writability
+            max_write_buffer: 1024,
+            ..net_cfg()
+        };
+        let mut srv = NetServer::bind("127.0.0.1:0", cfg).expect("bind");
+        let d = wide_desc(1024, 768);
+        let mut client = Client::connect(srv.addr(), &d, Duration::from_secs(10)).expect("connect");
+        let reference = Server::new(server_cfg()).expect("server");
+        let mut ref_session = reference.connect(session_cfg(&d)).expect("ref connect");
+
+        let mut feed = CameraFeed::new(64, 48, 13);
+        let mut expected = Vec::new();
+        for seq in 0..8u64 {
+            let frame = feed.next_frame_in(FrameFormat::Gray8);
+            client.submit(seq, &frame).expect("submit");
+            ref_session.submit_frame(frame);
+            let served = ref_session
+                .pump_one()
+                .expect("ref pump")
+                .expect("ref frame");
+            expected.push(served.frame);
+        }
+        for (seq, want) in expected.into_iter().enumerate() {
+            let (got_seq, got) = recv_done(&mut client);
+            assert_eq!(got_seq, seq as u64, "results arrive in submit order");
+            assert_bit_exact(&got, want);
+        }
+        srv.shutdown();
+        assert_conservation(&srv.metrics_snapshot());
+    });
+}
+
+#[test]
+fn a_disconnect_mid_frame_costs_only_its_own_connection() {
+    watchdog(Duration::from_secs(30), || {
+        let mut srv = NetServer::bind("127.0.0.1:0", net_cfg()).expect("bind");
+        let d = desc(FrameFormat::Gray8);
+
+        // a raw session that is admitted, then vanishes halfway
+        // through a SubmitFrame
+        let mut raw = std::net::TcpStream::connect(srv.addr()).expect("dial");
+        let mut out = Vec::new();
+        Message::Hello {
+            version: wire::WIRE_VERSION,
+            session: 0,
+        }
+        .encode_into(&mut out)
+        .expect("encode hello");
+        Message::Connect(d)
+            .encode_into(&mut out)
+            .expect("encode connect");
+        raw.write_all(&out).expect("handshake");
+        raw.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut reply = Vec::new();
+        while !matches!(
+            wire::decode_frame(&reply),
+            Ok(Some((Message::Hello { .. }, _)))
+        ) {
+            let mut chunk = [0u8; 256];
+            let n = raw.read(&mut chunk).expect("server hello");
+            assert!(n > 0, "server closed the raw session");
+            reply.extend_from_slice(&chunk[..n]);
+        }
+        let frame = CameraFeed::new(64, 48, 17).next_frame_in(FrameFormat::Gray8);
+        let mut submit = Vec::new();
+        wire::encode_submit(0, &frame, &mut submit).expect("encode submit");
+        raw.write_all(&submit[..submit.len() / 2])
+            .expect("half a frame");
+        drop(raw);
+        wait_for_metrics(&srv, "the closed raw connection", |m| {
+            m.counter("serve.net.closed") >= 1
+        });
+
+        let mut client = Client::connect(srv.addr(), &d, Duration::from_secs(10)).expect("connect");
+        client.submit(0, &frame).expect("submit");
+        let (seq, _) = recv_done(&mut client);
+        assert_eq!(seq, 0);
+        assert_eq!(
+            srv.active_sessions(),
+            1,
+            "the vanished session freed its slot"
+        );
+        srv.shutdown();
+        let snap = srv.metrics_snapshot();
+        assert_eq!(
+            snap.counter("serve.frames.submitted"),
+            1,
+            "half a frame is no frame"
+        );
+        assert_conservation(&snap);
+    });
+}
+
+#[test]
+fn shutdown_force_closes_a_peer_that_stopped_reading() {
+    watchdog(Duration::from_secs(60), || {
+        let cfg = NetServerConfig {
+            server: ServerConfig {
+                queue_depth: 8,
+                ..server_cfg()
+            },
+            ..net_cfg()
+        };
+        let mut srv = NetServer::bind("127.0.0.1:0", cfg).expect("bind");
+        // 8 × 768 KB of results: more than Linux's default socket
+        // buffers absorb, so the drain blocks on writability
+        let d = wide_desc(1024, 768);
+        let mut stalled =
+            Client::connect(srv.addr(), &d, Duration::from_secs(10)).expect("connect");
+        let mut feed = CameraFeed::new(64, 48, 19);
+        for seq in 0..8u64 {
+            stalled
+                .submit(seq, &feed.next_frame_in(FrameFormat::Gray8))
+                .expect("submit");
+        }
+        // every result is corrected before the drain begins
+        wait_for_metrics(&srv, "8 corrected frames", |m| {
+            m.counter("serve.frames.completed") == 8
+        });
+        let started = Instant::now();
+        srv.shutdown();
+        let took = started.elapsed();
+        // the shard's drain deadline is 2 s
+        assert!(
+            took < Duration::from_secs(3),
+            "shutdown waited {took:?} on a peer that never reads"
+        );
+        assert_eq!(srv.active_sessions(), 0);
+        assert_conservation(&srv.metrics_snapshot());
+        drop(stalled);
+    });
 }

@@ -26,21 +26,31 @@ cargo clippy --offline -p fisheye-serve --no-deps --all-targets -- -D warnings -
 echo "lint: cargo clippy videopipe lib (deny unwrap_used)"
 cargo clippy --offline -p videopipe --no-deps --lib -- -D warnings -D clippy::unwrap_used
 
-# The wire codec, shard loop and client face raw bytes from the
-# network: wire.rs, shard.rs and client.rs carry module-level
+# The wire codec, shard loop, its readiness waits and the client face
+# raw bytes from the network: wire.rs, shard.rs, readiness.rs and
+# client.rs carry module-level
 #   #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 # (wire.rs additionally denies indexing_slicing), so a panic path
 # cannot appear there without deleting the attribute. Clippy enforces
 # the attributes in the run above; this check makes sure nobody
 # quietly removes them.
-echo "lint: wire/shard/client panic-free deny attributes present"
+echo "lint: wire/shard/readiness/client panic-free deny attributes present"
 for f in crates/fisheye-serve/src/wire.rs \
          crates/fisheye-serve/src/shard.rs \
+         crates/fisheye-serve/src/readiness.rs \
          crates/fisheye-serve/src/client.rs; do
   # whitespace-insensitive: rustfmt may wrap the attribute across lines
   tr -d ' \n' < "$f" | grep -q '#!\[deny(clippy::unwrap_used,clippy::expect_used,clippy::panic' \
     || { echo "lint: FAIL ($f lost its panic-free deny attribute)"; exit 1; }
 done
+
+# readiness.rs holds the serving layer's one `unsafe` block, the
+# poll(2) call; it also denies undocumented_unsafe_blocks, so that
+# block cannot lose its `// SAFETY:` comment.
+echo "lint: readiness.rs denies undocumented unsafe blocks"
+tr -d ' \n' < crates/fisheye-serve/src/readiness.rs \
+  | grep -q '#!\[deny(clippy::undocumented_unsafe_blocks)\]' \
+  || { echo "lint: FAIL (readiness.rs lost its undocumented_unsafe_blocks deny attribute)"; exit 1; }
 
 # Composite workloads run the same module trio inside sessions: rig
 # geometry, stereo rectification and the composite plan executor all
