@@ -4,9 +4,10 @@
 
 use fisheye_bench::timing::Group;
 use fisheye_bench::workloads::{random_workload, resolution};
-use fisheye_core::correct::correct_direct;
+use fisheye_core::engine::execute_direct;
 use fisheye_core::{correct, correct_fixed, Interpolator, RemapMap};
 use par_runtime::{Schedule, ThreadPool};
+use pixmap::{Gray8, Image};
 use std::hint::black_box;
 
 fn bench_mapgen() {
@@ -44,12 +45,10 @@ fn bench_correct() {
         black_box(correct_fixed(&w.frame, &fmap));
     });
     g.bench("direct_no_lut_qvga", || {
-        black_box(correct_direct(
-            &w.frame,
-            &w.lens,
-            &w.view,
-            Interpolator::Bilinear,
-        ));
+        let mut out = Image::<Gray8>::new(w.view.width, w.view.height);
+        execute_direct(Interpolator::Bilinear, &w.frame, &w.lens, &w.view, &mut out)
+            .expect("output sized to the view");
+        black_box(out);
     });
     g.finish();
 }

@@ -1,8 +1,11 @@
 //! F10 — end-to-end video pipeline throughput and latency.
 
+use std::sync::Arc;
+
 use fisheye_core::engine::EngineSpec;
+use fisheye_core::frame::{FrameFormat, ViewPlan};
 use fisheye_core::Interpolator;
-use videopipe::{run_pipeline, PipeConfig, ShiftVideo};
+use videopipe::{run_frame_pipeline, PipeConfig, ShiftVideo};
 
 use crate::table::{f1, f2, Table};
 use crate::workloads::{random_workload, resolution};
@@ -15,7 +18,11 @@ pub fn run(scale: Scale) -> Table {
         Scale::Full => (resolution("720p"), 300),
     };
     let w = random_workload(res, 17);
-    let plan = w.plan_for(&EngineSpec::Serial);
+    let plan = ViewPlan::from_plans(
+        FrameFormat::Gray8,
+        vec![Arc::new(w.plan_for(&EngineSpec::Serial))],
+    )
+    .expect("a gray8 view plan is its one full-res plan");
 
     let mut table = Table::new(
         format!("F10 — video pipeline ({}, {} frames)", res.name, frames),
@@ -33,7 +40,7 @@ pub fn run(scale: Scale) -> Table {
     for workers in [1usize, 2, 4] {
         for queue in [2usize, 8] {
             let src = Box::new(ShiftVideo::new(w.frame.clone(), 2, frames));
-            let report = run_pipeline(
+            let report = run_frame_pipeline(
                 src,
                 &plan,
                 PipeConfig {

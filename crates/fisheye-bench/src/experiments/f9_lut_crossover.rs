@@ -5,8 +5,9 @@
 //! build across many frames. This experiment measures effective
 //! per-frame time as a function of frames-between-view-changes.
 
-use fisheye_core::correct::correct_direct;
+use fisheye_core::engine::execute_direct;
 use fisheye_core::{correct, Interpolator, RemapMap};
+use pixmap::{Gray8, Image};
 
 use crate::table::{f2, Table};
 use crate::workloads::{default_resolution, random_workload, resolution, time_median};
@@ -30,13 +31,12 @@ pub fn run(scale: Scale) -> Table {
     let t_apply = time_median(reps, || {
         std::hint::black_box(correct(&w.frame, &w.map, Interpolator::Bilinear));
     });
+    // a fresh output per frame, like `correct` above
     let t_direct = time_median(reps, || {
-        std::hint::black_box(correct_direct(
-            &w.frame,
-            &w.lens,
-            &w.view,
-            Interpolator::Bilinear,
-        ));
+        let mut out = Image::<Gray8>::new(w.view.width, w.view.height);
+        execute_direct(Interpolator::Bilinear, &w.frame, &w.lens, &w.view, &mut out)
+            .expect("output sized to the view");
+        std::hint::black_box(out);
     });
 
     let mut table = Table::new(

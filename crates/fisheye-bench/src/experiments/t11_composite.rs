@@ -223,9 +223,9 @@ pub fn soak(sessions_per_kind: usize, frames_per_session: usize) -> SoakStats {
     let rig_frame = |seed: u64| Arc::new(Frame::Gray8(pixmap::scene::random_gray(sw, sh, seed)));
     let mut completed = 0u64;
     for i in 0..frames_per_session {
-        let single_frame = Arc::new(pixmap::scene::random_gray(sw, sh, 0x701100 + i as u64));
+        let single_frame = rig_frame(0x701100 + i as u64);
         for s in &mut singles {
-            let _ = s.submit(Arc::clone(&single_frame));
+            let _ = s.submit_frame(Arc::clone(&single_frame));
             completed += u64::from(s.pump_one().expect("pump single").is_some());
         }
         for s in &mut panos {

@@ -25,6 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fisheye_core::engine::EngineSpec;
+use fisheye_core::frame::FrameFormat;
 use fisheye_core::Interpolator;
 use fisheye_geom::{FisheyeLens, PerspectiveView};
 use fisheye_serve::{pump_round, CameraFeed, DegradeLevel, Server, ServerConfig, SessionConfig};
@@ -92,9 +93,9 @@ fn serve_point(
 
     let mut camera = CameraFeed::new(src.0, src.1, 21);
     for t in 0..frames {
-        let frame = camera.next_frame();
+        let frame = camera.next_frame_in(FrameFormat::Gray8);
         for s in sessions.iter_mut() {
-            let _ = s.submit(Arc::clone(&frame));
+            let _ = s.submit_frame(Arc::clone(&frame));
         }
         if t % 2 == 1 {
             // everyone pans to the *other* shared view: one compile

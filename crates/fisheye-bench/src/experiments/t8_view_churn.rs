@@ -23,6 +23,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fisheye_core::engine::EngineSpec;
+use fisheye_core::frame::FrameFormat;
 use fisheye_core::plan::{PlanOptions, RemapPlan};
 use fisheye_core::{Interpolator, RemapMap};
 use fisheye_geom::{FisheyeLens, PerspectiveView};
@@ -187,9 +188,9 @@ fn churn_fps(res: Resolution, ticks: usize) -> (f64, u64, u64) {
                 s.set_view(target).expect("valid churn view");
             }
         }
-        let frame = camera.next_frame();
+        let frame = camera.next_frame_in(FrameFormat::Gray8);
         for s in sessions.iter_mut() {
-            let _ = s.submit(Arc::clone(&frame));
+            let _ = s.submit_frame(Arc::clone(&frame));
         }
         pump_round(&mut sessions, Duration::from_secs(60)).expect("pump");
     }

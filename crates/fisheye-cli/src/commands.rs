@@ -248,7 +248,7 @@ fn run_correct(args: &Args) -> CmdResult {
     // whatever LUT or tile artifacts the chosen backend needs, and
     // resolves the engine — one validated handle instead of three
     // hand-wired steps
-    let corrector = Corrector::builder()
+    let corrector = Corrector::<Gray8>::builder()
         .lens(lens)
         .view(view)
         .source(sw, sh)
@@ -259,30 +259,22 @@ fn run_correct(args: &Args) -> CmdResult {
         .threads(threads.max(1))
         .build()?;
     let out = args.req("out")?;
-    let report = if format == FrameFormat::Gray8 {
-        let mut out_img = Image::new(ow, oh);
-        let report = corrector.correct_into(&input, &mut out_img)?;
-        write_pgm(&out_img, out)?;
-        report
-    } else {
-        // lift the gray PGM into the requested format — neutral
-        // chroma for 4:2:0, replicated planes for RGB — and correct
-        // every plane through the frame path; the luma/first plane is
-        // what the PGM output carries
-        let frame = match format {
-            FrameFormat::Yuv420 => Frame::Yuv420(pixmap::yuv::Yuv420::from_luma(input)),
-            FrameFormat::Rgb8 => Frame::Rgb8 {
-                r: input.clone(),
-                g: input.clone(),
-                b: input,
-            },
-            _ => unreachable!("gray formats handled above"),
-        };
-        let (out_frame, report) = corrector.correct_frame(&frame)?;
-        let planes = out_frame.u8_planes().expect("byte formats only here");
-        write_pgm(planes[0], out)?;
-        report
+    // lift the gray PGM into the requested format — one plane for
+    // gray8, neutral chroma for 4:2:0, replicated planes for RGB — and
+    // correct every plane through the frame path; the luma/first plane
+    // is what the PGM output carries
+    let frame = match format {
+        FrameFormat::Yuv420 => Frame::Yuv420(pixmap::yuv::Yuv420::from_luma(input)),
+        FrameFormat::Rgb8 => Frame::Rgb8 {
+            r: input.clone(),
+            g: input.clone(),
+            b: input,
+        },
+        _ => Frame::Gray8(input),
     };
+    let (out_frame, report) = corrector.correct_frame(&frame)?;
+    let planes = out_frame.u8_planes().expect("byte formats only here");
+    write_pgm(planes[0], out)?;
     println!(
         "corrected {sw}x{sh} -> {ow}x{oh} ({format}, {}, backend {}): map {:.1} ms, plan {:.1} ms, correct {:.1} ms -> {out}",
         interp.name(),

@@ -21,7 +21,7 @@ use fisheye_core::interp::sample_bilinear_fixed_gray8;
 use fisheye_core::map::FixedRemapMap;
 use fisheye_core::plan::RemapPlan;
 use fisheye_core::post::{PostPixel, PostPlan};
-use fisheye_core::tile::TileJob;
+use fisheye_core::tile::{tap_lines, TileJob};
 use pixmap::{Gray8, Image, Pixel};
 
 use crate::ir::{lower, KernelIr, KernelOp};
@@ -189,24 +189,19 @@ fn interpret_frame<P, C, FL, FV, FO, FS>(
                             }
                         }
                         KernelOp::Gather { .. } => {
-                            // Same bucketing as gpusim::model: the
-                            // reach × reach footprint of each valid
-                            // lane, one line id per touched span,
-                            // deduped within the warp.
+                            // each valid lane's taps, bucketed into
+                            // lines deduped within the warp
                             for l in 0..lanes {
-                                if !mask[l] {
-                                    continue;
-                                }
-                                let (x0, y0) = origin_of(&coords[l]);
-                                for ty in 0..reach {
-                                    let base = ((y0 + ty) * src_w + x0) * bytes_pp;
-                                    let last = ((y0 + ty) * src_w + x0 + reach - 1) * bytes_pp;
-                                    for line in (base / line_bytes)..=(last / line_bytes) {
-                                        counters.line_accesses += 1;
-                                        if !warp_lines.contains(&line) {
-                                            warp_lines.push(line);
-                                        }
-                                    }
+                                if mask[l] {
+                                    counters.line_accesses += tap_lines(
+                                        origin_of(&coords[l]),
+                                        reach,
+                                        src_w,
+                                        bytes_pp,
+                                        line_bytes,
+                                        &mut warp_lines,
+                                        |_| {},
+                                    );
                                 }
                             }
                         }

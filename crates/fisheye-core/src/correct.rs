@@ -109,52 +109,30 @@ pub fn correct_fixed_into(src: &Image<Gray8>, map: &FixedRemapMap, out: &mut Ima
     }
 }
 
-/// Direct (LUT-free) correction: recompute the mapping per pixel every
-/// frame. This is the alternative the F9 crossover experiment
-/// compares against LUT reuse — cheaper when the view changes every
-/// frame, much more expensive otherwise.
-pub fn correct_direct<P: Pixel>(
-    src: &Image<P>,
-    lens: &fisheye_geom::FisheyeLens,
-    view: &fisheye_geom::PerspectiveView,
-    interp: Interpolator,
-) -> Image<P> {
-    let (sw, sh) = src.dims();
-    Image::from_fn(view.width, view.height, |x, y| {
-        let ray = view.pixel_ray(x as f64 + 0.5, y as f64 + 0.5);
-        match lens.project(ray) {
-            Some((sx, sy)) if sx >= 0.0 && sx < sw as f64 && sy >= 0.0 && sy < sh as f64 => {
-                interp.sample(src, sx as f32, sy as f32)
-            }
-            _ => P::BLACK,
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fisheye_geom::{FisheyeLens, PerspectiveView};
     use pixmap::scene::random_gray;
 
-    fn setup() -> (FisheyeLens, PerspectiveView, RemapMap, Image<Gray8>) {
+    fn setup() -> (RemapMap, Image<Gray8>) {
         let lens = FisheyeLens::equidistant_fov(160, 120, 180.0);
         let view = PerspectiveView::centered(80, 60, 90.0);
         let map = RemapMap::build(&lens, &view, 160, 120);
         let src = random_gray(160, 120, 99);
-        (lens, view, map, src)
+        (map, src)
     }
 
     #[test]
     fn output_dims_match_view() {
-        let (_, _, map, src) = setup();
+        let (map, src) = setup();
         let out = correct(&src, &map, Interpolator::Bilinear);
         assert_eq!(out.dims(), (80, 60));
     }
 
     #[test]
     fn parallel_identical_to_serial() {
-        let (_, _, map, src) = setup();
+        let (map, src) = setup();
         let serial = correct(&src, &map, Interpolator::Bilinear);
         let pool = ThreadPool::new(4);
         for sched in [
@@ -169,7 +147,7 @@ mod tests {
 
     #[test]
     fn all_interpolators_run() {
-        let (_, _, map, src) = setup();
+        let (map, src) = setup();
         for interp in Interpolator::ALL {
             let out = correct(&src, &map, interp);
             // center pixel must be valid data (not black border) for
@@ -192,21 +170,8 @@ mod tests {
     }
 
     #[test]
-    fn direct_matches_lut_route() {
-        let (lens, view, map, src) = setup();
-        let via_lut = correct(&src, &map, Interpolator::Bilinear);
-        let direct = correct_direct(&src, &lens, &view, Interpolator::Bilinear);
-        // same math, one f64->f32 rounding apart: allow ±1 LSB
-        let mut max_diff = 0i32;
-        for (a, b) in via_lut.pixels().iter().zip(direct.pixels()) {
-            max_diff = max_diff.max((a.0 as i32 - b.0 as i32).abs());
-        }
-        assert!(max_diff <= 1, "max diff {max_diff}");
-    }
-
-    #[test]
     fn fixed_correction_close_to_float() {
-        let (_, _, map, src) = setup();
+        let (map, src) = setup();
         let float = correct(&src, &map, Interpolator::Bilinear);
         let fixed = correct_fixed(&src, &map.to_fixed(12));
         let psnr = pixmap::metrics::psnr(&float, &fixed);
@@ -215,7 +180,7 @@ mod tests {
 
     #[test]
     fn fixed_correction_degrades_gracefully() {
-        let (_, _, map, src) = setup();
+        let (map, src) = setup();
         let float = correct(&src, &map, Interpolator::Bilinear);
         let p4 = pixmap::metrics::psnr(&float, &correct_fixed(&src, &map.to_fixed(4)));
         let p10 = pixmap::metrics::psnr(&float, &correct_fixed(&src, &map.to_fixed(10)));
@@ -225,7 +190,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "output dimensions")]
     fn dimension_mismatch_caught() {
-        let (_, _, map, src) = setup();
+        let (map, src) = setup();
         let mut wrong: Image<Gray8> = Image::new(10, 10);
         correct_into(&src, &map, Interpolator::Nearest, &mut wrong);
     }
@@ -233,7 +198,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "source dimensions")]
     fn source_mismatch_caught() {
-        let (_, _, map, _) = setup();
+        let (map, _) = setup();
         let wrong_src = random_gray(10, 10, 1);
         let mut out = Image::new(80, 60);
         correct_into(&wrong_src, &map, Interpolator::Nearest, &mut out);

@@ -29,6 +29,7 @@
 //! `fisheye-serve`) route *every* format through this module.
 
 use std::fmt;
+use std::ops::DerefMut;
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -761,7 +762,9 @@ struct PlaneJob<'a> {
 /// `correct_time` is the **summed kernel cost** across planes (the
 /// quantity the paper's 1.5×-for-color claim is about) and whose model
 /// section carries per-plane kv entries (`y.correct_ms`,
-/// `cb.invalid`, …) plus `frame_wall_ms`, the elapsed wall time.
+/// `cb.invalid`, …) plus `frame_wall_ms`, the elapsed wall time. A
+/// single-plane format has nothing to merge: its report is the
+/// engine's, unchanged.
 pub struct FrameCorrector {
     format: FrameFormat,
     plan: ViewPlan,
@@ -996,16 +999,11 @@ impl FrameCorrector {
                 ),
             ));
         }
-        match (src, &mut *out) {
-            (Frame::GrayF32(s), Frame::GrayF32(o)) => self.correct_plane_f32(s, o),
-            (Frame::Gray8(s), Frame::Gray8(o)) => self.correct_plane_u8(PlaneClass::Full, s, o),
-            _ => {
-                let srcs = src.u8_planes().expect("multi-plane formats are u8");
-                let mut outs = out.u8_planes_mut().expect("multi-plane formats are u8");
-                let mut refs: Vec<&mut Image<Gray8>> = outs.iter_mut().map(|o| &mut **o).collect();
-                self.correct_u8_planes_into(&srcs, &mut refs)
-            }
+        if let (Frame::GrayF32(s), Frame::GrayF32(o)) = (src, &mut *out) {
+            return self.correct_plane_f32(s, o);
         }
+        let mut outs = out.u8_planes_mut().expect("every other format is u8");
+        self.correct_u8_planes_into(src, &mut outs)
     }
 
     /// Correct a whole frame into a freshly allocated output frame.
@@ -1016,38 +1014,45 @@ impl FrameCorrector {
         Ok((out, report))
     }
 
-    /// Correct every `u8` plane of a multi-plane frame into
-    /// caller-supplied plane buffers (the pooled zero-allocation path:
+    /// Correct every `u8` plane of `src` into caller-supplied plane
+    /// buffers, in plane order (the pooled zero-allocation path:
     /// videopipe and the serve layer pass pool-acquired planes here).
-    /// `srcs`/`outs` are in plane order and must match the format's
-    /// plane count.
-    pub fn correct_u8_planes_into(
+    /// `src` must be of the corrector's format and `outs` must hold
+    /// one buffer per plane. Like
+    /// [`correct_frame_into`](Self::correct_frame_into), a
+    /// single-plane format returns the engine's report unchanged and
+    /// a multi-plane format the merged per-plane report.
+    pub fn correct_u8_planes_into<O>(
         &self,
-        srcs: &[&Image<Gray8>],
-        outs: &mut [&mut Image<Gray8>],
-    ) -> Result<FrameReport, EngineError> {
+        src: &Frame,
+        outs: &mut [O],
+    ) -> Result<FrameReport, EngineError>
+    where
+        O: DerefMut<Target = Image<Gray8>>,
+    {
+        let FrameEngines::U8(engine) = &self.engines else {
+            return Err(EngineError::backend(
+                "frame-corrector",
+                "u8 planes on a float-plane corrector",
+            ));
+        };
         let labels = self.format.plane_labels();
-        if srcs.len() != labels.len() || outs.len() != labels.len() {
+        if src.format() != self.format || outs.len() != labels.len() {
             return Err(EngineError::backend(
                 "frame-corrector",
                 format!(
-                    "format {} has {} planes, got {} src / {} out",
+                    "corrector is {} with {} planes, got a {} frame and {} out planes",
                     self.format,
                     labels.len(),
-                    srcs.len(),
+                    src.format(),
                     outs.len()
                 ),
             ));
         }
-        let engine = match &self.engines {
-            FrameEngines::U8(e) => e,
-            FrameEngines::F32(_) => {
-                return Err(EngineError::backend(
-                    "frame-corrector",
-                    "u8 planes on a float-plane corrector",
-                ));
-            }
-        };
+        if let (Frame::Gray8(s), [o]) = (src, &mut *outs) {
+            return engine.correct_frame_post(s, self.plan.plane_plan(0), self.plane_post(0), o);
+        }
+        let srcs = src.u8_planes().expect("a u8 engine's format has u8 planes");
         let t0 = Instant::now();
         let mut jobs: Vec<PlaneJob<'_>> = Vec::with_capacity(labels.len());
         for (i, out) in outs.iter_mut().enumerate() {

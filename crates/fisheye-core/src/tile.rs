@@ -146,6 +146,37 @@ pub fn footprint(map: &RemapMap, out: &Rect, interp: Interpolator) -> Option<Rec
     Some(Rect::new(x0, y0, x1, y1))
 }
 
+/// Bucket one sample's taps into cache-line ids — the one coalescing
+/// rule `gpusim`'s analytic model and the `simt` interpreter both
+/// count with. The `reach × reach` taps at source pixel `origin` (on a
+/// source `src_w` pixels wide, `bytes_pp` bytes per pixel) touch, per
+/// tap row, every `line_bytes`-byte line from the row's first tap to
+/// its last. Each touch is one line access, handed to `access`; a line
+/// not yet in `warp_lines` (the warp's distinct lines so far) is
+/// appended to it. Returns the number of accesses.
+pub fn tap_lines(
+    (x0, y0): (u64, u64),
+    reach: u64,
+    src_w: u64,
+    bytes_pp: u64,
+    line_bytes: u64,
+    warp_lines: &mut Vec<u64>,
+    mut access: impl FnMut(u64),
+) -> u64 {
+    let mut accesses = 0;
+    for ty in 0..reach {
+        let first = (y0 + ty) * src_w + x0;
+        for line in first * bytes_pp / line_bytes..=(first + reach - 1) * bytes_pp / line_bytes {
+            accesses += 1;
+            if !warp_lines.contains(&line) {
+                warp_lines.push(line);
+            }
+            access(line);
+        }
+    }
+    accesses
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,9 +2,9 @@
 //!
 //! Serving simulations need one source feeding many sessions — the
 //! whole point of the layer is that N views share one camera. A
-//! [`CameraFeed`] generates deterministic frames as `Arc<Image>` so
+//! [`CameraFeed`] generates deterministic frames as `Arc<Frame>` so
 //! every session's queue holds the *same* allocation: submitting a
-//! frame to eight sessions clones eight `Arc`s, not eight images.
+//! frame to eight sessions clones eight `Arc`s, not eight frames.
 
 use std::sync::Arc;
 
@@ -40,18 +40,12 @@ impl CameraFeed {
         (self.width, self.height)
     }
 
-    /// The next frame, shared-ownership so many sessions can queue it
-    /// without copying pixels.
-    pub fn next_frame(&mut self) -> Arc<Image<Gray8>> {
-        Arc::new(self.rotated())
-    }
-
-    /// The next frame in `format`, shared-ownership — the multi-plane
-    /// counterpart of [`CameraFeed::next_frame`]. The luma/first
-    /// plane is the same rotating base; extra planes are
-    /// deterministic phase-shifted derivations of it, so chroma is
-    /// non-neutral (corrections that drop or misplace a chroma plane
-    /// show up as pixel diffs, not as silently-gray output).
+    /// The next frame in `format`, shared-ownership so many sessions
+    /// can queue it without copying pixels. The luma/first plane is
+    /// the rotating base; extra planes are deterministic
+    /// phase-shifted derivations of it, so chroma is non-neutral
+    /// (corrections that drop or misplace a chroma plane show up as
+    /// pixel diffs, not as silently-gray output).
     pub fn next_frame_in(&mut self, format: FrameFormat) -> Arc<Frame> {
         let y = self.rotated();
         let frame = match format {
@@ -127,10 +121,10 @@ mod tests {
     fn frames_are_deterministic_and_rotate() {
         let mut a = CameraFeed::new(32, 24, 7);
         let mut b = CameraFeed::new(32, 24, 7);
-        let f0a = a.next_frame();
-        let f0b = b.next_frame();
+        let f0a = a.next_frame_in(FrameFormat::Gray8);
+        let f0b = b.next_frame_in(FrameFormat::Gray8);
         assert_eq!(*f0a, *f0b, "same seed, same frames");
-        let f1a = a.next_frame();
+        let f1a = a.next_frame_in(FrameFormat::Gray8);
         assert_ne!(*f0a, *f1a, "frames advance");
         assert_eq!(f1a.dims(), (32, 24));
     }

@@ -21,13 +21,18 @@
 //!
 //! The [`Registry`] is the single observability sink: admissions,
 //! rejections, drops, deadline misses, ladder transitions, cache and
-//! pool counters, plus every engine [`FrameReport`] and videopipe
-//! `PipeReport`, all in one text [snapshot](Registry::snapshot).
+//! pool counters, plus every engine [`FrameReport`], all in one text
+//! [snapshot](Registry::snapshot).
+//!
+//! Every frame is a [`Frame`](fisheye_core::frame::Frame): a gray8
+//! session runs the same one-plane path a yuv420 session runs with
+//! three planes.
 //!
 //! # Quick start
 //!
 //! ```
 //! use std::sync::Arc;
+//! use fisheye_core::frame::FrameFormat;
 //! use fisheye_serve::{CameraFeed, Server, ServerConfig, SessionConfig};
 //! use fisheye_geom::{FisheyeLens, PerspectiveView};
 //!
@@ -44,11 +49,12 @@
 //! assert!(server.connect(cfg).is_err()); // over capacity: rejected
 //!
 //! let mut camera = CameraFeed::new(128, 96, 1);
-//! let frame = camera.next_frame();
-//! a.submit(Arc::clone(&frame));
-//! b.submit(frame);
+//! let frame = camera.next_frame_in(FrameFormat::Gray8);
+//! a.submit_frame(Arc::clone(&frame));
+//! b.submit_frame(frame);
 //! let corrected = a.pump_one()?.expect("one frame pending");
 //! assert_eq!(corrected.frame.dims(), (64, 48));
+//! assert_eq!(corrected.frame.planes().len(), 1); // gray8: one plane
 //! assert_eq!(server.cache().stats().misses, 1);
 //! # Ok::<(), fisheye::Error>(())
 //! ```

@@ -1,15 +1,11 @@
-//! One observability registry for the whole workspace.
+//! The serving layer's observability registry.
 //!
-//! Every layer already produces numbers — [`FrameReport`] key/values
-//! from the engines, [`videopipe::PipeReport`] totals from the video
-//! pipeline,
-//! hit counters from the frame pools — but each consumer used to
-//! aggregate them ad hoc. [`Registry`] is the single sink: named
-//! counters, gauges and latency histograms behind one lock, with a
-//! sorted [text snapshot](Registry::snapshot) as the export format
-//! (the `serve-sim` CLI prints it verbatim; T5 parses values out of
-//! it). Absorb helpers fold the existing report types in so the
-//! serve layer, pipeline and pools all flow into one place.
+//! Sessions count admissions, frames, drops, ladder moves and pool
+//! hits, and fold every engine [`FrameReport`] in. [`Registry`] is the
+//! single sink: named counters, gauges and latency histograms behind
+//! one lock, with a sorted [text snapshot](Registry::snapshot) as the
+//! export format (the `serve-sim` CLI prints it verbatim; T5 parses
+//! values out of it).
 //!
 //! Histograms use power-of-two microsecond buckets — 1 µs to ~1 hour
 //! in 32 steps — which keeps `observe` allocation-free and gives
@@ -213,32 +209,6 @@ impl Registry {
         self.observe(&format!("{prefix}.correct_us"), report.correct_time);
         for (k, v) in &report.model {
             self.gauge(&format!("{prefix}.model.{k}"), *v);
-        }
-    }
-
-    /// Fold a [`videopipe::PipeReport`] in under `prefix`.
-    pub fn absorb_pipe_report(&self, prefix: &str, report: &videopipe::PipeReport) {
-        self.add(&format!("{prefix}.frames"), report.frames);
-        self.add(&format!("{prefix}.dropped"), report.dropped);
-        self.add(&format!("{prefix}.deadline_missed"), report.deadline_missed);
-        self.add(&format!("{prefix}.out_of_order"), report.out_of_order);
-        self.add(&format!("{prefix}.pool_hits"), report.pool_hits);
-        self.add(&format!("{prefix}.pool_misses"), report.pool_misses);
-        self.gauge(&format!("{prefix}.fps"), report.fps);
-        self.gauge(
-            &format!("{prefix}.in_queue_high_water"),
-            report.in_queue_high_water as f64,
-        );
-        self.observe(&format!("{prefix}.latency_us"), report.mean_latency);
-    }
-
-    /// Fold a frame pool's counters in under `prefix`.
-    pub fn absorb_pool(&self, prefix: &str, hits: u64, misses: u64) {
-        self.add(&format!("{prefix}.hits"), hits);
-        self.add(&format!("{prefix}.misses"), misses);
-        let total = hits + misses;
-        if total > 0 {
-            self.gauge(&format!("{prefix}.hit_rate"), hits as f64 / total as f64);
         }
     }
 

@@ -5,9 +5,9 @@
 //! [`Server::connect`] returns [`fisheye::Error::Rejected`]
 //! immediately — there is no wait queue to grow without bound, the
 //! caller decides whether to retry. Each admitted session owns a
-//! [`Corrector`] resolved from its [`EngineSpec`], a bounded frame
-//! queue and a [`FramePool`] of output buffers, and measures every
-//! frame against its deadline.
+//! [`Corrector`] resolved from its [`EngineSpec`], a bounded queue of
+//! [`Frame`]s and a [`PlanePool`] of output planes (one plane for
+//! gray8), and measures every frame against its deadline.
 //!
 //! Under sustained overload — a windowed fraction of frames missing
 //! their deadlines — the server walks a degradation ladder, one rung
@@ -66,7 +66,7 @@ use fisheye_core::Interpolator;
 use fisheye_geom::{CameraRig, FisheyeLens, PerspectiveView, StereoRig};
 use par_runtime::sync::Mutex;
 use par_runtime::{Schedule, ThreadPool};
-use pixmap::{FramePool, Gray8, Image, PlanePool, PooledFrame};
+use pixmap::{Gray8, Image, PlanePool, PooledFrame};
 
 use crate::cache::PlanCache;
 use crate::metrics::Registry;
@@ -219,10 +219,10 @@ pub struct SessionConfig {
     /// Source frame dimensions `(w, h)` — full-resolution (luma)
     /// dims for multi-plane formats.
     pub source: (u32, u32),
-    /// The frame format this session submits and receives. Gray
-    /// sessions use [`Session::submit`]; multi-plane sessions use
-    /// [`Session::submit_frame`]. `grayf32` is not servable (the
-    /// serving layer's pools and ladder are byte-plane machinery).
+    /// The frame format this session submits (through
+    /// [`Session::submit_frame`]) and receives. `grayf32` is not
+    /// servable (the serving layer's pools and ladder are byte-plane
+    /// machinery).
     pub format: FrameFormat,
     /// Execution backend.
     pub backend: EngineSpec,
@@ -511,7 +511,7 @@ impl Server {
                 v_fov_deg,
             } => Workhorse::Stereo(self.admit_stereo(&cfg, rig, *h_fov_deg, *v_fov_deg)?),
         };
-        let (pool, pool_dims) = SessionPool::for_dims(&work.plane_dims());
+        let pool_dims = work.plane_dims();
         Ok(Session {
             id,
             server: self.clone(),
@@ -524,7 +524,7 @@ impl Server {
             queue: VecDeque::new(),
             seq: 0,
             applied: DegradeLevel::Normal,
-            pool,
+            pool: primed_pool(&pool_dims),
             pool_dims,
             pool_seen: (0, 0),
         })
@@ -907,12 +907,10 @@ pub enum SubmitOutcome {
     DroppedNewest,
 }
 
-/// One pending frame — gray sessions queue shared images, format
-/// sessions queue shared multi-plane frames, composite sessions
-/// queue one frame per rig camera.
+/// One pending frame — single-camera sessions queue one shared
+/// frame, composite sessions one frame per rig camera.
 enum SourceFrame {
-    Gray(Arc<Image<Gray8>>),
-    Multi(Arc<Frame>),
+    Single(Arc<Frame>),
     Rig(Vec<Arc<Frame>>),
 }
 
@@ -923,106 +921,45 @@ struct Pending {
     frame: SourceFrame,
 }
 
-/// The session's output-buffer pool: one full-res pool for gray
-/// sessions, one pool per plane size class for format sessions.
-enum SessionPool {
-    Gray(FramePool<Gray8>),
-    Planes(PlanePool<Gray8>),
+/// A session's output pool, primed for one frame in flight plus one
+/// the caller still holds.
+fn primed_pool(dims: &[(u32, u32)]) -> PlanePool<Gray8> {
+    let pool = PlanePool::new(dims);
+    pool.prime(2);
+    pool
 }
 
-impl SessionPool {
-    /// Build (and prime) the pool for one output buffer per entry of
-    /// `dims`, returning the per-plane dims it was sized for. One
-    /// plane pools as a gray frame; several (a multi-plane format's
-    /// planes, or a stereo session's two eyes) pool per plane.
-    fn for_dims(dims: &[(u32, u32)]) -> (SessionPool, Vec<(u32, u32)>) {
-        let pool = if dims.len() > 1 {
-            let pool = PlanePool::new(dims);
-            pool.prime(2);
-            SessionPool::Planes(pool)
-        } else {
-            let pool = FramePool::new(dims[0].0, dims[0].1);
-            pool.prime(2);
-            SessionPool::Gray(pool)
-        };
-        (pool, dims.to_vec())
-    }
-
-    fn counters(&self) -> (u64, u64) {
-        match self {
-            SessionPool::Gray(p) => (p.hits(), p.misses()),
-            SessionPool::Planes(p) => (p.hits(), p.misses()),
-        }
-    }
-}
-
-/// A corrected frame leaving [`Session::pump_one`] on pooled buffers.
-/// Dropping it recycles every buffer into the session's pool;
-/// [`PooledFrame::detach`] keeps an image.
-pub enum ServedFrame {
-    /// A gray session's single corrected plane.
-    Gray(PooledFrame<Gray8>),
-    /// A format session's corrected planes, in plane order
-    /// (`y`/`cb`/`cr` or `r`/`g`/`b`).
-    Planes {
-        /// The session's frame format.
-        format: FrameFormat,
-        /// One corrected buffer per plane.
-        planes: Vec<PooledFrame<Gray8>>,
-    },
-    /// A stereo session's rectified pair, epipolar-row-aligned.
-    Stereo {
-        /// Left eye on the rectified grid.
-        left: PooledFrame<Gray8>,
-        /// Right eye on the rectified grid.
-        right: PooledFrame<Gray8>,
-    },
+/// A corrected frame leaving [`Session::pump_one`] on pooled buffers:
+/// the session's format and one plane per output buffer, in plane
+/// order — one plane for gray8, `y`/`cb`/`cr` for yuv420, `r`/`g`/`b`
+/// for rgb8, and `[left, right]` for a stereo pair (two gray8 eyes
+/// on the rectified grid). Dropping it recycles every buffer into the
+/// session's pool; [`PooledFrame::detach`] keeps an image.
+pub struct ServedFrame {
+    format: FrameFormat,
+    planes: Vec<PooledFrame<Gray8>>,
 }
 
 impl ServedFrame {
     /// Full-resolution output dims (the first plane's).
     pub fn dims(&self) -> (u32, u32) {
-        match self {
-            ServedFrame::Gray(f) => f.dims(),
-            ServedFrame::Planes { planes, .. } => planes[0].dims(),
-            ServedFrame::Stereo { left, .. } => left.dims(),
-        }
+        self.planes[0].dims()
     }
 
-    /// The served format ([`FrameFormat::Gray8`] for gray and stereo
-    /// sessions — a stereo output is two gray planes).
+    /// The served format ([`FrameFormat::Gray8`] for a stereo pair).
     pub fn format(&self) -> FrameFormat {
-        match self {
-            ServedFrame::Gray(_) | ServedFrame::Stereo { .. } => FrameFormat::Gray8,
-            ServedFrame::Planes { format, .. } => *format,
-        }
+        self.format
     }
 
-    /// The gray plane, when this is a gray session's output.
-    pub fn as_gray(&self) -> Option<&PooledFrame<Gray8>> {
-        match self {
-            ServedFrame::Gray(f) => Some(f),
-            ServedFrame::Planes { .. } | ServedFrame::Stereo { .. } => None,
-        }
+    /// The corrected planes, in plane order.
+    pub fn planes(&self) -> &[PooledFrame<Gray8>] {
+        &self.planes
     }
 
-    /// The rectified eye pair, when this is a stereo session's output.
-    pub fn as_stereo(&self) -> Option<(&PooledFrame<Gray8>, &PooledFrame<Gray8>)> {
-        match self {
-            ServedFrame::Stereo { left, right } => Some((left, right)),
-            _ => None,
-        }
-    }
-
-    /// All planes in plane order, uniformly (a gray output is one
-    /// plane, a stereo output is `[left, right]`). Consumes the
-    /// frame; dropping the planes recycles them.
+    /// The corrected planes, in plane order, by value; dropping them
+    /// recycles them.
     pub fn into_planes(self) -> Vec<PooledFrame<Gray8>> {
-        match self {
-            ServedFrame::Gray(f) => vec![f],
-            ServedFrame::Planes { planes, .. } => planes,
-            ServedFrame::Stereo { left, right } => vec![left, right],
-        }
+        self.planes
     }
 }
 
@@ -1047,8 +984,10 @@ pub struct FrameOutcome {
     pub missed: bool,
     /// Ladder level the frame was served at.
     pub level: DegradeLevel,
-    /// Engine-attributed execution report (merged across planes for
-    /// format sessions, with per-plane `<label>.*` model keys).
+    /// Engine-attributed execution report: the engine's (or composite
+    /// executor's) own for a one-plane gray8 frame, merged across
+    /// planes for a multi-plane format or a stereo pair, with
+    /// per-plane `<label>.*` model keys.
     pub report: FrameReport,
     /// The corrected frame, on pooled buffers.
     pub frame: ServedFrame,
@@ -1145,7 +1084,7 @@ pub struct Session {
     queue: VecDeque<Pending>,
     seq: u64,
     applied: DegradeLevel,
-    pool: SessionPool,
+    pool: PlanePool<Gray8>,
     pool_dims: Vec<(u32, u32)>,
     /// Pool counters already flushed into the registry.
     pool_seen: (u64, u64),
@@ -1267,27 +1206,18 @@ impl Session {
         Ok(())
     }
 
-    /// Queue a gray frame for correction. Sheds per the current
-    /// ladder level when the queue is full; never blocks, never grows
-    /// past the configured depth. On a multi-plane session the
-    /// mismatch surfaces at the pump as a config error — use
-    /// [`Session::submit_frame`] there.
-    pub fn submit(&mut self, frame: Arc<Image<Gray8>>) -> SubmitOutcome {
-        self.enqueue(SourceFrame::Gray(frame))
-    }
-
-    /// Queue a multi-plane frame for correction — the format-session
-    /// counterpart of [`Session::submit`], with the same shedding
-    /// rules. The frame's format must match the session's
-    /// (a gray [`Frame`] on a gray session is fine); mismatches
-    /// surface at the pump.
+    /// Queue a frame for correction on a single-camera session. Sheds
+    /// per the current ladder level when the queue is full; never
+    /// blocks, never grows past the configured depth. The frame's
+    /// format must match the session's; a mismatch surfaces at the
+    /// pump as a config error.
     pub fn submit_frame(&mut self, frame: Arc<Frame>) -> SubmitOutcome {
-        self.enqueue(SourceFrame::Multi(frame))
+        self.enqueue(SourceFrame::Single(frame))
     }
 
     /// Queue one frame per rig camera for a composite session
     /// (panorama: rig order; stereo: `[left, right]`), with the same
-    /// shedding rules as [`Session::submit`]. Count and format
+    /// shedding rules as [`Session::submit_frame`]. Count and format
     /// mismatches surface at the pump.
     pub fn submit_rig(&mut self, frames: Vec<Arc<Frame>>) -> SubmitOutcome {
         self.enqueue(SourceFrame::Rig(frames))
@@ -1587,16 +1517,15 @@ impl Session {
         let dims = self.work.plane_dims();
         if dims != self.pool_dims {
             self.flush_pool_counters();
-            let (pool, pool_dims) = SessionPool::for_dims(&dims);
-            self.pool = pool;
-            self.pool_dims = pool_dims;
+            self.pool = primed_pool(&dims);
+            self.pool_dims = dims;
             self.pool_seen = (0, 0);
         }
     }
 
     /// Push pool hit/miss deltas into the shared registry.
     fn flush_pool_counters(&mut self) {
-        let (hits, misses) = self.pool.counters();
+        let (hits, misses) = (self.pool.hits(), self.pool.misses());
         let m = self.server.metrics();
         m.add("serve.pool.hits", hits - self.pool_seen.0);
         m.add("serve.pool.misses", misses - self.pool_seen.1);
@@ -1640,60 +1569,30 @@ fn clamp_locked_interp(server: &Server, spec: &EngineSpec, desired: Interpolator
     }
 }
 
-/// The single-camera frame path: route one pending source through
-/// the corrector onto pooled buffers.
+/// The single-camera frame path: correct one pending frame through
+/// the corrector's frame layer onto pooled planes.
 fn correct_single(
     corrector: &Corrector<Gray8>,
     format: FrameFormat,
-    pool: &SessionPool,
+    pool: &PlanePool<Gray8>,
     src: &SourceFrame,
 ) -> Result<(FrameReport, ServedFrame), fisheye::Error> {
-    match (pool, src) {
-        (SessionPool::Gray(pool), SourceFrame::Gray(img)) => {
-            let mut out = pool.acquire();
-            let report = corrector.correct_into(img, &mut out)?;
-            Ok((report, ServedFrame::Gray(out)))
-        }
-        // a gray session accepts a gray Frame too, so feeds can be
-        // format-uniform
-        (SessionPool::Gray(pool), SourceFrame::Multi(f)) => match f.as_ref() {
-            Frame::Gray8(img) => {
-                let mut out = pool.acquire();
-                let report = corrector.correct_into(img, &mut out)?;
-                Ok((report, ServedFrame::Gray(out)))
-            }
-            other => Err(fisheye::Error::config(format!(
-                "session serves {}, got a {} frame",
-                format,
-                other.format()
-            ))),
-        },
-        (SessionPool::Planes(pool), SourceFrame::Multi(f)) => {
-            if f.format() != format {
-                return Err(fisheye::Error::config(format!(
-                    "session serves {}, got a {} frame",
-                    format,
-                    f.format()
-                )));
-            }
-            let srcs = f
-                .u8_planes()
-                .expect("grayf32 sessions are rejected at connect");
-            let mut planes = pool.acquire();
-            let mut refs: Vec<&mut Image<Gray8>> = planes.iter_mut().map(|p| &mut **p).collect();
-            let report = corrector
-                .frame_corrector()
-                .correct_u8_planes_into(&srcs, &mut refs)?;
-            Ok((report, ServedFrame::Planes { format, planes }))
-        }
-        (SessionPool::Planes(_), SourceFrame::Gray(_)) => Err(fisheye::Error::config(format!(
-            "session serves {}; submit a multi-plane Frame via submit_frame",
-            format
-        ))),
-        (_, SourceFrame::Rig(_)) => Err(fisheye::Error::config(
-            "single-camera sessions take one frame via submit/submit_frame",
-        )),
+    let SourceFrame::Single(frame) = src else {
+        return Err(fisheye::Error::config(
+            "single-camera sessions take one frame via submit_frame",
+        ));
+    };
+    if frame.format() != format {
+        return Err(fisheye::Error::config(format!(
+            "session serves {format}, got a {} frame",
+            frame.format()
+        )));
     }
+    let mut planes = pool.acquire();
+    let report = corrector
+        .frame_corrector()
+        .correct_u8_planes_into(frame, &mut planes)?;
+    Ok((report, ServedFrame { format, planes }))
 }
 
 /// The per-camera frames of a composite session's pending source.
@@ -1717,11 +1616,13 @@ fn rig_frames<'a>(
 }
 
 /// Composite one panorama output from per-camera frames, plane by
-/// plane through the host composite executor.
+/// plane through the host composite executor. A single-plane format
+/// returns the executor's report unchanged; a multi-plane format
+/// merges the per-plane reports under the plane labels.
 fn correct_panorama(
     st: &PanoramaState,
     format: FrameFormat,
-    pool: &SessionPool,
+    pool: &PlanePool<Gray8>,
     frames: &[Arc<Frame>],
 ) -> Result<(FrameReport, ServedFrame), fisheye::Error> {
     for (i, f) in frames.iter().enumerate() {
@@ -1743,41 +1644,29 @@ fn correct_panorama(
         pool: st.pool.as_ref(),
         ..HostEnv::default()
     };
-    match pool {
-        SessionPool::Planes(pool) => {
-            let labels = format.plane_labels();
-            let mut merged = FrameReport::new(st.spec.name());
-            let mut planes = pool.acquire();
-            for (p, out) in planes.iter_mut().enumerate() {
-                let plane_srcs: Vec<&Image<Gray8>> = plane_sets.iter().map(|set| set[p]).collect();
-                let report = execute_composite_host(
-                    &st.spec,
-                    st.interp,
-                    &plane_srcs,
-                    st.plan.plane_plan(p),
-                    st.post[p].as_ref(),
-                    &env,
-                    &mut **out,
-                )?;
-                merged.merge_plane(labels[p], &report);
-            }
-            Ok((merged, ServedFrame::Planes { format, planes }))
+    let composite = |p: usize, out: &mut Image<Gray8>| -> Result<FrameReport, fisheye::Error> {
+        let plane_srcs: Vec<&Image<Gray8>> = plane_sets.iter().map(|set| set[p]).collect();
+        Ok(execute_composite_host(
+            &st.spec,
+            st.interp,
+            &plane_srcs,
+            st.plan.plane_plan(p),
+            st.post[p].as_ref(),
+            &env,
+            out,
+        )?)
+    };
+    let mut planes = pool.acquire();
+    let report = if let [out] = &mut planes[..] {
+        composite(0, out)?
+    } else {
+        let mut merged = FrameReport::new(st.spec.name());
+        for (p, (out, label)) in planes.iter_mut().zip(format.plane_labels()).enumerate() {
+            merged.merge_plane(label, &composite(p, out)?);
         }
-        SessionPool::Gray(pool) => {
-            let mut out = pool.acquire();
-            let plane_srcs: Vec<&Image<Gray8>> = plane_sets.iter().map(|set| set[0]).collect();
-            let report = execute_composite_host(
-                &st.spec,
-                st.interp,
-                &plane_srcs,
-                st.plan.plane_plan(0),
-                st.post[0].as_ref(),
-                &env,
-                &mut *out,
-            )?;
-            Ok((report, ServedFrame::Gray(out)))
-        }
-    }
+        merged
+    };
+    Ok((report, ServedFrame { format, planes }))
 }
 
 /// Correct both eyes of a stereo pair through the session's host
@@ -1785,7 +1674,7 @@ fn correct_panorama(
 /// reports under `left.` / `right.` keys.
 fn correct_stereo(
     st: &StereoState,
-    pool: &SessionPool,
+    pool: &PlanePool<Gray8>,
     frames: &[Arc<Frame>],
 ) -> Result<(FrameReport, ServedFrame), fisheye::Error> {
     let mut eyes = Vec::with_capacity(2);
@@ -1800,28 +1689,17 @@ fn correct_stereo(
             }
         }
     }
-    let SessionPool::Planes(pool) = pool else {
-        return Err(fisheye::Error::config(
-            "stereo session pool must hold two eye buffers",
-        ));
-    };
     let mut planes = pool.acquire();
     let mut merged = FrameReport::new(st.spec.name());
     let plans = [&st.plan.left, &st.plan.right];
-    let labels = ["left", "right"];
-    for (i, out) in planes.iter_mut().enumerate() {
+    for (i, (out, label)) in planes.iter_mut().zip(["left", "right"]).enumerate() {
         let report =
             st.engine
                 .correct_frame_post(eyes[i], plans[i], st.post.as_ref(), &mut **out)?;
-        merged.merge_plane(labels[i], &report);
+        merged.merge_plane(label, &report);
     }
-    let right = planes.pop();
-    let left = planes.pop();
-    match (left, right) {
-        (Some(left), Some(right)) => Ok((merged, ServedFrame::Stereo { left, right })),
-        // the pool is built from two eye dims: structurally unreachable
-        _ => Err(fisheye::Error::config("stereo pool lost an eye buffer")),
-    }
+    let format = FrameFormat::Gray8;
+    Ok((merged, ServedFrame { format, planes }))
 }
 
 /// Aggregate result of one [`pump_round`].

@@ -6,10 +6,11 @@
 //! in-process [`Server`] path, byte for byte, for both gray8 and
 //! yuv420 sessions — the network layer is transport, never transform.
 //! The rest covers the protocol's operational promises: admission
-//! rejection over the socket, malformed input costing only its own
-//! connection, and graceful shutdown preserving the frame
-//! conservation invariant — also against peers that stop reading or
-//! vanish mid-frame, and across the shards' idle waits.
+//! rejection over the socket, malformed input (unknown tags, oversized
+//! length prefixes) costing only its own connection, and graceful
+//! shutdown preserving the frame conservation invariant — also against
+//! peers that stop reading, vanish mid-frame or half-close after a
+//! frame, and across the shards' idle waits.
 
 use std::io::{Read, Write};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -206,29 +207,33 @@ fn over_capacity_connects_are_rejected_with_a_typed_shed() {
 
 #[test]
 fn malformed_bytes_kill_one_connection_never_the_shard() {
-    let mut srv = NetServer::bind("127.0.0.1:0", net_cfg()).expect("bind");
+    let unknown_tag = [5u8, 0, 0, 0, 0xFF, 0xEE, 0xDD, 0xCC, 0xBB];
+    // a length prefix far past the body cap: refused before any
+    // buffering, never an attempt to wait for 4 GiB
+    let oversized = [0xFF, 0xFF, 0xFF, 0xFF, 0x03, 0, 0, 0];
+    for (what, garbage) in [
+        ("unknown tag", &unknown_tag[..]),
+        ("oversized", &oversized[..]),
+    ] {
+        let mut srv = NetServer::bind("127.0.0.1:0", net_cfg()).expect("bind");
 
-    // a raw socket spraying garbage at the server
-    let mut vandal = std::net::TcpStream::connect(srv.addr()).expect("dial");
-    let garbage = [5u8, 0, 0, 0, 0xFF, 0xEE, 0xDD, 0xCC, 0xBB]; // unknown tag 0xFF
-    vandal.write_all(&garbage).expect("send garbage");
+        // a raw socket spraying garbage at the server
+        let mut vandal = std::net::TcpStream::connect(srv.addr()).expect("dial");
+        vandal.write_all(garbage).expect("send garbage");
 
-    // the same shard must still serve a well-behaved session afterwards
-    let d = desc(FrameFormat::Gray8);
-    let mut client = Client::connect(srv.addr(), &d, Duration::from_secs(10)).expect("connect");
-    let mut feed = CameraFeed::new(64, 48, 7);
-    let frame = feed.next_frame_in(FrameFormat::Gray8);
-    client.submit(0, &frame).expect("submit");
-    let (seq, _) = recv_done(&mut client);
-    assert_eq!(seq, 0);
+        // the same shard must still serve a well-behaved session afterwards
+        let d = desc(FrameFormat::Gray8);
+        let mut client = Client::connect(srv.addr(), &d, Duration::from_secs(10)).expect("connect");
+        let mut feed = CameraFeed::new(64, 48, 7);
+        let frame = feed.next_frame_in(FrameFormat::Gray8);
+        client.submit(0, &frame).expect("submit");
+        let (seq, _) = recv_done(&mut client);
+        assert_eq!(seq, 0, "{what}");
 
-    let snap = srv.metrics_snapshot();
-    assert!(
-        snap.counter("serve.net.protocol_errors") >= 1,
-        "the garbage connection must be counted:\n{}",
-        snap.snapshot()
-    );
-    srv.shutdown();
+        wait_for_metrics(&srv, what, |m| m.counter("serve.net.protocol_errors") >= 1);
+        srv.shutdown();
+        assert_conservation(&srv.metrics_snapshot());
+    }
 }
 
 /// The conservation invariant over a registry snapshot: every
@@ -431,66 +436,92 @@ fn a_slow_reader_resumes_when_its_socket_drains() {
     });
 }
 
+/// How a raw session walks away after its handshake.
+#[derive(Clone, Copy, Debug)]
+enum Departure {
+    /// Send half a `SubmitFrame`, then close the socket.
+    MidFrame,
+    /// Send one whole `SubmitFrame`, then shut down the write half
+    /// only (the peer could still read).
+    HalfClose,
+}
+
 #[test]
 fn a_disconnect_mid_frame_costs_only_its_own_connection() {
-    watchdog(Duration::from_secs(30), || {
-        let mut srv = NetServer::bind("127.0.0.1:0", net_cfg()).expect("bind");
-        let d = desc(FrameFormat::Gray8);
-
-        // a raw session that is admitted, then vanishes halfway
-        // through a SubmitFrame
-        let mut raw = std::net::TcpStream::connect(srv.addr()).expect("dial");
-        let mut out = Vec::new();
-        Message::Hello {
-            version: wire::WIRE_VERSION,
-            session: 0,
-        }
-        .encode_into(&mut out)
-        .expect("encode hello");
-        Message::Connect(d)
-            .encode_into(&mut out)
-            .expect("encode connect");
-        raw.write_all(&out).expect("handshake");
-        raw.set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("read timeout");
-        let mut reply = Vec::new();
-        while !matches!(
-            wire::decode_frame(&reply),
-            Ok(Some((Message::Hello { .. }, _)))
-        ) {
-            let mut chunk = [0u8; 256];
-            let n = raw.read(&mut chunk).expect("server hello");
-            assert!(n > 0, "server closed the raw session");
-            reply.extend_from_slice(&chunk[..n]);
-        }
-        let frame = CameraFeed::new(64, 48, 17).next_frame_in(FrameFormat::Gray8);
-        let mut submit = Vec::new();
-        wire::encode_submit(0, &frame, &mut submit).expect("encode submit");
-        raw.write_all(&submit[..submit.len() / 2])
-            .expect("half a frame");
-        drop(raw);
-        wait_for_metrics(&srv, "the closed raw connection", |m| {
-            m.counter("serve.net.closed") >= 1
+    for departure in [Departure::MidFrame, Departure::HalfClose] {
+        watchdog(Duration::from_secs(30), move || {
+            disconnect_costs_only_its_own_connection(departure)
         });
+    }
+}
 
-        let mut client = Client::connect(srv.addr(), &d, Duration::from_secs(10)).expect("connect");
-        client.submit(0, &frame).expect("submit");
-        let (seq, _) = recv_done(&mut client);
-        assert_eq!(seq, 0);
-        assert_eq!(
-            srv.active_sessions(),
-            1,
-            "the vanished session freed its slot"
-        );
-        srv.shutdown();
-        let snap = srv.metrics_snapshot();
-        assert_eq!(
-            snap.counter("serve.frames.submitted"),
-            1,
-            "half a frame is no frame"
-        );
-        assert_conservation(&snap);
+fn disconnect_costs_only_its_own_connection(departure: Departure) {
+    let mut srv = NetServer::bind("127.0.0.1:0", net_cfg()).expect("bind");
+    let d = desc(FrameFormat::Gray8);
+
+    // a raw session that is admitted, then leaves
+    let mut raw = std::net::TcpStream::connect(srv.addr()).expect("dial");
+    let mut out = Vec::new();
+    Message::Hello {
+        version: wire::WIRE_VERSION,
+        session: 0,
+    }
+    .encode_into(&mut out)
+    .expect("encode hello");
+    Message::Connect(d)
+        .encode_into(&mut out)
+        .expect("encode connect");
+    raw.write_all(&out).expect("handshake");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut reply = Vec::new();
+    while !matches!(
+        wire::decode_frame(&reply),
+        Ok(Some((Message::Hello { .. }, _)))
+    ) {
+        let mut chunk = [0u8; 256];
+        let n = raw.read(&mut chunk).expect("server hello");
+        assert!(n > 0, "server closed the raw session");
+        reply.extend_from_slice(&chunk[..n]);
+    }
+    let frame = CameraFeed::new(64, 48, 17).next_frame_in(FrameFormat::Gray8);
+    let mut submit = Vec::new();
+    wire::encode_submit(0, &frame, &mut submit).expect("encode submit");
+    // frames the raw session submitted: half a frame is no frame
+    let raw_frames = match departure {
+        Departure::MidFrame => {
+            raw.write_all(&submit[..submit.len() / 2])
+                .expect("half a frame");
+            drop(raw);
+            0
+        }
+        Departure::HalfClose => {
+            raw.write_all(&submit).expect("one frame");
+            raw.shutdown(std::net::Shutdown::Write).expect("half-close");
+            1
+        }
+    };
+    wait_for_metrics(&srv, "the closed raw connection", |m| {
+        m.counter("serve.net.closed") >= 1
     });
+
+    let mut client = Client::connect(srv.addr(), &d, Duration::from_secs(10)).expect("connect");
+    client.submit(0, &frame).expect("submit");
+    let (seq, _) = recv_done(&mut client);
+    assert_eq!(seq, 0, "{departure:?}");
+    assert_eq!(
+        srv.active_sessions(),
+        1,
+        "{departure:?}: the departed session freed its slot"
+    );
+    srv.shutdown();
+    let snap = srv.metrics_snapshot();
+    assert_eq!(
+        snap.counter("serve.frames.submitted"),
+        raw_frames + 1,
+        "{departure:?}"
+    );
+    assert_conservation(&snap);
 }
 
 #[test]

@@ -7,14 +7,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fisheye::ErrorKind;
-use fisheye_core::frame::FrameFormat;
+use fisheye_core::frame::{Frame, FrameFormat};
 use fisheye_core::post::{Lut3d, PostStage, ToneMap};
 use fisheye_core::Interpolator;
 use fisheye_geom::{FisheyeLens, PerspectiveView};
 use fisheye_serve::{
-    CameraFeed, DegradeConfig, DegradeLevel, ServedFrame, Server, ServerConfig, SessionConfig,
-    SubmitOutcome,
+    CameraFeed, DegradeConfig, DegradeLevel, Server, ServerConfig, SessionConfig, SubmitOutcome,
 };
+use pixmap::{Gray8, Image};
 
 const SRC: (u32, u32) = (128, 96);
 
@@ -44,6 +44,19 @@ fn session_cfg() -> SessionConfig {
     SessionConfig {
         interp: Interpolator::Bicubic,
         ..SessionConfig::new(lens(), wide_view(), SRC)
+    }
+}
+
+/// The camera's next frame as a gray8 [`Frame`].
+fn gray(camera: &mut CameraFeed) -> Arc<Frame> {
+    camera.next_frame_in(FrameFormat::Gray8)
+}
+
+/// The one plane of a gray8 frame.
+fn gray_image(frame: &Frame) -> &Image<Gray8> {
+    match frame {
+        Frame::Gray8(img) => img,
+        other => panic!("gray8 frame expected, got {}", other.format()),
     }
 }
 
@@ -119,7 +132,7 @@ fn ladder_escalates_under_overload_and_recovers() {
     for _ in 0..5 {
         for _ in 0..8 {
             assert_ne!(
-                hot.submit(camera.next_frame()),
+                hot.submit_frame(gray(&mut camera)),
                 SubmitOutcome::DroppedNewest
             );
             hot.pump_one().expect("engine ok").expect("frame pending");
@@ -148,7 +161,7 @@ fn ladder_escalates_under_overload_and_recovers() {
 
     // the session followed the ladder: kernel floored, output halved
     let out = {
-        hot.submit(camera.next_frame());
+        hot.submit_frame(gray(&mut camera));
         hot.pump_one().expect("engine ok").expect("frame pending")
     };
     assert_eq!(out.level, DegradeLevel::HalfRes);
@@ -161,9 +174,9 @@ fn ladder_escalates_under_overload_and_recovers() {
     assert_eq!(hot.applied_level(), DegradeLevel::HalfRes);
 
     // at drop-oldest and above, a full queue sheds its *oldest* frame
-    hot.submit(camera.next_frame());
-    hot.submit(camera.next_frame());
-    let shed = hot.submit(camera.next_frame());
+    hot.submit_frame(gray(&mut camera));
+    hot.submit_frame(gray(&mut camera));
+    let shed = hot.submit_frame(gray(&mut camera));
     assert!(matches!(shed, SubmitOutcome::DroppedOldest(_)), "{shed:?}");
     assert!(hot.pending() <= 2, "queue depth is a hard bound");
     drop(hot);
@@ -180,12 +193,12 @@ fn ladder_escalates_under_overload_and_recovers() {
         .expect("slot");
     for _ in 0..6 {
         for _ in 0..8 {
-            cool.submit(camera.next_frame());
+            cool.submit_frame(gray(&mut camera));
             cool.pump_one().expect("engine ok").expect("frame pending");
         }
     }
     assert_eq!(server.level(), DegradeLevel::Normal, "full recovery");
-    cool.submit(camera.next_frame());
+    cool.submit_frame(gray(&mut camera));
     let out = cool.pump_one().expect("engine ok").expect("frame pending");
     assert_eq!(out.frame.dims(), (64, 48), "full resolution restored");
     assert_eq!(cool.corrector().interp(), Interpolator::Bicubic);
@@ -228,12 +241,12 @@ fn grading_is_shed_before_resolution_and_restored_after() {
     // geometry (resolution) untouched
     for _ in 0..4 {
         for _ in 0..8 {
-            hot.submit(camera.next_frame());
+            hot.submit_frame(gray(&mut camera));
             hot.pump_one().expect("engine ok").expect("frame pending");
         }
     }
     assert_eq!(server.level(), DegradeLevel::DropGrading);
-    hot.submit(camera.next_frame());
+    hot.submit_frame(gray(&mut camera));
     let out = hot.pump_one().expect("engine ok").expect("frame pending");
     assert_eq!(out.level, DegradeLevel::DropGrading);
     assert!(
@@ -246,11 +259,11 @@ fn grading_is_shed_before_resolution_and_restored_after() {
     // one more saturated window: only then does resolution halve, and
     // grading stays shed
     for _ in 0..7 {
-        hot.submit(camera.next_frame());
+        hot.submit_frame(gray(&mut camera));
         hot.pump_one().expect("engine ok").expect("frame pending");
     }
     assert_eq!(server.level(), DegradeLevel::HalfRes);
-    hot.submit(camera.next_frame());
+    hot.submit_frame(gray(&mut camera));
     let out = hot.pump_one().expect("engine ok").expect("frame pending");
     assert_eq!(out.level, DegradeLevel::HalfRes);
     assert_eq!(out.frame.dims(), (32, 24));
@@ -270,7 +283,7 @@ fn grading_is_shed_before_resolution_and_restored_after() {
     let mut saw_restored_res_without_grading = false;
     for _ in 0..6 {
         for _ in 0..8 {
-            cool.submit(camera.next_frame());
+            cool.submit_frame(gray(&mut camera));
             let out = cool.pump_one().expect("engine ok").expect("frame pending");
             if out.level == DegradeLevel::DropGrading {
                 assert_eq!(out.frame.dims(), (64, 48));
@@ -284,7 +297,7 @@ fn grading_is_shed_before_resolution_and_restored_after() {
         "recovery must pass through DropGrading (full res, no grading)"
     );
     assert_eq!(server.level(), DegradeLevel::Normal, "full recovery");
-    cool.submit(camera.next_frame());
+    cool.submit_frame(gray(&mut camera));
     let out = cool.pump_one().expect("engine ok").expect("frame pending");
     assert_eq!(out.level, DegradeLevel::Normal);
     assert!(
@@ -301,13 +314,17 @@ fn grading_is_shed_before_resolution_and_restored_after() {
             ..session_cfg()
         })
         .expect("slot");
-    let frame = camera.next_frame();
-    cool.submit(Arc::clone(&frame));
-    plain.submit(frame);
+    let frame = gray(&mut camera);
+    cool.submit_frame(Arc::clone(&frame));
+    plain.submit_frame(frame);
     let graded = cool.pump_one().expect("ok").expect("pending");
     let ungraded = plain.pump_one().expect("ok").expect("pending");
-    let g = graded.frame.as_gray().expect("gray session");
-    let u = ungraded.frame.as_gray().expect("gray session");
+    let [g] = graded.frame.planes() else {
+        panic!("gray session serves one plane");
+    };
+    let [u] = ungraded.frame.planes() else {
+        panic!("gray session serves one plane");
+    };
     assert_ne!(g.pixels(), u.pixels(), "grading changes output bytes");
 }
 
@@ -326,7 +343,7 @@ fn snapshot_accounts_for_every_submitted_frame() {
     // refused at Normal, some are shed at DropOldest+
     for burst in 0..20 {
         for _ in 0..3 {
-            s.submit(camera.next_frame());
+            s.submit_frame(gray(&mut camera));
         }
         let pumps = if burst % 2 == 0 { 1 } else { 2 };
         for _ in 0..pumps {
@@ -439,9 +456,7 @@ fn yuv_sessions_share_plane_plans_and_serve_bit_exact_frames() {
     assert_eq!(out.frame.format(), FrameFormat::Yuv420);
 
     // bit-exact per plane against the offline plan path
-    let ServedFrame::Planes { planes, .. } = &out.frame else {
-        panic!("yuv session serves planes");
-    };
+    let planes = out.frame.planes();
     assert_eq!(planes.len(), 3);
     assert_eq!(planes[1].dims(), (32, 24), "chroma at half view res");
     let plan = a.corrector().view_plan().clone();
@@ -489,9 +504,8 @@ fn yuv_sessions_ride_the_halfres_rung() {
     let out = hot.pump_one().expect("engine ok").expect("frame pending");
     assert_eq!(out.level, DegradeLevel::HalfRes);
     assert_eq!(out.frame.dims(), (32, 24), "halved luma");
-    let ServedFrame::Planes { planes, .. } = &out.frame else {
-        panic!("yuv session serves planes");
-    };
+    let planes = out.frame.planes();
+    assert_eq!(planes.len(), 3, "yuv session serves three planes");
     assert_eq!(planes[1].dims(), (16, 12), "halved chroma follows");
 }
 
@@ -513,18 +527,19 @@ fn format_mismatches_and_grayf32_are_config_errors() {
             ..session_cfg()
         })
         .expect("slot");
-    yuv.submit(camera.next_frame());
-    let err = yuv.pump_one().expect_err("gray image on a yuv session");
+    yuv.submit_frame(gray(&mut camera));
+    let err = yuv.pump_one().expect_err("gray frame on a yuv session");
     assert_eq!(err.kind(), ErrorKind::Config);
     yuv.submit_frame(camera.next_frame_in(FrameFormat::Rgb8));
     let err = yuv.pump_one().expect_err("rgb frame on a yuv session");
     assert_eq!(err.kind(), ErrorKind::Config);
 
-    // a gray session accepts a gray Frame through submit_frame
+    // a gray session serves a gray Frame as one plane
     let mut gray = server.connect(session_cfg()).expect("slot");
     gray.submit_frame(camera.next_frame_in(FrameFormat::Gray8));
     let out = gray.pump_one().expect("engine ok").expect("frame pending");
-    assert!(out.frame.as_gray().is_some());
+    assert_eq!(out.frame.format(), FrameFormat::Gray8);
+    assert_eq!(out.frame.planes().len(), 1);
 }
 
 #[test]
@@ -532,7 +547,7 @@ fn mismatched_frames_surface_as_errors_at_the_pump() {
     let server = test_server(1);
     let mut s = server.connect(session_cfg()).expect("slot");
     let mut wrong = CameraFeed::new(32, 32, 1);
-    s.submit(wrong.next_frame());
+    s.submit_frame(gray(&mut wrong));
     let err = s.pump_one().expect_err("dims mismatch");
     assert_eq!(err.kind(), ErrorKind::Engine);
 }
@@ -559,7 +574,7 @@ fn partial_windows_flush_on_session_close() {
         })
         .expect("slot");
     for _ in 0..8 {
-        hot.submit(camera.next_frame());
+        hot.submit_frame(gray(&mut camera));
         hot.pump_one().expect("engine ok").expect("frame pending");
     }
     assert_eq!(
@@ -608,13 +623,15 @@ fn view_changes_delta_recompile_from_the_outgoing_plan() {
     );
     assert_eq!(s.corrector().plan().digest(), cold.digest());
     let mut camera = CameraFeed::new(SRC.0, SRC.1, 5);
-    let frame = camera.next_frame();
-    s.submit(Arc::clone(&frame));
+    let frame = gray(&mut camera);
+    s.submit_frame(Arc::clone(&frame));
     let out = s.pump_one().expect("engine ok").expect("frame pending");
-    let got = out.frame.as_gray().expect("gray session");
+    let [got] = out.frame.planes() else {
+        panic!("gray session serves one plane");
+    };
     assert_eq!(
         **got,
-        fisheye_core::correct_plan(&frame, &cold, Interpolator::Bicubic),
+        fisheye_core::correct_plan(gray_image(&frame), &cold, Interpolator::Bicubic),
         "delta-recompiled plan corrects bit-exactly"
     );
 }
@@ -636,7 +653,7 @@ fn degraded_interp_never_seeds_delta_recompilation() {
         })
         .expect("slot");
     for _ in 0..17 {
-        hot.submit(camera.next_frame());
+        hot.submit_frame(gray(&mut camera));
         hot.pump_one().expect("engine ok").expect("frame pending");
     }
     assert_eq!(server.level(), DegradeLevel::InterpDown);
@@ -667,12 +684,10 @@ mod composite_sessions {
     use super::*;
     use fisheye_core::composite::{CompositePlan, CompositeViewPlan, StereoPlan};
     use fisheye_core::engine::{EngineSpec, HostEnv};
-    use fisheye_core::frame::Frame;
     use fisheye_core::plan::PlanOptions;
     use fisheye_core::{correct_plan, execute_composite_host};
     use fisheye_geom::{CameraRig, Mat3, StereoRig};
     use fisheye_serve::Workload;
-    use pixmap::{Gray8, Image};
 
     /// Two back-to-back 200° cameras on 96×96 sensors.
     fn pano_rig() -> CameraRig {
@@ -694,13 +709,7 @@ mod composite_sessions {
     }
 
     fn sources(frames: &[Arc<Frame>]) -> Vec<&Image<Gray8>> {
-        frames
-            .iter()
-            .map(|f| match f.as_ref() {
-                Frame::Gray8(img) => img,
-                other => panic!("gray source expected, got {}", other.format()),
-            })
-            .collect()
+        frames.iter().map(|f| gray_image(f)).collect()
     }
 
     #[test]
@@ -725,7 +734,9 @@ mod composite_sessions {
         assert_eq!(a.submit_rig(frames.clone()), SubmitOutcome::Queued);
         let out = a.pump_one().expect("engine ok").expect("frame pending");
         assert_eq!(out.report.model.get("sources").copied(), Some(2.0));
-        let served = out.frame.as_gray().expect("gray panorama serves gray");
+        let [served] = out.frame.planes() else {
+            panic!("gray panorama serves one plane");
+        };
 
         // bit-exact with the directly compiled serial composite
         let opts = PlanOptions::for_spec(&EngineSpec::Serial, Interpolator::Bilinear);
@@ -742,6 +753,71 @@ mod composite_sessions {
         )
         .expect("serial composite");
         assert_eq!(&**served, &want);
+    }
+
+    /// A gray8 frame is one plane: its report is the engine's (single
+    /// session) or the composite executor's (panorama) own, with none
+    /// of a merged multi-plane report's keys — so `serve.engine.*`
+    /// metric names don't depend on the frame layer.
+    #[test]
+    fn gray8_reports_are_the_engines_own() {
+        use fisheye_core::engine::{build_host, HostCtx};
+
+        let server = test_server(2);
+        let mut single = server.connect(session_cfg()).expect("slot");
+        let mut pano = server.connect(pano_cfg(128, 64)).expect("slot");
+        let mut camera = CameraFeed::new(SRC.0, SRC.1, 23);
+        let frame = gray(&mut camera);
+        single.submit_frame(Arc::clone(&frame));
+        pano.submit_rig(rig_frames(23));
+        let reports = [
+            single
+                .pump_one()
+                .expect("engine ok")
+                .expect("pending")
+                .report,
+            pano.pump_one().expect("engine ok").expect("pending").report,
+        ];
+        for report in &reports {
+            assert_eq!(report.backend, "serial");
+            for key in report.model.keys() {
+                assert!(
+                    !["frame_wall_ms", "planes", "plane_concurrent"].contains(&key.as_str())
+                        && !key.starts_with("y."),
+                    "merged-report key {key} on a one-plane frame"
+                );
+            }
+        }
+
+        // the single session's report is what the engine itself reports
+        let engine = build_host::<Gray8>(
+            &EngineSpec::Serial,
+            &HostCtx {
+                interp: Interpolator::Bicubic,
+                threads: 1,
+                geometry: None,
+            },
+        )
+        .expect("serial engine");
+        let mut out = Image::new(64, 48);
+        let direct = engine
+            .correct_frame_post(
+                gray_image(&frame),
+                single.corrector().plan(),
+                None,
+                &mut out,
+            )
+            .expect("direct run");
+        assert_eq!(
+            (reports[0].rows, reports[0].tiles, reports[0].invalid_pixels),
+            (direct.rows, direct.tiles, direct.invalid_pixels)
+        );
+        assert!(reports[0].model.keys().eq(direct.model.keys()));
+        // and the panorama's carries the executor's keys unprefixed
+        assert_eq!(reports[1].model.get("sources").copied(), Some(2.0));
+        let m = server.metrics();
+        assert_eq!(m.gauge_value("serve.engine.model.frame_wall_ms"), None);
+        assert_eq!(m.gauge_value("serve.engine.model.sources"), Some(2.0));
     }
 
     #[test]
@@ -858,7 +934,9 @@ mod composite_sessions {
             Arc::new(Frame::Gray8(right.clone())),
         ]);
         let out = s.pump_one().expect("engine ok").expect("frame pending");
-        let (sl, sr) = out.frame.as_stereo().expect("stereo output");
+        let [sl, sr] = out.frame.planes() else {
+            panic!("stereo output is [left, right]");
+        };
         assert_eq!(sl.dims(), (96, 64));
         assert_eq!(out.frame.format(), FrameFormat::Gray8);
 
@@ -928,9 +1006,11 @@ mod composite_sessions {
         let err = pano.pump_one().expect_err("one frame for two cameras");
         assert_eq!(err.kind(), ErrorKind::Config);
 
-        // gray submit on a panorama session
-        pano.submit(Arc::new(pixmap::scene::random_gray(96, 96, 5)));
-        let err = pano.pump_one().expect_err("gray frame on a rig session");
+        // single-frame submit on a panorama session
+        pano.submit_frame(Arc::new(Frame::Gray8(pixmap::scene::random_gray(
+            96, 96, 5,
+        ))));
+        let err = pano.pump_one().expect_err("one frame on a rig session");
         assert_eq!(err.kind(), ErrorKind::Config);
 
         // stereo sessions are gray-only

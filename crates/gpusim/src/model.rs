@@ -22,6 +22,7 @@
 //! model, so locality effects of the fisheye gather are genuine.
 
 use fisheye_core::map::RemapMap;
+use fisheye_core::tile::tap_lines;
 use fisheye_core::Interpolator;
 use pixmap::{Image, Pixel};
 
@@ -144,7 +145,8 @@ impl GpuRunner {
                         out.set(wx, wy, v);
                         sm_pixels[sm] += 1;
                         if e.is_valid() {
-                            // taps → texture lines
+                            // taps → texture lines, each through the
+                            // SM's cache
                             let x0 = (e.sx - 0.5).floor().max(0.0) as u64;
                             let y0 = (e.sy - 0.5).floor().max(0.0) as u64;
                             let reach = match interp {
@@ -152,25 +154,21 @@ impl GpuRunner {
                                 Interpolator::Bilinear => 2,
                                 Interpolator::Bicubic => 4,
                             };
-                            for ty in 0..reach {
-                                // one line access covers the horizontal
-                                // taps that share a line
-                                let line_a =
-                                    ((y0 + ty) * src_w + x0) * bytes_pp / c.line_bytes as u64;
-                                let line_b = ((y0 + ty) * src_w + x0 + reach - 1) * bytes_pp
-                                    / c.line_bytes as u64;
-                                for line in line_a..=line_b {
-                                    mem.line_accesses += 1;
-                                    if !warp_lines.contains(&line) {
-                                        warp_lines.push(line);
-                                    }
+                            mem.line_accesses += tap_lines(
+                                (x0, y0),
+                                reach,
+                                src_w,
+                                bytes_pp,
+                                c.line_bytes as u64,
+                                &mut warp_lines,
+                                |line| {
                                     if cache.access(line) {
                                         sm_hits[sm] += 1;
                                     } else {
                                         sm_misses[sm] += 1;
                                     }
-                                }
-                            }
+                                },
+                            );
                         }
                     }
                     mem.warps += 1;

@@ -5,8 +5,23 @@
 //! playable video. Only the C420jpeg-less plain `C420` variant is
 //! implemented — full frames, progressive, no interlacing metadata.
 
+// The decoder reads bytes from outside (files, pipes): every length
+// is computed with checked arithmetic and every slice is taken with
+// `get`, so a malformed stream is an `Err`, never a panic (the
+// proputil harness in tests/proptests.rs checks the same property
+// dynamically). The writer's asserts check its caller's own
+// arguments and live outside the decoder.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
+
 use std::io::{self, Write};
 
+use crate::image::Image;
+use crate::pixel::Gray8;
 use crate::yuv::Yuv420;
 
 /// Streams YUV420 frames as YUV4MPEG2.
@@ -88,23 +103,25 @@ impl<W: Write> Y4mWriter<W> {
 }
 
 /// Parse a `.y4m` byte stream produced by [`Y4mWriter`] (plain C420).
-/// Returns `(width, height, frames)`.
+/// Returns `(width, height, frames)`. Malformed input — a bad header,
+/// odd dimensions, a size past the address space, a truncated frame —
+/// is an `Err`, never a panic, and allocation stays bounded by the
+/// input: a frame's planes are built only once its whole payload is
+/// present.
 pub fn decode_y4m(bytes: &[u8]) -> Result<(u32, u32, Vec<Yuv420>), String> {
-    let nl = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or("missing stream header")?;
-    let header = std::str::from_utf8(&bytes[..nl]).map_err(|e| e.to_string())?;
+    let (header, mut rest) = split_line(bytes).ok_or("missing stream header")?;
+    let header = std::str::from_utf8(header).map_err(|e| e.to_string())?;
     if !header.starts_with("YUV4MPEG2") {
         return Err("not a YUV4MPEG2 stream".into());
     }
     let mut w = 0u32;
     let mut h = 0u32;
     for tok in header.split_whitespace().skip(1) {
-        match tok.as_bytes()[0] {
-            b'W' => w = tok[1..].parse().map_err(|_| "bad W")?,
-            b'H' => h = tok[1..].parse().map_err(|_| "bad H")?,
-            b'C' if &tok[1..] != "420" => {
+        let mut chars = tok.chars();
+        match chars.next() {
+            Some('W') => w = chars.as_str().parse().map_err(|_| "bad W")?,
+            Some('H') => h = chars.as_str().parse().map_err(|_| "bad H")?,
+            Some('C') if chars.as_str() != "420" => {
                 return Err(format!("unsupported chroma mode {tok}"));
             }
             _ => {}
@@ -113,41 +130,59 @@ pub fn decode_y4m(bytes: &[u8]) -> Result<(u32, u32, Vec<Yuv420>), String> {
     if w == 0 || h == 0 {
         return Err("missing dimensions".into());
     }
-    let y_len = (w * h) as usize;
-    let c_len = (w / 2 * h / 2) as usize;
-    let frame_len = y_len + 2 * c_len;
+    if !w.is_multiple_of(2) || !h.is_multiple_of(2) {
+        return Err(format!("C420 needs even dims, got {w}x{h}"));
+    }
+    let y_len = (w as usize)
+        .checked_mul(h as usize)
+        .ok_or("frame size overflows")?;
+    let c_len = y_len / 4;
+    let frame_len = c_len
+        .checked_mul(2)
+        .and_then(|c| c.checked_add(y_len))
+        .ok_or("frame size overflows")?;
     let mut frames = Vec::new();
-    let mut pos = nl + 1;
-    while pos < bytes.len() {
-        let fnl = bytes[pos..]
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or("truncated frame header")?;
-        if !bytes[pos..pos + fnl].starts_with(b"FRAME") {
+    while !rest.is_empty() {
+        let (marker, after) = split_line(rest).ok_or("truncated frame header")?;
+        if !marker.starts_with(b"FRAME") {
             return Err("expected FRAME marker".into());
         }
-        pos += fnl + 1;
-        if pos + frame_len > bytes.len() {
-            return Err("truncated frame payload".into());
-        }
-        let to_img = |data: &[u8], w: u32, h: u32| {
-            crate::image::Image::from_vec(
-                w,
-                h,
-                data.iter().map(|&b| crate::pixel::Gray8(b)).collect(),
-            )
-        };
+        let (payload, next) = after
+            .split_at_checked(frame_len)
+            .ok_or("truncated frame payload")?;
+        let (y, chroma) = payload.split_at_checked(y_len).ok_or("truncated luma")?;
+        let (cb, cr) = chroma.split_at_checked(c_len).ok_or("truncated chroma")?;
         frames.push(Yuv420 {
-            y: to_img(&bytes[pos..pos + y_len], w, h),
-            cb: to_img(&bytes[pos + y_len..pos + y_len + c_len], w / 2, h / 2),
-            cr: to_img(&bytes[pos + y_len + c_len..pos + frame_len], w / 2, h / 2),
+            y: plane(y, w, h),
+            cb: plane(cb, w / 2, h / 2),
+            cr: plane(cr, w / 2, h / 2),
         });
-        pos += frame_len;
+        rest = next;
     }
     Ok((w, h, frames))
 }
 
+/// The bytes before the first `\n` and the bytes after it, or `None`
+/// when there is no newline.
+fn split_line(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+    let nl = bytes.iter().position(|&b| b == b'\n')?;
+    let (line, rest) = bytes.split_at_checked(nl)?;
+    Some((line, rest.get(1..)?))
+}
+
+/// A `w`×`h` plane over exactly `w * h` bytes (the caller's split
+/// guarantees the length).
+fn plane(data: &[u8], w: u32, h: u32) -> Image<Gray8> {
+    Image::from_vec(w, h, data.iter().map(|&b| Gray8(b)).collect())
+}
+
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 mod tests {
     use super::*;
     use crate::scene::random_rgb;
@@ -206,6 +241,24 @@ mod tests {
         w.write_frame(&frame(5)).unwrap();
         let bytes = w.finish().unwrap();
         assert!(decode_y4m(&bytes[..bytes.len() - 10]).is_err());
+    }
+
+    #[test]
+    fn odd_dims_are_an_error_not_a_panic() {
+        // the chroma planes of a 4x3 frame would be 2x1 from 3 bytes
+        let mut bytes = b"YUV4MPEG2 W4 H3 C420\nFRAME\n".to_vec();
+        bytes.extend_from_slice(&[0u8; 12 + 2 * 3]);
+        let err = decode_y4m(&bytes).unwrap_err();
+        assert!(err.contains("even dims"), "{err}");
+    }
+
+    #[test]
+    fn huge_dims_are_an_error_not_an_overflow() {
+        // 65536 x 65536 overflows a u32 pixel count; the stream holds
+        // no payload, so nothing may be allocated for it either
+        let bytes = b"YUV4MPEG2 W65536 H65536 C420\nFRAME\n";
+        let err = decode_y4m(bytes).unwrap_err();
+        assert!(err.contains("truncated"), "{err}");
     }
 
     #[test]

@@ -5,12 +5,15 @@
 //! shrinker) — see DESIGN.md §5 for why no external property-test
 //! crate is used.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use pixmap::codec;
 use pixmap::image::{Image, Rect};
 use pixmap::metrics::{mse, psnr, ssim};
 use pixmap::pixel::{Gray8, Rgb8};
+use pixmap::y4m::{decode_y4m, Y4mWriter};
 use pixmap::yuv::{rgb_to_ycbcr, ycbcr_to_rgb, Yuv420};
-use proputil::{ensure, ensure_eq, Gen};
+use proputil::{ensure, ensure_eq, CaseResult, Gen};
 
 const CASES: u32 = 48;
 
@@ -206,5 +209,87 @@ fn yuv420_roundtrip_bounded_error() {
             ensure!((a.b as i32 - b.b as i32).abs() <= 4, "{a:?} vs {b:?}");
         }
         Ok(())
+    });
+}
+
+// ---------------------------------------------------------------------
+// y4m decoder hardening: outside bytes get a verdict, never a panic
+// ---------------------------------------------------------------------
+
+/// `decode_y4m` must return (any verdict), not unwind.
+fn y4m_decode_must_not_panic(bytes: &[u8]) -> CaseResult {
+    match catch_unwind(AssertUnwindSafe(|| decode_y4m(bytes))) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(format!(
+            "decode_y4m panicked on {} bytes: {bytes:?}",
+            bytes.len()
+        )),
+    }
+}
+
+/// A valid stream: one or two frames at small even dimensions.
+fn arb_y4m(g: &mut Gen) -> Vec<u8> {
+    let (w, h) = (2 * g.u32_in(1, 9), 2 * g.u32_in(1, 9));
+    let mut out = Y4mWriter::new(Vec::new(), w, h, 25, 1);
+    for _ in 0..g.usize_in(1, 3) {
+        let rgb = pixmap::scene::random_rgb(w, h, g.u64_any());
+        out.write_frame(&Yuv420::from_rgb(&rgb)).unwrap();
+    }
+    out.finish().unwrap()
+}
+
+#[test]
+fn y4m_arbitrary_bytes_never_panic() {
+    proputil::check("y4m_arbitrary_bytes", 300, |g| {
+        // raw garbage, or garbage behind a header with arbitrary dims:
+        // small ones (odd included) whose frame the garbage can fill,
+        // or any u32
+        let dim = |g: &mut Gen| {
+            if g.bool() {
+                g.u32_in(0, 17)
+            } else {
+                g.u32_in(0, u32::MAX)
+            }
+        };
+        let mut bytes = if g.bool() {
+            let (w, h) = (dim(g), dim(g));
+            format!("YUV4MPEG2 W{w} H{h} C420\nFRAME\n").into_bytes()
+        } else {
+            Vec::new()
+        };
+        let len = g.usize_in(0, 600);
+        bytes.extend((0..len).map(|_| g.u8_any()));
+        y4m_decode_must_not_panic(&bytes)
+    });
+}
+
+#[test]
+fn y4m_truncations_are_errors_never_panics() {
+    proputil::check("y4m_truncation", 150, |g| {
+        let bytes = arb_y4m(g);
+        let cut = g.usize_in(0, bytes.len());
+        y4m_decode_must_not_panic(&bytes[..cut])?;
+        // a cut inside the header or a frame is an error; a cut at a
+        // frame boundary is a shorter valid stream
+        let header_end = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let frame_len = (bytes.len() - header_end) / {
+            let (_, _, frames) = decode_y4m(&bytes).unwrap();
+            frames.len()
+        };
+        let on_boundary = cut >= header_end && (cut - header_end) % frame_len == 0;
+        ensure_eq!(decode_y4m(&bytes[..cut]).is_ok(), on_boundary);
+        Ok(())
+    });
+}
+
+#[test]
+fn y4m_bit_flips_yield_a_verdict_never_a_panic() {
+    proputil::check("y4m_bit_flip", 200, |g| {
+        let mut bytes = arb_y4m(g);
+        for _ in 0..g.usize_in(1, 5) {
+            let byte = g.usize_in(0, bytes.len());
+            bytes[byte] ^= 1 << g.usize_in(0, 8);
+        }
+        y4m_decode_must_not_panic(&bytes)
     });
 }

@@ -12,11 +12,12 @@
 //!   fisheye frames and a cheap per-frame shift variant for motion.
 //! * [`pipeline`] — capture → correct (N workers) → sink, with
 //!   per-frame latency and end-to-end throughput measurement
-//!   (experiment F10). [`run_pipeline`] drives single-plane gray
-//!   video; [`run_frame_pipeline`] drives any byte-planed
-//!   [`FrameFormat`](fisheye_core::frame::FrameFormat) (YUV 4:2:0,
-//!   planar RGB) through the same worker/pool/resequencer machinery
-//!   with per-plane kernel accounting.
+//!   (experiment F10). [`run_frame_pipeline`] is the one pipeline: it
+//!   drives any byte-planed
+//!   [`FrameFormat`](fisheye_core::frame::FrameFormat) — gray8 as the
+//!   one-plane case, YUV 4:2:0, planar RGB — through the same
+//!   worker/pool/resequencer machinery with per-plane kernel
+//!   accounting.
 
 pub mod channel;
 pub mod latency;
@@ -26,8 +27,6 @@ pub mod source;
 
 pub use channel::BoundedQueue;
 pub use latency::LatencyStats;
-pub use pipeline::{run_frame_pipeline, run_pipeline, PipeConfig, PipeReport};
+pub use pipeline::{run_frame_pipeline, PipeConfig, PipeReport};
 pub use resequencer::Resequencer;
-pub use source::{
-    CycledFrames, CycledVideo, FramePacket, FrameSource, ShiftVideo, VideoFrame, VideoSource,
-};
+pub use source::{CycledFrames, FramePacket, FrameSource, ShiftVideo};

@@ -6,20 +6,22 @@
 //! [capture thread] → q_in → [N corrector workers] → q_out → [sink]
 //! ```
 //!
-//! All corrector workers share one immutable [`RemapPlan`], so adding
-//! workers scales the memory-bound phase-2 kernel exactly as the
-//! paper's multicore port does — but across *frames* instead of rows
-//! (frame-level parallelism, the natural choice for a pipeline). The
-//! plan is compiled by the caller, once per view: workers do no
-//! quantization, no span indexing, no per-map setup of any kind.
+//! All corrector workers share one immutable [`ViewPlan`] (one
+//! compiled plan per plane class), so adding workers scales the
+//! memory-bound phase-2 kernel exactly as the paper's multicore port
+//! does — but across *frames* instead of rows (frame-level
+//! parallelism, the natural choice for a pipeline). The plan is
+//! compiled by the caller, once per view: workers do no quantization,
+//! no span indexing, no per-map setup of any kind. A gray8 stream is
+//! the one-plane case of the same path.
 //!
-//! Output buffers come from an internal [`FramePool`] primed with the
+//! Output planes come from an internal [`PlanePool`] primed with the
 //! maximum number of frames that can be in flight at once, so the
-//! steady-state per-frame path allocates **nothing**: each worker
-//! recycles a buffer the sink already released. The sink hands each
-//! [`PooledFrame`] to `on_frame` *by value* — dropping it returns the
-//! buffer to the pool (the zero-copy common case), while
-//! [`PooledFrame::detach`] keeps the image and lets the pool replace
+//! steady-state per-frame path recycles every buffer: each worker
+//! reuses planes the sink already released. The sink hands each
+//! frame's [`PooledFrame`]s to `on_frame` *by value* — dropping them
+//! returns the buffers to the pool (the zero-copy common case), while
+//! [`PooledFrame::detach`] keeps an image and lets the pool replace
 //! the buffer. The report carries the pool's hit/miss counters; a
 //! steady-state run reports a 100 % hit rate.
 //!
@@ -28,14 +30,13 @@
 
 use std::time::{Duration, Instant};
 
-use fisheye_core::engine::{execute_host_post, Capabilities, EngineSpec, HostEnv};
+use fisheye_core::engine::{Capabilities, EngineSpec, FrameReport};
 use fisheye_core::frame::{FrameCorrector, ViewPlan};
-use fisheye_core::plan::RemapPlan;
 use fisheye_core::Interpolator;
-use pixmap::{FramePool, Gray8, Image, PlanePool, PooledFrame};
+use pixmap::{Gray8, PlanePool, PooledFrame};
 
 use crate::channel::BoundedQueue;
-use crate::source::{FramePacket, FrameSource, VideoFrame, VideoSource};
+use crate::source::{FramePacket, FrameSource};
 
 /// Pipeline configuration.
 #[derive(Clone, Copy, Debug)]
@@ -118,10 +119,8 @@ pub struct PipeReport {
     /// stays 0 unless the sink detaches frames from the pool.
     pub pool_misses: u64,
     /// Per-plane kernel time summed over all sunk frames, labelled in
-    /// plane order (`y`/`cb`/`cr`, `r`/`g`/`b`, …). Filled by
-    /// [`run_frame_pipeline`]; empty for the single-plane
-    /// [`run_pipeline`], whose whole kernel cost is already
-    /// [`kernel_time`](Self::kernel_time).
+    /// plane order (`y` for gray8, `y`/`cb`/`cr`, `r`/`g`/`b`); the
+    /// entries sum to [`kernel_time`](Self::kernel_time).
     pub plane_kernel: Vec<(String, Duration)>,
 }
 
@@ -148,24 +147,14 @@ impl PipeReport {
     }
 }
 
-/// A corrected frame arriving at the sink.
-struct CorrectedFrame {
-    seq: u64,
-    captured_at: Instant,
-    image: PooledFrame<Gray8>,
-    kernel_time: Duration,
-    invalid_pixels: u64,
-}
-
-/// The capability gate for the worker pool, shared by both pipeline
-/// entry points. Workers run the engine's host datapath concurrently
-/// over one shared plan, so admission is exactly the capability
-/// triple `host_executable && supports_frame_concurrency &&
-/// uses_plan` — derived from [`EngineSpec::capabilities`], not an
-/// engine name allow-list, so a new engine that declares the right
-/// capabilities is admitted without an edit here. Returns the
-/// capabilities so callers can apply the engine's LUT requirement to
-/// their plan shape.
+/// The capability gate for the worker pool. Workers run the engine's
+/// host datapath concurrently over one shared plan, so admission is
+/// exactly the capability triple `host_executable &&
+/// supports_frame_concurrency && uses_plan` — derived from
+/// [`EngineSpec::capabilities`], not an engine name allow-list, so a
+/// new engine that declares the right capabilities is admitted
+/// without an edit here. Returns the capabilities so the caller can
+/// apply the engine's LUT requirement to its plans.
 fn check_worker_engine(spec: &EngineSpec, interp: Interpolator) -> Capabilities {
     let caps = spec.capabilities();
     assert!(
@@ -185,176 +174,7 @@ fn check_worker_engine(spec: &EngineSpec, interp: Interpolator) -> Capabilities 
     caps
 }
 
-/// Drive `source` through the correction pipeline to exhaustion and
-/// return the measurements. `on_frame` is invoked at the sink for
-/// every corrected frame, receiving the pooled output **by value**:
-/// drop it to recycle the buffer, or [`PooledFrame::detach`] it to
-/// keep the image (pass `|_, _| {}` to discard).
-///
-/// Panics if `config.engine` is not one of the worker-compatible
-/// specs (see [`PipeConfig::engine`]), conflicts with the
-/// interpolator, or needs a fixed-point LUT the plan was not compiled
-/// with — engine/plan compatibility is a configuration error, caught
-/// before any thread starts.
-pub fn run_pipeline(
-    mut source: Box<dyn VideoSource>,
-    plan: &RemapPlan,
-    config: PipeConfig,
-    mut on_frame: impl FnMut(u64, PooledFrame<Gray8>) + Send,
-) -> PipeReport {
-    assert!(config.workers >= 1, "need at least one worker");
-    let caps = check_worker_engine(&config.engine, config.interp);
-    if let Some(frac_bits) = caps.requires_lut {
-        assert!(
-            plan.fixed(frac_bits).is_some(),
-            "plan was not compiled with a {frac_bits}-bit LUT for engine '{}' — \
-             compile it with PlanOptions::for_spec",
-            config.engine.name()
-        );
-    }
-    let q_in: BoundedQueue<VideoFrame> = BoundedQueue::new(config.queue_capacity);
-    let q_out: BoundedQueue<CorrectedFrame> = BoundedQueue::new(config.queue_capacity);
-    // one output buffer per possible in-flight frame: q_out slots,
-    // one per worker, the resequencer's window, one in the sink's
-    // hands — primed up front, the per-frame path never allocates
-    let pool: FramePool<Gray8> = FramePool::new(plan.width(), plan.height());
-    pool.prime(config.queue_capacity + config.workers + config.resequence.unwrap_or(0) + 1);
-
-    let started = Instant::now();
-    let mut frames = 0u64;
-    let mut latency = crate::latency::LatencyStats::new();
-    let mut out_of_order = 0u64;
-    let mut dropped = 0u64;
-    let mut deadline_missed = 0u64;
-    let mut kernel_time = Duration::ZERO;
-    let mut invalid_pixels = 0u64;
-    let mut last_seq: Option<u64> = None;
-
-    std::thread::scope(|s| {
-        // capture stage
-        let q_in_prod = q_in.clone();
-        s.spawn(move || {
-            while let Some(frame) = source.next_frame() {
-                if q_in_prod.push(frame).is_err() {
-                    break;
-                }
-            }
-            q_in_prod.close();
-        });
-        // corrector workers — every frame goes through the engine
-        // layer's host dispatcher, so the per-worker execution path is
-        // exactly the named backend
-        let worker_handles: Vec<_> = (0..config.workers)
-            .map(|_| {
-                let q_in = q_in.clone();
-                let q_out = q_out.clone();
-                let pool = pool.clone();
-                let interp = config.interp;
-                let spec = config.engine;
-                s.spawn(move || {
-                    let env = HostEnv::default();
-                    while let Some(frame) = q_in.pop() {
-                        let mut image = pool.acquire();
-                        let report = execute_host_post(
-                            &spec,
-                            interp,
-                            &frame.image,
-                            plan,
-                            None,
-                            &env,
-                            &mut image,
-                        )
-                        .expect("engine validated before workers started");
-                        let done = CorrectedFrame {
-                            seq: frame.seq,
-                            captured_at: frame.captured_at,
-                            image,
-                            kernel_time: report.correct_time,
-                            invalid_pixels: report.invalid_pixels,
-                        };
-                        if q_out.push(done).is_err() {
-                            break;
-                        }
-                    }
-                })
-            })
-            .collect();
-        // closer: when all workers exit, close the output queue
-        {
-            let q_out = q_out.clone();
-            s.spawn(move || {
-                for h in worker_handles {
-                    let _ = h.join();
-                }
-                q_out.close();
-            });
-        }
-        // sink (this thread)
-        let mut reseq = config
-            .resequence
-            .map(crate::resequencer::Resequencer::<CorrectedFrame>::new);
-        while let Some(done) = q_out.pop() {
-            let lat = done.captured_at.elapsed();
-            latency.record(lat);
-            if config.frame_deadline.is_some_and(|d| lat > d) {
-                deadline_missed += 1;
-            }
-            kernel_time += done.kernel_time;
-            invalid_pixels += done.invalid_pixels;
-            if let Some(prev) = last_seq {
-                if done.seq < prev {
-                    out_of_order += 1;
-                }
-            }
-            last_seq = Some(done.seq.max(last_seq.unwrap_or(0)));
-            match reseq.as_mut() {
-                Some(r) => {
-                    for (seq, f) in r.push(done.seq, done) {
-                        on_frame(seq, f.image);
-                        frames += 1;
-                    }
-                }
-                None => {
-                    on_frame(done.seq, done.image);
-                    frames += 1;
-                }
-            }
-        }
-        if let Some(r) = reseq.as_mut() {
-            for (seq, f) in r.flush() {
-                on_frame(seq, f.image);
-                frames += 1;
-            }
-            dropped = r.dropped();
-        }
-    });
-
-    let elapsed = started.elapsed();
-    PipeReport {
-        frames,
-        elapsed,
-        fps: if elapsed.as_secs_f64() > 0.0 {
-            frames as f64 / elapsed.as_secs_f64()
-        } else {
-            0.0
-        },
-        mean_latency: latency.mean(),
-        p50_latency: latency.percentile(0.5),
-        p95_latency: latency.percentile(0.95),
-        max_latency: latency.max(),
-        in_queue_high_water: q_in.high_water(),
-        out_of_order,
-        dropped,
-        deadline_missed,
-        kernel_time,
-        invalid_pixels,
-        pool_hits: pool.hits(),
-        pool_misses: pool.misses(),
-        plane_kernel: Vec::new(),
-    }
-}
-
-/// A corrected multi-plane frame arriving at the sink.
+/// A corrected frame arriving at the sink.
 struct CorrectedPlanes {
     seq: u64,
     captured_at: Instant,
@@ -364,24 +184,25 @@ struct CorrectedPlanes {
     invalid_pixels: u64,
 }
 
-/// The format-aware counterpart of [`run_pipeline`]: drive a
-/// multi-plane [`FrameSource`] through the correction pipeline to
-/// exhaustion. Every worker owns a sequential
+/// Drive `source` through the correction pipeline to exhaustion and
+/// return the measurements. Every worker owns a sequential
 /// [`FrameCorrector`] over the shared [`ViewPlan`] (frame-level
 /// parallelism is already provided by the workers, so planes run in
 /// line inside each worker rather than stacking a second pool per
-/// worker). Output planes come from a primed [`PlanePool`] — the
-/// steady-state path allocates nothing per frame, exactly like the
-/// gray pipeline — and `on_frame` receives the pooled planes in plane
-/// order, by value. The report's
+/// worker). Output planes come from a primed [`PlanePool`], and
+/// `on_frame` is invoked at the sink for every corrected frame with
+/// its pooled planes in plane order, **by value**: drop them to
+/// recycle the buffers, or [`PooledFrame::detach`] one to keep the
+/// image (pass `|_, _| {}` to discard). The report's
 /// [`plane_kernel`](PipeReport::plane_kernel) carries per-plane kernel
 /// time totals; [`kernel_time`](PipeReport::kernel_time) is their sum.
 ///
-/// Panics under the same up-front configuration rules as
-/// [`run_pipeline`] (engine must be `serial`/`fixed`/`simd`, LUTs
-/// must be pre-compiled into **every** plane class's plan), plus the
-/// source format must have byte planes (every format except
-/// `grayf32`).
+/// Panics if `config.engine` is not one of the worker-compatible
+/// specs (see [`PipeConfig::engine`]), conflicts with the
+/// interpolator, or needs a fixed-point LUT that some plane class's
+/// plan was not compiled with, or if the source format has no byte
+/// planes (`grayf32`) — engine/plan compatibility is a configuration
+/// error, caught before any thread starts.
 pub fn run_frame_pipeline(
     mut source: Box<dyn FrameSource>,
     plan: &ViewPlan,
@@ -408,7 +229,9 @@ pub fn run_frame_pipeline(
     let labels = format.plane_labels();
     let q_in: BoundedQueue<FramePacket> = BoundedQueue::new(config.queue_capacity);
     let q_out: BoundedQueue<CorrectedPlanes> = BoundedQueue::new(config.queue_capacity);
-    // same in-flight bound as the gray pipeline, per plane
+    // one output frame per possible in-flight frame: q_out slots, one
+    // per worker, the resequencer's window, one in the sink's hands —
+    // primed up front, so the steady state only recycles
     let pool: PlanePool<Gray8> = PlanePool::new(&plan.plane_dims());
     pool.prime(config.queue_capacity + config.workers + config.resequence.unwrap_or(0) + 1);
 
@@ -448,33 +271,16 @@ pub fn run_frame_pipeline(
                     let fc = FrameCorrector::host_sequential(format, plan, &spec, interp, 1)
                         .expect("engine validated before workers started");
                     while let Some(packet) = q_in.pop() {
-                        let srcs = packet
-                            .frame
-                            .u8_planes()
-                            .expect("format validated to have u8 planes");
                         let mut planes = pool.acquire();
-                        let mut refs: Vec<&mut Image<Gray8>> =
-                            planes.iter_mut().map(|p| &mut **p).collect();
                         let report = fc
-                            .correct_u8_planes_into(&srcs, &mut refs)
+                            .correct_u8_planes_into(&packet.frame, &mut planes)
                             .expect("engine validated before workers started");
-                        let per_plane = labels
-                            .iter()
-                            .map(|label| {
-                                let ms = report
-                                    .model
-                                    .get(&format!("{label}.correct_ms"))
-                                    .copied()
-                                    .unwrap_or(0.0);
-                                Duration::from_secs_f64(ms / 1e3)
-                            })
-                            .collect();
                         let done = CorrectedPlanes {
                             seq: packet.seq,
                             captured_at: packet.captured_at,
                             planes,
                             kernel_time: report.correct_time,
-                            plane_times: per_plane,
+                            plane_times: per_plane_times(&report, labels),
                             invalid_pixels: report.invalid_pixels,
                         };
                         if q_out.push(done).is_err() {
@@ -566,39 +372,54 @@ pub fn run_frame_pipeline(
     }
 }
 
+/// Per-plane kernel times of one frame's report, in plane order: a
+/// single-plane report is the engine's own, whose kernel time is the
+/// plane's; a merged report carries each plane's under its label.
+fn per_plane_times(report: &FrameReport, labels: &[&str]) -> Vec<Duration> {
+    if let [_] = labels {
+        return vec![report.correct_time];
+    }
+    labels
+        .iter()
+        .map(|label| {
+            let ms = report
+                .model
+                .get(&format!("{label}.correct_ms"))
+                .copied()
+                .unwrap_or(0.0);
+            Duration::from_secs_f64(ms / 1e3)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::source::{CycledFrames, ShiftVideo};
     use fisheye_core::frame::{Frame, FrameFormat};
     use fisheye_core::plan::PlanOptions;
-    use fisheye_core::{correct, correct_fixed, correct_plan, RemapMap};
+    use fisheye_core::{correct, correct_fixed, correct_plan};
     use fisheye_geom::{FisheyeLens, PerspectiveView};
     use pixmap::scene::random_gray;
     use pixmap::yuv::Yuv420;
+    use pixmap::Image;
 
-    fn test_plan_for(spec: &EngineSpec) -> RemapPlan {
-        let lens = FisheyeLens::equidistant_fov(128, 96, 180.0);
-        let view = PerspectiveView::centered(64, 48, 90.0);
-        let map = RemapMap::build(&lens, &view, 128, 96);
-        RemapPlan::compile(&map, PlanOptions::for_spec(spec, Interpolator::Bilinear))
-    }
-
-    fn test_plan() -> RemapPlan {
-        test_plan_for(&EngineSpec::Serial)
-    }
-
-    fn yuv_test_plan_for(spec: &EngineSpec) -> ViewPlan {
+    fn test_plan_in(format: FrameFormat, spec: &EngineSpec) -> ViewPlan {
         let lens = FisheyeLens::equidistant_fov(128, 96, 180.0);
         let view = PerspectiveView::centered(64, 48, 90.0);
         ViewPlan::compile(
-            FrameFormat::Yuv420,
+            format,
             &lens,
             &view,
             128,
             96,
             &PlanOptions::for_spec(spec, Interpolator::Bilinear),
         )
+    }
+
+    /// The gray8 serial-engine plan most tests run.
+    fn test_plan() -> ViewPlan {
+        test_plan_in(FrameFormat::Gray8, &EngineSpec::Serial)
     }
 
     fn yuv_frame(seed: u64) -> Frame {
@@ -609,15 +430,41 @@ mod tests {
         })
     }
 
+    /// `total` frames of a gray8 capture panning `step` px per frame.
+    fn gray_video(seed: u64, step: u32, total: u64) -> Box<dyn FrameSource> {
+        Box::new(ShiftVideo::new(random_gray(128, 96, seed), step, total))
+    }
+
+    /// `total` frames in `format`: a panning gray8 capture, or two
+    /// cycled yuv420 captures.
+    fn video(format: FrameFormat, seed: u64, total: u64) -> Box<dyn FrameSource> {
+        match format {
+            FrameFormat::Gray8 => gray_video(seed, 1, total),
+            _ => Box::new(CycledFrames::new(
+                vec![yuv_frame(seed), yuv_frame(seed + 1)],
+                total,
+            )),
+        }
+    }
+
+    fn detach_all(planes: Vec<PooledFrame<Gray8>>) -> Vec<Image<Gray8>> {
+        planes.into_iter().map(|p| p.detach()).collect()
+    }
+
     #[test]
     fn all_frames_reach_sink() {
         let plan = test_plan();
-        let src = Box::new(ShiftVideo::new(random_gray(128, 96, 1), 2, 25));
         let mut seen = Vec::new();
-        let report = run_pipeline(src, &plan, PipeConfig::default(), |seq, img| {
-            assert_eq!(img.dims(), (64, 48));
-            seen.push(seq);
-        });
+        let report = run_frame_pipeline(
+            gray_video(1, 2, 25),
+            &plan,
+            PipeConfig::default(),
+            |seq, planes| {
+                assert_eq!(planes.len(), 1, "gray8 is one plane");
+                assert_eq!(planes[0].dims(), (64, 48));
+                seen.push(seq);
+            },
+        );
         assert_eq!(report.frames, 25);
         seen.sort_unstable();
         let expect: Vec<u64> = (0..25).collect();
@@ -629,21 +476,24 @@ mod tests {
     #[test]
     fn single_worker_preserves_order() {
         let plan = test_plan();
-        let src = Box::new(ShiftVideo::new(random_gray(128, 96, 2), 1, 15));
-        let report = run_pipeline(src, &plan, PipeConfig::default(), |_, _| {});
+        let report = run_frame_pipeline(
+            gray_video(2, 1, 15),
+            &plan,
+            PipeConfig::default(),
+            |_, _| {},
+        );
         assert_eq!(report.out_of_order, 0);
     }
 
     #[test]
     fn multiple_workers_process_everything() {
         let plan = test_plan();
-        let src = Box::new(ShiftVideo::new(random_gray(128, 96, 3), 1, 40));
         let config = PipeConfig {
             workers: 4,
             ..Default::default()
         };
         let mut count = 0u64;
-        let report = run_pipeline(src, &plan, config, |_, _| count += 1);
+        let report = run_frame_pipeline(gray_video(3, 1, 40), &plan, config, |_, _| count += 1);
         assert_eq!(report.frames, 40);
         assert_eq!(count, 40);
     }
@@ -654,35 +504,53 @@ mod tests {
         let base = random_gray(128, 96, 4);
         let src = Box::new(ShiftVideo::new(base.clone(), 0, 1));
         let mut got = None;
-        let _ = run_pipeline(src, &plan, PipeConfig::default(), |_, img| {
-            got = Some(img.detach());
+        let _ = run_frame_pipeline(src, &plan, PipeConfig::default(), |_, planes| {
+            got = Some(detach_all(planes));
         });
-        let expect = correct(&base, plan.map(), Interpolator::Bilinear);
-        assert_eq!(got.unwrap(), expect);
+        let expect = correct(&base, plan.full().map(), Interpolator::Bilinear);
+        assert_eq!(got.unwrap(), vec![expect]);
     }
 
     #[test]
-    fn steady_state_recycles_every_output_buffer() {
+    fn frame_pipeline_steady_state_recycles_every_plane() {
         // frames dropped at the sink go straight back to the pool:
         // after the primed warmup, no acquisition ever allocates
-        let plan = test_plan();
-        let src = Box::new(ShiftVideo::new(random_gray(128, 96, 11), 1, 60));
-        let config = PipeConfig {
-            workers: 4,
-            ..Default::default()
-        };
-        let report = run_pipeline(src, &plan, config, |_, _| {});
-        assert_eq!(report.frames, 60);
-        assert_eq!(report.pool_misses, 0, "steady state must never allocate");
-        assert_eq!(report.pool_hits, 60);
-        assert!((report.pool_hit_rate() - 1.0).abs() < 1e-12);
+        for (format, frames, planes) in [(FrameFormat::Gray8, 60, 1), (FrameFormat::Yuv420, 40, 3)]
+        {
+            let plan = test_plan_in(format, &EngineSpec::Serial);
+            let config = PipeConfig {
+                workers: 4,
+                ..Default::default()
+            };
+            let report = run_frame_pipeline(video(format, 31, frames), &plan, config, |_, _| {});
+            assert_eq!(report.frames, frames, "{format}");
+            assert_eq!(
+                report.pool_misses, 0,
+                "{format}: steady state must never allocate"
+            );
+            assert_eq!(
+                report.pool_hits,
+                frames * planes,
+                "{format}: one plane buffer per plane per frame"
+            );
+            assert!((report.pool_hit_rate() - 1.0).abs() < 1e-12, "{format}");
+            assert!(report.kernel_time > Duration::ZERO, "{format}");
+            assert_eq!(report.plane_kernel.len() as u64, planes, "{format}");
+            let plane_sum: Duration = report.plane_kernel.iter().map(|(_, t)| *t).sum();
+            assert!(
+                plane_sum <= report.kernel_time * 2 && plane_sum * 2 >= report.kernel_time,
+                "{format}: per-plane kernel times sum to the same order as the total \
+                 ({plane_sum:?} vs {:?})",
+                report.kernel_time
+            );
+        }
     }
 
     #[test]
     fn empty_source_yields_empty_report() {
         let plan = test_plan();
-        let src = Box::new(ShiftVideo::new(random_gray(128, 96, 5), 1, 0));
-        let report = run_pipeline(src, &plan, PipeConfig::default(), |_, _| {});
+        let report =
+            run_frame_pipeline(gray_video(5, 1, 0), &plan, PipeConfig::default(), |_, _| {});
         assert_eq!(report.frames, 0);
         assert_eq!(report.fps, 0.0);
         assert_eq!(report.mean_latency, Duration::ZERO);
@@ -690,43 +558,64 @@ mod tests {
     }
 
     #[test]
-    fn resequencer_restores_order_with_many_workers() {
-        let plan = test_plan();
-        let src = Box::new(ShiftVideo::new(random_gray(128, 96, 7), 1, 50));
+    fn frame_pipeline_resequences_in_order() {
         // the buffer outlasts the stream: with more workers than
         // cores, one worker can be descheduled while the others finish
         // more frames than a shallower window holds, and the
         // resequencer then drops the late frame by design
-        let config = PipeConfig {
-            workers: 4,
-            resequence: Some(64),
-            ..Default::default()
-        };
-        let mut seqs = Vec::new();
-        let report = run_pipeline(src, &plan, config, |seq, _| seqs.push(seq));
-        // delivered strictly in order, nothing dropped with a deep
-        // enough buffer
-        let expect: Vec<u64> = (0..report.frames).collect();
-        assert_eq!(seqs, expect);
-        assert_eq!(report.dropped, 0);
-        assert_eq!(report.frames, 50);
+        let cases = [
+            (FrameFormat::Gray8, EngineSpec::Serial, 7, 50, 64),
+            (FrameFormat::Yuv420, EngineSpec::Simd, 41, 30, 32),
+        ];
+        for (format, engine, seed, frames, window) in cases {
+            let plan = test_plan_in(format, &engine);
+            let config = PipeConfig {
+                workers: 4,
+                engine,
+                resequence: Some(window),
+                ..Default::default()
+            };
+            let mut seqs = Vec::new();
+            let report =
+                run_frame_pipeline(video(format, seed, frames), &plan, config, |seq, _| {
+                    seqs.push(seq)
+                });
+            // delivered strictly in order, nothing dropped with a deep
+            // enough buffer
+            let expect: Vec<u64> = (0..report.frames).collect();
+            assert_eq!(seqs, expect, "{format}");
+            assert_eq!(report.dropped, 0, "{format}");
+            assert_eq!(report.frames, frames, "{format}");
+        }
     }
 
     #[test]
-    fn fixed_engine_matches_offline_fixed_reference() {
+    fn frame_pipeline_fixed_engine_matches_offline() {
         let spec = EngineSpec::FixedPoint { frac_bits: 12 };
-        let plan = test_plan_for(&spec);
-        let base = random_gray(128, 96, 8);
-        let src = Box::new(ShiftVideo::new(base.clone(), 0, 1));
-        let config = PipeConfig {
-            engine: spec,
-            ..Default::default()
-        };
-        let mut got = None;
-        let report = run_pipeline(src, &plan, config, |_, img| got = Some(img.detach()));
-        assert_eq!(got.unwrap(), correct_fixed(&base, &plan.map().to_fixed(12)));
-        assert!(report.kernel_time > Duration::ZERO);
-        assert_eq!(report.kernel_per_frame(), report.kernel_time);
+        for frame in [Frame::Gray8(random_gray(128, 96, 8)), yuv_frame(51)] {
+            let format = frame.format();
+            let plan = test_plan_in(format, &spec);
+            // the reference requantizes each plane's map afresh
+            let expect: Vec<_> = frame
+                .u8_planes()
+                .unwrap()
+                .iter()
+                .enumerate()
+                .map(|(i, src)| correct_fixed(src, &plan.plane_plan(i).map().to_fixed(12)))
+                .collect();
+            let src = Box::new(CycledFrames::new(vec![frame], 1));
+            let config = PipeConfig {
+                engine: spec,
+                ..Default::default()
+            };
+            let mut got = None;
+            let report = run_frame_pipeline(src, &plan, config, |_, planes| {
+                got = Some(detach_all(planes));
+            });
+            assert_eq!(got.unwrap(), expect, "{format}");
+            assert!(report.kernel_time > Duration::ZERO, "{format}");
+            assert_eq!(report.kernel_per_frame(), report.kernel_time, "{format}");
+        }
     }
 
     #[test]
@@ -740,10 +629,12 @@ mod tests {
             ..Default::default()
         };
         let mut got = None;
-        let _ = run_pipeline(src, &plan, config, |_, img| got = Some(img.detach()));
+        let _ = run_frame_pipeline(src, &plan, config, |_, planes| {
+            got = Some(detach_all(planes));
+        });
         assert_eq!(
             got.unwrap(),
-            correct(&base, plan.map(), Interpolator::Bilinear)
+            vec![correct(&base, plan.full().map(), Interpolator::Bilinear)]
         );
     }
 
@@ -761,14 +652,12 @@ mod tests {
                 caps.host_executable && caps.supports_frame_concurrency && caps.uses_plan;
             let name = spec.name();
             let outcome = std::panic::catch_unwind(|| {
-                let plan = test_plan_for(&spec);
-                let base = random_gray(128, 96, 21);
-                let src = Box::new(ShiftVideo::new(base, 1, 2));
+                let plan = test_plan_in(FrameFormat::Gray8, &spec);
                 let config = PipeConfig {
                     engine: spec,
                     ..Default::default()
                 };
-                run_pipeline(src, &plan, config, |_, _| {}).frames
+                run_frame_pipeline(gray_video(21, 1, 2), &plan, config, |_, _| {}).frames
             });
             match outcome {
                 Ok(frames) => {
@@ -797,27 +686,38 @@ mod tests {
     #[should_panic(expected = "videopipe workers support engines")]
     fn accelerator_engine_rejected_up_front() {
         let plan = test_plan();
-        let src = Box::new(ShiftVideo::new(random_gray(128, 96, 10), 1, 3));
         let config = PipeConfig {
             engine: EngineSpec::parse("gpu").unwrap(),
             ..Default::default()
         };
-        let _ = run_pipeline(src, &plan, config, |_, _| {});
+        let _ = run_frame_pipeline(gray_video(10, 1, 3), &plan, config, |_, _| {});
     }
 
     #[test]
-    #[should_panic(expected = "plan was not compiled with a 12-bit LUT")]
-    fn fixed_engine_without_plan_lut_rejected_up_front() {
-        // the plan below was compiled for the serial engine only — a
-        // fixed-point worker pool on it is a configuration error, not
-        // a silent per-frame requantization on every worker
-        let plan = test_plan();
-        let src = Box::new(ShiftVideo::new(random_gray(128, 96, 12), 1, 3));
+    #[should_panic(expected = "a plane plan was not compiled with a 12-bit LUT")]
+    fn frame_pipeline_fixed_without_lut_rejected_up_front() {
+        // plans compiled for the serial engine only — a fixed-point
+        // worker pool on them is a configuration error, not a silent
+        // per-frame requantization on every worker. The gray8 input
+        // must be refused with the message; the yuv420 input ends the
+        // test with the expected panic.
         let config = PipeConfig {
             engine: EngineSpec::FixedPoint { frac_bits: 12 },
             ..Default::default()
         };
-        let _ = run_pipeline(src, &plan, config, |_, _| {});
+        let gray = std::panic::catch_unwind(|| {
+            run_frame_pipeline(gray_video(12, 1, 3), &test_plan(), config, |_, _| {})
+        });
+        let msg = gray
+            .err()
+            .and_then(|p| p.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(
+            msg.contains("a plane plan was not compiled with a 12-bit LUT"),
+            "gray8 input: {msg}"
+        );
+        let plan = test_plan_in(FrameFormat::Yuv420, &EngineSpec::Serial);
+        let _ = run_frame_pipeline(video(FrameFormat::Yuv420, 61, 3), &plan, config, |_, _| {});
     }
 
     #[test]
@@ -827,13 +727,12 @@ mod tests {
         // backpressure still bounds the queue — overload degrades
         // latency accounting, not memory.
         let plan = test_plan();
-        let src = Box::new(ShiftVideo::new(random_gray(128, 96, 13), 1, 30));
         let config = PipeConfig {
             queue_capacity: 2,
             frame_deadline: Some(Duration::ZERO),
             ..Default::default()
         };
-        let report = run_pipeline(src, &plan, config, |_, _| {});
+        let report = run_frame_pipeline(gray_video(13, 1, 30), &plan, config, |_, _| {});
         assert_eq!(report.frames, 30, "late frames are delivered, not lost");
         assert_eq!(report.deadline_missed, 30);
         assert!(
@@ -845,19 +744,18 @@ mod tests {
     #[test]
     fn generous_deadline_misses_nothing() {
         let plan = test_plan();
-        let src = Box::new(ShiftVideo::new(random_gray(128, 96, 14), 1, 10));
         let config = PipeConfig {
             frame_deadline: Some(Duration::from_secs(3600)),
             ..Default::default()
         };
-        let report = run_pipeline(src, &plan, config, |_, _| {});
+        let report = run_frame_pipeline(gray_video(14, 1, 10), &plan, config, |_, _| {});
         assert_eq!(report.frames, 10);
         assert_eq!(report.deadline_missed, 0);
     }
 
     #[test]
     fn yuv_frames_reach_sink_and_match_offline() {
-        let plan = yuv_test_plan_for(&EngineSpec::Serial);
+        let plan = test_plan_in(FrameFormat::Yuv420, &EngineSpec::Serial);
         let frame = yuv_frame(21);
         let srcs = frame.u8_planes().unwrap();
         let expect: Vec<_> = srcs
@@ -868,12 +766,7 @@ mod tests {
         let src = Box::new(CycledFrames::new(vec![frame.clone()], 1));
         let mut got = None;
         let report = run_frame_pipeline(src, &plan, PipeConfig::default(), |_, planes| {
-            got = Some(
-                planes
-                    .into_iter()
-                    .map(|p| p.detach())
-                    .collect::<Vec<Image<Gray8>>>(),
-            );
+            got = Some(detach_all(planes));
         });
         let got = got.unwrap();
         assert_eq!(got.len(), 3);
@@ -890,80 +783,9 @@ mod tests {
     }
 
     #[test]
-    fn frame_pipeline_steady_state_recycles_every_plane() {
-        let plan = yuv_test_plan_for(&EngineSpec::Serial);
-        let frames = vec![yuv_frame(31), yuv_frame(32)];
-        let src = Box::new(CycledFrames::new(frames, 40));
-        let config = PipeConfig {
-            workers: 4,
-            ..Default::default()
-        };
-        let report = run_frame_pipeline(src, &plan, config, |_, _| {});
-        assert_eq!(report.frames, 40);
-        assert_eq!(report.pool_misses, 0, "steady state must never allocate");
-        assert_eq!(report.pool_hits, 40 * 3, "three plane buffers per frame");
-        assert!(report.kernel_time > Duration::ZERO);
-        let plane_sum: Duration = report.plane_kernel.iter().map(|(_, t)| *t).sum();
-        assert!(
-            plane_sum <= report.kernel_time * 2 && plane_sum * 2 >= report.kernel_time,
-            "per-plane kernel times sum to the same order as the total \
-             ({plane_sum:?} vs {:?})",
-            report.kernel_time
-        );
-    }
-
-    #[test]
-    fn frame_pipeline_resequences_in_order() {
-        let plan = yuv_test_plan_for(&EngineSpec::Simd);
-        let src = Box::new(CycledFrames::new(vec![yuv_frame(41)], 30));
-        // as above, a buffer deeper than the stream so no scheduling
-        // can make a frame late enough to drop
-        let config = PipeConfig {
-            workers: 4,
-            engine: EngineSpec::Simd,
-            resequence: Some(32),
-            ..Default::default()
-        };
-        let mut seqs = Vec::new();
-        let report = run_frame_pipeline(src, &plan, config, |seq, _| seqs.push(seq));
-        let expect: Vec<u64> = (0..report.frames).collect();
-        assert_eq!(seqs, expect);
-        assert_eq!(report.dropped, 0);
-        assert_eq!(report.frames, 30);
-    }
-
-    #[test]
-    fn frame_pipeline_fixed_engine_matches_offline() {
-        let spec = EngineSpec::FixedPoint { frac_bits: 12 };
-        let plan = yuv_test_plan_for(&spec);
-        let frame = yuv_frame(51);
-        let srcs = frame.u8_planes().unwrap();
-        let expect: Vec<_> = srcs
-            .iter()
-            .enumerate()
-            .map(|(i, src)| correct_fixed(src, plan.plane_plan(i).fixed(12).unwrap()))
-            .collect();
-        let src = Box::new(CycledFrames::new(vec![frame.clone()], 1));
-        let config = PipeConfig {
-            engine: spec,
-            ..Default::default()
-        };
-        let mut got = None;
-        let _ = run_frame_pipeline(src, &plan, config, |_, planes| {
-            got = Some(
-                planes
-                    .into_iter()
-                    .map(|p| p.detach())
-                    .collect::<Vec<Image<Gray8>>>(),
-            );
-        });
-        assert_eq!(got.unwrap(), expect);
-    }
-
-    #[test]
     #[should_panic(expected = "has none")]
     fn frame_pipeline_rejects_float_frames() {
-        let plan = yuv_test_plan_for(&EngineSpec::Serial);
+        let plan = test_plan_in(FrameFormat::Yuv420, &EngineSpec::Serial);
         let src = Box::new(CycledFrames::new(
             vec![Frame::new(FrameFormat::GrayF32, 128, 96)],
             3,
@@ -972,26 +794,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a plane plan was not compiled with a 12-bit LUT")]
-    fn frame_pipeline_fixed_without_lut_rejected_up_front() {
-        let plan = yuv_test_plan_for(&EngineSpec::Serial);
-        let src = Box::new(CycledFrames::new(vec![yuv_frame(61)], 3));
-        let config = PipeConfig {
-            engine: EngineSpec::FixedPoint { frac_bits: 12 },
-            ..Default::default()
-        };
-        let _ = run_frame_pipeline(src, &plan, config, |_, _| {});
-    }
-
-    #[test]
     fn backpressure_bounds_queue() {
         let plan = test_plan();
-        let src = Box::new(ShiftVideo::new(random_gray(128, 96, 6), 1, 30));
         let config = PipeConfig {
             queue_capacity: 2,
             ..Default::default()
         };
-        let report = run_pipeline(src, &plan, config, |_, _| {});
+        let report = run_frame_pipeline(gray_video(6, 1, 30), &plan, config, |_, _| {});
         assert!(report.in_queue_high_water <= 2);
         assert_eq!(report.frames, 30);
     }

@@ -1,16 +1,14 @@
 //! Synthetic video sources.
 //!
-//! Stand-ins for the paper's camera feed. Two flavours:
+//! Stand-ins for the paper's camera feed, both [`FrameSource`]s for
+//! [`run_frame_pipeline`](crate::pipeline::run_frame_pipeline):
 //!
-//! * [`CycledVideo`] — cycles a small set of fully ray-traced fisheye
-//!   captures (expensive to build, realistic content).
-//! * [`ShiftVideo`] — a single capture translated by a growing offset
-//!   each frame (cheap per frame; models a panning camera well enough
-//!   for throughput work where frame *content* is irrelevant).
-//! * [`CycledFrames`] — the multi-plane counterpart of `CycledVideo`:
-//!   cycles whole [`Frame`]s (YUV 4:2:0, planar RGB, or gray) for the
-//!   format-aware pipeline
-//!   ([`run_frame_pipeline`](crate::pipeline::run_frame_pipeline)).
+//! * [`CycledFrames`] — cycles a small set of whole [`Frame`]s (gray,
+//!   YUV 4:2:0 or planar RGB; e.g. fully ray-traced fisheye captures:
+//!   expensive to build, realistic content).
+//! * [`ShiftVideo`] — a single gray8 capture translated by a growing
+//!   offset each frame (cheap per frame; models a panning camera well
+//!   enough for throughput work where frame *content* is irrelevant).
 
 use std::time::Instant;
 
@@ -18,27 +16,6 @@ use fisheye_core::frame::{Frame, FrameFormat};
 use pixmap::{Gray8, Image};
 
 /// A timestamped frame traveling through the pipeline.
-#[derive(Clone, Debug)]
-pub struct VideoFrame {
-    /// Sequence number (0-based).
-    pub seq: u64,
-    /// Capture timestamp (latency measurements start here).
-    pub captured_at: Instant,
-    /// The distorted fisheye frame.
-    pub image: Image<Gray8>,
-}
-
-/// A source of frames. `next_frame` returns `None` at end of stream.
-pub trait VideoSource: Send {
-    /// Produce the next frame, or `None` when the stream ends.
-    fn next_frame(&mut self) -> Option<VideoFrame>;
-
-    /// Frame dimensions.
-    fn dims(&self) -> (u32, u32);
-}
-
-/// A timestamped multi-plane frame traveling through the format-aware
-/// pipeline — [`VideoFrame`]'s counterpart for any [`FrameFormat`].
 #[derive(Clone, Debug)]
 pub struct FramePacket {
     /// Sequence number (0-based).
@@ -49,8 +26,8 @@ pub struct FramePacket {
     pub frame: Frame,
 }
 
-/// A source of multi-plane frames. `next_frame` returns `None` at end
-/// of stream; every frame must share [`format`](Self::format) and
+/// A source of frames. `next_frame` returns `None` at end of stream;
+/// every frame must share [`format`](Self::format) and
 /// [`dims`](Self::dims).
 pub trait FrameSource: Send {
     /// Produce the next frame, or `None` when the stream ends.
@@ -63,8 +40,7 @@ pub trait FrameSource: Send {
     fn format(&self) -> FrameFormat;
 }
 
-/// Cycles through a fixed set of multi-plane frames for `total`
-/// frames — [`CycledVideo`] for any [`FrameFormat`].
+/// Cycles through a fixed set of frames for `total` frames.
 pub struct CycledFrames {
     frames: Vec<Frame>,
     total: u64,
@@ -116,53 +92,8 @@ impl FrameSource for CycledFrames {
     }
 }
 
-/// Cycles through a fixed set of frames for `total` frames.
-pub struct CycledVideo {
-    frames: Vec<Image<Gray8>>,
-    total: u64,
-    seq: u64,
-}
-
-impl CycledVideo {
-    /// A video of `total` frames cycling `frames` (must be non-empty,
-    /// all the same size).
-    pub fn new(frames: Vec<Image<Gray8>>, total: u64) -> Self {
-        assert!(!frames.is_empty(), "need at least one frame");
-        let dims = frames[0].dims();
-        assert!(
-            frames.iter().all(|f| f.dims() == dims),
-            "all frames must share dimensions"
-        );
-        CycledVideo {
-            frames,
-            total,
-            seq: 0,
-        }
-    }
-}
-
-impl VideoSource for CycledVideo {
-    fn next_frame(&mut self) -> Option<VideoFrame> {
-        if self.seq >= self.total {
-            return None;
-        }
-        let image = self.frames[(self.seq % self.frames.len() as u64) as usize].clone();
-        let f = VideoFrame {
-            seq: self.seq,
-            captured_at: Instant::now(),
-            image,
-        };
-        self.seq += 1;
-        Some(f)
-    }
-
-    fn dims(&self) -> (u32, u32) {
-        self.frames[0].dims()
-    }
-}
-
-/// Translates a base frame horizontally by `step` pixels per frame
-/// (wrapping), modeling a panning camera.
+/// Translates a gray8 base frame horizontally by `step` pixels per
+/// frame (wrapping), modeling a panning camera.
 pub struct ShiftVideo {
     base: Image<Gray8>,
     step: u32,
@@ -182,8 +113,8 @@ impl ShiftVideo {
     }
 }
 
-impl VideoSource for ShiftVideo {
-    fn next_frame(&mut self) -> Option<VideoFrame> {
+impl FrameSource for ShiftVideo {
+    fn next_frame(&mut self) -> Option<FramePacket> {
         if self.seq >= self.total {
             return None;
         }
@@ -197,17 +128,21 @@ impl VideoSource for ShiftVideo {
             dst[..w as usize - s].copy_from_slice(&src[s..]);
             dst[w as usize - s..].copy_from_slice(&src[..s]);
         }
-        let f = VideoFrame {
+        let p = FramePacket {
             seq: self.seq,
             captured_at: Instant::now(),
-            image,
+            frame: Frame::Gray8(image),
         };
         self.seq += 1;
-        Some(f)
+        Some(p)
     }
 
     fn dims(&self) -> (u32, u32) {
         self.base.dims()
+    }
+
+    fn format(&self) -> FrameFormat {
+        FrameFormat::Gray8
     }
 }
 
@@ -216,42 +151,59 @@ mod tests {
     use super::*;
     use pixmap::scene::random_gray;
 
+    /// The gray8 plane of a packet.
+    fn gray(p: FramePacket) -> Image<Gray8> {
+        match p.frame {
+            Frame::Gray8(img) => img,
+            other => panic!("gray8 packet expected, got {}", other.format()),
+        }
+    }
+
     #[test]
     fn cycled_video_counts_and_cycles() {
         let a = random_gray(16, 16, 1);
         let b = random_gray(16, 16, 2);
-        let mut v = CycledVideo::new(vec![a.clone(), b.clone()], 5);
+        let mut v = CycledFrames::new(vec![Frame::Gray8(a.clone()), Frame::Gray8(b.clone())], 5);
         assert_eq!(v.dims(), (16, 16));
+        assert_eq!(v.format(), FrameFormat::Gray8);
         let frames: Vec<_> = std::iter::from_fn(|| v.next_frame()).collect();
         assert_eq!(frames.len(), 5);
-        assert_eq!(frames[0].image, a);
-        assert_eq!(frames[1].image, b);
-        assert_eq!(frames[2].image, a);
         assert_eq!(frames[4].seq, 4);
+        let images: Vec<_> = frames.into_iter().map(gray).collect();
+        assert_eq!(images[0], a);
+        assert_eq!(images[1], b);
+        assert_eq!(images[2], a);
         assert!(v.next_frame().is_none());
     }
 
     #[test]
-    #[should_panic(expected = "share dimensions")]
+    #[should_panic(expected = "share format and dimensions")]
     fn cycled_video_checks_dims() {
-        let _ = CycledVideo::new(vec![random_gray(8, 8, 1), random_gray(9, 8, 1)], 2);
+        let _ = CycledFrames::new(
+            vec![
+                Frame::Gray8(random_gray(8, 8, 1)),
+                Frame::Gray8(random_gray(9, 8, 1)),
+            ],
+            2,
+        );
     }
 
     #[test]
     fn shift_video_translates_and_wraps() {
         let base = random_gray(10, 4, 3);
         let mut v = ShiftVideo::new(base.clone(), 3, 20);
-        let f0 = v.next_frame().unwrap();
-        assert_eq!(f0.image, base, "frame 0 unshifted");
-        let f1 = v.next_frame().unwrap();
-        assert_eq!(f1.image.pixel(0, 0), base.pixel(3, 0));
-        assert_eq!(f1.image.pixel(7, 2), base.pixel(0, 2), "wraparound");
+        assert_eq!(v.format(), FrameFormat::Gray8);
+        let f0 = gray(v.next_frame().unwrap());
+        assert_eq!(f0, base, "frame 0 unshifted");
+        let f1 = gray(v.next_frame().unwrap());
+        assert_eq!(f1.pixel(0, 0), base.pixel(3, 0));
+        assert_eq!(f1.pixel(7, 2), base.pixel(0, 2), "wraparound");
         // shift is periodic with period w/gcd: frame 10 back to 0 shift
         let mut v2 = ShiftVideo::new(base.clone(), 5, 20);
         let _ = v2.next_frame();
         let _ = v2.next_frame();
-        let f2 = v2.next_frame().unwrap(); // shift 10 % 10 = 0
-        assert_eq!(f2.image, base);
+        let f2 = gray(v2.next_frame().unwrap()); // shift 10 % 10 = 0
+        assert_eq!(f2, base);
     }
 
     #[test]

@@ -9,16 +9,21 @@
 
 use std::time::Duration;
 
-use fisheye::core::plan::{PlanOptions, RemapPlan};
 use fisheye::prelude::*;
-use fisheye::video::{run_pipeline, PipeConfig, ShiftVideo};
+use fisheye::video::{run_frame_pipeline, PipeConfig, ShiftVideo};
 
 fn main() -> Result<(), fisheye::Error> {
     let (w, h) = (640u32, 480u32);
     let lens = FisheyeLens::equidistant_fov(w, h, 180.0);
     let view = PerspectiveView::centered(w, h, 90.0);
-    let map = RemapMap::build(&lens, &view, w, h);
-    let plan = RemapPlan::compile(&map, PlanOptions::default());
+    let plan = ViewPlan::compile(
+        FrameFormat::Gray8,
+        &lens,
+        &view,
+        w,
+        h,
+        &PlanOptions::default(),
+    );
     let base = fisheye::img::scene::random_gray(w, h, 7);
 
     // ------------------------------------------------------------------
@@ -27,7 +32,7 @@ fn main() -> Result<(), fisheye::Error> {
     println!("--- pipeline throughput (120 frames, {w}x{h}) ---");
     for workers in [1usize, 2, 4] {
         let src = Box::new(ShiftVideo::new(base.clone(), 3, 120));
-        let report = run_pipeline(
+        let report = run_frame_pipeline(
             src,
             &plan,
             PipeConfig {

@@ -44,6 +44,14 @@ for f in crates/fisheye-serve/src/wire.rs \
     || { echo "lint: FAIL ($f lost its panic-free deny attribute)"; exit 1; }
 done
 
+# The y4m decoder reads streams from outside the process (files,
+# pipes), so it meets wire.rs's bar: the same module-level deny
+# attribute, indexing_slicing included, fuzzed in pixmap's proptests.
+echo "lint: y4m decoder panic-free deny attribute present"
+tr -d ' \n' < crates/pixmap/src/y4m.rs \
+  | grep -q '#!\[deny(clippy::unwrap_used,clippy::expect_used,clippy::panic,clippy::indexing_slicing)\]' \
+  || { echo "lint: FAIL (crates/pixmap/src/y4m.rs lost its panic-free deny attribute)"; exit 1; }
+
 # readiness.rs holds the serving layer's one `unsafe` block, the
 # poll(2) call; it also denies undocumented_unsafe_blocks, so that
 # block cannot lose its `// SAFETY:` comment.
