@@ -511,39 +511,42 @@ mod tests {
         assert_eq!(got.unwrap(), vec![expect]);
     }
 
+    /// Frames dropped at the sink go straight back to the pool: after
+    /// the primed warmup, no acquisition ever allocates.
+    fn assert_steady_state_recycles(format: FrameFormat, frames: u64, planes: u64) {
+        let plan = test_plan_in(format, &EngineSpec::Serial);
+        let config = PipeConfig {
+            workers: 4,
+            ..Default::default()
+        };
+        let report = run_frame_pipeline(video(format, 31, frames), &plan, config, |_, _| {});
+        assert_eq!(report.frames, frames);
+        assert_eq!(report.pool_misses, 0, "steady state must never allocate");
+        assert_eq!(
+            report.pool_hits,
+            frames * planes,
+            "one plane buffer per plane per frame"
+        );
+        assert!((report.pool_hit_rate() - 1.0).abs() < 1e-12);
+        assert!(report.kernel_time > Duration::ZERO);
+        assert_eq!(report.plane_kernel.len() as u64, planes);
+        let plane_sum: Duration = report.plane_kernel.iter().map(|(_, t)| *t).sum();
+        assert!(
+            plane_sum <= report.kernel_time * 2 && plane_sum * 2 >= report.kernel_time,
+            "per-plane kernel times sum to the same order as the total \
+             ({plane_sum:?} vs {:?})",
+            report.kernel_time
+        );
+    }
+
+    #[test]
+    fn steady_state_recycles_every_output_buffer() {
+        assert_steady_state_recycles(FrameFormat::Gray8, 60, 1);
+    }
+
     #[test]
     fn frame_pipeline_steady_state_recycles_every_plane() {
-        // frames dropped at the sink go straight back to the pool:
-        // after the primed warmup, no acquisition ever allocates
-        for (format, frames, planes) in [(FrameFormat::Gray8, 60, 1), (FrameFormat::Yuv420, 40, 3)]
-        {
-            let plan = test_plan_in(format, &EngineSpec::Serial);
-            let config = PipeConfig {
-                workers: 4,
-                ..Default::default()
-            };
-            let report = run_frame_pipeline(video(format, 31, frames), &plan, config, |_, _| {});
-            assert_eq!(report.frames, frames, "{format}");
-            assert_eq!(
-                report.pool_misses, 0,
-                "{format}: steady state must never allocate"
-            );
-            assert_eq!(
-                report.pool_hits,
-                frames * planes,
-                "{format}: one plane buffer per plane per frame"
-            );
-            assert!((report.pool_hit_rate() - 1.0).abs() < 1e-12, "{format}");
-            assert!(report.kernel_time > Duration::ZERO, "{format}");
-            assert_eq!(report.plane_kernel.len() as u64, planes, "{format}");
-            let plane_sum: Duration = report.plane_kernel.iter().map(|(_, t)| *t).sum();
-            assert!(
-                plane_sum <= report.kernel_time * 2 && plane_sum * 2 >= report.kernel_time,
-                "{format}: per-plane kernel times sum to the same order as the total \
-                 ({plane_sum:?} vs {:?})",
-                report.kernel_time
-            );
-        }
+        assert_steady_state_recycles(FrameFormat::Yuv420, 40, 3);
     }
 
     #[test]
@@ -557,65 +560,79 @@ mod tests {
         assert_eq!(report.pool_hit_rate(), 1.0);
     }
 
+    /// With a resequencing window deeper than the stream, frames reach
+    /// the sink strictly in order and none is dropped. (A shallower
+    /// window can drop a frame by design: with more workers than
+    /// cores, one worker can be descheduled while the others finish
+    /// more frames than the window holds.)
+    fn assert_resequenced(
+        format: FrameFormat,
+        engine: EngineSpec,
+        seed: u64,
+        frames: u64,
+        window: usize,
+    ) {
+        let plan = test_plan_in(format, &engine);
+        let config = PipeConfig {
+            workers: 4,
+            engine,
+            resequence: Some(window),
+            ..Default::default()
+        };
+        let mut seqs = Vec::new();
+        let report = run_frame_pipeline(video(format, seed, frames), &plan, config, |seq, _| {
+            seqs.push(seq)
+        });
+        let expect: Vec<u64> = (0..report.frames).collect();
+        assert_eq!(seqs, expect);
+        assert_eq!(report.dropped, 0);
+        assert_eq!(report.frames, frames);
+    }
+
+    #[test]
+    fn resequencer_restores_order_with_many_workers() {
+        assert_resequenced(FrameFormat::Gray8, EngineSpec::Serial, 7, 50, 64);
+    }
+
     #[test]
     fn frame_pipeline_resequences_in_order() {
-        // the buffer outlasts the stream: with more workers than
-        // cores, one worker can be descheduled while the others finish
-        // more frames than a shallower window holds, and the
-        // resequencer then drops the late frame by design
-        let cases = [
-            (FrameFormat::Gray8, EngineSpec::Serial, 7, 50, 64),
-            (FrameFormat::Yuv420, EngineSpec::Simd, 41, 30, 32),
-        ];
-        for (format, engine, seed, frames, window) in cases {
-            let plan = test_plan_in(format, &engine);
-            let config = PipeConfig {
-                workers: 4,
-                engine,
-                resequence: Some(window),
-                ..Default::default()
-            };
-            let mut seqs = Vec::new();
-            let report =
-                run_frame_pipeline(video(format, seed, frames), &plan, config, |seq, _| {
-                    seqs.push(seq)
-                });
-            // delivered strictly in order, nothing dropped with a deep
-            // enough buffer
-            let expect: Vec<u64> = (0..report.frames).collect();
-            assert_eq!(seqs, expect, "{format}");
-            assert_eq!(report.dropped, 0, "{format}");
-            assert_eq!(report.frames, frames, "{format}");
-        }
+        assert_resequenced(FrameFormat::Yuv420, EngineSpec::Simd, 41, 30, 32);
+    }
+
+    /// A 12-bit fixed-point worker pool reproduces the offline fixed
+    /// reference, which requantizes each plane's map afresh.
+    fn assert_fixed_matches_offline(frame: Frame) {
+        let spec = EngineSpec::FixedPoint { frac_bits: 12 };
+        let plan = test_plan_in(frame.format(), &spec);
+        let expect: Vec<_> = frame
+            .u8_planes()
+            .unwrap()
+            .iter()
+            .enumerate()
+            .map(|(i, src)| correct_fixed(src, &plan.plane_plan(i).map().to_fixed(12)))
+            .collect();
+        let src = Box::new(CycledFrames::new(vec![frame], 1));
+        let config = PipeConfig {
+            engine: spec,
+            ..Default::default()
+        };
+        let mut got = None;
+        let report = run_frame_pipeline(src, &plan, config, |_, planes| {
+            got = Some(detach_all(planes));
+        });
+        assert_eq!(got.unwrap(), expect);
+        assert!(report.kernel_time > Duration::ZERO);
+        assert_eq!(report.kernel_per_frame(), report.kernel_time);
+    }
+
+    #[test]
+    fn fixed_engine_matches_offline_fixed_reference() {
+        assert_fixed_matches_offline(Frame::Gray8(random_gray(128, 96, 8)));
     }
 
     #[test]
     fn frame_pipeline_fixed_engine_matches_offline() {
-        let spec = EngineSpec::FixedPoint { frac_bits: 12 };
-        for frame in [Frame::Gray8(random_gray(128, 96, 8)), yuv_frame(51)] {
-            let format = frame.format();
-            let plan = test_plan_in(format, &spec);
-            // the reference requantizes each plane's map afresh
-            let expect: Vec<_> = frame
-                .u8_planes()
-                .unwrap()
-                .iter()
-                .enumerate()
-                .map(|(i, src)| correct_fixed(src, &plan.plane_plan(i).map().to_fixed(12)))
-                .collect();
-            let src = Box::new(CycledFrames::new(vec![frame], 1));
-            let config = PipeConfig {
-                engine: spec,
-                ..Default::default()
-            };
-            let mut got = None;
-            let report = run_frame_pipeline(src, &plan, config, |_, planes| {
-                got = Some(detach_all(planes));
-            });
-            assert_eq!(got.unwrap(), expect, "{format}");
-            assert!(report.kernel_time > Duration::ZERO, "{format}");
-            assert_eq!(report.kernel_per_frame(), report.kernel_time, "{format}");
-        }
+        assert_fixed_matches_offline(yuv_frame(51));
     }
 
     #[test]
@@ -693,31 +710,28 @@ mod tests {
         let _ = run_frame_pipeline(gray_video(10, 1, 3), &plan, config, |_, _| {});
     }
 
-    #[test]
-    #[should_panic(expected = "a plane plan was not compiled with a 12-bit LUT")]
-    fn frame_pipeline_fixed_without_lut_rejected_up_front() {
-        // plans compiled for the serial engine only — a fixed-point
-        // worker pool on them is a configuration error, not a silent
-        // per-frame requantization on every worker. The gray8 input
-        // must be refused with the message; the yuv420 input ends the
-        // test with the expected panic.
+    /// A fixed-point worker pool on plans compiled for the serial
+    /// engine only is a configuration error, not a silent per-frame
+    /// requantization on every worker.
+    fn run_fixed_on_serial_plan(format: FrameFormat, seed: u64) {
+        let plan = test_plan_in(format, &EngineSpec::Serial);
         let config = PipeConfig {
             engine: EngineSpec::FixedPoint { frac_bits: 12 },
             ..Default::default()
         };
-        let gray = std::panic::catch_unwind(|| {
-            run_frame_pipeline(gray_video(12, 1, 3), &test_plan(), config, |_, _| {})
-        });
-        let msg = gray
-            .err()
-            .and_then(|p| p.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(
-            msg.contains("a plane plan was not compiled with a 12-bit LUT"),
-            "gray8 input: {msg}"
-        );
-        let plan = test_plan_in(FrameFormat::Yuv420, &EngineSpec::Serial);
-        let _ = run_frame_pipeline(video(FrameFormat::Yuv420, 61, 3), &plan, config, |_, _| {});
+        let _ = run_frame_pipeline(video(format, seed, 3), &plan, config, |_, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "a plane plan was not compiled with a 12-bit LUT")]
+    fn fixed_engine_without_plan_lut_rejected_up_front() {
+        run_fixed_on_serial_plan(FrameFormat::Gray8, 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "a plane plan was not compiled with a 12-bit LUT")]
+    fn frame_pipeline_fixed_without_lut_rejected_up_front() {
+        run_fixed_on_serial_plan(FrameFormat::Yuv420, 61);
     }
 
     #[test]
