@@ -58,6 +58,7 @@ use crate::interp::{
 use crate::map::{FixedRemapMap, MapEntry, RemapMap};
 use crate::plan::{correct_plan, Fnv, PlanOptions, RemapPlan};
 use crate::post::{PostPixel, PostPlan};
+use crate::simd::{gather_span, LaneTap};
 
 // ---------------------------------------------------------------------
 // Geometry tracing
@@ -668,7 +669,7 @@ pub trait CompositePixel: EnginePixel + PostPixel {
     /// runs and blend runs share one arithmetic definition.
     fn acc_finish(acc: Self::Acc) -> Self;
 
-    /// 4-lane SoA kernel over the composite program — bit-exact
+    /// 8-lane SoA kernel over the composite program — bit-exact
     /// against per-source [`crate::simd`] corrections blended with
     /// [`compose_layers`]. Default: no SIMD datapath.
     fn composite_simd(
@@ -721,62 +722,7 @@ impl CompositePixel for Gray8 {
         plan: &CompositePlan,
         out: &mut Image<Gray8>,
     ) -> Result<(), EngineError> {
-        // lift every source once, exactly as the single-plan gray8
-        // SIMD wrapper does; exclusive runs go through the 4-lane
-        // gather and quantize per pixel, blend runs sample the lifted
-        // planes scalar (bit-identical to the lane math) and blend in
-        // the integer domain — matching per-source SIMD corrections
-        // blended with compose_layers byte for byte
-        let lifted: Vec<Image<GrayF32>> = srcs.iter().map(|s| s.map(GrayF32::from)).collect();
-        let n = srcs.len();
-        let mut tmp = vec![GrayF32(0.0); plan.width as usize];
-        for y in 0..plan.height {
-            let out_row = out.row_mut(y);
-            let mut cursor = 0usize;
-            for seg in plan.row_segs(y) {
-                match *seg {
-                    Seg::Exclusive { source, start, end } => {
-                        out_row[cursor..start as usize].fill(Gray8(0));
-                        let (s, e) = (start as usize, end as usize);
-                        let sp = &plan.sources[source as usize];
-                        crate::simd::gather_span(
-                            &lifted[source as usize],
-                            &sp.row_sx(y)[s..e],
-                            &sp.row_sy(y)[s..e],
-                            &mut tmp[..e - s],
-                        );
-                        for (o, v) in out_row[s..e].iter_mut().zip(&tmp[..e - s]) {
-                            *o = Gray8::from(*v);
-                        }
-                        cursor = e;
-                    }
-                    Seg::Blend { start, end, woff } => {
-                        out_row[cursor..start as usize].fill(Gray8(0));
-                        let r = start as usize..end as usize;
-                        let mut wo = woff as usize;
-                        for (off, o) in out_row[r.clone()].iter_mut().enumerate() {
-                            let x = r.start + off;
-                            let mut acc = 0u32;
-                            for (i, &q) in plan.weights[wo..wo + n].iter().enumerate() {
-                                if q > 0 {
-                                    let sp = &plan.sources[i];
-                                    let v = Gray8::from(sample_bilinear(
-                                        &lifted[i],
-                                        sp.row_sx(y)[x],
-                                        sp.row_sy(y)[x],
-                                    ));
-                                    acc += v.0 as u32 * q as u32;
-                                }
-                            }
-                            *o = Gray8(((acc + 127) / 255) as u8);
-                            wo += n;
-                        }
-                        cursor = r.end;
-                    }
-                }
-            }
-            out_row[cursor..].fill(Gray8(0));
-        }
+        composite_simd_rows(srcs, plan, out);
         Ok(())
     }
 
@@ -868,49 +814,62 @@ impl CompositePixel for GrayF32 {
         plan: &CompositePlan,
         out: &mut Image<GrayF32>,
     ) -> Result<(), EngineError> {
-        let n = srcs.len();
-        for y in 0..plan.height {
-            let out_row = out.row_mut(y);
-            let mut cursor = 0usize;
-            for seg in plan.row_segs(y) {
-                match *seg {
-                    Seg::Exclusive { source, start, end } => {
-                        out_row[cursor..start as usize].fill(GrayF32(0.0));
-                        let (s, e) = (start as usize, end as usize);
-                        let sp = &plan.sources[source as usize];
-                        crate::simd::gather_span(
-                            srcs[source as usize],
-                            &sp.row_sx(y)[s..e],
-                            &sp.row_sy(y)[s..e],
-                            &mut out_row[s..e],
-                        );
-                        cursor = e;
-                    }
-                    Seg::Blend { start, end, woff } => {
-                        out_row[cursor..start as usize].fill(GrayF32(0.0));
-                        let r = start as usize..end as usize;
-                        let mut wo = woff as usize;
-                        for (off, o) in out_row[r.clone()].iter_mut().enumerate() {
-                            let x = r.start + off;
-                            let mut acc = 0f32;
-                            for (i, &q) in plan.weights[wo..wo + n].iter().enumerate() {
-                                if q > 0 {
-                                    let sp = &plan.sources[i];
-                                    let v =
-                                        sample_bilinear(srcs[i], sp.row_sx(y)[x], sp.row_sy(y)[x]);
-                                    acc += v.0 * (q as f32 / 255.0);
-                                }
+        composite_simd_rows(srcs, plan, out);
+        Ok(())
+    }
+}
+
+/// The composite SIMD kernel of every [`LaneTap`] plane: exclusive
+/// runs go through the span kernel straight from the source planes,
+/// blend runs sample each source with `sample_bilinear` (the lane
+/// arithmetic, per pixel) and blend with the type's accumulator —
+/// matching per-source SIMD corrections blended with
+/// [`compose_layers`] bit for bit.
+fn composite_simd_rows<P: CompositePixel + LaneTap>(
+    srcs: &[&Image<P>],
+    plan: &CompositePlan,
+    out: &mut Image<P>,
+) {
+    let n = srcs.len();
+    for y in 0..plan.height {
+        let out_row = out.row_mut(y);
+        let mut cursor = 0usize;
+        for seg in plan.row_segs(y) {
+            match *seg {
+                Seg::Exclusive { source, start, end } => {
+                    out_row[cursor..start as usize].fill(P::BLACK);
+                    let (s, e) = (start as usize, end as usize);
+                    let sp = &plan.sources[source as usize];
+                    gather_span(
+                        srcs[source as usize],
+                        &sp.row_sx(y)[s..e],
+                        &sp.row_sy(y)[s..e],
+                        &mut out_row[s..e],
+                    );
+                    cursor = e;
+                }
+                Seg::Blend { start, end, woff } => {
+                    out_row[cursor..start as usize].fill(P::BLACK);
+                    let r = start as usize..end as usize;
+                    let mut wo = woff as usize;
+                    for (off, o) in out_row[r.clone()].iter_mut().enumerate() {
+                        let x = r.start + off;
+                        let mut acc = P::acc_zero();
+                        for (i, &q) in plan.weights[wo..wo + n].iter().enumerate() {
+                            if q > 0 {
+                                let sp = &plan.sources[i];
+                                let v = sample_bilinear(srcs[i], sp.row_sx(y)[x], sp.row_sy(y)[x]);
+                                P::acc_add(&mut acc, v, q);
                             }
-                            *o = GrayF32(acc);
-                            wo += n;
                         }
-                        cursor = r.end;
+                        *o = P::acc_finish(acc);
+                        wo += n;
                     }
+                    cursor = r.end;
                 }
             }
-            out_row[cursor..].fill(GrayF32(0.0));
         }
-        Ok(())
+        out_row[cursor..].fill(P::BLACK);
     }
 }
 
@@ -1621,7 +1580,7 @@ mod tests {
             .sources()
             .iter()
             .zip(srcs)
-            .map(|(sp, s)| crate::simd::correct_bilinear_simd_gray8(s, sp))
+            .map(|(sp, s)| crate::simd::correct_bilinear_simd(s, sp))
             .collect();
         let refs: Vec<&Image<Gray8>> = layers.iter().collect();
         let reference = compose_layers(&plan, &refs);

@@ -112,6 +112,7 @@ pub fn correct_fixed_into(src: &Image<Gray8>, map: &FixedRemapMap, out: &mut Ima
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::map::MapEntry;
     use fisheye_geom::{FisheyeLens, PerspectiveView};
     use pixmap::scene::random_gray;
 
@@ -202,6 +203,34 @@ mod tests {
         let wrong_src = random_gray(10, 10, 1);
         let mut out = Image::new(80, 60);
         correct_into(&wrong_src, &map, Interpolator::Nearest, &mut out);
+    }
+
+    #[test]
+    fn extreme_coordinates_clamp_to_the_border_without_overflow() {
+        // `MapEntry::is_valid` checks only that sx is finite, so a valid
+        // entry can carry a huge coordinate or an infinite sy. The
+        // floor casts saturate, and the tap offsets must not overflow
+        // past them: debug builds panicked here, release builds wrapped
+        // the zero-weight tap to the opposite border. The columns
+        // differ, so a tap on the wrong border would show.
+        let src = Image::from_fn(4, 4, |x, _| Gray8(10 + 60 * x as u8));
+        for interp in [Interpolator::Bilinear, Interpolator::Bicubic] {
+            for (sx, sy, want) in [
+                (1e20, 3.0, 190),
+                (-1e20, 3.0, 10),
+                (3.0, f32::INFINITY, 0),
+                (3.0, f32::NEG_INFINITY, 0),
+            ] {
+                let map = RemapMap::from_entries(1, 1, 4, 4, vec![MapEntry { sx, sy }]);
+                let out = correct(&src, &map, interp);
+                assert_eq!(
+                    out.pixel(0, 0),
+                    Gray8(want),
+                    "{} at ({sx}, {sy})",
+                    interp.name()
+                );
+            }
+        }
     }
 
     #[test]

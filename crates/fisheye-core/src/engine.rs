@@ -214,7 +214,7 @@ pub enum EngineSpec {
         /// Fractional weight bits.
         frac_bits: u32,
     },
-    /// 4-lane SoA bilinear kernel (`simd`). Bilinear only.
+    /// 8-lane SoA bilinear span kernel (`simd`). Bilinear only.
     Simd,
     /// Cell/B.E. tiled local-store model (`cell`, `cell:64x32`,
     /// `cell:32x16:single`, `cell:q10`). Implemented in `cellsim`.
@@ -705,7 +705,7 @@ pub fn post_pass<P: EnginePixel>(
 pub trait EnginePixel: Pixel {
     /// An integer (quantized-LUT) datapath exists for this type.
     const HAS_FIXED: bool = false;
-    /// The 4-lane SoA bilinear kernel exists for this type.
+    /// The 8-lane SoA bilinear kernel exists for this type.
     const HAS_SIMD: bool = false;
     /// The post-correction color stage exists for this type.
     const HAS_POST: bool = false;
@@ -776,7 +776,7 @@ impl EnginePixel for Gray8 {
         plan: &RemapPlan,
         out: &mut Image<Self>,
     ) -> Result<(), EngineError> {
-        simd::correct_bilinear_simd_gray8_into(src, plan, out);
+        simd::correct_bilinear_simd_into(src, plan, out);
         Ok(())
     }
 

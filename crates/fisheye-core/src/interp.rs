@@ -79,12 +79,15 @@ pub fn sample_bilinear<P: Pixel>(img: &Image<P>, sx: f32, sy: f32) -> P {
     let y0 = fy.floor();
     let wx = fx - x0;
     let wy = fy - y0;
+    // the casts saturate for huge or infinite coordinates, so the tap
+    // offsets must too; the clamp then lands them on the border
     let x0 = x0 as i64;
     let y0 = y0 as i64;
+    let (x1, y1) = (x0.saturating_add(1), y0.saturating_add(1));
     let p00 = img.pixel_clamped(x0, y0);
-    let p10 = img.pixel_clamped(x0 + 1, y0);
-    let p01 = img.pixel_clamped(x0, y0 + 1);
-    let p11 = img.pixel_clamped(x0 + 1, y0 + 1);
+    let p10 = img.pixel_clamped(x1, y0);
+    let p01 = img.pixel_clamped(x0, y1);
+    let p11 = img.pixel_clamped(x1, y1);
     let mut ch = [0f32; 4];
     debug_assert!(P::CHANNELS <= 4);
     for (c, out) in ch.iter_mut().enumerate().take(P::CHANNELS) {
@@ -136,7 +139,10 @@ pub fn sample_bicubic<P: Pixel>(img: &Image<P>, sx: f32, sy: f32) -> P {
         for (j, &wyj) in wy.iter().enumerate() {
             let mut row = 0.0f32;
             for (i, &wxi) in wx.iter().enumerate() {
-                let p = img.pixel_clamped(x0 - 1 + i as i64, y0 - 1 + j as i64);
+                let p = img.pixel_clamped(
+                    x0.saturating_add(i as i64 - 1),
+                    y0.saturating_add(j as i64 - 1),
+                );
                 row += p.channel_f32(c) * wxi;
             }
             acc += row * wyj;

@@ -1,30 +1,101 @@
 //! SIMD-structured correction kernel.
 //!
-//! The paper's SPE and SSE ports restructure the inner loop to process
-//! four output pixels at once with structure-of-arrays weights, so the
-//! four multiply-accumulate chains vectorize. Stable Rust has no
-//! portable-SIMD API, but writing the kernel over fixed `[f32; 4]`
-//! lanes gives LLVM the same shape to autovectorize — and gives the
-//! ablation study (A1/bench) a faithful "SIMDized" variant to measure
-//! against the scalar kernel. Results are bit-exact with the scalar
-//! float path.
+//! The paper's SPE and SSE ports get their speed by restructuring the
+//! bilinear inner loop into structure-of-arrays lanes over a
+//! memory-bound gather. Stable Rust has no portable-SIMD API, so this
+//! module writes that loop over fixed `[_; LANES]` arrays and lets
+//! LLVM autovectorize it. One span kernel serves every caller, generic
+//! over the tap type ([`LaneTap`]):
 //!
-//! The kernel consumes a compiled [`RemapPlan`]: the coordinates come
-//! straight from the plan's SoA planes (no AoS `MapEntry` unpacking),
-//! and iteration walks the per-row valid spans, so the 4-lane gather
-//! carries no validity mask at all — every lane inside a span is
-//! valid by construction, and the gaps are filled black up front.
+//! * Each lane's 2×2 taps are read straight from the source plane. A
+//!   `u8` tap goes through a 256-entry table of `v as f32 / 255.0`,
+//!   exactly what `Gray8::channel_f32` returns; an `f32` tap is used
+//!   as is. An 8-bit frame is never lifted to a float image.
+//! * [`LANES`] = 8 lanes are computed at a time, and the floor is
+//!   done in integers (`floor_i32`). On baseline x86-64 `f32::floor`
+//!   is a `floorf` call, and a saturating `fx as i32` compiles to a
+//!   scalar `cvttss2si` with NaN and overflow fix-ups per lane; either
+//!   keeps LLVM from vectorizing the lane arithmetic. The rounding-bias
+//!   floor is plain SSE2 adds, compares and integer subtracts.
+//! * Each lane is quantized straight into the output row, with the
+//!   pixel type's own `from_channels_f32`.
+//!
+//! The integer floor is exact only while `|fx| < 2²²`. A lane block
+//! with a coordinate that is not finite, or outside that range, takes
+//! the scalar `sample_bilinear` path instead. The kernel is therefore
+//! bit-exact with the scalar reference for every map
+//! `RemapMap::from_entries` accepts, not only for maps traced from
+//! lens geometry.
+//!
+//! The kernel consumes a compiled [`RemapPlan`]: coordinates come
+//! straight from the plan's SoA planes, and iteration walks the
+//! per-row valid spans, so lanes carry no validity mask. The gaps are
+//! filled black. Engines report `lanes` = [`LANES`].
 
-use pixmap::{Gray8, GrayF32, Image};
+// The kernel runs inside serving sessions on every simd frame, single
+// and composite; a panic here takes streams down.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use pixmap::{Gray8, GrayF32, Image, Pixel};
+
+use crate::interp::sample_bilinear;
 use crate::plan::RemapPlan;
 
 /// Number of lanes processed together.
-pub const LANES: usize = 4;
+pub const LANES: usize = 8;
 
-/// Bilinear-correct one frame with the 4-lane SoA kernel. Bit-exact
-/// with `correct(…, Interpolator::Bilinear, …)` on `GrayF32` inputs.
-pub fn correct_bilinear_simd(src: &Image<GrayF32>, plan: &RemapPlan) -> Image<GrayF32> {
+/// Magnitude (2²²) below which [`floor_i32`] is exact.
+const FLOOR_EXACT: f32 = 4_194_304.0;
+
+/// 1.5·2²³, the rounding bias of [`floor_i32`].
+const ROUND: f32 = 12_582_912.0;
+
+/// `v.floor()` as an integer, for `|v| < 2²²` (see [`FLOOR_EXACT`]).
+/// Adding 1.5·2²³ puts the sum in [2²³, 2²⁴), where consecutive `f32`s
+/// are 1 apart, so the sum's mantissa holds `v` rounded to the nearest
+/// integer; one compare turns that into the floor. The result converts
+/// back to `f32` exactly, so `v - floor_i32(v) as f32` is the same
+/// weight `v - v.floor()` gives.
+#[inline]
+fn floor_i32(v: f32) -> i32 {
+    let nearest = (v + ROUND).to_bits() as i32 - ROUND.to_bits() as i32;
+    nearest - (v < nearest as f32) as i32
+}
+
+/// `v as f32 / 255.0` for every byte: the `u8` tap.
+static UNIT_U8: [f32; 256] = {
+    let mut t = [0.0f32; 256];
+    let mut v = 0;
+    while v < 256 {
+        t[v] = v as f32 / 255.0;
+        v += 1;
+    }
+    t
+};
+
+/// A one-channel pixel the span kernel can gather.
+pub trait LaneTap: Pixel {
+    /// The pixel as the float `Pixel::channel_f32(0)` returns.
+    fn tap(self) -> f32;
+}
+
+impl LaneTap for Gray8 {
+    #[inline]
+    fn tap(self) -> f32 {
+        UNIT_U8[self.0 as usize]
+    }
+}
+
+impl LaneTap for GrayF32 {
+    #[inline]
+    fn tap(self) -> f32 {
+        self.0
+    }
+}
+
+/// Bilinear-correct one frame with the span kernel. Bit-exact with
+/// `correct(…, Interpolator::Bilinear, …)`.
+pub fn correct_bilinear_simd<P: LaneTap>(src: &Image<P>, plan: &RemapPlan) -> Image<P> {
     let mut out = Image::new(plan.width(), plan.height());
     correct_bilinear_simd_into(src, plan, &mut out);
     out
@@ -32,10 +103,10 @@ pub fn correct_bilinear_simd(src: &Image<GrayF32>, plan: &RemapPlan) -> Image<Gr
 
 /// [`correct_bilinear_simd`] into a pre-allocated output image
 /// (dimensions must match the plan).
-pub fn correct_bilinear_simd_into(
-    src: &Image<GrayF32>,
+pub fn correct_bilinear_simd_into<P: LaneTap>(
+    src: &Image<P>,
     plan: &RemapPlan,
-    out: &mut Image<GrayF32>,
+    out: &mut Image<P>,
 ) {
     assert_eq!(
         out.dims(),
@@ -46,118 +117,111 @@ pub fn correct_bilinear_simd_into(
         let sx = plan.row_sx(y);
         let sy = plan.row_sy(y);
         let out_row = out.row_mut(y);
-        out_row.fill(GrayF32(0.0));
+        let mut cursor = 0usize;
         for s in plan.spans(y) {
+            out_row[cursor..s.start as usize].fill(P::BLACK);
             let r = s.start as usize..s.end as usize;
             gather_span(src, &sx[r.clone()], &sy[r.clone()], &mut out_row[r]);
+            cursor = s.end as usize;
         }
+        out_row[cursor..].fill(P::BLACK);
     }
 }
 
-/// Bilinear-gather one span of coordinates with the 4-lane kernel:
-/// whole lanes through [`gather4`], scalar tail through
-/// `sample_bilinear`. Every coordinate must be valid (the caller
-/// iterates a plan's span index). This is the span-level seam the
-/// composite executor shares with the whole-frame kernel; both are
-/// bit-exact with the scalar float path.
-pub(crate) fn gather_span(src: &Image<GrayF32>, sx: &[f32], sy: &[f32], out: &mut [GrayF32]) {
+/// Bilinear-gather one span of coordinates into `out`: whole lane
+/// blocks through the lane kernel, the tail through `sample_bilinear`.
+/// Every coordinate must be valid (the caller walks a plan's span
+/// index). This is the seam the composite executor shares with the
+/// whole-frame kernel.
+pub(crate) fn gather_span<P: LaneTap>(src: &Image<P>, sx: &[f32], sy: &[f32], out: &mut [P]) {
     debug_assert_eq!(sx.len(), out.len());
     debug_assert_eq!(sy.len(), out.len());
-    let end = out.len();
-    let mut x = 0usize;
-    while x + LANES <= end {
-        let cx: [f32; LANES] = sx[x..x + LANES].try_into().unwrap();
-        let cy: [f32; LANES] = sy[x..x + LANES].try_into().unwrap();
-        let vals = gather4(src, &cx, &cy);
-        out[x..x + LANES]
-            .iter_mut()
-            .zip(vals)
-            .for_each(|(o, v)| *o = GrayF32(v));
-        x += LANES;
+    let (w, h) = src.dims();
+    let taps = Taps {
+        data: src.pixels(),
+        stride: w as usize,
+        xmax: i32::try_from(w.saturating_sub(1)).unwrap_or(i32::MAX),
+        ymax: i32::try_from(h.saturating_sub(1)).unwrap_or(i32::MAX),
+    };
+    let (cx_blocks, cx_tail) = sx.as_chunks::<LANES>();
+    let (cy_blocks, cy_tail) = sy.as_chunks::<LANES>();
+    let (out_blocks, out_tail) = out.as_chunks_mut::<LANES>();
+    for ((o, cx), cy) in out_blocks.iter_mut().zip(cx_blocks).zip(cy_blocks) {
+        if !taps.lane_block(cx, cy, o) {
+            for ((o, &x), &y) in o.iter_mut().zip(cx).zip(cy) {
+                *o = sample_bilinear(src, x, y);
+            }
+        }
     }
-    // scalar tail of the span
-    for x in x..end {
-        out[x] = crate::interp::sample_bilinear(src, sx[x], sy[x]);
+    for ((o, &x), &y) in out_tail.iter_mut().zip(cx_tail).zip(cy_tail) {
+        *o = sample_bilinear(src, x, y);
     }
 }
 
-/// The 4-lane gather + interpolate over four valid coordinates. All
-/// arithmetic is expressed as independent per-lane arrays so the
-/// compiler can keep each step in one vector register. No validity
-/// handling: span iteration guarantees every lane is valid.
-#[inline]
-fn gather4(src: &Image<GrayF32>, cx: &[f32; LANES], cy: &[f32; LANES]) -> [f32; LANES] {
-    let mut fx = [0f32; LANES];
-    let mut fy = [0f32; LANES];
-    for i in 0..LANES {
-        fx[i] = cx[i] - 0.5;
-        fy[i] = cy[i] - 0.5;
-    }
-    let mut x0 = [0f32; LANES];
-    let mut y0 = [0f32; LANES];
-    let mut wx = [0f32; LANES];
-    let mut wy = [0f32; LANES];
-    for i in 0..LANES {
-        x0[i] = fx[i].floor();
-        y0[i] = fy[i].floor();
-        wx[i] = fx[i] - x0[i];
-        wy[i] = fy[i] - y0[i];
-    }
-    // the gather itself cannot vectorize on scalar hardware — neither
-    // can it on an SPE, which is exactly why the paper's kernels are
-    // memory-bound here
-    let mut p00 = [0f32; LANES];
-    let mut p10 = [0f32; LANES];
-    let mut p01 = [0f32; LANES];
-    let mut p11 = [0f32; LANES];
-    for i in 0..LANES {
-        let xi = x0[i] as i64;
-        let yi = y0[i] as i64;
-        p00[i] = src.pixel_clamped(xi, yi).0;
-        p10[i] = src.pixel_clamped(xi + 1, yi).0;
-        p01[i] = src.pixel_clamped(xi, yi + 1).0;
-        p11[i] = src.pixel_clamped(xi + 1, yi + 1).0;
-    }
-    let mut out = [0f32; LANES];
-    for i in 0..LANES {
-        let top = p00[i] * (1.0 - wx[i]) + p10[i] * wx[i];
-        let bot = p01[i] * (1.0 - wx[i]) + p11[i] * wx[i];
-        out[i] = top * (1.0 - wy[i]) + bot * wy[i];
-    }
-    out
+/// The source plane as the lane kernel reads it: row-major pixels and
+/// the clamp bounds of its border-replicating taps.
+struct Taps<'a, P> {
+    data: &'a [P],
+    stride: usize,
+    xmax: i32,
+    ymax: i32,
 }
 
-/// Convenience: run the SIMD kernel on an 8-bit frame by lifting to
-/// float lanes (one conversion pass, as the SPE port does when
-/// unpacking bytes into vector registers).
-pub fn correct_bilinear_simd_gray8(src: &Image<Gray8>, plan: &RemapPlan) -> Image<Gray8> {
-    let srcf: Image<GrayF32> = src.map(GrayF32::from);
-    correct_bilinear_simd(&srcf, plan).map(Gray8::from)
-}
-
-/// [`correct_bilinear_simd_gray8`] into a pre-allocated output image.
-/// Bit-exact with the serial `Gray8` bilinear path: the lift to float
-/// (`v / 255`), the lane arithmetic, and the final quantization match
-/// `sample_bilinear`'s per-pixel operation order exactly.
-pub fn correct_bilinear_simd_gray8_into(
-    src: &Image<Gray8>,
-    plan: &RemapPlan,
-    out: &mut Image<Gray8>,
-) {
-    assert_eq!(
-        out.dims(),
-        (plan.width(), plan.height()),
-        "output dimensions must match the plan"
-    );
-    let srcf: Image<GrayF32> = src.map(GrayF32::from);
-    let mut outf: Image<GrayF32> = Image::new(plan.width(), plan.height());
-    correct_bilinear_simd_into(&srcf, plan, &mut outf);
-    for (o, v) in out.pixels_mut().iter_mut().zip(outf.pixels()) {
-        *o = Gray8::from(*v);
+impl<P: LaneTap> Taps<'_, P> {
+    /// Interpolate one block of [`LANES`] coordinates into `out`, with
+    /// `sample_bilinear`'s operation order per lane. Returns `false`,
+    /// writing nothing, when a coordinate is outside the range where
+    /// the integer floor is exact (NaN and ±inf included).
+    #[inline]
+    fn lane_block(&self, cx: &[f32; LANES], cy: &[f32; LANES], out: &mut [P; LANES]) -> bool {
+        let mut fx = [0f32; LANES];
+        let mut fy = [0f32; LANES];
+        let mut exact = true;
+        for i in 0..LANES {
+            fx[i] = cx[i] - 0.5;
+            fy[i] = cy[i] - 0.5;
+            exact &= fx[i].abs() < FLOOR_EXACT && fy[i].abs() < FLOOR_EXACT;
+        }
+        if !exact {
+            return false;
+        }
+        let mut x0 = [0i32; LANES];
+        let mut y0 = [0i32; LANES];
+        let mut wx = [0f32; LANES];
+        let mut wy = [0f32; LANES];
+        for i in 0..LANES {
+            x0[i] = floor_i32(fx[i]);
+            y0[i] = floor_i32(fy[i]);
+            wx[i] = fx[i] - x0[i] as f32;
+            wy[i] = fy[i] - y0[i] as f32;
+        }
+        // the gather itself stays scalar — on an SPE too, which is why
+        // the paper's kernels are memory-bound here
+        let mut p00 = [0f32; LANES];
+        let mut p10 = [0f32; LANES];
+        let mut p01 = [0f32; LANES];
+        let mut p11 = [0f32; LANES];
+        for i in 0..LANES {
+            let xa = x0[i].clamp(0, self.xmax) as usize;
+            let xb = (x0[i] + 1).clamp(0, self.xmax) as usize;
+            let ra = y0[i].clamp(0, self.ymax) as usize * self.stride;
+            let rb = (y0[i] + 1).clamp(0, self.ymax) as usize * self.stride;
+            p00[i] = self.data[ra + xa].tap();
+            p10[i] = self.data[ra + xb].tap();
+            p01[i] = self.data[rb + xa].tap();
+            p11[i] = self.data[rb + xb].tap();
+        }
+        for i in 0..LANES {
+            let top = p00[i] * (1.0 - wx[i]) + p10[i] * wx[i];
+            let bot = p01[i] * (1.0 - wx[i]) + p11[i] * wx[i];
+            out[i] = P::from_channels_f32(&[top * (1.0 - wy[i]) + bot * wy[i]]);
+        }
+        true
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::map::RemapMap;
@@ -210,19 +274,36 @@ mod tests {
     }
 
     #[test]
-    fn gray8_wrapper_close_to_direct_path() {
+    fn integer_floor_matches_floor_across_its_range() {
+        // step through every magnitude class up to the range limit,
+        // with the values either side of each integer and half-integer
+        let mut v = 0.1f32;
+        while v < FLOOR_EXACT {
+            for c in [v, v.floor(), v.floor() + 0.5, v.ceil()] {
+                for u in [
+                    c,
+                    c.next_down(),
+                    c.next_up(),
+                    -c,
+                    -c.next_down(),
+                    -c.next_up(),
+                ] {
+                    if u.abs() < FLOOR_EXACT {
+                        assert_eq!(floor_i32(u), u.floor() as i32, "{u}");
+                        assert_eq!(u - floor_i32(u) as f32, u - u.floor(), "{u}");
+                    }
+                }
+            }
+            v *= 1.37;
+        }
+    }
+
+    #[test]
+    fn gray8_bit_exact_vs_direct_path() {
         let (map, plan, _) = setup(80);
         let src8 = pixmap::scene::random_gray(160, 120, 3);
-        let a = correct_bilinear_simd_gray8(&src8, &plan);
+        let a = correct_bilinear_simd(&src8, &plan);
         let b = correct(&src8, &map, Interpolator::Bilinear);
-        // the u8 path quantizes at a different point; within 1 LSB
-        let max = a
-            .pixels()
-            .iter()
-            .zip(b.pixels())
-            .map(|(x, y)| (x.0 as i32 - y.0 as i32).abs())
-            .max()
-            .unwrap();
-        assert!(max <= 1, "max diff {max}");
+        assert_eq!(a, b);
     }
 }

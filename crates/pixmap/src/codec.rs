@@ -329,22 +329,38 @@ pub fn encode_bmp(img: &Image<Rgb8>) -> Vec<u8> {
 }
 
 /// Decode an uncompressed 24-bit BMP produced by [`encode_bmp`] (or any
-/// other writer of the same baseline format).
+/// other writer of the same baseline format). Header fields are read
+/// through `get` and the raster is sized with checked arithmetic, so
+/// any input gives `Ok` or `Err`, never a panic, and the image is never
+/// larger than the raster bytes the input holds.
 pub fn decode_bmp(bytes: &[u8]) -> Result<Image<Rgb8>, CodecError> {
-    if bytes.len() < 54 || &bytes[0..2] != b"BM" {
+    if bytes.len() < 54 || bytes.get(0..2) != Some(b"BM".as_slice()) {
         return Err(malformed("not a BMP file"));
     }
-    let le32 = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap());
-    let le16 = |o: usize| u16::from_le_bytes(bytes[o..o + 2].try_into().unwrap());
-    let raster_off = le32(10) as usize;
-    let header_size = le32(14);
+    let truncated = || malformed("header truncated");
+    let le32 = |o: usize| {
+        bytes
+            .get(o..o + 4)
+            .and_then(|b| b.try_into().ok())
+            .map(u32::from_le_bytes)
+            .ok_or_else(truncated)
+    };
+    let le16 = |o: usize| {
+        bytes
+            .get(o..o + 2)
+            .and_then(|b| b.try_into().ok())
+            .map(u16::from_le_bytes)
+            .ok_or_else(truncated)
+    };
+    let raster_off = le32(10)? as usize;
+    let header_size = le32(14)?;
     if header_size < 40 {
         return Err(CodecError::Unsupported("BITMAPCOREHEADER".into()));
     }
-    let w = le32(18) as i32;
-    let h = le32(22) as i32;
-    let bpp = le16(28);
-    let compression = le32(30);
+    let w = le32(18)? as i32;
+    let h = le32(22)? as i32;
+    let bpp = le16(28)?;
+    let compression = le32(30)?;
     if bpp != 24 || compression != 0 {
         return Err(CodecError::Unsupported(format!(
             "bpp={bpp} compression={compression} (only 24-bit BI_RGB)"
@@ -356,21 +372,35 @@ pub fn decode_bmp(bytes: &[u8]) -> Result<Image<Rgb8>, CodecError> {
     let bottom_up = h > 0;
     let height = h.unsigned_abs();
     let width = w as u32;
-    let row_bytes = (width as usize * 3 + 3) & !3;
-    let need = raster_off + row_bytes * height as usize;
-    if bytes.len() < need {
-        return Err(malformed("raster truncated"));
+    // rows are padded to 4 bytes; width >= 1, so row_bytes >= 4
+    let row_bytes = (width as usize)
+        .checked_mul(3)
+        .and_then(|b| b.checked_add(3))
+        .map(|b| b & !3)
+        .ok_or_else(|| malformed("row size overflows"))?;
+    let raster_end = row_bytes
+        .checked_mul(height as usize)
+        .and_then(|n| n.checked_add(raster_off))
+        .ok_or_else(|| malformed("raster size overflows"))?;
+    let raster = bytes
+        .get(raster_off..raster_end)
+        .ok_or_else(|| malformed("raster truncated"))?;
+    // no overflow: width * height < row_bytes * height, checked above
+    let mut data = Vec::with_capacity(width as usize * height as usize);
+    let mut push_row = |row: &[u8]| {
+        data.extend(
+            row.chunks_exact(3)
+                .take(width as usize)
+                .map(|bgr| Rgb8::new(bgr[2], bgr[1], bgr[0])),
+        )
+    };
+    let rows = raster.chunks_exact(row_bytes);
+    if bottom_up {
+        rows.rev().for_each(&mut push_row);
+    } else {
+        rows.for_each(&mut push_row);
     }
-    let mut img = Image::new(width, height);
-    for row in 0..height {
-        let src_row = if bottom_up { height - 1 - row } else { row };
-        let base = raster_off + src_row as usize * row_bytes;
-        for x in 0..width {
-            let o = base + x as usize * 3;
-            img.set(x, row, Rgb8::new(bytes[o + 2], bytes[o + 1], bytes[o]));
-        }
-    }
-    Ok(img)
+    Ok(Image::from_vec(width, height, data))
 }
 
 // ---------------------------------------------------------------------

@@ -118,6 +118,80 @@ fn decoder_never_panics_on_truncated_bmp() {
     });
 }
 
+/// A 54-byte BMP header with a randomized raster offset, width and
+/// height (negative values and `i32::MIN` included), bpp and
+/// compression, over a short random body.
+fn arb_bmp_header(g: &mut Gen) -> Vec<u8> {
+    const EDGES: [i32; 8] = [
+        0,
+        -1,
+        i32::MAX,
+        i32::MIN,
+        i32::MIN + 1,
+        1 << 30,
+        -(1 << 30),
+        0x5555_5555,
+    ];
+    let dim = |g: &mut Gen| {
+        if g.bool() {
+            g.i64_in(-9, 10) as i32
+        } else {
+            *g.pick(&EDGES)
+        }
+    };
+    let (w, h) = (dim(g), dim(g));
+    let raster_off = if g.bool() {
+        g.u32_in(0, 80)
+    } else {
+        *g.pick(&[u32::MAX, u32::MAX - 53, 1 << 31, 1 << 20])
+    };
+    let bpp: u16 = if g.bool() {
+        24
+    } else {
+        *g.pick(&[0, 1, 8, 32, u16::MAX])
+    };
+    let compression = if g.bool() {
+        0
+    } else {
+        *g.pick(&[1, 3, u32::MAX])
+    };
+    let body = g.usize_in(0, 160);
+    let mut b = Vec::with_capacity(54 + body);
+    b.extend_from_slice(b"BM");
+    b.extend_from_slice(&((54 + body) as u32).to_le_bytes());
+    b.extend_from_slice(&0u32.to_le_bytes());
+    b.extend_from_slice(&raster_off.to_le_bytes());
+    b.extend_from_slice(&40u32.to_le_bytes());
+    b.extend_from_slice(&w.to_le_bytes());
+    b.extend_from_slice(&h.to_le_bytes());
+    b.extend_from_slice(&1u16.to_le_bytes());
+    b.extend_from_slice(&bpp.to_le_bytes());
+    b.extend_from_slice(&compression.to_le_bytes());
+    b.resize(54, 0);
+    b.extend((0..body).map(|_| g.u8_any()));
+    b
+}
+
+#[test]
+fn bmp_random_headers_yield_a_verdict_never_a_panic() {
+    proputil::check("bmp_random_headers", 400, |g| {
+        let bytes = arb_bmp_header(g);
+        match catch_unwind(AssertUnwindSafe(|| codec::decode_bmp(&bytes))) {
+            // the image never holds more pixels than the input has bytes
+            Ok(Ok(img)) => ensure!(
+                img.width() as usize * img.height() as usize * 3 <= bytes.len(),
+                "{}x{} image from {} bytes",
+                img.width(),
+                img.height(),
+                bytes.len()
+            ),
+            Ok(Err(_)) => {}
+            Err(_) => return Err(format!("decode_bmp panicked on header {:?}", &bytes[..54])),
+        }
+        Ok(())
+    });
+}
+
 #[test]
 fn mse_axioms() {
     proputil::check("mse_axioms", CASES, |g| {

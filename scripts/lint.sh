@@ -63,11 +63,13 @@ tr -d ' \n' < crates/fisheye-serve/src/readiness.rs \
 # Composite workloads run the same module trio inside sessions: rig
 # geometry, stereo rectification and the composite plan executor all
 # sit behind the serve layer's per-frame path, so they carry the same
-# module-level panic-free deny attributes.
-echo "lint: rig/rectify/composite panic-free deny attributes present"
+# module-level panic-free deny attributes. So does the simd span
+# kernel, which every simd frame, single or composite, runs.
+echo "lint: rig/rectify/composite/simd panic-free deny attributes present"
 for f in crates/fisheye-geom/src/rig.rs \
          crates/fisheye-geom/src/rectify.rs \
-         crates/fisheye-core/src/composite.rs; do
+         crates/fisheye-core/src/composite.rs \
+         crates/fisheye-core/src/simd.rs; do
   tr -d ' \n' < "$f" | grep -q '#!\[deny(clippy::unwrap_used,clippy::expect_used,clippy::panic' \
     || { echo "lint: FAIL ($f lost its panic-free deny attribute)"; exit 1; }
 done
