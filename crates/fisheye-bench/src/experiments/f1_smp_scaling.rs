@@ -2,14 +2,17 @@
 //!
 //! Columns: measured wall time on this host's real threads (only
 //! meaningful on multi-core machines) and the calibrated analytical
-//! model's speedups (the paper-shape reproduction).
+//! model's speedups (the paper-shape reproduction). The measured
+//! correction is the `smp` engine over a compiled plan, the path
+//! served frames take.
 
-use fisheye_core::{correct_parallel, Interpolator, RemapMap};
+use fisheye_core::engine::EngineSpec;
+use fisheye_core::{Interpolator, RemapMap};
 use par_runtime::{Schedule, ThreadPool};
 
 use crate::smp_model::{modeled_speedup, KernelProfile, SmpConfig};
 use crate::table::{f2, Table};
-use crate::workloads::{default_resolution, random_workload, time_median};
+use crate::workloads::{default_resolution, random_workload, time_median, time_smp};
 use crate::Scale;
 
 /// Memory-boundedness assumed for the two phases when calibrating the
@@ -24,6 +27,7 @@ pub fn run(scale: Scale) -> Table {
     let reps = if scale == Scale::Full { 5 } else { 3 };
     let w = random_workload(res, 42);
     let sched = Schedule::Static { chunk: None };
+    let plan = w.plan_for(&EngineSpec::Smp { schedule: sched });
 
     // calibrate the model from single-thread measurements
     let t_map = time_median(reps, || {
@@ -61,15 +65,7 @@ pub fn run(scale: Scale) -> Table {
                 &w.lens, &w.view, res.w, res.h, &pool, sched,
             ));
         });
-        let ct = time_median(reps, || {
-            std::hint::black_box(correct_parallel(
-                &w.frame,
-                &w.map,
-                Interpolator::Bilinear,
-                &pool,
-                sched,
-            ));
-        });
+        let ct = time_smp(reps, &w.frame, &plan, &pool, sched);
         table.row(vec![
             p.to_string(),
             f2(modeled_speedup(&cfg, &map_prof, p, sched)),

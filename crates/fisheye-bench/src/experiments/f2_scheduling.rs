@@ -1,15 +1,16 @@
 //! F2 — scheduling-policy comparison on the correction loop.
 //!
 //! For each policy: modeled 8-thread time (paper shape), measured time
-//! on a real 4-thread pool, scheduling events, and load imbalance
-//! measured from per-worker dispatch statistics.
+//! of the `smp` engine on a real 4-thread pool, scheduling events, and
+//! load imbalance measured from per-worker dispatch statistics.
 
-use fisheye_core::{correct_parallel, Interpolator};
+use fisheye_core::engine::EngineSpec;
+use fisheye_core::Interpolator;
 use par_runtime::{Schedule, ThreadPool};
 
 use crate::smp_model::{chunk_count, modeled_time, KernelProfile, SmpConfig};
 use crate::table::{f2, Table};
-use crate::workloads::{default_resolution, random_workload, time_median};
+use crate::workloads::{default_resolution, random_workload, time_median, time_smp};
 use crate::Scale;
 
 /// The policy sweep the experiment reports.
@@ -44,6 +45,10 @@ pub fn run(scale: Scale) -> Table {
     let prof = KernelProfile::from_measured(t1, 0.7, rows);
     let cfg = SmpConfig::default();
     let pool = ThreadPool::new(4);
+    // the schedule does not change the plan: compile it once
+    let plan = w.plan_for(&EngineSpec::Smp {
+        schedule: Schedule::default_static(),
+    });
 
     let mut table = Table::new(
         format!("F2 — scheduling policies, correction loop ({})", res.name),
@@ -57,15 +62,7 @@ pub fn run(scale: Scale) -> Table {
     );
     for sched in policies() {
         let mt = modeled_time(&cfg, &prof, 8, sched) * 1e3;
-        let meas = time_median(reps, || {
-            std::hint::black_box(correct_parallel(
-                &w.frame,
-                &w.map,
-                Interpolator::Bilinear,
-                &pool,
-                sched,
-            ));
-        }) * 1e3;
+        let meas = time_smp(reps, &w.frame, &plan, &pool, sched) * 1e3;
         let stats = pool.parallel_for_stats(0..rows, sched, &|r| {
             std::hint::black_box(r.len());
         });

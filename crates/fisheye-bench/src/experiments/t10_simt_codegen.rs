@@ -11,8 +11,7 @@
 //! must agree *exactly* — `warps`, `line_accesses`, `distinct_lines`,
 //! `worst_warp_lines`, and therefore `avg_lines_per_warp`. That
 //! equality is the cross-check: an interpreter bug or a model drift
-//! breaks it, and `counters_match` in `results/BENCH_t10.json` gates
-//! `scripts/bench_smoke.sh`.
+//! breaks it, and the T10 table's `counters_match` gate fails.
 //!
 //! On top of the model's view, execution observes what an analytic
 //! pass cannot: `divergent_warps` (warps whose validity mask mixed
@@ -21,7 +20,7 @@
 //! functional contract rides along: the interpreter's float output is
 //! bit-exact with the `serial` host engine, and its fixed-LUT kernel
 //! is bit-exact with [`correct_fixed`] on the plan's q12 map
-//! (`all_bit_exact` gates the smoke script too).
+//! (the `all_bit_exact` gate).
 //!
 //! [`correct_fixed`]: fisheye_core::correct_fixed
 
@@ -43,6 +42,7 @@ use crate::Scale;
 pub const FRAC_BITS: u32 = 12;
 
 /// One (resolution, workgroup) comparison.
+#[cfg_attr(test, derive(Default))]
 pub struct SimtPoint {
     /// Resolution name.
     pub res: &'static str,
@@ -258,51 +258,14 @@ pub fn table(points: &[SimtPoint]) -> Table {
     t.note("divergence/lane_eff are execution-only: the fisheye rim splits warp validity masks, which the analytic model never sees");
     t.note("bit_exact = float kernel == serial host == gpusim output, and fixed-LUT kernel == correct_fixed on the plan's q12 map");
     t.note("simt_ms is the interpreter's functional wall-clock (best of reps), not a hardware estimate — gpusim owns the cycle model");
+    t.gate_flag("counters_match", points.iter().all(|p| p.counters_match));
+    t.gate_flag(
+        "all_bit_exact",
+        points
+            .iter()
+            .all(|p| p.float_bit_exact && p.fixed_bit_exact),
+    );
     t
-}
-
-/// `results/BENCH_t10.json` payload: the machine-readable contract
-/// `scripts/bench_smoke.sh` enforces — every row's counters must
-/// match the model and both kernels must stay bit-exact.
-pub fn to_json(points: &[SimtPoint], scale: Scale) -> String {
-    let mut rows = String::new();
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"res\": \"{}\", \"workgroup\": {}, \"simt_ms\": {:.4}, \
-             \"warps\": {}, \"lines_per_warp\": {:.6}, \"gpu_lines_per_warp\": {:.6}, \
-             \"divergence_rate\": {:.6}, \"lane_efficiency\": {:.6}, \
-             \"counters_match\": {}, \"float_bit_exact\": {}, \"fixed_bit_exact\": {}}}",
-            p.res,
-            p.workgroup,
-            p.simt_ms,
-            p.warps,
-            p.simt_lines_per_warp,
-            p.gpu_lines_per_warp,
-            p.divergence_rate,
-            p.lane_efficiency,
-            p.counters_match,
-            p.float_bit_exact,
-            p.fixed_bit_exact
-        ));
-    }
-    let counters_match = points.iter().all(|p| p.counters_match);
-    let all_exact = points
-        .iter()
-        .all(|p| p.float_bit_exact && p.fixed_bit_exact);
-    format!(
-        "{{\n  \"bench\": \"t10_simt_codegen\",\n  \"scale\": \"{}\",\n  \"rows\": [\n{}\n  ],\n  \
-         \"counters_match\": {},\n  \"all_bit_exact\": {}\n}}\n",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        },
-        rows,
-        counters_match,
-        all_exact
-    )
 }
 
 /// Run the experiment.
@@ -371,8 +334,8 @@ mod tests {
         let t = table(&points);
         assert_eq!(t.rows.len(), 4);
         assert_eq!(t.headers.len(), 10);
-        let json = to_json(&points, Scale::Quick);
-        assert!(json.contains("\"counters_match\": true"));
-        assert!(json.contains("\"all_bit_exact\": true"));
+        let names: Vec<&str> = t.gates.iter().map(|g| g.name).collect();
+        assert_eq!(names, ["counters_match", "all_bit_exact"]);
+        assert!(t.gates.iter().all(|g| g.passes()), "{:?}", t.gates);
     }
 }

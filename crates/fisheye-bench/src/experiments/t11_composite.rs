@@ -11,9 +11,9 @@
 //! before it even starts blending. The composite must therefore stay
 //! within a small factor of the per-camera *sum* (the blend arithmetic
 //! and the second gather on the overlap band are the only extras);
-//! the acceptance band `composite <= 1.15x sum` is enforced at release
-//! scale by `scripts/bench_smoke.sh` via `results/BENCH_t11.json`,
-//! alongside bit-exactness against the two-pass reference.
+//! the acceptance band `composite <= 1.15x sum` is a gate on the T11
+//! table, which `repro` checks at release scale alongside
+//! bit-exactness against the two-pass reference.
 //!
 //! The soak rows exercise the serve layer: panorama sessions sharing a
 //! rig compile each (camera, plane-class) plan once for the whole
@@ -36,13 +36,14 @@ use fisheye_geom::{CameraRig, FisheyeLens, Mat3, PerspectiveView, StereoRig};
 use fisheye_serve::{Server, ServerConfig, SessionConfig, Workload};
 use pixmap::{Gray8, Image};
 
-use crate::table::{f2, Table};
+use crate::table::{f2, Cmp, Table};
 use crate::workloads::{resolution, Resolution};
 use crate::Scale;
 
 /// One resolution's composite measurement. Sensor frames are square at
 /// the resolution's height; the panorama surface is the classic 2:1
 /// equirectangular of that sensor size.
+#[cfg_attr(test, derive(Default))]
 pub struct CompositePoint {
     /// Resolution name (sets the sensor size).
     pub res: &'static str,
@@ -63,6 +64,7 @@ pub struct CompositePoint {
 }
 
 /// Mixed-workload serving soak: plan sharing across session kinds.
+#[cfg_attr(test, derive(Default))]
 pub struct SoakStats {
     /// Sessions connected (singles + panoramas + stereo pairs).
     pub sessions: usize,
@@ -300,55 +302,18 @@ pub fn table(points: &[CompositePoint], soak: &SoakStats) -> Table {
         "soak: {} mixed sessions, cache {} hits / {} misses, {} delta recompiles after a one-camera rig nudge, {} frames completed",
         soak.sessions, soak.cache_hits, soak.cache_misses, soak.delta_recompiles, soak.completed
     ));
+    // NaN start: no rows fails the ratio gate
+    let max_ratio = points.iter().map(|p| p.ratio).fold(f64::NAN, f64::max);
+    t.gate("max_ratio", max_ratio, Cmp::AtMost, 1.15);
+    t.gate_flag("all_bit_exact", points.iter().all(|p| p.bit_exact));
+    // a one-camera rig nudge recompiles exactly one plan
+    t.gate(
+        "soak_delta_recompiles",
+        soak.delta_recompiles as f64,
+        Cmp::Equal,
+        1.0,
+    );
     t
-}
-
-/// `results/BENCH_t11.json` payload: the contract
-/// `scripts/bench_smoke.sh` enforces.
-pub fn to_json(points: &[CompositePoint], soak: &SoakStats, scale: Scale) -> String {
-    let mut rows = String::new();
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"res\": \"{}\", \"cameras\": {}, \"out\": \"{}x{}\", \
-             \"composite_ms\": {:.4}, \"percam_sum_ms\": {:.4}, \"ratio\": {:.4}, \
-             \"stereo_pair_ms\": {:.4}, \"bit_exact\": {}}}",
-            p.res,
-            p.cameras,
-            p.out.0,
-            p.out.1,
-            p.composite_ms,
-            p.percam_sum_ms,
-            p.ratio,
-            p.stereo_pair_ms,
-            p.bit_exact
-        ));
-    }
-    let max_ratio = points
-        .iter()
-        .map(|p| p.ratio)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let all_exact = points.iter().all(|p| p.bit_exact);
-    format!(
-        "{{\n  \"bench\": \"t11_composite\",\n  \"scale\": \"{}\",\n  \"rows\": [\n{}\n  ],\n  \
-         \"max_ratio\": {:.4},\n  \"all_bit_exact\": {},\n  \"soak_sessions\": {},\n  \
-         \"soak_cache_hits\": {},\n  \"soak_cache_misses\": {},\n  \
-         \"soak_delta_recompiles\": {},\n  \"soak_completed\": {}\n}}\n",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        },
-        rows,
-        max_ratio,
-        all_exact,
-        soak.sessions,
-        soak.cache_hits,
-        soak.cache_misses,
-        soak.delta_recompiles,
-        soak.completed
-    )
 }
 
 /// Run the experiment.
@@ -377,8 +342,8 @@ mod tests {
         );
         assert!(p.bit_exact, "composite must match the two-pass reference");
         assert!(p.composite_ms > 0.0 && p.percam_sum_ms > 0.0 && p.stereo_pair_ms > 0.0);
-        // debug builds are noisy; the release band (1.15x) is enforced
-        // by bench_smoke — here the one-pass walk just must not cost
+        // debug builds are noisy; the release band (1.15x) is gated by
+        // `repro` — here the one-pass walk just must not cost
         // multiples of the per-camera sum
         assert!(
             p.ratio < 2.0,

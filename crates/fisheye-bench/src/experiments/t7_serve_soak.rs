@@ -9,8 +9,8 @@
 //! view each round from a small shared pool (exercising the hot/cold
 //! plan-cache tiers without unbounded plan growth).
 //!
-//! Two soak claims are measured, both of which `scripts/bench_smoke.sh`
-//! enforces from `results/BENCH_t7.json`:
+//! Two soak claims are measured, both declared as gates on the T7
+//! table (with the ≥1000-session floor) and checked by `repro`:
 //!
 //! * **Bounded p99.** The measured window splits in half; the late
 //!   half's server-side latency p99 — isolated with
@@ -36,7 +36,7 @@ use fisheye_serve::{
     CameraFeed, Client, ClientEvent, Histogram, NetServer, NetServerConfig, ServerConfig,
 };
 
-use crate::table::{f2, Table};
+use crate::table::{f2, Cmp, Table};
 use crate::Scale;
 
 /// Source frame size — tiny, so a single core can pump a thousand
@@ -99,6 +99,7 @@ impl SoakConfig {
 
 /// What the soak measured.
 #[derive(Clone, Debug)]
+#[cfg_attr(test, derive(Default))]
 pub struct SoakResult {
     /// Concurrent sessions held.
     pub sessions: usize,
@@ -427,37 +428,10 @@ pub fn table(r: &SoakResult) -> Table {
     t.note("bounded_p99: late p99 <= 4x early + 50 ms — sustained service does not degrade as the soak runs");
     t.note("bounded_bytes: resident plan bytes (hot shard tiers + cold tier) plateau once the fixed view pool is compiled");
     t.note("frames are deliberately tiny (64x48 -> 32x24): the soak stresses sessions, churn and caches, not pixels");
+    t.gate("sessions", r.sessions as f64, Cmp::AtLeast, 1000.0);
+    t.gate_flag("bounded_p99", r.bounded_p99);
+    t.gate_flag("bounded_bytes", r.bounded_bytes);
     t
-}
-
-/// `results/BENCH_t7.json` payload: the machine-readable soak
-/// contract `scripts/bench_smoke.sh` enforces.
-pub fn to_json(r: &SoakResult, scale: Scale) -> String {
-    format!(
-        "{{\n  \"bench\": \"t7_serve_soak\",\n  \"scale\": \"{}\",\n  \
-         \"sessions\": {},\n  \"rounds\": {},\n  \"frames_done\": {},\n  \
-         \"frames_shed\": {},\n  \"reconnects\": {},\n  \"p99_early_us\": {},\n  \
-         \"p99_late_us\": {},\n  \"p99_growth\": {:.4},\n  \"bytes_mid\": {},\n  \
-         \"bytes_end\": {},\n  \"plan_compiles\": {},\n  \"bounded_p99\": {},\n  \
-         \"bounded_bytes\": {}\n}}\n",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        },
-        r.sessions,
-        r.rounds,
-        r.frames_done,
-        r.frames_shed,
-        r.reconnects,
-        r.p99_early_us,
-        r.p99_late_us,
-        r.p99_growth,
-        r.bytes_mid,
-        r.bytes_end,
-        r.plan_compiles,
-        r.bounded_p99,
-        r.bounded_bytes
-    )
 }
 
 /// Run the experiment.
@@ -471,7 +445,7 @@ mod tests {
 
     /// Shape check at debug-build scale: a small fleet, same protocol.
     /// The thousand-session claim itself runs under release via
-    /// `repro_t7_serve_soak` and is enforced by `bench_smoke.sh`.
+    /// `repro t7_serve_soak`, whose `sessions` gate this fleet fails.
     #[test]
     fn soak_shape_holds_on_a_small_fleet() {
         let r = soak(SoakConfig {
@@ -496,8 +470,9 @@ mod tests {
         let t = table(&r);
         assert_eq!(t.rows.len(), 1);
         assert_eq!(t.headers.len(), 12);
-        let json = to_json(&r, Scale::Quick);
-        assert!(json.contains("\"bounded_p99\""));
-        assert!(json.contains("\"sessions\": 24"));
+        let names: Vec<&str> = t.gates.iter().map(|g| g.name).collect();
+        assert_eq!(names, ["sessions", "bounded_p99", "bounded_bytes"]);
+        assert!(!t.gates[0].passes() && t.gates[0].observed == 24.0);
+        assert!(t.gates[2].passes(), "{:?}", t.gates[2]);
     }
 }

@@ -20,8 +20,8 @@
 //! the table bakes `transfer255` per byte, the reference evaluates it
 //! per pixel, same scalar expression either way — so `bit_exact` is
 //! asserted every run. The acceptance bands (`overhead ≤ 1.15×`,
-//! `speedup ≥ 1.3×` at VGA and above) are enforced at release scale
-//! by `scripts/bench_smoke.sh` via `results/BENCH_t9.json`.
+//! `speedup ≥ 1.3×` at VGA and above) are gates on the T9 table,
+//! which `repro` checks at release scale.
 //!
 //! [`PostPlan`]: fisheye_core::post::PostPlan
 //! [`CorrectionEngine::correct_frame_post`]: fisheye_core::engine::CorrectionEngine::correct_frame_post
@@ -36,7 +36,7 @@ use fisheye_core::Interpolator;
 use par_runtime::Schedule;
 use pixmap::{Gray8, Image};
 
-use crate::table::{f2, Table};
+use crate::table::{f2, Cmp, Table};
 use crate::workloads::{random_workload, resolution, Resolution};
 use crate::Scale;
 
@@ -88,6 +88,7 @@ fn reference_grade(stage: &PostStage, out: &mut Image<Gray8>) {
 }
 
 /// One (resolution, backend) measurement.
+#[cfg_attr(test, derive(Default))]
 pub struct PostPoint {
     /// Resolution name.
     pub res: &'static str,
@@ -206,7 +207,7 @@ fn post_point(
 pub fn points(scale: Scale) -> Vec<PostPoint> {
     // generous rep counts: best-of-reps only defeats a load spike if
     // at least one rep of every variant lands clear of it, and the
-    // smoke gate runs this binary seconds after a cargo build
+    // smoke run reaches this experiment seconds after a cargo build
     let (names, reps): (&[&str], usize) = match scale {
         Scale::Quick => (&["QVGA", "VGA"], 21),
         Scale::Full => (&["QVGA", "VGA", "720p", "1080p"], 15),
@@ -253,55 +254,16 @@ pub fn table(points: &[PostPoint]) -> Table {
     t.note("overhead = fused/correct (band: <= 1.15x at VGA+); speedup = twopass/fused (band: >= 1.3x at VGA+)");
     t.note("times are best-of-reps over interleaved runs: interference only adds time, so the quietest rep estimates the kernel, which is what the bands are claims about");
     t.note("bit_exact: the fused table path matches the per-pixel reference byte for byte — the table bakes the same transfer255 the reference evaluates");
+    // the bands cover VGA and above: QVGA frames fit in cache, so its
+    // ratios say little about the memory-bound regime fusion is about
+    // (NaN start: no such rows fails the gates)
+    let vga_up = || points.iter().filter(|p| p.res != "QVGA");
+    let max_overhead = vga_up().map(|p| p.overhead).fold(f64::NAN, f64::max);
+    let min_speedup = vga_up().map(|p| p.speedup).fold(f64::NAN, f64::min);
+    t.gate("max_overhead", max_overhead, Cmp::AtMost, 1.15);
+    t.gate("min_speedup", min_speedup, Cmp::AtLeast, 1.3);
+    t.gate_flag("all_bit_exact", points.iter().all(|p| p.bit_exact));
     t
-}
-
-/// `results/BENCH_t9.json` payload: the machine-readable contract
-/// `scripts/bench_smoke.sh` enforces. Aggregates cover VGA and above
-/// — QVGA frames fit in cache, so its ratios say little about the
-/// memory-bound regime the fusion argument is about.
-pub fn to_json(points: &[PostPoint], scale: Scale) -> String {
-    let mut rows = String::new();
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"res\": \"{}\", \"backend\": \"{}\", \"correct_ms\": {:.4}, \
-             \"fused_ms\": {:.4}, \"twopass_ms\": {:.4}, \"overhead\": {:.4}, \
-             \"speedup\": {:.4}, \"bit_exact\": {}}}",
-            p.res,
-            p.backend,
-            p.correct_ms,
-            p.fused_ms,
-            p.twopass_ms,
-            p.overhead,
-            p.speedup,
-            p.bit_exact
-        ));
-    }
-    let vga_up: Vec<&PostPoint> = points.iter().filter(|p| p.res != "QVGA").collect();
-    let max_overhead = vga_up
-        .iter()
-        .map(|p| p.overhead)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let min_speedup = vga_up
-        .iter()
-        .map(|p| p.speedup)
-        .fold(f64::INFINITY, f64::min);
-    let all_exact = points.iter().all(|p| p.bit_exact);
-    format!(
-        "{{\n  \"bench\": \"t9_fused_post\",\n  \"scale\": \"{}\",\n  \"rows\": [\n{}\n  ],\n  \
-         \"max_overhead\": {:.4},\n  \"min_speedup\": {:.4},\n  \"all_bit_exact\": {}\n}}\n",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        },
-        rows,
-        max_overhead,
-        min_speedup,
-        all_exact
-    )
 }
 
 /// Run the experiment.
@@ -340,8 +302,8 @@ mod tests {
                 p.twopass_ms
             );
         }
-        // the bands proper (1.15x / 1.3x) are enforced at release
-        // scale by bench_smoke; debug builds get generous slack but
+        // the bands proper (1.15x / 1.3x) are gated at release scale
+        // by `repro`; debug builds get generous slack but
         // must keep the shape at VGA, where timings leave the noise
         // floor
         for p in points.iter().filter(|p| p.res == "VGA") {
@@ -363,9 +325,8 @@ mod tests {
         let t = table(&points);
         assert_eq!(t.rows.len(), 6);
         assert_eq!(t.headers.len(), 8);
-        let json = to_json(&points, Scale::Quick);
-        assert!(json.contains("\"max_overhead\""));
-        assert!(json.contains("\"min_speedup\""));
-        assert!(json.contains("\"all_bit_exact\": true"));
+        let names: Vec<&str> = t.gates.iter().map(|g| g.name).collect();
+        assert_eq!(names, ["max_overhead", "min_speedup", "all_bit_exact"]);
+        assert!(t.gates[2].passes(), "{:?}", t.gates[2]);
     }
 }

@@ -3,8 +3,9 @@
 //! Regenerates every table and figure of the evaluation (see
 //! DESIGN.md §3 for the experiment index). Each experiment lives in
 //! [`experiments`] as a function returning a [`table::Table`]; the
-//! `repro_*` binaries print one each, and `repro_all` prints the whole
-//! evaluation. Micro-benchmarks for the underlying kernels are under
+//! `repro` binary prints one (`repro <slug>`), the smoke set
+//! (`repro smoke`) or the whole evaluation (`repro all`), and exits
+//! non-zero when a table's [gate](table::Gate) fails. Micro-benchmarks for the underlying kernels are under
 //! `benches/`, running on the in-tree [`timing`] harness (warmup +
 //! median-of-N batches), so `cargo bench` works fully offline.
 //!
@@ -27,23 +28,13 @@ pub mod table;
 pub mod timing;
 pub mod workloads;
 
-/// Experiment scale: `Quick` keeps every repro binary in seconds on a
-/// laptop core; `Full` uses the paper-scale resolutions.
+/// Experiment scale: `Quick` keeps every experiment in seconds on a
+/// laptop core; `Full` (`repro --full`) uses the paper-scale
+/// resolutions.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {
     /// Reduced resolutions, fewer repetitions.
     Quick,
     /// Paper-scale resolutions (slower).
     Full,
-}
-
-impl Scale {
-    /// Parse from argv: `--full` selects [`Scale::Full`].
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--full") {
-            Scale::Full
-        } else {
-            Scale::Quick
-        }
-    }
 }

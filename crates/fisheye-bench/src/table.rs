@@ -1,4 +1,59 @@
-//! Result tables: aligned text for the terminal, CSV for files.
+//! Result tables: aligned text for the terminal, CSV for files, and
+//! the pass/fail gates an experiment declares on its results.
+
+use std::fmt;
+
+/// How a [`Gate`] compares its observed value with its bound.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Cmp {
+    /// observed >= bound
+    AtLeast,
+    /// observed <= bound
+    AtMost,
+    /// observed == bound
+    Equal,
+}
+
+/// One pass/fail claim over a table's unrounded values. A NaN
+/// observation fails every comparison.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Gate {
+    /// What the observed value is (`max_overhead`, `all_bit_exact`).
+    pub name: &'static str,
+    /// The measured value; flags read 1 for true and 0 for false.
+    pub observed: f64,
+    /// The comparison the value must satisfy.
+    pub cmp: Cmp,
+    /// The threshold.
+    pub bound: f64,
+}
+
+impl Gate {
+    /// Whether the observed value satisfies the bound.
+    pub fn passes(&self) -> bool {
+        match self.cmp {
+            Cmp::AtLeast => self.observed >= self.bound,
+            Cmp::AtMost => self.observed <= self.bound,
+            Cmp::Equal => self.observed == self.bound,
+        }
+    }
+}
+
+impl fmt::Display for Gate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let op = match self.cmp {
+            Cmp::AtLeast => ">=",
+            Cmp::AtMost => "<=",
+            Cmp::Equal => "==",
+        };
+        let verdict = if self.passes() { "ok" } else { "FAIL" };
+        write!(
+            f,
+            "{} {} {op} {}: {verdict}",
+            self.name, self.observed, self.bound
+        )
+    }
+}
 
 /// A simple column-oriented result table.
 #[derive(Clone, Debug, PartialEq)]
@@ -12,6 +67,8 @@ pub struct Table {
     /// Free-form notes printed under the table (measurement regime,
     /// machine caveats).
     pub notes: Vec<String>,
+    /// Pass/fail claims over the rows, checked by the `repro` bin.
+    pub gates: Vec<Gate>,
 }
 
 impl Table {
@@ -22,6 +79,7 @@ impl Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
+            gates: Vec::new(),
         }
     }
 
@@ -40,6 +98,21 @@ impl Table {
     /// Append a note line.
     pub fn note(&mut self, s: impl Into<String>) {
         self.notes.push(s.into());
+    }
+
+    /// Declare a gate: `observed` must satisfy `cmp` against `bound`.
+    pub fn gate(&mut self, name: &'static str, observed: f64, cmp: Cmp, bound: f64) {
+        self.gates.push(Gate {
+            name,
+            observed,
+            cmp,
+            bound,
+        });
+    }
+
+    /// Declare a gate that holds when `flag` is true.
+    pub fn gate_flag(&mut self, name: &'static str, flag: bool) {
+        self.gate(name, f64::from(u8::from(flag)), Cmp::Equal, 1.0);
     }
 
     /// Render as aligned plain text.
@@ -74,10 +147,14 @@ impl Table {
         for n in &self.notes {
             out.push_str(&format!("note: {n}\n"));
         }
+        for g in &self.gates {
+            out.push_str(&format!("gate: {g}\n"));
+        }
         out
     }
 
-    /// Render as CSV (headers + rows; notes become `# comments`).
+    /// Render as CSV (headers + rows; notes and gates become
+    /// `# comments`).
     pub fn to_csv(&self) -> String {
         let esc = |s: &str| {
             if s.contains(',') || s.contains('"') {
@@ -89,6 +166,9 @@ impl Table {
         let mut out = String::new();
         for n in &self.notes {
             out.push_str(&format!("# {n}\n"));
+        }
+        for g in &self.gates {
+            out.push_str(&format!("# gate {g}\n"));
         }
         out.push_str(
             &self
@@ -108,7 +188,7 @@ impl Table {
 
     /// Print to stdout and write `<dir>/<slug>.csv`, where `<dir>` is
     /// the workspace's canonical `results/` directory (override with
-    /// `FISHEYE_RESULTS_DIR`). All repro binaries and benches funnel
+    /// `FISHEYE_RESULTS_DIR`). The `repro` bin and the benches funnel
     /// their CSV output through here so results never scatter.
     pub fn emit(&self, slug: &str) {
         println!("{}", self.render());
@@ -161,6 +241,8 @@ mod tests {
         t.row(vec!["1".into(), "2".into(), "3".into()]);
         t.row(vec!["10".into(), "200000".into(), "x,y".into()]);
         t.note("measured");
+        t.gate("ratio", 1.1501, Cmp::AtMost, 1.15);
+        t.gate_flag("exact", true);
         t
     }
 
@@ -170,6 +252,8 @@ mod tests {
         assert!(s.contains("== T0 sample =="));
         assert!(s.contains("long_header"));
         assert!(s.contains("note: measured"));
+        assert!(s.contains("gate: ratio 1.1501 <= 1.15: FAIL"), "{s}");
+        assert!(s.contains("gate: exact 1 == 1: ok"), "{s}");
         // every data line has the same length as the header line
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines[1].len(), lines[3].len());
@@ -178,7 +262,7 @@ mod tests {
     #[test]
     fn csv_escapes_commas() {
         let csv = sample().to_csv();
-        assert!(csv.starts_with("# measured\n"));
+        assert!(csv.starts_with("# measured\n# gate ratio 1.1501 <= 1.15: FAIL\n"));
         assert!(csv.contains("\"x,y\""));
         assert!(csv.contains("a,long_header,c"));
     }

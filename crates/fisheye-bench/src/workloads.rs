@@ -1,10 +1,11 @@
 //! Standard workloads shared by the experiments.
 
-use fisheye_core::engine::EngineSpec;
+use fisheye_core::engine::{execute_host_post, EngineSpec, HostEnv};
 use fisheye_core::plan::{PlanOptions, RemapPlan};
 use fisheye_core::synth::{capture_fisheye, World};
 use fisheye_core::{Interpolator, RemapMap};
 use fisheye_geom::{FisheyeLens, PerspectiveView};
+use par_runtime::{Schedule, ThreadPool};
 use pixmap::scene::scene_by_name;
 use pixmap::{Gray8, Image};
 
@@ -129,6 +130,37 @@ pub fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
     samples[samples.len() / 2]
+}
+
+/// Median-of-`reps` wall time, seconds, of the `smp` engine correcting
+/// `frame` over `plan` on `pool` under `schedule` — the path served
+/// frames take, with the plan compiled by the caller.
+pub fn time_smp(
+    reps: usize,
+    frame: &Image<Gray8>,
+    plan: &RemapPlan,
+    pool: &ThreadPool,
+    schedule: Schedule,
+) -> f64 {
+    let spec = EngineSpec::Smp { schedule };
+    let env = HostEnv {
+        pool: Some(pool),
+        geometry: None,
+    };
+    let mut out = Image::new(plan.width(), plan.height());
+    time_median(reps, || {
+        execute_host_post(
+            &spec,
+            Interpolator::Bilinear,
+            frame,
+            plan,
+            None,
+            &env,
+            &mut out,
+        )
+        .expect("smp correction");
+        std::hint::black_box(&out);
+    })
 }
 
 #[cfg(test)]

@@ -49,7 +49,7 @@ use fisheye_geom::{
 use pixmap::{Gray8, GrayF32, Image, Pixel};
 
 use crate::engine::{
-    active_post, post_pass, EngineError, EnginePixel, EngineSpec, FrameReport, HostEnv,
+    active_post, post_pass, refuse_host, EngineError, EnginePixel, EngineSpec, FrameReport, HostEnv,
 };
 use crate::frame::FrameFormat;
 use crate::interp::{
@@ -1124,6 +1124,14 @@ pub fn execute_composite_host<P: CompositePixel>(
     let name = spec.name();
     check_composite_dims(&name, srcs, plan, out)?;
     let post = active_post::<P>(&name, post)?;
+    if let EngineSpec::Simt { .. } = spec {
+        return Err(EngineError::unsupported(
+            &name,
+            "the SIMT kernel ISA gathers from a single bound source plane; \
+             composites need a per-pixel multi-source gather and run on host backends",
+        ));
+    }
+    refuse_host::<P>(&name, spec, interp)?;
     let mut report = FrameReport::new(&name);
     report.rows = plan.height as u64;
     report.kv("sources", plan.sources.len() as f64);
@@ -1159,18 +1167,6 @@ pub fn execute_composite_host<P: CompositePixel>(
             }
         }
         EngineSpec::Simd => {
-            if !P::HAS_SIMD {
-                return Err(EngineError::unsupported(
-                    &name,
-                    "no SIMD datapath for this pixel type",
-                ));
-            }
-            if interp != Interpolator::Bilinear {
-                return Err(EngineError::unsupported(
-                    &name,
-                    format!("simd implements bilinear only, not {}", interp.name()),
-                ));
-            }
             let t0 = Instant::now();
             P::composite_simd(srcs, plan, out)?;
             report.correct_time = t0.elapsed();
@@ -1178,12 +1174,6 @@ pub fn execute_composite_host<P: CompositePixel>(
             post_pass(&name, post, out, &mut report)?;
         }
         EngineSpec::FixedPoint { frac_bits } => {
-            if !P::HAS_FIXED {
-                return Err(EngineError::unsupported(
-                    &name,
-                    "no integer datapath for this pixel type",
-                ));
-            }
             // per-source LUTs through the plans' own memoization, so a
             // cache-shared source plan derives its LUT exactly once
             let mut luts = Vec::with_capacity(plan.sources.len());
@@ -1206,13 +1196,6 @@ pub fn execute_composite_host<P: CompositePixel>(
             report.correct_time = t0.elapsed();
             report.kv("frac_bits", frac_bits as f64);
             post_pass(&name, post, out, &mut report)?;
-        }
-        EngineSpec::Simt { .. } => {
-            return Err(EngineError::unsupported(
-                &name,
-                "the SIMT kernel ISA gathers from a single bound source plane; \
-                 composites need a per-pixel multi-source gather and run on host backends",
-            ));
         }
         _ => {
             return Err(EngineError::unsupported(

@@ -1,11 +1,11 @@
 //! Frame correction — phase 2 of the application.
 //!
 //! A pure gather: for every output pixel, read the LUT entry and
-//! interpolate the source frame there. Serial, multicore and
-//! fixed-point variants share the same per-row kernel so the platform
-//! comparison measures scheduling, not code differences.
+//! interpolate the source frame there. These map-walking serial and
+//! fixed-point loops are the golden references every engine in
+//! [`crate::engine`] is checked against; multicore correction is the
+//! `smp` engine over a compiled plan.
 
-use par_runtime::{Schedule, ThreadPool};
 use pixmap::{Gray8, Image, Pixel};
 
 use crate::interp::{sample_bilinear_fixed_gray8, Interpolator};
@@ -60,23 +60,6 @@ pub fn correct<P: Pixel>(src: &Image<P>, map: &RemapMap, interp: Interpolator) -
     out
 }
 
-/// Multicore correction: output rows distributed over the pool under
-/// `schedule`. Bit-identical to [`correct`].
-pub fn correct_parallel<P: Pixel>(
-    src: &Image<P>,
-    map: &RemapMap,
-    interp: Interpolator,
-    pool: &ThreadPool,
-    schedule: Schedule,
-) -> Image<P> {
-    let mut out = Image::new(map.width(), map.height());
-    let w = map.width() as usize;
-    pool.parallel_rows(out.pixels_mut(), w, schedule, &|row, out_row| {
-        correct_row(src, map.row(row as u32), interp, out_row);
-    });
-    out
-}
-
 /// Fixed-point correction of an 8-bit frame through a quantized LUT —
 /// the arithmetic the accelerator datapaths implement. Integer-only
 /// inner loop.
@@ -112,8 +95,11 @@ pub fn correct_fixed_into(src: &Image<Gray8>, map: &FixedRemapMap, out: &mut Ima
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{execute_host_post, EngineSpec, HostEnv};
     use crate::map::MapEntry;
+    use crate::plan::{PlanOptions, RemapPlan};
     use fisheye_geom::{FisheyeLens, PerspectiveView};
+    use par_runtime::{Schedule, ThreadPool};
     use pixmap::scene::random_gray;
 
     fn setup() -> (RemapMap, Image<Gray8>) {
@@ -136,12 +122,28 @@ mod tests {
         let (map, src) = setup();
         let serial = correct(&src, &map, Interpolator::Bilinear);
         let pool = ThreadPool::new(4);
+        let env = HostEnv {
+            pool: Some(&pool),
+            geometry: None,
+        };
+        let plan = RemapPlan::compile(&map, PlanOptions::default());
         for sched in [
             Schedule::Static { chunk: None },
             Schedule::Dynamic { chunk: 2 },
             Schedule::Guided { min_chunk: 1 },
         ] {
-            let par = correct_parallel(&src, &map, Interpolator::Bilinear, &pool, sched);
+            let spec = EngineSpec::Smp { schedule: sched };
+            let mut par = Image::new(map.width(), map.height());
+            execute_host_post(
+                &spec,
+                Interpolator::Bilinear,
+                &src,
+                &plan,
+                None,
+                &env,
+                &mut par,
+            )
+            .unwrap();
             assert_eq!(serial, par, "{sched:?}");
         }
     }

@@ -876,6 +876,31 @@ fn check_frame_dims<P: Pixel>(
     Ok(())
 }
 
+/// The refusals every host executor shares: `fixed` on a pixel type
+/// without an integer datapath, `simd` on one without a lane kernel,
+/// `simd` off bilinear, and the accelerator specs, which run outside
+/// this crate. Every other spec passes.
+pub(crate) fn refuse_host<P: EnginePixel>(
+    name: &str,
+    spec: &EngineSpec,
+    interp: Interpolator,
+) -> Result<(), EngineError> {
+    let reason: String = match *spec {
+        EngineSpec::FixedPoint { .. } if !P::HAS_FIXED => {
+            "no integer datapath for this pixel type".into()
+        }
+        EngineSpec::Simd if !P::HAS_SIMD => "no SoA kernel for this pixel type".into(),
+        EngineSpec::Simd if interp != Interpolator::Bilinear => {
+            format!("simd implements bilinear only, not {}", interp.name())
+        }
+        EngineSpec::Cell { .. } | EngineSpec::Gpu { .. } | EngineSpec::Simt { .. } => {
+            "accelerator model — build it via the facade crate's engine module".into()
+        }
+        _ => return Ok(()),
+    };
+    Err(EngineError::unsupported(name, reason))
+}
+
 /// Execute a host spec over a compiled plan, with an optional
 /// compiled post stage. This is the single dispatch point the boxed
 /// host engine and videopipe share — one kernel per path, measured and
@@ -900,11 +925,14 @@ pub fn execute_host_post<P: EnginePixel>(
     out: &mut Image<P>,
 ) -> Result<FrameReport, EngineError> {
     let name = spec.name();
+    if spec.is_host() {
+        check_frame_dims(&name, src, plan, out)?;
+    }
+    refuse_host::<P>(&name, spec, interp)?;
     let mut report = FrameReport::new(&name);
     report.rows = plan.height() as u64;
     match *spec {
         EngineSpec::Serial => {
-            check_frame_dims(&name, src, plan, out)?;
             match active_post::<P>(&name, post)? {
                 Some(pp) => {
                     let t0 = Instant::now();
@@ -925,7 +953,6 @@ pub fn execute_host_post<P: EnginePixel>(
             report.invalid_pixels = plan.invalid_pixels();
         }
         EngineSpec::Smp { schedule } => {
-            check_frame_dims(&name, src, plan, out)?;
             let pool = env.pool.ok_or_else(|| {
                 EngineError::unsupported(&name, "smp needs a thread pool (HostEnv::pool)")
             })?;
@@ -951,7 +978,6 @@ pub fn execute_host_post<P: EnginePixel>(
             report.kv("threads", pool.threads() as f64);
         }
         EngineSpec::Direct => {
-            check_frame_dims(&name, src, plan, out)?;
             let (lens, view) = env.geometry.ok_or_else(|| {
                 EngineError::unsupported(&name, "direct needs lens+view (HostEnv::geometry)")
             })?;
@@ -966,13 +992,6 @@ pub fn execute_host_post<P: EnginePixel>(
             return Ok(direct_report);
         }
         EngineSpec::FixedPoint { frac_bits } => {
-            check_frame_dims(&name, src, plan, out)?;
-            if !P::HAS_FIXED {
-                return Err(EngineError::unsupported(
-                    &name,
-                    "no integer datapath for this pixel type",
-                ));
-            }
             let owned;
             let fmap = match plan.fixed(frac_bits) {
                 Some(f) => f,
@@ -998,19 +1017,6 @@ pub fn execute_host_post<P: EnginePixel>(
             post_pass::<P>(&name, post, out, &mut report)?;
         }
         EngineSpec::Simd => {
-            check_frame_dims(&name, src, plan, out)?;
-            if !P::HAS_SIMD {
-                return Err(EngineError::unsupported(
-                    &name,
-                    "no SoA kernel for this pixel type",
-                ));
-            }
-            if interp != Interpolator::Bilinear {
-                return Err(EngineError::unsupported(
-                    &name,
-                    format!("simd implements bilinear only, not {}", interp.name()),
-                ));
-            }
             let t0 = Instant::now();
             P::simd_kernel(src, plan, out)?;
             report.correct_time = t0.elapsed();
@@ -1019,10 +1025,7 @@ pub fn execute_host_post<P: EnginePixel>(
             post_pass::<P>(&name, post, out, &mut report)?;
         }
         EngineSpec::Cell { .. } | EngineSpec::Gpu { .. } | EngineSpec::Simt { .. } => {
-            return Err(EngineError::unsupported(
-                &name,
-                "accelerator model — build it via the facade crate's engine module",
-            ));
+            unreachable!("refuse_host refuses {name}")
         }
     }
     Ok(report)
@@ -1109,6 +1112,7 @@ pub fn build_host<P: EnginePixel>(
     ctx: &HostCtx,
 ) -> Result<Box<dyn CorrectionEngine<P>>, EngineError> {
     let name = spec.name();
+    refuse_host::<P>(&name, spec, ctx.interp)?;
     let mut engine = HostEngine {
         spec: *spec,
         interp: ctx.interp,
@@ -1116,7 +1120,6 @@ pub fn build_host<P: EnginePixel>(
         geometry: None,
     };
     match *spec {
-        EngineSpec::Serial => {}
         EngineSpec::Smp { .. } => engine.pool = Some(ThreadPool::new(ctx.threads.max(1))),
         EngineSpec::Direct => {
             let (lens, view) = ctx.geometry.ok_or_else(|| {
@@ -1124,34 +1127,7 @@ pub fn build_host<P: EnginePixel>(
             })?;
             engine.geometry = Some((*lens, *view));
         }
-        EngineSpec::FixedPoint { .. } => {
-            if !P::HAS_FIXED {
-                return Err(EngineError::unsupported(
-                    &name,
-                    "no integer datapath for this pixel type",
-                ));
-            }
-        }
-        EngineSpec::Simd => {
-            if !P::HAS_SIMD {
-                return Err(EngineError::unsupported(
-                    &name,
-                    "no SoA kernel for this pixel type",
-                ));
-            }
-            if ctx.interp != Interpolator::Bilinear {
-                return Err(EngineError::unsupported(
-                    &name,
-                    format!("simd implements bilinear only, not {}", ctx.interp.name()),
-                ));
-            }
-        }
-        EngineSpec::Cell { .. } | EngineSpec::Gpu { .. } | EngineSpec::Simt { .. } => {
-            return Err(EngineError::unsupported(
-                &name,
-                "accelerator model — build it via the facade crate's engine module",
-            ));
-        }
+        _ => {}
     }
     Ok(Box::new(engine))
 }

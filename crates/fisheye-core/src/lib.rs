@@ -55,7 +55,7 @@ pub use composite::{
     rectified_camera_digest, rectified_camera_map, CompositePixel, CompositePlan,
     CompositeViewPlan, StereoPlan,
 };
-pub use correct::{correct, correct_fixed, correct_fixed_into, correct_into, correct_parallel};
+pub use correct::{correct, correct_fixed, correct_fixed_into, correct_into};
 pub use engine::{
     Capabilities, CorrectionEngine, EngineError, EnginePixel, EngineSpec, FrameReport, NumericClass,
 };

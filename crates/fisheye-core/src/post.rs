@@ -762,6 +762,45 @@ mod tests {
         assert!(Lut3d::parse_cube("LUT_3D_SIZE 200\n").is_err());
     }
 
+    /// Random `.cube` text: a size line (in and out of range), sample
+    /// counts at and around size³, keyword and comment lines, triples
+    /// with `nan`, `inf` and `1e400`, and random truncations. Every
+    /// input gets a verdict; an `Ok` LUT holds exactly size³ samples.
+    #[test]
+    fn parse_cube_random_text_yields_a_verdict_never_a_panic() {
+        const SIZES: [&str; 6] = ["2", "3", "1", "130", "-1", "x"];
+        const FIRST: [&str; 4] = ["0", "0.5", "-3", "1e400"];
+        const ANY: [&str; 8] = ["0", "0.5", "-3", "1e400", "nan", "inf", "NaN", "x"];
+        const OTHER: [&str; 4] = ["TITLE \"t\"", "DOMAIN_MIN 0 0 0", "# c", "nan 1 1"];
+        let oks = std::cell::Cell::new(0u32);
+        proputil::check("parse_cube_random_text", 300, |g| {
+            let mut text = format!("LUT_3D_SIZE {}\n", g.pick(&SIZES));
+            for _ in 0..*g.pick(&[8usize, 27, 7, 9, 28, 0]) {
+                if g.usize_in(0, 8) == 0 {
+                    let other = g.pick(&OTHER);
+                    text.push_str(&format!("{other}\n"));
+                }
+                let (r, gg, b) = (g.pick(&FIRST), g.pick(&ANY), g.pick(&ANY));
+                text.push_str(&format!("{r} {gg} {b}\n"));
+            }
+            if g.bool() {
+                // ASCII only: every cut is a char boundary
+                text.truncate(g.usize_in(0, text.len() + 1));
+            }
+            let parsed = std::panic::catch_unwind(|| Lut3d::parse_cube(&text));
+            match parsed {
+                Ok(Ok(lut)) => {
+                    oks.set(oks.get() + 1);
+                    proputil::ensure_eq!(lut.data.len(), (lut.size as usize).pow(3));
+                }
+                Ok(Err(_)) => {}
+                Err(_) => return Err(format!("parse_cube panicked on {text:?}")),
+            }
+            Ok(())
+        });
+        assert!(oks.get() > 0, "no case parsed: the Ok claim went unchecked");
+    }
+
     #[test]
     fn identity_stage_tables_are_exact() {
         let plan = PostStage::identity().compile(PostChannel::Luma);

@@ -1,7 +1,7 @@
 //! Simple raster drawing: lines, circles, crosses, rectangles.
 //!
 //! Used to overlay calibration grids and view frusta on output images
-//! (the visual-figure generator `repro_figures` and the examples), and
+//! (the visual-figure generator `repro figures` and the examples), and
 //! to build structured test content. Everything clips to the image
 //! bounds, so callers can draw partially off-screen shapes freely.
 

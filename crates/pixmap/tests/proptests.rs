@@ -192,6 +192,54 @@ fn bmp_random_headers_yield_a_verdict_never_a_panic() {
     });
 }
 
+/// A PNM header with a random magic, width, height and maxval (small
+/// values, or edges from 0 to `u32::MAX`), optionally separated by `#`
+/// comments, over a short body of raw bytes or ASCII samples.
+fn arb_pnm_header(g: &mut Gen) -> Vec<u8> {
+    const EDGES: [u32; 7] = [0, 1, 255, 256, 65535, 65536, u32::MAX];
+    let mut text = g.pick(&["P2", "P3", "P5", "P6"]).to_string();
+    for _ in 0..3 {
+        text.push_str(if g.bool() { "\n# note 1 2\n" } else { " " });
+        let v = if g.bool() {
+            g.u32_in(0, 9)
+        } else {
+            *g.pick(&EDGES)
+        };
+        text.push_str(&v.to_string());
+    }
+    text.push('\n');
+    let mut bytes = text.into_bytes();
+    let end = bytes.len() + g.usize_in(0, 160);
+    if g.bool() {
+        bytes.resize_with(end, || g.u8_any());
+    } else {
+        while bytes.len() < end {
+            bytes.extend(format!("{} ", g.u32_in(0, 300)).bytes());
+        }
+        bytes.truncate(end);
+    }
+    bytes
+}
+
+#[test]
+fn pnm_random_headers_yield_a_verdict_never_a_panic() {
+    proputil::check("pnm_random_headers", 400, |g| {
+        let bytes = arb_pnm_header(g);
+        let pixels = catch_unwind(AssertUnwindSafe(|| match &bytes[..2] {
+            b"P2" | b"P5" => codec::decode_pgm(&bytes).map(|i| i.len()),
+            _ => codec::decode_ppm(&bytes).map(|i| i.len()),
+        }));
+        let header = String::from_utf8_lossy(&bytes[..bytes.len().min(48)]).into_owned();
+        match pixels {
+            // the image never holds more pixels than the input has bytes
+            Ok(Ok(n)) => ensure!(n <= bytes.len(), "{n} pixels from {header:?}"),
+            Ok(Err(_)) => {}
+            Err(_) => return Err(format!("PNM decode panicked on {header:?}")),
+        }
+        Ok(())
+    });
+}
+
 #[test]
 fn mse_axioms() {
     proputil::check("mse_axioms", CASES, |g| {

@@ -207,7 +207,9 @@ where
     let mut improved = true;
     while improved && budget > 0 {
         improved = false;
-        for i in 0..tape.len() {
+        // a successful step replaces the tape with its replay, which
+        // can be shorter, so every step re-scans from the new tape
+        'scan: for i in 0..tape.len() {
             if tape[i] == 0 {
                 continue;
             }
@@ -223,7 +225,7 @@ where
                     tape = replay_tape;
                     msg = m;
                     improved = true;
-                    break; // re-scan from the smaller tape
+                    break 'scan;
                 }
             }
         }
@@ -397,6 +399,22 @@ mod tests {
             .and_then(|s| s.trim().parse().ok())
             .expect("tape in message");
         assert!((10..20).contains(&tape_val), "{msg}");
+    }
+
+    #[test]
+    fn shrinking_through_a_shorter_replay_still_reports_the_case() {
+        // the first draw sets how many follow, so zeroing it shortens
+        // the replay tape under the shrinker's scan
+        let r = catch_unwind(|| {
+            check("shorter_replay", 5, |g| {
+                let n = g.usize_in(1, 8);
+                let _: Vec<u64> = (0..n).map(|_| g.u64_any()).collect();
+                Err(format!("n={n}"))
+            });
+        });
+        let msg = panic_message(r.unwrap_err());
+        assert!(msg.contains("minimal tape:"), "{msg}");
+        assert!(msg.contains("PROPUTIL_CASE="), "{msg}");
     }
 
     #[test]

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Bench smoke: exercise the heaviest repro binaries at Quick scale so a
-# refactor that silently breaks an experiment (wrong columns, panicking
-# engine, plan/pool regression) is caught without waiting for a full
-# EXPERIMENTS.md regeneration.
+# Bench smoke: run the heaviest experiments and every gated one at
+# quick scale, so a refactor that silently breaks an experiment (wrong
+# columns, panicking engine, plan/pool regression) or misses one of
+# the T7-T11 gates is caught without a full evaluation run. `repro`
+# prints each gate and exits non-zero when one fails. The CSVs go to
+# a temporary directory, so the tracked results/ stay untouched.
 #
 # Run from anywhere: ./scripts/bench_smoke.sh
 set -euo pipefail
@@ -10,102 +12,12 @@ set -euo pipefail
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$repo"
 
-echo "bench-smoke: repro_a1_ablations (quick scale)"
-cargo run --release --offline -p fisheye-bench --bin repro_a1_ablations
+FISHEYE_RESULTS_DIR="$(mktemp -d)"
+export FISHEYE_RESULTS_DIR
+trap 'rm -rf "$FISHEYE_RESULTS_DIR"' EXIT
 
-echo "bench-smoke: repro_t4_engine_reports (quick scale)"
-cargo run --release --offline -p fisheye-bench --bin repro_t4_engine_reports
-
-echo "bench-smoke: repro_t6_color_formats (quick scale)"
-cargo run --release --offline -p fisheye-bench --bin repro_t6_color_formats
-
-echo "bench-smoke: repro_t7_serve_soak (quick scale, 1000 loopback sessions)"
-cargo run --release --offline -p fisheye-bench --bin repro_t7_serve_soak
-
-# The sharded front end must hold a thousand concurrent wire sessions
-# under connect/disconnect and view churn with no late-window p99
-# blow-up and no resident plan-byte growth once the view pool is
-# compiled.
-json="results/BENCH_t7.json"
-[ -f "$json" ] || { echo "bench-smoke: FAIL ($json missing)"; exit 1; }
-sessions="$(sed -n 's/.*"sessions": \([0-9]*\).*/\1/p' "$json")"
-growth="$(sed -n 's/.*"p99_growth": \([0-9.]*\).*/\1/p' "$json")"
-awk -v s="$sessions" 'BEGIN { exit !(s >= 1000) }' \
-  || { echo "bench-smoke: FAIL (soak held $sessions sessions < 1000)"; exit 1; }
-grep -q '"bounded_p99": true' "$json" \
-  || { echo "bench-smoke: FAIL (soak p99 grew ${growth}x, see $json)"; exit 1; }
-grep -q '"bounded_bytes": true' "$json" \
-  || { echo "bench-smoke: FAIL (resident plan bytes leaked, see $json)"; exit 1; }
-echo "bench-smoke: t7 soak held $sessions sessions, p99 growth ${growth}x bounded, plan bytes flat"
-
-echo "bench-smoke: repro_t8_view_churn (quick scale)"
-cargo run --release --offline -p fisheye-bench --bin repro_t8_view_churn
-
-# The view-change fast path must stay measurably faster than a cold
-# compile (the full-scale claim is >=3x at 1080p; quick scale enforces
-# a conservative floor) and bit-exact against it.
-json="results/BENCH_t8.json"
-[ -f "$json" ] || { echo "bench-smoke: FAIL ($json missing)"; exit 1; }
-min_speedup="$(sed -n 's/.*"min_speedup": \([0-9.]*\).*/\1/p' "$json")"
-grep -q '"all_bit_exact": true' "$json" \
-  || { echo "bench-smoke: FAIL (delta recompile not bit-exact, see $json)"; exit 1; }
-awk -v s="$min_speedup" 'BEGIN { exit !(s >= 2.0) }' \
-  || { echo "bench-smoke: FAIL (delta recompile speedup $min_speedup < 2.0x)"; exit 1; }
-echo "bench-smoke: t8 delta recompile ${min_speedup}x >= 2.0x, bit-exact"
-
-echo "bench-smoke: repro_t9_fused_post (quick scale)"
-cargo run --release --offline -p fisheye-bench --bin repro_t9_fused_post
-
-# The fused post stage must stay nearly free on the remap traversal
-# (<= 1.15x bare correction at VGA+), clearly beat a separate
-# per-pixel grading pass (>= 1.3x at VGA+), and match the two-pass
-# reference byte for byte.
-json="results/BENCH_t9.json"
-[ -f "$json" ] || { echo "bench-smoke: FAIL ($json missing)"; exit 1; }
-max_overhead="$(sed -n 's/.*"max_overhead": \([0-9.]*\).*/\1/p' "$json")"
-min_speedup="$(sed -n 's/.*"min_speedup": \([0-9.]*\).*/\1/p' "$json")"
-grep -q '"all_bit_exact": true' "$json" \
-  || { echo "bench-smoke: FAIL (fused post not bit-exact, see $json)"; exit 1; }
-awk -v o="$max_overhead" 'BEGIN { exit !(o <= 1.15) }' \
-  || { echo "bench-smoke: FAIL (fused post overhead ${max_overhead}x > 1.15x)"; exit 1; }
-awk -v s="$min_speedup" 'BEGIN { exit !(s >= 1.3) }' \
-  || { echo "bench-smoke: FAIL (fused post speedup ${min_speedup}x < 1.3x vs two-pass)"; exit 1; }
-echo "bench-smoke: t9 fused post ${max_overhead}x overhead <= 1.15x, ${min_speedup}x >= 1.3x vs two-pass, bit-exact"
-
-echo "bench-smoke: repro_t11_composite (quick scale)"
-cargo run --release --offline -p fisheye-bench --bin repro_t11_composite
-
-# The one-pass composite walk must stay within 1.15x of the sum of
-# its per-camera plan executions (the compose-after-correct baseline
-# pays that sum before blending anything), stay bit-exact against the
-# two-pass reference, and the mixed serving fleet must actually share
-# plans: a one-camera rig nudge recompiles exactly one plan.
-json="results/BENCH_t11.json"
-[ -f "$json" ] || { echo "bench-smoke: FAIL ($json missing)"; exit 1; }
-max_ratio="$(sed -n 's/.*"max_ratio": \([0-9.]*\).*/\1/p' "$json")"
-deltas="$(sed -n 's/.*"soak_delta_recompiles": \([0-9]*\).*/\1/p' "$json")"
-grep -q '"all_bit_exact": true' "$json" \
-  || { echo "bench-smoke: FAIL (composite not bit-exact, see $json)"; exit 1; }
-awk -v r="$max_ratio" 'BEGIN { exit !(r <= 1.15) }' \
-  || { echo "bench-smoke: FAIL (composite ${max_ratio}x > 1.15x per-camera sum)"; exit 1; }
-awk -v d="$deltas" 'BEGIN { exit !(d == 1) }' \
-  || { echo "bench-smoke: FAIL (rig nudge recompiled $deltas plans, expected 1)"; exit 1; }
-echo "bench-smoke: t11 composite ${max_ratio}x <= 1.15x per-camera sum, bit-exact, 1 delta recompile on rig nudge"
-
-echo "bench-smoke: repro_t10_simt_codegen (quick scale)"
-cargo run --release --offline -p fisheye-bench --bin repro_t10_simt_codegen
-
-# The SIMT interpreter executes the same lowered kernel the WGSL/C
-# emitters render; its warp/coalescing counters must agree exactly
-# with gpusim's analytic model on every row, and both kernel
-# datapaths must stay bit-exact with their host references.
-json="results/BENCH_t10.json"
-[ -f "$json" ] || { echo "bench-smoke: FAIL ($json missing)"; exit 1; }
-grep -q '"counters_match": true' "$json" \
-  || { echo "bench-smoke: FAIL (simt counters drifted from gpusim, see $json)"; exit 1; }
-grep -q '"all_bit_exact": true' "$json" \
-  || { echo "bench-smoke: FAIL (simt kernel not bit-exact, see $json)"; exit 1; }
-echo "bench-smoke: t10 simt counters match gpusim exactly, kernels bit-exact"
+echo "bench-smoke: repro smoke (quick scale, gated)"
+cargo run --release --offline -p fisheye-bench --bin repro -- smoke
 
 # Emitted kernel sources are pinned as snapshots; a drift here means
 # the WGSL/C emitters changed output without the snapshots (and the

@@ -19,8 +19,8 @@
 
 use std::sync::Arc;
 
-use fisheye::core::engine::NumericClass;
-use fisheye::core::{correct, correct_fixed, correct_parallel};
+use fisheye::core::engine::{execute_host_post, HostEnv, NumericClass};
+use fisheye::core::{correct, correct_fixed};
 use fisheye::img::metrics::psnr;
 use fisheye::prelude::*;
 use fisheye::stream::FixedMapGen;
@@ -231,12 +231,27 @@ fn smp_schedules_bit_exact() {
     let serial = correct(&frame, map, Interpolator::Bilinear);
     for threads in [2usize, 3, 8] {
         let pool = ThreadPool::new(threads);
+        let env = HostEnv {
+            pool: Some(&pool),
+            geometry: None,
+        };
         for sched in [
             Schedule::Static { chunk: None },
             Schedule::Dynamic { chunk: 1 },
             Schedule::Guided { min_chunk: 2 },
         ] {
-            let par = correct_parallel(&frame, map, Interpolator::Bilinear, &pool, sched);
+            let spec = EngineSpec::Smp { schedule: sched };
+            let mut par = Image::new(map.width(), map.height());
+            execute_host_post(
+                &spec,
+                Interpolator::Bilinear,
+                &frame,
+                &plan,
+                None,
+                &env,
+                &mut par,
+            )
+            .unwrap_or_else(|e| panic!("{threads} threads {sched:?}: {e}"));
             assert_eq!(serial, par, "{threads} threads {sched:?}");
         }
     }

@@ -3,9 +3,9 @@
 
 use std::sync::Arc;
 
-use fisheye::core::engine::{build_host, HostCtx};
+use fisheye::core::engine::{build_host, execute_host_post, HostCtx, HostEnv};
 use fisheye::core::post::{PostChannel, PostPixel};
-use fisheye::core::{correct, correct_fixed, correct_parallel};
+use fisheye::core::{correct, correct_fixed};
 use fisheye::geom::{FisheyeLens, LensModel, PerspectiveView, Vec3};
 use fisheye::prelude::*;
 use proputil::{ensure, ensure_eq, Gen};
@@ -109,8 +109,8 @@ fn fixed_converges_to_float() {
     });
 }
 
-/// Parallel correction is bit-exact vs serial for arbitrary odd
-/// dimensions, thread counts and schedules.
+/// Parallel correction (the `smp` engine) is bit-exact vs serial for
+/// arbitrary odd dimensions, thread counts and schedules.
 #[test]
 fn parallel_always_matches_serial() {
     proputil::check("parallel_always_matches_serial", CASES, |g| {
@@ -124,13 +124,25 @@ fn parallel_always_matches_serial() {
         let frame = fisheye::img::scene::random_gray(101, 83, 5);
         let serial = correct(&frame, &map, Interpolator::Bilinear);
         let pool = ThreadPool::new(threads);
-        let par = correct_parallel(
-            &frame,
-            &map,
+        let env = HostEnv {
+            pool: Some(&pool),
+            geometry: None,
+        };
+        let spec = EngineSpec::Smp {
+            schedule: Schedule::Dynamic { chunk },
+        };
+        let plan = RemapPlan::compile(&map, PlanOptions::for_spec(&spec, Interpolator::Bilinear));
+        let mut par = Image::new(w, h);
+        execute_host_post(
+            &spec,
             Interpolator::Bilinear,
-            &pool,
-            Schedule::Dynamic { chunk },
-        );
+            &frame,
+            &plan,
+            None,
+            &env,
+            &mut par,
+        )
+        .map_err(|e| e.to_string())?;
         ensure_eq!(serial, par, "w={w} h={h} threads={threads} chunk={chunk}");
         Ok(())
     });
