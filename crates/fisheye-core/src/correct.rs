@@ -236,6 +236,39 @@ mod tests {
     }
 
     #[test]
+    fn far_left_entries_stay_valid_in_the_fixed_lut() {
+        // a corner that floors to -32768 or below used to saturate onto
+        // `FixedMapEntry::INVALID`'s x0: `fixed` rendered black where
+        // the float path samples the border, and reported nothing
+        let src = Image::from_fn(4, 4, |x, _| Gray8(10 + 60 * x as u8));
+        for sx in [-1e20, -40000.0, -32767.6, -32767.4] {
+            let map = RemapMap::from_entries(1, 1, 4, 4, vec![MapEntry { sx, sy: 3.0 }]);
+            let lut = map.to_fixed(12);
+            assert!(lut.entry(0, 0).is_valid(), "{sx}");
+            assert_eq!(correct_fixed(&src, &lut).pixel(0, 0), Gray8(10), "{sx}");
+            assert_eq!(
+                correct(&src, &map, Interpolator::Bilinear).pixel(0, 0),
+                Gray8(10),
+                "{sx}"
+            );
+            let plan = RemapPlan::compile(&map, PlanOptions::default());
+            let mut out = Image::new(1, 1);
+            let report = execute_host_post(
+                &EngineSpec::FixedPoint { frac_bits: 12 },
+                Interpolator::Bilinear,
+                &src,
+                &plan,
+                None,
+                &HostEnv::default(),
+                &mut out,
+            )
+            .unwrap();
+            assert_eq!(out.pixel(0, 0), Gray8(10), "{sx}");
+            assert_eq!(report.invalid_pixels, 0, "{sx}");
+        }
+    }
+
+    #[test]
     fn identity_like_map_preserves_image() {
         // a Brown-Conrady identity map (no distortion) is a near-copy
         let bc = fisheye_geom::BrownConrady::default();

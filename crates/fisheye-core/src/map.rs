@@ -341,9 +341,12 @@ impl RemapMap {
                 let wx = ((fx - x0) * scale + 0.5) as u16;
                 let wy = ((fy - y0) * scale + 0.5) as u16;
                 // weights live in [0, 2^frac] inclusive; the
-                // interpolator treats 2^frac as exactly 1.0
+                // interpolator treats 2^frac as exactly 1.0. The corner
+                // stays above i16::MIN, the invalid marker: a valid
+                // entry far left of the source keeps sampling its
+                // border, as the float path does
                 FixedMapEntry {
-                    x0: x0 as i16,
+                    x0: x0.max(-32767.0) as i16,
                     y0: y0 as i16,
                     wx: wx.min(scale as u16),
                     wy: wy.min(scale as u16),
@@ -426,7 +429,8 @@ fn fill_row(
 /// top-left source texel plus Q0.`frac` weights. 8 bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FixedMapEntry {
-    /// Top-left texel x (may be −1 at the border; `i16::MIN` = invalid).
+    /// Top-left texel x (may be −1 at the border; `i16::MIN` = invalid,
+    /// so a valid entry's corner is clamped to −32767 and above).
     pub x0: i16,
     /// Top-left texel y.
     pub y0: i16,
