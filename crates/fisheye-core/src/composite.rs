@@ -21,11 +21,14 @@
 //!   [`plan_request_digest`](crate::plan::plan_request_digest) so
 //!   composites share the serve layer's two-tier cache.
 //!
-//! [`execute_composite_host`] mirrors `execute_host_post`: the
-//! serial/smp backends fuse the post stage into the row traversal, the
-//! simd/fixed backends run their specialized kernels (reusing the
-//! per-source SoA planes and fixed LUTs) followed by the two-pass post
-//! reference. Every backend is bit-exact against
+//! [`execute_composite_host`] mirrors `execute_host_post` and shares
+//! its span kernels and row driver: the spec picks one kernel per
+//! source (reading that source plan's SoA planes or fixed LUT), and a
+//! segment walk hands each `Exclusive` run to its source's kernel
+//! whole and each `Blend` pixel to every weighted source's kernel. The
+//! serial/smp backends grade each finished row with the post stage;
+//! simd/fixed run the two-pass post reference after the frame. Every
+//! backend is bit-exact against
 //! [`compose_layers`] applied to per-camera corrections from the
 //! matching single-plan backend — the "two-pass" reference the
 //! property tests pin. The SIMT backend does not lower composites:
@@ -41,7 +44,6 @@
 use std::f64::consts::{PI, TAU};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 use fisheye_geom::{
     CameraRig, FisheyeLens, Mat3, MountedLens, OutputProjection, RectifiedPair, StereoRig,
@@ -49,16 +51,16 @@ use fisheye_geom::{
 use pixmap::{Gray8, GrayF32, Image, Pixel};
 
 use crate::engine::{
-    active_post, post_pass, refuse_host, EngineError, EnginePixel, EngineSpec, FrameReport, HostEnv,
+    active_post, drive_rows, host_pool, post_pass, refuse_host, EngineError, EnginePixel,
+    EngineSpec, FrameReport, HostEnv,
 };
 use crate::frame::FrameFormat;
-use crate::interp::{
-    sample_bicubic, sample_bilinear, sample_bilinear_fixed_gray8, sample_nearest, Interpolator,
+use crate::interp::Interpolator;
+use crate::map::{MapEntry, RemapMap};
+use crate::plan::{
+    correct_plan, with_sampler, Fixed, Float, Fnv, Lanes, PlanOptions, RemapPlan, SpanKernel,
 };
-use crate::map::{FixedRemapMap, MapEntry, RemapMap};
-use crate::plan::{correct_plan, Fnv, PlanOptions, RemapPlan};
 use crate::post::{PostPixel, PostPlan};
-use crate::simd::{gather_span, LaneTap};
 
 // ---------------------------------------------------------------------
 // Geometry tracing
@@ -157,33 +159,12 @@ pub fn rectified_camera_map(pair: &RectifiedPair, eye: &MountedLens) -> RemapMap
 // Cache digests
 // ---------------------------------------------------------------------
 
-fn mix_lens(h: &mut Fnv, lens: &FisheyeLens) {
-    use std::hash::Hash;
-    lens.model.hash(h);
-    h.mix(lens.focal_px.to_bits());
-    h.mix(lens.cx.to_bits());
-    h.mix(lens.cy.to_bits());
-    h.mix(lens.max_theta.to_bits());
-}
-
 fn mix_mat(h: &mut Fnv, m: &Mat3) {
     for row in &m.m {
         for v in row {
             h.mix(v.to_bits());
         }
     }
-}
-
-fn mix_opts(h: &mut Fnv, opts: &PlanOptions) {
-    h.mix(opts.frac_bits.len() as u64);
-    for &b in &opts.frac_bits {
-        h.mix(b as u64);
-    }
-    h.mix(opts.tiles.len() as u64);
-    for &(tw, th) in &opts.tiles {
-        h.mix(((tw as u64) << 32) | th as u64);
-    }
-    h.mix(opts.interp as u64);
 }
 
 /// Cache key for one camera's panorama source plan — the composite
@@ -200,12 +181,12 @@ pub fn panorama_camera_digest(
 ) -> u64 {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     h.mix(0x7061_6e6f); // "pano"
-    mix_lens(&mut h, &cam.lens);
+    h.mix_lens(&cam.lens);
     mix_mat(&mut h, &cam.cam_to_world);
     h.mix(((width as u64) << 32) | height as u64);
     let (sw, sh) = sensor_dims(&cam.lens);
     h.mix(((sw as u64) << 32) | sh as u64);
-    mix_opts(&mut h, opts);
+    h.mix_opts(opts);
     h.0
 }
 
@@ -219,11 +200,11 @@ pub fn rectified_camera_digest(pair: &RectifiedPair, eye: &MountedLens, opts: &P
     h.mix(((pair.width as u64) << 32) | pair.height as u64);
     h.mix(pair.h_range.to_bits());
     h.mix(pair.v_range.to_bits());
-    mix_lens(&mut h, &eye.lens);
+    h.mix_lens(&eye.lens);
     mix_mat(&mut h, &eye.cam_to_world);
     let (sw, sh) = sensor_dims(&eye.lens);
     h.mix(((sw as u64) << 32) | sh as u64);
-    mix_opts(&mut h, opts);
+    h.mix_opts(opts);
     h.0
 }
 
@@ -645,15 +626,15 @@ impl fmt::Debug for StereoPlan {
 }
 
 // ---------------------------------------------------------------------
-// CompositePixel: blend arithmetic + specialized kernels
+// CompositePixel: blend arithmetic
 // ---------------------------------------------------------------------
 
 /// Pixel types the composite executor can blend. The accumulator and
 /// finish rule define the overlap arithmetic each element type uses —
 /// integer `(Σ vᵢ·qᵢ + 127) / 255` for `u8` planes (the legacy
-/// stitcher's exact rounding), float `Σ vᵢ·(qᵢ/255)` for `f32` — and
-/// the optional SIMD / fixed-point kernels mirror
-/// [`EnginePixel`]'s per-backend datapaths.
+/// stitcher's exact rounding), float `Σ vᵢ·(qᵢ/255)` for `f32`. The
+/// samples come from the [`EnginePixel`] datapaths, so a composite
+/// backend exists wherever the single-plan one does.
 pub trait CompositePixel: EnginePixel + PostPixel {
     /// Weighted-blend accumulator.
     type Acc: Copy;
@@ -668,38 +649,6 @@ pub trait CompositePixel: EnginePixel + PostPixel {
     /// `q = 255` contribution this is exact (identity), so exclusive
     /// runs and blend runs share one arithmetic definition.
     fn acc_finish(acc: Self::Acc) -> Self;
-
-    /// 8-lane SoA kernel over the composite program — bit-exact
-    /// against per-source [`crate::simd`] corrections blended with
-    /// [`compose_layers`]. Default: no SIMD datapath.
-    fn composite_simd(
-        srcs: &[&Image<Self>],
-        plan: &CompositePlan,
-        out: &mut Image<Self>,
-    ) -> Result<(), EngineError> {
-        let _ = (srcs, plan, out);
-        Err(EngineError::unsupported(
-            "simd",
-            "no composite SIMD datapath for this pixel type",
-        ))
-    }
-
-    /// Integer-LUT kernel over the composite program (`luts` holds one
-    /// fixed map per source, same weight width) — bit-exact against
-    /// per-source [`crate::correct_fixed_into`] corrections blended
-    /// with [`compose_layers`]. Default: no integer datapath.
-    fn composite_fixed(
-        srcs: &[&Image<Self>],
-        plan: &CompositePlan,
-        luts: &[Arc<FixedRemapMap>],
-        out: &mut Image<Self>,
-    ) -> Result<(), EngineError> {
-        let _ = (srcs, plan, luts, out);
-        Err(EngineError::unsupported(
-            "fixed",
-            "no composite integer datapath for this pixel type",
-        ))
-    }
 }
 
 impl CompositePixel for Gray8 {
@@ -715,82 +664,6 @@ impl CompositePixel for Gray8 {
 
     fn acc_finish(acc: u32) -> Gray8 {
         Gray8(((acc + 127) / 255) as u8)
-    }
-
-    fn composite_simd(
-        srcs: &[&Image<Gray8>],
-        plan: &CompositePlan,
-        out: &mut Image<Gray8>,
-    ) -> Result<(), EngineError> {
-        composite_simd_rows(srcs, plan, out);
-        Ok(())
-    }
-
-    fn composite_fixed(
-        srcs: &[&Image<Gray8>],
-        plan: &CompositePlan,
-        luts: &[Arc<FixedRemapMap>],
-        out: &mut Image<Gray8>,
-    ) -> Result<(), EngineError> {
-        let n = srcs.len();
-        let frac = match luts.first() {
-            Some(l) => l.frac_bits(),
-            None => {
-                return Err(EngineError::backend(
-                    "fixed",
-                    "composite fixed kernel needs one LUT per source",
-                ))
-            }
-        };
-        for y in 0..plan.height {
-            let out_row = out.row_mut(y);
-            let mut cursor = 0usize;
-            for seg in plan.row_segs(y) {
-                match *seg {
-                    Seg::Exclusive { source, start, end } => {
-                        out_row[cursor..start as usize].fill(Gray8(0));
-                        let r = start as usize..end as usize;
-                        let row = luts[source as usize].row(y);
-                        let src = srcs[source as usize];
-                        for (o, e) in out_row[r.clone()].iter_mut().zip(&row[r.clone()]) {
-                            *o = if e.is_valid() {
-                                sample_bilinear_fixed_gray8(src, e.x0, e.y0, e.wx, e.wy, frac)
-                            } else {
-                                Gray8(0)
-                            };
-                        }
-                        cursor = r.end;
-                    }
-                    Seg::Blend { start, end, woff } => {
-                        out_row[cursor..start as usize].fill(Gray8(0));
-                        let r = start as usize..end as usize;
-                        let mut wo = woff as usize;
-                        for (off, o) in out_row[r.clone()].iter_mut().enumerate() {
-                            let x = r.start + off;
-                            let mut acc = 0u32;
-                            for (i, &q) in plan.weights[wo..wo + n].iter().enumerate() {
-                                if q > 0 {
-                                    let e = luts[i].row(y)[x];
-                                    let v = if e.is_valid() {
-                                        sample_bilinear_fixed_gray8(
-                                            srcs[i], e.x0, e.y0, e.wx, e.wy, frac,
-                                        )
-                                    } else {
-                                        Gray8(0)
-                                    };
-                                    acc += v.0 as u32 * q as u32;
-                                }
-                            }
-                            *o = Gray8(((acc + 127) / 255) as u8);
-                            wo += n;
-                        }
-                        cursor = r.end;
-                    }
-                }
-            }
-            out_row[cursor..].fill(Gray8(0));
-        }
-        Ok(())
     }
 }
 
@@ -808,184 +681,48 @@ impl CompositePixel for GrayF32 {
     fn acc_finish(acc: f32) -> GrayF32 {
         GrayF32(acc)
     }
-
-    fn composite_simd(
-        srcs: &[&Image<GrayF32>],
-        plan: &CompositePlan,
-        out: &mut Image<GrayF32>,
-    ) -> Result<(), EngineError> {
-        composite_simd_rows(srcs, plan, out);
-        Ok(())
-    }
-}
-
-/// The composite SIMD kernel of every [`LaneTap`] plane: exclusive
-/// runs go through the span kernel straight from the source planes,
-/// blend runs sample each source with `sample_bilinear` (the lane
-/// arithmetic, per pixel) and blend with the type's accumulator —
-/// matching per-source SIMD corrections blended with
-/// [`compose_layers`] bit for bit.
-fn composite_simd_rows<P: CompositePixel + LaneTap>(
-    srcs: &[&Image<P>],
-    plan: &CompositePlan,
-    out: &mut Image<P>,
-) {
-    let n = srcs.len();
-    for y in 0..plan.height {
-        let out_row = out.row_mut(y);
-        let mut cursor = 0usize;
-        for seg in plan.row_segs(y) {
-            match *seg {
-                Seg::Exclusive { source, start, end } => {
-                    out_row[cursor..start as usize].fill(P::BLACK);
-                    let (s, e) = (start as usize, end as usize);
-                    let sp = &plan.sources[source as usize];
-                    gather_span(
-                        srcs[source as usize],
-                        &sp.row_sx(y)[s..e],
-                        &sp.row_sy(y)[s..e],
-                        &mut out_row[s..e],
-                    );
-                    cursor = e;
-                }
-                Seg::Blend { start, end, woff } => {
-                    out_row[cursor..start as usize].fill(P::BLACK);
-                    let r = start as usize..end as usize;
-                    let mut wo = woff as usize;
-                    for (off, o) in out_row[r.clone()].iter_mut().enumerate() {
-                        let x = r.start + off;
-                        let mut acc = P::acc_zero();
-                        for (i, &q) in plan.weights[wo..wo + n].iter().enumerate() {
-                            if q > 0 {
-                                let sp = &plan.sources[i];
-                                let v = sample_bilinear(srcs[i], sp.row_sx(y)[x], sp.row_sy(y)[x]);
-                                P::acc_add(&mut acc, v, q);
-                            }
-                        }
-                        *o = P::acc_finish(acc);
-                        wo += n;
-                    }
-                    cursor = r.end;
-                }
-            }
-        }
-        out_row[cursor..].fill(P::BLACK);
-    }
 }
 
 // ---------------------------------------------------------------------
-// Row kernels + two-pass reference
+// The segment walk + two-pass reference
 // ---------------------------------------------------------------------
 
-/// Walk one row of the composite program: gap pixels through `fill`,
-/// sampled pixels through `sample` (per source) and `finish` (post
-/// fusion seam, given the absolute output x).
-fn seg_row<P: CompositePixel>(
-    srcs: &[&Image<P>],
+/// The segment row walk every composite datapath runs, with one span
+/// kernel per source: gaps fill black, an `Exclusive` run goes through
+/// its source's [`SpanKernel::span`] (the single-plan kernel,
+/// unchanged), and a `Blend` run accumulates every weighted source's
+/// [`SpanKernel::sample`] in source order.
+fn seg_row<P: CompositePixel, K: SpanKernel<P>>(
     plan: &CompositePlan,
+    ks: &[K],
     y: u32,
     out_row: &mut [P],
-    sample: &impl Fn(&Image<P>, f32, f32) -> P,
-    finish: &impl Fn(P, usize) -> P,
-    fill: &impl Fn(usize) -> P,
 ) {
-    let n = srcs.len();
-    // hoist every source's row coordinates out of the pixel loops —
-    // blend segments re-enter the same rows pixel after pixel
-    let rows: Vec<(&[f32], &[f32])> = plan
-        .sources
-        .iter()
-        .map(|sp| (sp.row_sx(y), sp.row_sy(y)))
-        .collect();
-    let fill_gap = |row: &mut [P], from: usize, to: usize| {
-        for (off, o) in row[from..to].iter_mut().enumerate() {
-            *o = fill(from + off);
-        }
-    };
+    let row_start = y as usize * out_row.len();
     let mut cursor = 0usize;
     for seg in plan.row_segs(y) {
+        let (Seg::Exclusive { start, end, .. } | Seg::Blend { start, end, .. }) = *seg;
+        let (start, end) = (start as usize, end as usize);
+        out_row[cursor..start].fill(P::BLACK);
+        let run = &mut out_row[start..end];
         match *seg {
-            Seg::Exclusive { source, start, end } => {
-                fill_gap(out_row, cursor, start as usize);
-                // zipped iterators, like the single-plan span walk:
-                // the exclusive run is the bulk of the surface and
-                // must not pay per-pixel bounds checks
-                let r = start as usize..end as usize;
-                let (sx, sy) = rows[source as usize];
-                let src = srcs[source as usize];
-                for (i, ((cx, cy), o)) in sx[r.clone()]
-                    .iter()
-                    .zip(&sy[r.clone()])
-                    .zip(&mut out_row[r.clone()])
-                    .enumerate()
-                {
-                    *o = finish(sample(src, *cx, *cy), r.start + i);
-                }
-                cursor = r.end;
-            }
-            Seg::Blend { start, end, woff } => {
-                fill_gap(out_row, cursor, start as usize);
-                let mut wo = woff as usize;
-                for x in start as usize..end as usize {
+            Seg::Exclusive { source, .. } => ks[source as usize].span(y, start, run),
+            Seg::Blend { woff, .. } => {
+                let weights = plan.weights[woff as usize..].chunks_exact(ks.len());
+                for ((i, o), qs) in (row_start + start..).zip(run).zip(weights) {
                     let mut acc = P::acc_zero();
-                    for (i, &q) in plan.weights[wo..wo + n].iter().enumerate() {
+                    for (k, &q) in ks.iter().zip(qs) {
                         if q > 0 {
-                            let (sx, sy) = rows[i];
-                            P::acc_add(&mut acc, sample(srcs[i], sx[x], sy[x]), q);
+                            P::acc_add(&mut acc, k.sample(i), q);
                         }
                     }
-                    out_row[x] = finish(P::acc_finish(acc), x);
-                    wo += n;
+                    *o = P::acc_finish(acc);
                 }
-                cursor = end as usize;
             }
         }
+        cursor = end;
     }
-    let len = out_row.len();
-    fill_gap(out_row, cursor, len);
-}
-
-/// Composite one output row — the multi-source analogue of
-/// [`crate::plan::correct_plan_row`], and the row kernel the serial
-/// and smp composite backends share.
-pub fn composite_plan_row<P: CompositePixel>(
-    srcs: &[&Image<P>],
-    plan: &CompositePlan,
-    y: u32,
-    interp: Interpolator,
-    out_row: &mut [P],
-) {
-    let id = |v: P, _: usize| v;
-    let black = |_: usize| P::BLACK;
-    match interp {
-        Interpolator::Nearest => seg_row(srcs, plan, y, out_row, &sample_nearest, &id, &black),
-        Interpolator::Bilinear => seg_row(srcs, plan, y, out_row, &sample_bilinear, &id, &black),
-        Interpolator::Bicubic => seg_row(srcs, plan, y, out_row, &sample_bicubic, &id, &black),
-    }
-}
-
-/// [`composite_plan_row`] with the post stage fused into the same
-/// traversal (applied to blended samples and gap fill alike) —
-/// byte-identical to compositing then running the two-pass post
-/// reference over the row.
-pub fn composite_plan_row_post<P: CompositePixel>(
-    srcs: &[&Image<P>],
-    plan: &CompositePlan,
-    y: u32,
-    interp: Interpolator,
-    post: &PostPlan,
-    out_row: &mut [P],
-) {
-    if post.is_noop() {
-        return composite_plan_row(srcs, plan, y, interp, out_row);
-    }
-    let fin = |v: P, x: usize| v.post(post, x as u32, y);
-    let black = |x: usize| P::BLACK.post(post, x as u32, y);
-    match interp {
-        Interpolator::Nearest => seg_row(srcs, plan, y, out_row, &sample_nearest, &fin, &black),
-        Interpolator::Bilinear => seg_row(srcs, plan, y, out_row, &sample_bilinear, &fin, &black),
-        Interpolator::Bicubic => seg_row(srcs, plan, y, out_row, &sample_bicubic, &fin, &black),
-    }
+    out_row[cursor..].fill(P::BLACK);
 }
 
 /// The blend half of the two-pass reference: given per-camera
@@ -1106,11 +843,12 @@ fn check_composite_dims<P: Pixel>(
 }
 
 /// Execute a composite on a host backend — the multi-source analogue
-/// of the single-plan host executor, sharing its report and error
-/// conventions. Serial and smp fuse the post stage into the row
-/// traversal; simd and fixed run their specialized kernels followed by
-/// the two-pass post reference. Accelerator specs (cell/gpu/simt) are
-/// `Unsupported`: in particular the SIMT kernel ISA has no
+/// of the single-plan host executor, sharing its span kernels, row
+/// driver, report and error conventions: the spec picks one kernel per
+/// source, and the segment walk drives them. Serial and smp fuse the
+/// post stage row by row; simd and fixed correct the frame and then
+/// run the two-pass post reference. Accelerator specs (cell/gpu/simt)
+/// are `Unsupported`: in particular the SIMT kernel ISA has no
 /// multi-source gather operand, so composites stay on host backends.
 pub fn execute_composite_host<P: CompositePixel>(
     spec: &EngineSpec,
@@ -1134,44 +872,33 @@ pub fn execute_composite_host<P: CompositePixel>(
     refuse_host::<P>(&name, spec, interp)?;
     let mut report = FrameReport::new(&name);
     report.rows = plan.height as u64;
+    report.invalid_pixels = plan.uncovered_pixels();
     report.kv("sources", plan.sources.len() as f64);
     report.kv("blend_pixels", plan.blend_pixels as f64);
-    let w = (plan.width as usize).max(1);
     match *spec {
-        EngineSpec::Serial => {
-            let t0 = Instant::now();
-            for (y, out_row) in out.pixels_mut().chunks_mut(w).enumerate() {
-                match post {
-                    Some(pp) => composite_plan_row_post(srcs, plan, y as u32, interp, pp, out_row),
-                    None => composite_plan_row(srcs, plan, y as u32, interp, out_row),
-                }
-            }
-            report.correct_time = t0.elapsed();
-            if post.is_some() {
-                report.kv("fused", 1.0);
-            }
-        }
-        EngineSpec::Smp { schedule } => {
-            let pool = env.pool.ok_or_else(|| {
-                EngineError::unsupported(&name, "smp needs a thread pool (HostEnv::pool)")
-            })?;
-            let t0 = Instant::now();
-            pool.parallel_rows(out.pixels_mut(), w, schedule, &|y, out_row| match post {
-                Some(pp) => composite_plan_row_post(srcs, plan, y as u32, interp, pp, out_row),
-                None => composite_plan_row(srcs, plan, y as u32, interp, out_row),
+        EngineSpec::Serial | EngineSpec::Smp { .. } => {
+            let pool = host_pool(&name, spec, env, &mut report)?;
+            report.correct_time = with_sampler!(interp, f => {
+                let ks: Vec<_> = srcs
+                    .iter()
+                    .zip(&plan.sources)
+                    .map(|(src, sp)| Float { src, plan: sp, f })
+                    .collect();
+                drive_rows(pool, post, out, |y, row| seg_row(plan, &ks, y, row))
             });
-            report.correct_time = t0.elapsed();
-            report.kv("threads", pool.threads() as f64);
             if post.is_some() {
                 report.kv("fused", 1.0);
             }
+            return Ok(report);
         }
         EngineSpec::Simd => {
-            let t0 = Instant::now();
-            P::composite_simd(srcs, plan, out)?;
-            report.correct_time = t0.elapsed();
+            let ks: Vec<_> = srcs
+                .iter()
+                .zip(&plan.sources)
+                .map(|(src, sp)| Lanes { src, plan: sp })
+                .collect();
+            report.correct_time = drive_rows(None, None, out, |y, row| seg_row(plan, &ks, y, row));
             report.kv("lanes", crate::simd::LANES as f64);
-            post_pass(&name, post, out, &mut report)?;
         }
         EngineSpec::FixedPoint { frac_bits } => {
             // per-source LUTs through the plans' own memoization, so a
@@ -1191,11 +918,13 @@ pub fn execute_composite_host<P: CompositePixel>(
                 report.kv("plan_miss", misses as f64);
                 report.kv("plan_derive_ms", derive_ms);
             }
-            let t0 = Instant::now();
-            P::composite_fixed(srcs, plan, &luts, out)?;
-            report.correct_time = t0.elapsed();
+            let ks: Vec<_> = srcs
+                .iter()
+                .zip(&luts)
+                .map(|(src, lut)| Fixed { src, lut })
+                .collect();
+            report.correct_time = drive_rows(None, None, out, |y, row| seg_row(plan, &ks, y, row));
             report.kv("frac_bits", frac_bits as f64);
-            post_pass(&name, post, out, &mut report)?;
         }
         _ => {
             return Err(EngineError::unsupported(
@@ -1204,7 +933,7 @@ pub fn execute_composite_host<P: CompositePixel>(
             ));
         }
     }
-    report.invalid_pixels = plan.uncovered_pixels();
+    post_pass(&name, post, out, &mut report)?;
     Ok(report)
 }
 
@@ -1725,5 +1454,44 @@ mod tests {
             <Gray8 as PostPixel>::post_row(row, y, &pp);
         }
         assert_eq!(fused, plain);
+    }
+
+    #[test]
+    fn smp_fused_post_matches_two_pass_post() {
+        // rows graded on pool workers, with dither so the grade
+        // depends on the row index each worker is handed
+        use crate::post::{DitherSeed, PostChannel, PostStage, ToneMap};
+        let (rig, front, back) = rig_and_captures(&RadialGradient, 195.0);
+        let plan = pano(&rig, 96, 48);
+        let srcs = [&front, &back];
+        let stage = PostStage::identity()
+            .with_tone_map(ToneMap::McFace)
+            .with_dither(DitherSeed(7));
+        let pp = stage.compile(PostChannel::Luma);
+        let pool = ThreadPool::new(3);
+        let env = HostEnv {
+            pool: Some(&pool),
+            ..HostEnv::default()
+        };
+        let smp = EngineSpec::Smp {
+            schedule: Schedule::Dynamic { chunk: 2 },
+        };
+        let mut fused = Image::new(96, 48);
+        let report = execute_composite_host(
+            &smp,
+            Interpolator::Bilinear,
+            &srcs,
+            &plan,
+            Some(&pp),
+            &env,
+            &mut fused,
+        )
+        .expect("fused smp");
+        assert_eq!(report.model.get("fused"), Some(&1.0));
+        let mut two_pass = compose_two_pass(&srcs, &plan, Interpolator::Bilinear);
+        for y in 0..48u32 {
+            <Gray8 as PostPixel>::post_row(two_pass.row_mut(y), y, &pp);
+        }
+        assert_eq!(fused, two_pass);
     }
 }

@@ -13,12 +13,15 @@
 //! all consume.
 //!
 //! Host paths (`serial`, `smp`, `direct`, `fixed`, `simd`) are
-//! implemented here; the accelerator models (`cell` in `cellsim`,
-//! `gpu` in `gpusim`) implement [`CorrectionEngine`] in their own
-//! crates, and the `fisheye` facade crate's `engine` module resolves
-//! *any* spec to a boxed engine. Adding the next backend means
-//! implementing the trait in one file and registering its spec — no
-//! consumer changes.
+//! implemented here, by [`execute_host_post`]: each plan-based spec
+//! picks its datapath's span kernel (`crate::plan`) and one row driver
+//! runs the plan's valid-span walk with it, the same kernels and driver
+//! the composite executor runs its segment walk with. The accelerator
+//! models (`cell` in `cellsim`, `gpu` in `gpusim`) implement
+//! [`CorrectionEngine`] in their own crates, and the `fisheye` facade
+//! crate's `engine` module resolves *any* spec to a boxed engine.
+//! Adding the next backend means implementing the trait in one file
+//! and registering its spec — no consumer changes.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -28,10 +31,9 @@ use fisheye_geom::{FisheyeLens, PerspectiveView};
 use par_runtime::{Schedule, ThreadPool};
 use pixmap::{Gray8, GrayF32, Image, Pixel};
 
-use crate::correct::correct_fixed_into;
-use crate::interp::Interpolator;
-use crate::map::FixedRemapMap;
-use crate::plan::{correct_plan_row, correct_plan_row_post, RemapPlan};
+use crate::interp::{sample_bilinear_fixed_gray8, Interpolator};
+use crate::map::FixedMapEntry;
+use crate::plan::{span_row, with_sampler, Fixed, Float, Lanes, RemapPlan};
 use crate::post::{PostPixel, PostPlan};
 use crate::simd;
 
@@ -644,9 +646,9 @@ pub trait CorrectionEngine<P: EnginePixel>: Send + Sync {
     /// pass of [`EnginePixel::post_row`] over the output (reported as
     /// `post_ms` with `fused=0`) — correct for every backend,
     /// including the accelerator models that cannot fuse; the host
-    /// engines override this to fuse post into the span traversal
-    /// (`fused=1`, post cost inside `correct_time`). Both paths are
-    /// bit-exact with each other by construction.
+    /// engines override this to grade each row as the span walk
+    /// finishes it (`fused=1`, post cost inside `correct_time`). Both
+    /// paths are bit-exact with each other by construction.
     fn correct_frame_post(
         &self,
         src: &Image<P>,
@@ -701,7 +703,8 @@ pub fn post_pass<P: EnginePixel>(
 /// Pixel types the engine layer can route: the float kernels work for
 /// every [`Pixel`], while the integer and SoA-SIMD datapaths exist
 /// only for specific types. The capability flags let builders reject
-/// unsupported (spec, pixel) pairs up front.
+/// unsupported (spec, pixel) pairs up front; each of those datapaths
+/// is one span-level hook its span kernel calls.
 pub trait EnginePixel: Pixel {
     /// An integer (quantized-LUT) datapath exists for this type.
     const HAS_FIXED: bool = false;
@@ -710,50 +713,26 @@ pub trait EnginePixel: Pixel {
     /// The post-correction color stage exists for this type.
     const HAS_POST: bool = false;
 
-    /// Integer-datapath correction (bit-exact with
-    /// [`crate::correct_fixed`]).
-    fn fixed_kernel(
-        _src: &Image<Self>,
-        _map: &FixedRemapMap,
-        _out: &mut Image<Self>,
-    ) -> Result<(), EngineError> {
-        Err(EngineError::unsupported(
-            "fixed",
-            "no integer datapath for this pixel type",
-        ))
+    /// The integer datapath over one span: Q-format bilinear samples
+    /// of `src` at the valid LUT entries `lut`, bit-exact with
+    /// [`crate::correct_fixed`]. Executors refuse `fixed` unless
+    /// [`EnginePixel::HAS_FIXED`] holds, so the default (black) only
+    /// runs for types they never reach it with.
+    fn fixed_span(_src: &Image<Self>, _lut: &[FixedMapEntry], _frac_bits: u32, out: &mut [Self]) {
+        out.fill(Self::BLACK);
     }
 
-    /// SoA-SIMD bilinear correction over the plan's span index
-    /// (bit-exact with the serial bilinear reference for this type).
-    fn simd_kernel(
-        _src: &Image<Self>,
-        _plan: &RemapPlan,
-        _out: &mut Image<Self>,
-    ) -> Result<(), EngineError> {
-        Err(EngineError::unsupported(
-            "simd",
-            "no SoA kernel for this pixel type",
-        ))
+    /// The SoA-SIMD datapath over one span: 8-lane bilinear gathers at
+    /// the valid coordinates `sx`/`sy`, bit-exact with the serial
+    /// bilinear reference for this type. Guarded by
+    /// [`EnginePixel::HAS_SIMD`] like [`EnginePixel::fixed_span`].
+    fn lane_span(_src: &Image<Self>, _sx: &[f32], _sy: &[f32], out: &mut [Self]) {
+        out.fill(Self::BLACK);
     }
 
-    /// Correct one row with the post stage fused into the span walk.
-    /// The default ignores the stage — engines guard every call
-    /// behind [`EnginePixel::HAS_POST`], so this body only runs when
-    /// post is inert.
-    fn fused_post_row(
-        src: &Image<Self>,
-        plan: &RemapPlan,
-        y: u32,
-        interp: Interpolator,
-        _post: &PostPlan,
-        out_row: &mut [Self],
-    ) {
-        correct_plan_row(src, plan, y, interp, out_row);
-    }
-
-    /// Apply the post stage over an already-corrected row (the
-    /// two-pass path). No-op by default, guarded like
-    /// [`EnginePixel::fused_post_row`].
+    /// Apply the post stage over a corrected row: the two-pass path,
+    /// and the row driver's grade of each finished row. No-op by
+    /// default; every caller guards it behind [`EnginePixel::HAS_POST`].
     fn post_row(_row: &mut [Self], _y: u32, _post: &PostPlan) {}
 }
 
@@ -762,33 +741,14 @@ impl EnginePixel for Gray8 {
     const HAS_SIMD: bool = true;
     const HAS_POST: bool = true;
 
-    fn fixed_kernel(
-        src: &Image<Self>,
-        map: &FixedRemapMap,
-        out: &mut Image<Self>,
-    ) -> Result<(), EngineError> {
-        correct_fixed_into(src, map, out);
-        Ok(())
+    fn fixed_span(src: &Image<Self>, lut: &[FixedMapEntry], frac_bits: u32, out: &mut [Self]) {
+        for (e, o) in lut.iter().zip(out) {
+            *o = sample_bilinear_fixed_gray8(src, e.x0, e.y0, e.wx, e.wy, frac_bits);
+        }
     }
 
-    fn simd_kernel(
-        src: &Image<Self>,
-        plan: &RemapPlan,
-        out: &mut Image<Self>,
-    ) -> Result<(), EngineError> {
-        simd::correct_bilinear_simd_into(src, plan, out);
-        Ok(())
-    }
-
-    fn fused_post_row(
-        src: &Image<Self>,
-        plan: &RemapPlan,
-        y: u32,
-        interp: Interpolator,
-        post: &PostPlan,
-        out_row: &mut [Self],
-    ) {
-        correct_plan_row_post(src, plan, y, interp, post, out_row);
+    fn lane_span(src: &Image<Self>, sx: &[f32], sy: &[f32], out: &mut [Self]) {
+        simd::gather_span(src, sx, sy, out);
     }
 
     fn post_row(row: &mut [Self], y: u32, post: &PostPlan) {
@@ -800,24 +760,8 @@ impl EnginePixel for GrayF32 {
     const HAS_SIMD: bool = true;
     const HAS_POST: bool = true;
 
-    fn simd_kernel(
-        src: &Image<Self>,
-        plan: &RemapPlan,
-        out: &mut Image<Self>,
-    ) -> Result<(), EngineError> {
-        simd::correct_bilinear_simd_into(src, plan, out);
-        Ok(())
-    }
-
-    fn fused_post_row(
-        src: &Image<Self>,
-        plan: &RemapPlan,
-        y: u32,
-        interp: Interpolator,
-        post: &PostPlan,
-        out_row: &mut [Self],
-    ) {
-        correct_plan_row_post(src, plan, y, interp, post, out_row);
+    fn lane_span(src: &Image<Self>, sx: &[f32], sy: &[f32], out: &mut [Self]) {
+        simd::gather_span(src, sx, sy, out);
     }
 
     fn post_row(row: &mut [Self], y: u32, post: &PostPlan) {
@@ -901,19 +845,67 @@ pub(crate) fn refuse_host<P: EnginePixel>(
     Err(EngineError::unsupported(name, reason))
 }
 
+/// The pool an `smp` spec spreads its rows over, recording `threads`;
+/// `None` (rows in order on the calling thread) for every other spec.
+pub(crate) fn host_pool<'a>(
+    name: &str,
+    spec: &EngineSpec,
+    env: &HostEnv<'a>,
+    report: &mut FrameReport,
+) -> Result<Option<(&'a ThreadPool, Schedule)>, EngineError> {
+    let EngineSpec::Smp { schedule } = *spec else {
+        return Ok(None);
+    };
+    let pool = env
+        .pool
+        .ok_or_else(|| EngineError::unsupported(name, "smp needs a thread pool (HostEnv::pool)"))?;
+    report.kv("threads", pool.threads() as f64);
+    Ok(Some((pool, schedule)))
+}
+
+/// The row driver both host executors share: `row` fills output row
+/// `y`, in order on the calling thread or across `pool`. An active
+/// `post` stage then grades each finished row while it is still hot in
+/// cache, through the two-pass path's own [`EnginePixel::post_row`],
+/// so fusing cannot change a byte. Returns the time the rows took.
+pub(crate) fn drive_rows<P: EnginePixel>(
+    pool: Option<(&ThreadPool, Schedule)>,
+    post: Option<&PostPlan>,
+    out: &mut Image<P>,
+    row: impl Fn(u32, &mut [P]) + Sync,
+) -> Duration {
+    let t0 = Instant::now();
+    let body = |y: usize, out_row: &mut [P]| {
+        row(y as u32, out_row);
+        if let Some(pp) = post {
+            P::post_row(out_row, y as u32, pp);
+        }
+    };
+    let w = (out.dims().0 as usize).max(1);
+    match pool {
+        Some((pool, schedule)) => pool.parallel_rows(out.pixels_mut(), w, schedule, &body),
+        None => {
+            for (y, out_row) in out.pixels_mut().chunks_mut(w).enumerate() {
+                body(y, out_row);
+            }
+        }
+    }
+    t0.elapsed()
+}
+
 /// Execute a host spec over a compiled plan, with an optional
 /// compiled post stage. This is the single dispatch point the boxed
-/// host engine and videopipe share — one kernel per path, measured and
-/// reported identically. The float paths iterate the plan's valid
-/// spans (no per-pixel validity branch); `fixed` uses the plan's
-/// prequantized LUT, requantizing (and reporting `plan_miss=1`) only
-/// when the plan was compiled without the requested width.
+/// host engine and videopipe share: the spec picks its datapath's span
+/// kernel once, and one row driver runs the plan's valid-span walk
+/// with it, so no pixel loop branches on validity. `fixed` reads the
+/// plan's prequantized LUT, requantizing (and reporting `plan_miss=1`)
+/// only when the plan was compiled without the requested width.
 ///
-/// The row-oriented float paths (`serial`, `smp`) fuse the post stage
-/// into the span traversal (`fused=1`, cost inside `correct_time`);
-/// the kernel paths (`fixed`, `simd`) and `direct` run their kernel and
-/// then one post pass over the output (`fused=0`, cost in `post_ms`).
-/// All paths are bit-exact with each other.
+/// `serial` and `smp` fuse the post stage, grading each row as it is
+/// finished (`fused=1`, cost inside `correct_time`); `fixed`, `simd`
+/// and `direct` correct the frame and then run one post pass over the
+/// output (`fused=0`, cost in `post_ms`). All paths are bit-exact with
+/// each other.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_host_post<P: EnginePixel>(
     spec: &EngineSpec,
@@ -929,53 +921,21 @@ pub fn execute_host_post<P: EnginePixel>(
         check_frame_dims(&name, src, plan, out)?;
     }
     refuse_host::<P>(&name, spec, interp)?;
+    let post = active_post::<P>(&name, post)?;
     let mut report = FrameReport::new(&name);
     report.rows = plan.height() as u64;
+    report.invalid_pixels = plan.invalid_pixels();
     match *spec {
-        EngineSpec::Serial => {
-            match active_post::<P>(&name, post)? {
-                Some(pp) => {
-                    let t0 = Instant::now();
-                    for y in 0..plan.height() {
-                        P::fused_post_row(src, plan, y, interp, pp, out.row_mut(y));
-                    }
-                    report.correct_time = t0.elapsed();
-                    report.kv("fused", 1.0);
-                }
-                None => {
-                    let t0 = Instant::now();
-                    for y in 0..plan.height() {
-                        correct_plan_row(src, plan, y, interp, out.row_mut(y));
-                    }
-                    report.correct_time = t0.elapsed();
-                }
+        EngineSpec::Serial | EngineSpec::Smp { .. } => {
+            let pool = host_pool(&name, spec, env, &mut report)?;
+            report.correct_time = with_sampler!(interp, f => {
+                let k = Float { src, plan, f };
+                drive_rows(pool, post, out, |y, row| span_row(plan, &k, y, row))
+            });
+            if post.is_some() {
+                report.kv("fused", 1.0);
             }
-            report.invalid_pixels = plan.invalid_pixels();
-        }
-        EngineSpec::Smp { schedule } => {
-            let pool = env.pool.ok_or_else(|| {
-                EngineError::unsupported(&name, "smp needs a thread pool (HostEnv::pool)")
-            })?;
-            let w = plan.width() as usize;
-            match active_post::<P>(&name, post)? {
-                Some(pp) => {
-                    let t0 = Instant::now();
-                    pool.parallel_rows(out.pixels_mut(), w, schedule, &|row, out_row| {
-                        P::fused_post_row(src, plan, row as u32, interp, pp, out_row);
-                    });
-                    report.correct_time = t0.elapsed();
-                    report.kv("fused", 1.0);
-                }
-                None => {
-                    let t0 = Instant::now();
-                    pool.parallel_rows(out.pixels_mut(), w, schedule, &|row, out_row| {
-                        correct_plan_row(src, plan, row as u32, interp, out_row);
-                    });
-                    report.correct_time = t0.elapsed();
-                }
-            }
-            report.invalid_pixels = plan.invalid_pixels();
-            report.kv("threads", pool.threads() as f64);
+            return Ok(report);
         }
         EngineSpec::Direct => {
             let (lens, view) = env.geometry.ok_or_else(|| {
@@ -987,13 +947,11 @@ pub fn execute_host_post<P: EnginePixel>(
                     "view dimensions do not match the plan",
                 ));
             }
-            let mut direct_report = execute_direct(interp, src, lens, view, out)?;
-            post_pass::<P>(&name, post, out, &mut direct_report)?;
-            return Ok(direct_report);
+            report = execute_direct(interp, src, lens, view, out)?;
         }
         EngineSpec::FixedPoint { frac_bits } => {
             let owned;
-            let fmap = match plan.fixed(frac_bits) {
+            let lut = match plan.fixed(frac_bits) {
                 Some(f) => f,
                 None => {
                     // Plan miss: derive through the plan's memo so
@@ -1009,25 +967,20 @@ pub fn execute_host_post<P: EnginePixel>(
                     &owned
                 }
             };
-            let t0 = Instant::now();
-            P::fixed_kernel(src, fmap, out)?;
-            report.correct_time = t0.elapsed();
-            report.invalid_pixels = plan.invalid_pixels();
+            let k = Fixed { src, lut };
+            report.correct_time = drive_rows(None, None, out, |y, row| span_row(plan, &k, y, row));
             report.kv("frac_bits", frac_bits as f64);
-            post_pass::<P>(&name, post, out, &mut report)?;
         }
         EngineSpec::Simd => {
-            let t0 = Instant::now();
-            P::simd_kernel(src, plan, out)?;
-            report.correct_time = t0.elapsed();
-            report.invalid_pixels = plan.invalid_pixels();
+            let k = Lanes { src, plan };
+            report.correct_time = drive_rows(None, None, out, |y, row| span_row(plan, &k, y, row));
             report.kv("lanes", simd::LANES as f64);
-            post_pass::<P>(&name, post, out, &mut report)?;
         }
         EngineSpec::Cell { .. } | EngineSpec::Gpu { .. } | EngineSpec::Simt { .. } => {
             unreachable!("refuse_host refuses {name}")
         }
     }
+    post_pass::<P>(&name, post, out, &mut report)?;
     Ok(report)
 }
 

@@ -50,10 +50,9 @@ pub mod tile;
 
 pub use antialias::{correct_antialiased, AaConfig};
 pub use composite::{
-    compose_layers, compose_two_pass, composite_plan_row, composite_plan_row_post,
-    execute_composite_host, panorama_camera_digest, panorama_camera_map, panorama_scores,
-    rectified_camera_digest, rectified_camera_map, CompositePixel, CompositePlan,
-    CompositeViewPlan, StereoPlan,
+    compose_layers, compose_two_pass, execute_composite_host, panorama_camera_digest,
+    panorama_camera_map, panorama_scores, rectified_camera_digest, rectified_camera_map,
+    CompositePixel, CompositePlan, CompositeViewPlan, StereoPlan,
 };
 pub use correct::{correct, correct_fixed, correct_fixed_into, correct_into};
 pub use engine::{

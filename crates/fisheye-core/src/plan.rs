@@ -39,6 +39,19 @@
 //! Compilation is deterministic: the same map and options produce a
 //! byte-identical plan (see [`RemapPlan::digest`]), which is what
 //! makes plans safe to share across threads and compare in tests.
+//!
+//! The module also holds the host datapaths' per-pixel arithmetic:
+//! one crate-private span kernel per datapath (the float
+//! interpolators, the 8-lane gather, the Q-format sampler), each
+//! writing one valid x-range of one output row, and the valid-span
+//! row walk that drives them. The single-plan executor and the
+//! composite executor's exclusive runs call the same kernels, so each
+//! datapath's pixel loop is written once.
+
+// Every serial, smp, simd and fixed frame of every serving session,
+// single or composite, runs the span kernels below; a panic here takes
+// streams down.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::sync::Arc;
 
@@ -46,10 +59,9 @@ use fisheye_geom::{FisheyeLens, PerspectiveView};
 use par_runtime::sync::Mutex;
 use pixmap::{Image, Pixel};
 
-use crate::engine::EngineSpec;
-use crate::interp::{sample_bicubic, sample_bilinear, sample_nearest, Interpolator};
+use crate::engine::{EnginePixel, EngineSpec};
+use crate::interp::{sample_bilinear, Interpolator};
 use crate::map::{FixedRemapMap, RemapMap};
-use crate::post::{PostPixel, PostPlan};
 use crate::tile::TilePlan;
 
 /// What [`RemapPlan::compile`] should prederive beyond the SoA planes
@@ -120,33 +132,21 @@ pub fn plan_request_digest(
     src_h: u32,
     opts: &PlanOptions,
 ) -> u64 {
-    use std::hash::{Hash, Hasher};
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    lens.model.hash(&mut h);
-    for v in [lens.focal_px, lens.cx, lens.cy, lens.max_theta] {
-        h.mix(v.to_bits());
-    }
+    h.mix_lens(lens);
     for v in [view.pan, view.tilt, view.roll, view.h_fov] {
         h.mix(v.to_bits());
     }
     h.mix(((view.width as u64) << 32) | view.height as u64);
     h.mix(((src_w as u64) << 32) | src_h as u64);
-    h.mix(opts.frac_bits.len() as u64);
-    for &b in &opts.frac_bits {
-        h.mix(b as u64);
-    }
-    h.mix(opts.tiles.len() as u64);
-    for &(tw, th) in &opts.tiles {
-        h.mix(((tw as u64) << 32) | th as u64);
-    }
-    h.mix(opts.interp as u64);
-    h.finish()
+    h.mix_opts(opts);
+    h.0
 }
 
 /// FNV-1a accumulator behind [`plan_request_digest`]; implements
 /// `Hasher` so `Hash`-deriving types (the lens model enum) can feed it.
 /// Crate-visible so the composite layer keys its digests with the
-/// same constants.
+/// same constants and the same lens and option folds.
 pub(crate) struct Fnv(pub(crate) u64);
 
 impl Fnv {
@@ -154,6 +154,30 @@ impl Fnv {
     pub(crate) fn mix(&mut self, v: u64) {
         self.0 ^= v;
         self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    /// Fold a lens: its model, then focal length, principal point and
+    /// field angle by bit pattern.
+    pub(crate) fn mix_lens(&mut self, lens: &FisheyeLens) {
+        use std::hash::Hash;
+        lens.model.hash(self);
+        for v in [lens.focal_px, lens.cx, lens.cy, lens.max_theta] {
+            self.mix(v.to_bits());
+        }
+    }
+
+    /// Fold plan options: the length-prefixed `frac_bits` and tile
+    /// lists, then the interpolator.
+    pub(crate) fn mix_opts(&mut self, opts: &PlanOptions) {
+        self.mix(opts.frac_bits.len() as u64);
+        for &b in &opts.frac_bits {
+            self.mix(b as u64);
+        }
+        self.mix(opts.tiles.len() as u64);
+        for &(tw, th) in &opts.tiles {
+            self.mix(((tw as u64) << 32) | th as u64);
+        }
+        self.mix(opts.interp as u64);
     }
 }
 
@@ -605,17 +629,148 @@ impl RemapPlan {
             h.mix(rd);
         }
         h.mix(invalid);
-        h.mix(opts.frac_bits.len() as u64);
-        for &b in &opts.frac_bits {
-            h.mix(b as u64);
-        }
-        h.mix(opts.tiles.len() as u64);
-        for &(tw, th) in &opts.tiles {
-            h.mix(((tw as u64) << 32) | th as u64);
-        }
-        h.mix(opts.interp as u64);
+        h.mix_opts(opts);
         h.0
     }
+}
+
+// ---------------------------------------------------------------------
+// Span kernels and the valid-span walk
+// ---------------------------------------------------------------------
+
+/// One datapath's per-pixel arithmetic, bound to one source frame and
+/// the coordinates it reads. There is one kernel per datapath — the
+/// float interpolators ([`Float`]), the 8-lane gather ([`Lanes`]) and
+/// the Q-format sampler ([`Fixed`]) — and exactly two walks drive
+/// them: [`span_row`] over a plan's valid spans, and the composite
+/// executor's segment walk, whose exclusive runs call the same
+/// [`SpanKernel::span`].
+pub(crate) trait SpanKernel<P>: Sync {
+    /// Write output pixels `x0 .. x0 + out.len()` of row `y`, all
+    /// inside one valid span.
+    fn span(&self, y: u32, x0: usize, out: &mut [P]);
+
+    /// Output pixel `i` (row-major over the output surface) alone: one
+    /// source's sample in a blend run.
+    fn sample(&self, i: usize) -> P;
+}
+
+/// The float datapath: the interpolator `f` at the plan's SoA
+/// coordinates. `f` is a sampler function (bound by [`with_sampler!`]),
+/// so each kernel is monomorphized for one interpolator.
+pub(crate) struct Float<'a, P: Pixel, F> {
+    pub(crate) src: &'a Image<P>,
+    pub(crate) plan: &'a RemapPlan,
+    pub(crate) f: F,
+}
+
+impl<P: Pixel, F: Fn(&Image<P>, f32, f32) -> P + Sync> SpanKernel<P> for Float<'_, P, F> {
+    #[inline]
+    fn span(&self, y: u32, x0: usize, out: &mut [P]) {
+        let r = x0..x0 + out.len();
+        let (sx, sy) = (&self.plan.row_sx(y)[r.clone()], &self.plan.row_sy(y)[r]);
+        for ((x, yy), o) in sx.iter().zip(sy).zip(out) {
+            *o = (self.f)(self.src, *x, *yy);
+        }
+    }
+
+    #[inline]
+    fn sample(&self, i: usize) -> P {
+        (self.f)(self.src, self.plan.sx[i], self.plan.sy[i])
+    }
+}
+
+/// Evaluate `$body` with `$f` bound to the sampler of interpolator
+/// `$interp`: one expansion per interpolator, so the float kernel
+/// built in `$body` is monomorphized and no pixel loop matches on it.
+macro_rules! with_sampler {
+    ($interp:expr, $f:ident => $body:expr) => {
+        match $interp {
+            $crate::interp::Interpolator::Nearest => {
+                let $f = $crate::interp::sample_nearest;
+                $body
+            }
+            $crate::interp::Interpolator::Bilinear => {
+                let $f = $crate::interp::sample_bilinear;
+                $body
+            }
+            $crate::interp::Interpolator::Bicubic => {
+                let $f = $crate::interp::sample_bicubic;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_sampler;
+
+/// The `simd` datapath: [`EnginePixel::lane_span`] (the 8-lane gather)
+/// over a span; a lone pixel takes `sample_bilinear`, the same
+/// arithmetic one lane computes.
+pub(crate) struct Lanes<'a, P: Pixel> {
+    pub(crate) src: &'a Image<P>,
+    pub(crate) plan: &'a RemapPlan,
+}
+
+impl<P: EnginePixel> SpanKernel<P> for Lanes<'_, P> {
+    #[inline]
+    fn span(&self, y: u32, x0: usize, out: &mut [P]) {
+        let r = x0..x0 + out.len();
+        P::lane_span(
+            self.src,
+            &self.plan.row_sx(y)[r.clone()],
+            &self.plan.row_sy(y)[r],
+            out,
+        );
+    }
+
+    #[inline]
+    fn sample(&self, i: usize) -> P {
+        sample_bilinear(self.src, self.plan.sx[i], self.plan.sy[i])
+    }
+}
+
+/// The `fixed` datapath: [`EnginePixel::fixed_span`] (the Q-format
+/// sampler) over a quantized LUT of the plan's map. A valid span holds
+/// only valid entries, so the kernel reads no per-pixel validity.
+pub(crate) struct Fixed<'a, P: Pixel> {
+    pub(crate) src: &'a Image<P>,
+    pub(crate) lut: &'a FixedRemapMap,
+}
+
+impl<P: EnginePixel> SpanKernel<P> for Fixed<'_, P> {
+    #[inline]
+    fn span(&self, y: u32, x0: usize, out: &mut [P]) {
+        let lut = &self.lut.row(y)[x0..x0 + out.len()];
+        P::fixed_span(self.src, lut, self.lut.frac_bits(), out);
+    }
+
+    #[inline]
+    fn sample(&self, i: usize) -> P {
+        let mut px = [P::BLACK];
+        let lut = &self.lut.entries()[i..=i];
+        P::fixed_span(self.src, lut, self.lut.frac_bits(), &mut px);
+        px[0]
+    }
+}
+
+/// The valid-span row walk every single-plan path runs: gaps between
+/// row `y`'s spans fill black and each span goes through `k`, so no
+/// pixel loop branches on validity.
+#[inline]
+pub(crate) fn span_row<P: Pixel>(
+    plan: &RemapPlan,
+    k: &impl SpanKernel<P>,
+    y: u32,
+    out_row: &mut [P],
+) {
+    let mut cursor = 0usize;
+    for s in plan.spans(y) {
+        let r = s.start as usize..s.end as usize;
+        out_row[cursor..r.start].fill(P::BLACK);
+        k.span(y, r.start, &mut out_row[r.clone()]);
+        cursor = r.end;
+    }
+    out_row[cursor..].fill(P::BLACK);
 }
 
 /// Correct one output row through the plan's span index: gaps between
@@ -630,105 +785,7 @@ pub fn correct_plan_row<P: Pixel>(
     out_row: &mut [P],
 ) {
     debug_assert_eq!(out_row.len(), plan.width() as usize);
-    // hoist the kernel dispatch out of the pixel loop
-    match interp {
-        Interpolator::Nearest => span_row(plan, y, out_row, |x, yy| sample_nearest(src, x, yy)),
-        Interpolator::Bilinear => span_row(plan, y, out_row, |x, yy| sample_bilinear(src, x, yy)),
-        Interpolator::Bicubic => span_row(plan, y, out_row, |x, yy| sample_bicubic(src, x, yy)),
-    }
-}
-
-/// Walk one row's spans with a monomorphized sampler: gaps between
-/// spans fill black, so the common full-coverage row writes each pixel
-/// exactly once.
-#[inline]
-fn span_row<P: Pixel>(plan: &RemapPlan, y: u32, out_row: &mut [P], sample: impl Fn(f32, f32) -> P) {
-    let sx = plan.row_sx(y);
-    let sy = plan.row_sy(y);
-    let mut cursor = 0usize;
-    for s in plan.spans(y) {
-        out_row[cursor..s.start as usize].fill(P::BLACK);
-        let r = s.start as usize..s.end as usize;
-        for ((x, yy), o) in sx[r.clone()]
-            .iter()
-            .zip(&sy[r.clone()])
-            .zip(&mut out_row[r.clone()])
-        {
-            *o = sample(*x, *yy);
-        }
-        cursor = r.end;
-    }
-    out_row[cursor..].fill(P::BLACK);
-}
-
-/// [`correct_plan_row`] with the post-correction color stage fused
-/// into the span walk: every output pixel — sampled spans and black
-/// gap fill alike — passes through `post` in the same traversal, so
-/// corrected+graded output costs one pass over the row instead of
-/// remap-then-grade over the full frame. Bit-exact with correcting
-/// the row first and then applying [`PostPixel::post_row`] over it
-/// (the two-pass golden reference).
-#[inline]
-pub fn correct_plan_row_post<P: PostPixel>(
-    src: &Image<P>,
-    plan: &RemapPlan,
-    y: u32,
-    interp: Interpolator,
-    post: &PostPlan,
-    out_row: &mut [P],
-) {
-    if post.is_noop() {
-        return correct_plan_row(src, plan, y, interp, out_row);
-    }
-    debug_assert_eq!(out_row.len(), plan.width() as usize);
-    match interp {
-        Interpolator::Nearest => {
-            span_row_post(plan, y, post, out_row, |x, yy| sample_nearest(src, x, yy))
-        }
-        Interpolator::Bilinear => {
-            span_row_post(plan, y, post, out_row, |x, yy| sample_bilinear(src, x, yy))
-        }
-        Interpolator::Bicubic => {
-            span_row_post(plan, y, post, out_row, |x, yy| sample_bicubic(src, x, yy))
-        }
-    }
-}
-
-/// [`span_row`] with the compiled post stage applied to each pixel
-/// as it is produced. Gap fill goes through post too (dither makes
-/// even the fill coordinate-dependent), matching what a full-frame
-/// second pass would do to the black borders.
-#[inline]
-fn span_row_post<P: PostPixel>(
-    plan: &RemapPlan,
-    y: u32,
-    post: &PostPlan,
-    out_row: &mut [P],
-    sample: impl Fn(f32, f32) -> P,
-) {
-    let sx = plan.row_sx(y);
-    let sy = plan.row_sy(y);
-    let fill = |row: &mut [P], start: usize| {
-        for (i, o) in row.iter_mut().enumerate() {
-            *o = P::BLACK.post(post, (start + i) as u32, y);
-        }
-    };
-    let mut cursor = 0usize;
-    for s in plan.spans(y) {
-        fill(&mut out_row[cursor..s.start as usize], cursor);
-        let r = s.start as usize..s.end as usize;
-        for (i, ((x, yy), o)) in sx[r.clone()]
-            .iter()
-            .zip(&sy[r.clone()])
-            .zip(&mut out_row[r.clone()])
-            .enumerate()
-        {
-            *o = sample(*x, *yy).post(post, s.start + i as u32, y);
-        }
-        cursor = r.end;
-    }
-    let tail = cursor;
-    fill(&mut out_row[tail..], tail);
+    with_sampler!(interp, f => span_row(plan, &Float { src, plan, f }, y, out_row));
 }
 
 /// Serial span-based correction into a pre-allocated output image.
@@ -762,6 +819,7 @@ pub fn correct_plan<P: Pixel>(src: &Image<P>, plan: &RemapPlan, interp: Interpol
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::correct::{correct, correct_fixed};

@@ -10,8 +10,8 @@
 //! noise dither), and [`PostStage::compile`] lowers it into a
 //! [`PostPlan`] — an immutable per-plane execution artifact
 //! analogous to [`RemapPlan`](crate::plan::RemapPlan) — that the
-//! span loop in [`correct_plan_row_post`](crate::plan::correct_plan_row_post)
-//! applies in the same memory traversal as the remap.
+//! host engines' row driver applies to each corrected row while it is
+//! still hot in cache ([`execute_host_post`](crate::engine::execute_host_post)).
 //!
 //! # Bit-exactness by construction
 //!
@@ -648,9 +648,9 @@ impl PostPlan {
     }
 }
 
-/// Pixel types the post stage knows how to encode. The remap fusion
-/// seam ([`correct_plan_row_post`](crate::plan::correct_plan_row_post))
-/// and the engines' two-pass fallback both go through this trait.
+/// Pixel types the post stage knows how to encode. The engines' fused
+/// row grade and their two-pass fallback both run
+/// [`PostPixel::post_row`], so the two cannot differ by a byte.
 pub trait PostPixel: Pixel {
     /// Apply `plan` to one pixel at output coordinate `(x, y)`.
     fn post(self, plan: &PostPlan, x: u32, y: u32) -> Self;

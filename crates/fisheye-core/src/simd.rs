@@ -27,19 +27,21 @@
 //! `RemapMap::from_entries` accepts, not only for maps traced from
 //! lens geometry.
 //!
-//! The kernel consumes a compiled [`RemapPlan`]: coordinates come
-//! straight from the plan's SoA planes, and iteration walks the
-//! per-row valid spans, so lanes carry no validity mask. The gaps are
-//! filled black. Engines report `lanes` = [`LANES`].
+//! The kernel gathers one valid span at a time: it is the `simd`
+//! datapath's [`EnginePixel::lane_span`], which the plan's valid-span
+//! walk and the composite's segment walk both call with coordinates
+//! straight from a plan's SoA planes, so lanes carry no validity mask.
+//! The walks fill the gaps black. Engines report `lanes` = [`LANES`].
 
 // The kernel runs inside serving sessions on every simd frame, single
 // and composite; a panic here takes streams down.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use pixmap::{Gray8, GrayF32, Image, Pixel};
+use pixmap::{Gray8, GrayF32, Image};
 
+use crate::engine::EnginePixel;
 use crate::interp::sample_bilinear;
-use crate::plan::RemapPlan;
+use crate::plan::{span_row, Lanes, RemapPlan};
 
 /// Number of lanes processed together.
 pub const LANES: usize = 8;
@@ -74,7 +76,7 @@ static UNIT_U8: [f32; 256] = {
 };
 
 /// A one-channel pixel the span kernel can gather.
-pub trait LaneTap: Pixel {
+pub trait LaneTap: EnginePixel {
     /// The pixel as the float `Pixel::channel_f32(0)` returns.
     fn tap(self) -> f32;
 }
@@ -97,42 +99,19 @@ impl LaneTap for GrayF32 {
 /// `correct(…, Interpolator::Bilinear, …)`.
 pub fn correct_bilinear_simd<P: LaneTap>(src: &Image<P>, plan: &RemapPlan) -> Image<P> {
     let mut out = Image::new(plan.width(), plan.height());
-    correct_bilinear_simd_into(src, plan, &mut out);
-    out
-}
-
-/// [`correct_bilinear_simd`] into a pre-allocated output image
-/// (dimensions must match the plan).
-pub fn correct_bilinear_simd_into<P: LaneTap>(
-    src: &Image<P>,
-    plan: &RemapPlan,
-    out: &mut Image<P>,
-) {
-    assert_eq!(
-        out.dims(),
-        (plan.width(), plan.height()),
-        "output dimensions must match the plan"
-    );
+    let k = Lanes { src, plan };
     for y in 0..plan.height() {
-        let sx = plan.row_sx(y);
-        let sy = plan.row_sy(y);
-        let out_row = out.row_mut(y);
-        let mut cursor = 0usize;
-        for s in plan.spans(y) {
-            out_row[cursor..s.start as usize].fill(P::BLACK);
-            let r = s.start as usize..s.end as usize;
-            gather_span(src, &sx[r.clone()], &sy[r.clone()], &mut out_row[r]);
-            cursor = s.end as usize;
-        }
-        out_row[cursor..].fill(P::BLACK);
+        span_row(plan, &k, y, out.row_mut(y));
     }
+    out
 }
 
 /// Bilinear-gather one span of coordinates into `out`: whole lane
 /// blocks through the lane kernel, the tail through `sample_bilinear`.
 /// Every coordinate must be valid (the caller walks a plan's span
-/// index). This is the seam the composite executor shares with the
-/// whole-frame kernel.
+/// index). This is the `simd` datapath's
+/// [`EnginePixel::lane_span`](crate::engine::EnginePixel::lane_span),
+/// which the engine's and the composite's walks both reach.
 pub(crate) fn gather_span<P: LaneTap>(src: &Image<P>, sx: &[f32], sy: &[f32], out: &mut [P]) {
     debug_assert_eq!(sx.len(), out.len());
     debug_assert_eq!(sy.len(), out.len());
