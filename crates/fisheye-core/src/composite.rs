@@ -882,7 +882,7 @@ pub fn execute_composite_host<P: CompositePixel>(
                 let ks: Vec<_> = srcs
                     .iter()
                     .zip(&plan.sources)
-                    .map(|(src, sp)| Float { src, plan: sp, f })
+                    .map(|(src, sp)| Float::new(src, sp, f))
                     .collect();
                 drive_rows(pool, post, out, |y, row| seg_row(plan, &ks, y, row))
             });
@@ -895,7 +895,7 @@ pub fn execute_composite_host<P: CompositePixel>(
             let ks: Vec<_> = srcs
                 .iter()
                 .zip(&plan.sources)
-                .map(|(src, sp)| Lanes { src, plan: sp })
+                .map(|(src, sp)| Lanes::new(src, sp))
                 .collect();
             report.correct_time = drive_rows(None, None, out, |y, row| seg_row(plan, &ks, y, row));
             report.kv("lanes", crate::simd::LANES as f64);

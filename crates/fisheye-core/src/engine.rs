@@ -929,7 +929,7 @@ pub fn execute_host_post<P: EnginePixel>(
         EngineSpec::Serial | EngineSpec::Smp { .. } => {
             let pool = host_pool(&name, spec, env, &mut report)?;
             report.correct_time = with_sampler!(interp, f => {
-                let k = Float { src, plan, f };
+                let k = Float::new(src, plan, f);
                 drive_rows(pool, post, out, |y, row| span_row(plan, &k, y, row))
             });
             if post.is_some() {
@@ -972,7 +972,7 @@ pub fn execute_host_post<P: EnginePixel>(
             report.kv("frac_bits", frac_bits as f64);
         }
         EngineSpec::Simd => {
-            let k = Lanes { src, plan };
+            let k = Lanes::new(src, plan);
             report.correct_time = drive_rows(None, None, out, |y, row| span_row(plan, &k, y, row));
             report.kv("lanes", simd::LANES as f64);
         }

@@ -655,20 +655,51 @@ pub(crate) trait SpanKernel<P>: Sync {
     fn sample(&self, i: usize) -> P;
 }
 
-/// The float datapath: the interpolator `f` at the plan's SoA
-/// coordinates. `f` is a sampler function (bound by [`with_sampler!`]),
-/// so each kernel is monomorphized for one interpolator.
+/// A plan's SoA coordinate planes as the float and lane kernels read
+/// them: held directly, so a blend sample is one index per plane.
+struct Coords<'a> {
+    sx: &'a [f32],
+    sy: &'a [f32],
+    width: usize,
+}
+
+impl<'a> Coords<'a> {
+    fn of(plan: &'a RemapPlan) -> Coords<'a> {
+        Coords {
+            sx: &plan.sx,
+            sy: &plan.sy,
+            width: plan.width() as usize,
+        }
+    }
+
+    /// The coordinates of output pixels `x0 .. x0 + len` of row `y`.
+    #[inline]
+    fn span(&self, y: u32, x0: usize, len: usize) -> (&'a [f32], &'a [f32]) {
+        let at = y as usize * self.width + x0;
+        (&self.sx[at..at + len], &self.sy[at..at + len])
+    }
+}
+
+/// The float datapath: the interpolator `f` at the plan's coordinates.
+/// `f` is a sampler function (bound by [`with_sampler!`]), so each
+/// kernel is monomorphized for one interpolator.
 pub(crate) struct Float<'a, P: Pixel, F> {
-    pub(crate) src: &'a Image<P>,
-    pub(crate) plan: &'a RemapPlan,
-    pub(crate) f: F,
+    src: &'a Image<P>,
+    xy: Coords<'a>,
+    f: F,
+}
+
+impl<'a, P: Pixel, F> Float<'a, P, F> {
+    pub(crate) fn new(src: &'a Image<P>, plan: &'a RemapPlan, f: F) -> Self {
+        let xy = Coords::of(plan);
+        Float { src, xy, f }
+    }
 }
 
 impl<P: Pixel, F: Fn(&Image<P>, f32, f32) -> P + Sync> SpanKernel<P> for Float<'_, P, F> {
     #[inline]
     fn span(&self, y: u32, x0: usize, out: &mut [P]) {
-        let r = x0..x0 + out.len();
-        let (sx, sy) = (&self.plan.row_sx(y)[r.clone()], &self.plan.row_sy(y)[r]);
+        let (sx, sy) = self.xy.span(y, x0, out.len());
         for ((x, yy), o) in sx.iter().zip(sy).zip(out) {
             *o = (self.f)(self.src, *x, *yy);
         }
@@ -676,7 +707,7 @@ impl<P: Pixel, F: Fn(&Image<P>, f32, f32) -> P + Sync> SpanKernel<P> for Float<'
 
     #[inline]
     fn sample(&self, i: usize) -> P {
-        (self.f)(self.src, self.plan.sx[i], self.plan.sy[i])
+        (self.f)(self.src, self.xy.sx[i], self.xy.sy[i])
     }
 }
 
@@ -707,25 +738,27 @@ pub(crate) use with_sampler;
 /// over a span; a lone pixel takes `sample_bilinear`, the same
 /// arithmetic one lane computes.
 pub(crate) struct Lanes<'a, P: Pixel> {
-    pub(crate) src: &'a Image<P>,
-    pub(crate) plan: &'a RemapPlan,
+    src: &'a Image<P>,
+    xy: Coords<'a>,
+}
+
+impl<'a, P: Pixel> Lanes<'a, P> {
+    pub(crate) fn new(src: &'a Image<P>, plan: &'a RemapPlan) -> Self {
+        let xy = Coords::of(plan);
+        Lanes { src, xy }
+    }
 }
 
 impl<P: EnginePixel> SpanKernel<P> for Lanes<'_, P> {
     #[inline]
     fn span(&self, y: u32, x0: usize, out: &mut [P]) {
-        let r = x0..x0 + out.len();
-        P::lane_span(
-            self.src,
-            &self.plan.row_sx(y)[r.clone()],
-            &self.plan.row_sy(y)[r],
-            out,
-        );
+        let (sx, sy) = self.xy.span(y, x0, out.len());
+        P::lane_span(self.src, sx, sy, out);
     }
 
     #[inline]
     fn sample(&self, i: usize) -> P {
-        sample_bilinear(self.src, self.plan.sx[i], self.plan.sy[i])
+        sample_bilinear(self.src, self.xy.sx[i], self.xy.sy[i])
     }
 }
 
@@ -785,7 +818,7 @@ pub fn correct_plan_row<P: Pixel>(
     out_row: &mut [P],
 ) {
     debug_assert_eq!(out_row.len(), plan.width() as usize);
-    with_sampler!(interp, f => span_row(plan, &Float { src, plan, f }, y, out_row));
+    with_sampler!(interp, f => span_row(plan, &Float::new(src, plan, f), y, out_row));
 }
 
 /// Serial span-based correction into a pre-allocated output image.

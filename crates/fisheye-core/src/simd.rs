@@ -99,7 +99,7 @@ impl LaneTap for GrayF32 {
 /// `correct(…, Interpolator::Bilinear, …)`.
 pub fn correct_bilinear_simd<P: LaneTap>(src: &Image<P>, plan: &RemapPlan) -> Image<P> {
     let mut out = Image::new(plan.width(), plan.height());
-    let k = Lanes { src, plan };
+    let k = Lanes::new(src, plan);
     for y in 0..plan.height() {
         span_row(plan, &k, y, out.row_mut(y));
     }
