@@ -96,40 +96,18 @@ impl CorrectionEngine<Gray8> for CellEngine {
                 ),
             ));
         }
-        // Plan-miss fallback: derive anything the plan does not carry
-        // through its memo, so only the first frame on a given plan
-        // pays the derivation — later frames are free (and silent).
-        let mut misses = 0u32;
-        let mut derive_ms = 0.0f64;
-        let owned_fixed;
-        let fixed = match plan.fixed(self.frac_bits) {
-            Some(f) => f,
-            None => {
-                let (arc, ms) = plan.fixed_lazy(self.frac_bits);
-                if let Some(ms) = ms {
-                    derive_ms += ms;
-                    misses += 1;
-                }
-                owned_fixed = arc;
-                &owned_fixed
-            }
-        };
-        let owned_tiles;
-        let tiles = match plan.tile_plan(self.tile_w, self.tile_h) {
-            Some(t) => t,
-            None => {
-                let (arc, ms) = plan.tile_plan_lazy(self.tile_w, self.tile_h);
-                if let Some(ms) = ms {
-                    derive_ms += ms;
-                    misses += 1;
-                }
-                owned_tiles = arc;
-                &owned_tiles
-            }
-        };
+        // Plan-miss fallback: the plan derives anything it was not
+        // compiled with through its memo, so only the first frame on a
+        // given plan pays the derivation — later frames are free (and
+        // silent).
+        let (fixed, lut_ms) = plan.fixed_lazy(self.frac_bits);
+        let (tiles, tile_ms) = plan.tile_plan_lazy(self.tile_w, self.tile_h);
+        let derived = [lut_ms, tile_ms];
+        let misses = derived.iter().flatten().count();
+        let derive_ms: f64 = derived.iter().flatten().sum();
         let (frame, cell) = self
             .runner
-            .correct_frame(src, fixed, tiles)
+            .correct_frame(src, &fixed, &tiles)
             .map_err(|e| EngineError::backend(&name, e.to_string()))?;
         out.pixels_mut().copy_from_slice(frame.pixels());
 

@@ -18,7 +18,6 @@ use std::time::Instant;
 
 use fisheye_core::engine::{CorrectionEngine, EngineError, EnginePixel, EngineSpec, FrameReport};
 use fisheye_core::interp::sample_bilinear_fixed_gray8;
-use fisheye_core::map::FixedRemapMap;
 use fisheye_core::plan::RemapPlan;
 use fisheye_core::post::{PostPixel, PostPlan};
 use fisheye_core::tile::{tap_lines, TileJob};
@@ -346,19 +345,10 @@ impl SimtEngine {
         // Tiles compiled eagerly (the spec's capabilities asked for
         // them) are free; only an unrequested geometry pays the
         // derive-and-memoize path and reports a plan miss.
-        let mut derive_ms = None;
-        let lazy;
-        let jobs: &[TileJob] = if let Some(t) = plan.tile_plan(WARP_LANES as u32, self.wg_rows()) {
-            &t.jobs
-        } else {
-            let (t, ms) = plan.tile_plan_lazy(WARP_LANES as u32, self.wg_rows());
-            lazy = t;
-            derive_ms = ms;
-            &lazy.jobs
-        };
+        let (tiles, derive_ms) = plan.tile_plan_lazy(WARP_LANES as u32, self.wg_rows());
         interpret_frame(
             &ir,
-            jobs,
+            &tiles.jobs,
             self.config.line_bytes,
             post,
             out,
@@ -407,33 +397,15 @@ impl SimtEngine {
             ir.ops.insert(ir.ops.len() - 1, KernelOp::Post);
         }
         let t0 = Instant::now();
-        // Prefer the eagerly-compiled artifacts; fall back to the
-        // memoized derive path for (LUT width, tile shape) the plan
-        // was not compiled with.
-        let mut lut_ms = None;
-        let lazy_fixed;
-        let fixed: &FixedRemapMap = if let Some(f) = plan.fixed(frac_bits) {
-            f
-        } else {
-            let (f, ms) = plan.fixed_lazy(frac_bits);
-            lazy_fixed = f;
-            lut_ms = ms;
-            &lazy_fixed
-        };
-        let mut derive_ms = None;
-        let lazy_tiles;
-        let jobs: &[TileJob] = if let Some(t) = plan.tile_plan(WARP_LANES as u32, self.wg_rows()) {
-            &t.jobs
-        } else {
-            let (t, ms) = plan.tile_plan_lazy(WARP_LANES as u32, self.wg_rows());
-            lazy_tiles = t;
-            derive_ms = ms;
-            &lazy_tiles.jobs
-        };
+        // The eagerly-compiled artifacts when the plan has them, else
+        // the memoized derive path for a (LUT width, tile shape) the
+        // plan was not compiled with.
+        let (fixed, lut_ms) = plan.fixed_lazy(frac_bits);
+        let (tiles, derive_ms) = plan.tile_plan_lazy(WARP_LANES as u32, self.wg_rows());
         let mut counters = SimtCounters::default();
         interpret_frame(
             &ir,
-            jobs,
+            &tiles.jobs,
             self.config.line_bytes,
             pp,
             out,

@@ -901,8 +901,9 @@ pub fn execute_composite_host<P: CompositePixel>(
             report.kv("lanes", crate::simd::LANES as f64);
         }
         EngineSpec::FixedPoint { frac_bits } => {
-            // per-source LUTs through the plans' own memoization, so a
-            // cache-shared source plan derives its LUT exactly once
+            // per-source LUTs, compiled or memoized by the plans
+            // themselves, so a cache-shared source plan quantizes its
+            // LUT at most once
             let mut luts = Vec::with_capacity(plan.sources.len());
             let mut misses = 0u32;
             let mut derive_ms = 0f64;
@@ -920,8 +921,9 @@ pub fn execute_composite_host<P: CompositePixel>(
             }
             let ks: Vec<_> = srcs
                 .iter()
+                .zip(&plan.sources)
                 .zip(&luts)
-                .map(|(src, lut)| Fixed { src, lut })
+                .map(|((src, sp), lut)| Fixed::new(src, sp, lut))
                 .collect();
             report.correct_time = drive_rows(None, None, out, |y, row| seg_row(plan, &ks, y, row));
             report.kv("frac_bits", frac_bits as f64);
@@ -1345,6 +1347,42 @@ mod tests {
         .expect("fixed composite");
         assert_eq!(out, reference);
         assert_eq!(report.model.get("frac_bits"), Some(&10.0));
+    }
+
+    #[test]
+    fn fixed_reads_the_luts_its_source_plans_were_compiled_with() {
+        // source plans compiled with the fixed width carry its LUTs, so
+        // no frame requantizes a source or keeps a second copy of a LUT
+        let (rig, front, back) = rig_and_captures(&RadialGradient, 195.0);
+        let opts = PlanOptions {
+            frac_bits: vec![12],
+            ..PlanOptions::default()
+        };
+        let plan = CompositePlan::compile_panorama(&rig, 96, 48, &opts);
+        let mut out = Image::new(96, 48);
+        for frame in 0..2 {
+            let report = execute_composite_host(
+                &EngineSpec::FixedPoint { frac_bits: 12 },
+                Interpolator::Bilinear,
+                &[&front, &back],
+                &plan,
+                None,
+                &HostEnv::default(),
+                &mut out,
+            )
+            .expect("fixed composite");
+            assert_eq!(report.model.get("plan_miss"), None, "frame {frame}");
+            assert_eq!(report.model.get("plan_derive_ms"), None, "frame {frame}");
+        }
+        for sp in plan.sources() {
+            let (lut, derived) = sp.fixed_lazy(12);
+            assert!(derived.is_none());
+            let compiled = sp.fixed(12).expect("eager LUT");
+            assert!(
+                std::ptr::eq(&*lut, compiled),
+                "the compiled LUT, not a copy"
+            );
+        }
     }
 
     #[test]

@@ -22,6 +22,20 @@
 //! crate's `engine` module resolves *any* spec to a boxed engine.
 //! Adding the next backend means implementing the trait in one file
 //! and registering its spec — no consumer changes.
+//!
+//! The `simd` and `fixed` datapaths reach pixel types through two
+//! span-level hooks, [`EnginePixel::lane_span`] and
+//! [`EnginePixel::fixed_span`]. Their span kernels split every x-range
+//! at the plan's interior runs
+//! ([`RemapPlan::interior_runs`]): `lane_span` is handed only interior
+//! runs, whose taps it reads with no range check and no clamp, while
+//! the kernel sends border runs to `sample_bilinear` itself;
+//! `fixed_span` is told per run whether it is interior, and samples a
+//! border run through the clamping `sample_bilinear_fixed_gray8`.
+
+// Every served frame runs this module's dispatch and its Gray8 span
+// hooks; a panic here takes streams down.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -31,7 +45,7 @@ use fisheye_geom::{FisheyeLens, PerspectiveView};
 use par_runtime::{Schedule, ThreadPool};
 use pixmap::{Gray8, GrayF32, Image, Pixel};
 
-use crate::interp::{sample_bilinear_fixed_gray8, Interpolator};
+use crate::interp::{interior_fixed_gray8, sample_bilinear_fixed_gray8, Interpolator};
 use crate::map::FixedMapEntry;
 use crate::plan::{span_row, with_sampler, Fixed, Float, Lanes, RemapPlan};
 use crate::post::{PostPixel, PostPlan};
@@ -713,18 +727,28 @@ pub trait EnginePixel: Pixel {
     /// The post-correction color stage exists for this type.
     const HAS_POST: bool = false;
 
-    /// The integer datapath over one span: Q-format bilinear samples
-    /// of `src` at the valid LUT entries `lut`, bit-exact with
-    /// [`crate::correct_fixed`]. Executors refuse `fixed` unless
-    /// [`EnginePixel::HAS_FIXED`] holds, so the default (black) only
-    /// runs for types they never reach it with.
-    fn fixed_span(_src: &Image<Self>, _lut: &[FixedMapEntry], _frac_bits: u32, out: &mut [Self]) {
+    /// The integer datapath over one run of a span: Q-format bilinear
+    /// samples of `src` at the valid LUT entries `lut`, bit-exact with
+    /// [`crate::correct_fixed`]. On an `interior` run (one of the
+    /// plan's interior runs) every entry's four taps lie inside `src`
+    /// and are read with no clamp; any other run is a border run,
+    /// sampled through the clamping scalar sampler. Executors refuse
+    /// `fixed` unless [`EnginePixel::HAS_FIXED`] holds, so the default
+    /// (black) only runs for types they never reach it with.
+    fn fixed_span(
+        _src: &Image<Self>,
+        _lut: &[FixedMapEntry],
+        _frac_bits: u32,
+        _interior: bool,
+        out: &mut [Self],
+    ) {
         out.fill(Self::BLACK);
     }
 
-    /// The SoA-SIMD datapath over one span: 8-lane bilinear gathers at
-    /// the valid coordinates `sx`/`sy`, bit-exact with the serial
-    /// bilinear reference for this type. Guarded by
+    /// The SoA-SIMD datapath over one interior run: 8-lane bilinear
+    /// gathers at coordinates `sx`/`sy` whose four taps all lie inside
+    /// `src` (the span kernel samples border runs itself), bit-exact
+    /// with the serial bilinear reference for this type. Guarded by
     /// [`EnginePixel::HAS_SIMD`] like [`EnginePixel::fixed_span`].
     fn lane_span(_src: &Image<Self>, _sx: &[f32], _sy: &[f32], out: &mut [Self]) {
         out.fill(Self::BLACK);
@@ -741,9 +765,19 @@ impl EnginePixel for Gray8 {
     const HAS_SIMD: bool = true;
     const HAS_POST: bool = true;
 
-    fn fixed_span(src: &Image<Self>, lut: &[FixedMapEntry], frac_bits: u32, out: &mut [Self]) {
-        for (e, o) in lut.iter().zip(out) {
-            *o = sample_bilinear_fixed_gray8(src, e.x0, e.y0, e.wx, e.wy, frac_bits);
+    fn fixed_span(
+        src: &Image<Self>,
+        lut: &[FixedMapEntry],
+        frac_bits: u32,
+        interior: bool,
+        out: &mut [Self],
+    ) {
+        if interior {
+            interior_fixed_gray8(src, lut, frac_bits, out);
+        } else {
+            for (e, o) in lut.iter().zip(out) {
+                *o = sample_bilinear_fixed_gray8(src, e.x0, e.y0, e.wx, e.wy, frac_bits);
+            }
         }
     }
 
@@ -950,24 +984,14 @@ pub fn execute_host_post<P: EnginePixel>(
             report = execute_direct(interp, src, lens, view, out)?;
         }
         EngineSpec::FixedPoint { frac_bits } => {
-            let owned;
-            let lut = match plan.fixed(frac_bits) {
-                Some(f) => f,
-                None => {
-                    // Plan miss: derive through the plan's memo so
-                    // only the first frame after a (delta) compile
-                    // pays the quantization; later frames hit the
-                    // memo and report nothing.
-                    let (arc, derived_ms) = plan.fixed_lazy(frac_bits);
-                    if let Some(ms) = derived_ms {
-                        report.kv("plan_miss", 1.0);
-                        report.kv("plan_derive_ms", ms);
-                    }
-                    owned = arc;
-                    &owned
-                }
-            };
-            let k = Fixed { src, lut };
+            // only the first frame after a (delta) compile without this
+            // width pays the quantization; later frames hit the memo
+            let (lut, derived_ms) = plan.fixed_lazy(frac_bits);
+            if let Some(ms) = derived_ms {
+                report.kv("plan_miss", 1.0);
+                report.kv("plan_derive_ms", ms);
+            }
+            let k = Fixed::new(src, plan, &lut);
             report.correct_time = drive_rows(None, None, out, |y, row| span_row(plan, &k, y, row));
             report.kv("frac_bits", frac_bits as f64);
         }
@@ -1127,6 +1151,7 @@ impl<P: EnginePixel> CorrectionEngine<P> for HostEngine {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::correct::{correct, correct_fixed};

@@ -7,6 +7,8 @@
 
 use pixmap::{Gray8, Image, Pixel};
 
+use crate::map::FixedMapEntry;
+
 /// The interpolation kernels the paper's implementations choose from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum Interpolator {
@@ -197,6 +199,33 @@ pub fn sample_bilinear_fixed_gray8(
     // count, so it must be special-cased rather than computed.
     let round = if shift == 0 { 0 } else { 1u64 << (shift - 1) };
     Gray8(((acc + round) >> shift) as u8)
+}
+
+/// [`sample_bilinear_fixed_gray8`]'s arithmetic over a run of LUT
+/// entries whose four taps all lie inside `img` (an interior run of the
+/// plan's run index): each pixel reads its taps at one index
+/// `y0·w + x0` with no clamp, and the Q-format constants are derived
+/// once for the run. `frac_bits` is a quantized LUT's width (1..=15).
+/// Bit-exact with the per-pixel sampler on such entries.
+pub(crate) fn interior_fixed_gray8(
+    img: &Image<Gray8>,
+    lut: &[FixedMapEntry],
+    frac_bits: u32,
+    out: &mut [Gray8],
+) {
+    let one = 1u64 << frac_bits;
+    let shift = 2 * frac_bits;
+    let round = (1u64 << shift) >> 1;
+    let stride = img.dims().0 as usize;
+    let data = img.pixels();
+    for (e, o) in lut.iter().zip(out) {
+        let at = e.y0 as usize * stride + e.x0 as usize;
+        let (top, bot) = (&data[at..][..2], &data[at + stride..][..2]);
+        let (wx, wy) = (e.wx as u64, e.wy as u64);
+        let t = top[0].0 as u64 * (one - wx) + top[1].0 as u64 * wx;
+        let b = bot[0].0 as u64 * (one - wx) + bot[1].0 as u64 * wx;
+        *o = Gray8(((t * (one - wy) + b * wy + round) >> shift) as u8);
+    }
 }
 
 #[cfg(test)]

@@ -18,6 +18,16 @@
 //!   gaps black, eliminating the per-pixel `is_valid()` branch from
 //!   the inner loop (a fisheye map's invalid region is a border, not
 //!   salt-and-pepper, so rows have very few spans).
+//! * **Per-row interior runs** ([`RemapPlan::interior_runs`]) — the
+//!   maximal runs of output pixels whose four bilinear taps all lie
+//!   inside the source. With `fx = sx − 0.5` and `fy = sy − 0.5` in
+//!   `f32`, as the samplers compute them, a pixel is interior when
+//!   `0 ≤ fx < min(w − 1, 2²²)` and `0 ≤ fy < min(h − 1, 2²²)` for a
+//!   `w`×`h` source. The rest of each valid span is its border runs.
+//!   The `simd` and `fixed` kernels read an interior pixel's taps at
+//!   one index `y0·w + x0` with no range check and no clamp, and send
+//!   border runs to the scalar samplers. The index stores nothing per
+//!   pixel: 8 bytes a run plus 4 a row.
 //! * **Prequantized fixed-point LUTs** for every `frac_bits` the
 //!   caller requests ([`PlanOptions::frac_bits`]).
 //! * **Tile plans** with source footprints for every requested tile
@@ -46,13 +56,17 @@
 //! writing one valid x-range of one output row, and the valid-span
 //! row walk that drives them. The single-plan executor and the
 //! composite executor's exclusive runs call the same kernels, so each
-//! datapath's pixel loop is written once.
+//! datapath's pixel loop is written once. The lane and Q-format
+//! kernels split every x-range they are handed at the plan's interior
+//! runs, so a composite's exclusive run meets the same split as a
+//! whole valid span.
 
 // Every serial, smp, simd and fixed frame of every serving session,
 // single or composite, runs the span kernels below; a panic here takes
 // streams down.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use fisheye_geom::{FisheyeLens, PerspectiveView};
@@ -61,7 +75,8 @@ use pixmap::{Image, Pixel};
 
 use crate::engine::{EnginePixel, EngineSpec};
 use crate::interp::{sample_bilinear, Interpolator};
-use crate::map::{FixedRemapMap, RemapMap};
+use crate::map::{FixedRemapMap, MapEntry, RemapMap};
+use crate::simd::FLOOR_EXACT;
 use crate::tile::TilePlan;
 
 /// What [`RemapPlan::compile`] should prederive beyond the SoA planes
@@ -193,8 +208,8 @@ impl std::hash::Hasher for Fnv {
     }
 }
 
-/// One contiguous run of valid LUT entries within a row:
-/// `[start, end)` in output-pixel x coordinates.
+/// One contiguous run of output pixels within a row — a valid span or
+/// an interior run: `[start, end)` in output-pixel x coordinates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ValidSpan {
     /// First valid x (inclusive).
@@ -223,10 +238,11 @@ impl ValidSpan {
 /// Quantized LUTs and tile plans come in two flavors: the ones the
 /// plan was *compiled with* (eagerly materialized per
 /// [`PlanOptions`], visible through [`RemapPlan::fixed`] /
-/// [`RemapPlan::tile_plan`]) and ones an engine derives *on demand*
-/// through [`RemapPlan::fixed_lazy`] / [`RemapPlan::tile_plan_lazy`],
-/// which are memoized so a plan-miss costs one derivation per plan,
-/// not one per frame. Neither flavor affects [`RemapPlan::digest`]:
+/// [`RemapPlan::tile_plan`]) and ones derived *on demand*, memoized so
+/// a plan-miss costs one derivation per plan, not one per frame.
+/// [`RemapPlan::fixed_lazy`] / [`RemapPlan::tile_plan_lazy`] are the
+/// one lookup every consumer makes: the compiled artifact first, the
+/// memoized one second. Neither flavor affects [`RemapPlan::digest`]:
 /// the digest covers the map and the compile *parameters*, so two
 /// plans that differ only in which artifacts happen to be
 /// materialized still hash identically.
@@ -234,9 +250,9 @@ pub struct RemapPlan {
     map: RemapMap,
     sx: Vec<f32>,
     sy: Vec<f32>,
-    spans: Vec<ValidSpan>,
-    /// `row_offsets[y]..row_offsets[y+1]` indexes `spans` for row `y`.
-    row_offsets: Vec<u32>,
+    spans: RowRuns,
+    /// Interior runs ([`RemapPlan::interior_runs`]).
+    interior: RowRuns,
     invalid_pixels: u64,
     /// Per-row FNV digest of the map's coordinate bit patterns; what
     /// [`RemapPlan::recompile`] reuses for unchanged rows.
@@ -246,8 +262,8 @@ pub struct RemapPlan {
     /// Options the plan was compiled with (eager artifact set +
     /// interpolator); reused verbatim by [`RemapPlan::recompile`].
     opts: PlanOptions,
-    fixed: Vec<FixedRemapMap>,
-    tiles: Vec<TilePlan>,
+    fixed: Vec<Arc<FixedRemapMap>>,
+    tiles: Vec<Arc<TilePlan>>,
     /// Lazily derived LUTs/tile plans an engine asked for beyond the
     /// compiled set (plan misses), memoized for subsequent frames.
     fixed_memo: Mutex<Vec<Arc<FixedRemapMap>>>,
@@ -261,7 +277,7 @@ impl Clone for RemapPlan {
             sx: self.sx.clone(),
             sy: self.sy.clone(),
             spans: self.spans.clone(),
-            row_offsets: self.row_offsets.clone(),
+            interior: self.interior.clone(),
             invalid_pixels: self.invalid_pixels,
             row_digests: self.row_digests.clone(),
             digest: self.digest,
@@ -280,7 +296,7 @@ impl std::fmt::Debug for RemapPlan {
             .field("width", &self.width())
             .field("height", &self.height())
             .field("src_dims", &self.src_dims())
-            .field("span_count", &self.spans.len())
+            .field("span_count", &self.span_count())
             .field("invalid_pixels", &self.invalid_pixels)
             .field("digest", &self.digest)
             .field("opts", &self.opts)
@@ -288,39 +304,140 @@ impl std::fmt::Debug for RemapPlan {
     }
 }
 
-/// Scan one map row: append its valid spans to `spans` and return
-/// `(invalid pixels, row digest)`. The digest covers every
-/// coordinate's bit pattern, so it distinguishes NaN-invalid entries
-/// and any sub-ulp coordinate change.
-fn scan_row(row: &[crate::map::MapEntry], spans: &mut Vec<ValidSpan>) -> (u64, u64) {
-    let w = row.len();
-    let mut invalid = 0u64;
-    let mut x = 0usize;
-    while x < w {
-        if row[x].is_valid() {
-            let start = x;
-            while x < w && row[x].is_valid() {
-                x += 1;
-            }
-            spans.push(ValidSpan {
-                start: start as u32,
-                end: x as u32,
-            });
-        } else {
-            invalid += 1;
-            x += 1;
+/// Per-row x-ranges: `offsets[y]..offsets[y + 1]` indexes `runs` for
+/// row `y`. Holds a plan's valid spans and its interior runs.
+#[derive(Clone)]
+struct RowRuns {
+    runs: Vec<ValidSpan>,
+    offsets: Vec<u32>,
+}
+
+impl RowRuns {
+    fn with_rows(h: usize) -> RowRuns {
+        let mut offsets = Vec::with_capacity(h + 1);
+        offsets.push(0);
+        RowRuns {
+            runs: Vec::new(),
+            offsets,
         }
     }
+
+    /// Close the row being appended.
+    fn end_row(&mut self) {
+        self.offsets.push(self.runs.len() as u32);
+    }
+
+    /// Append row `y` of `other` as the next row.
+    fn push_row_of(&mut self, other: &RowRuns, y: u32) {
+        self.runs.extend_from_slice(other.row(y));
+        self.end_row();
+    }
+
+    #[inline]
+    fn row(&self, y: u32) -> &[ValidSpan] {
+        let a = self.offsets[y as usize] as usize;
+        let b = self.offsets[y as usize + 1] as usize;
+        &self.runs[a..b]
+    }
+
+    fn bytes(&self) -> usize {
+        self.runs.len() * std::mem::size_of::<ValidSpan>() + self.offsets.len() * 4
+    }
+
+    /// Split output pixels `x0 .. x0 + len` of row `y` at the row's
+    /// runs: `f(r, inside)` for each non-empty piece, left to right,
+    /// with `r` relative to `x0` and `inside` telling whether the
+    /// piece lies in a run.
+    #[inline]
+    fn split(&self, y: u32, x0: usize, len: usize, mut f: impl FnMut(Range<usize>, bool)) {
+        let end = x0 + len;
+        let mut at = x0;
+        for run in self.row(y) {
+            let (start, stop) = (run.start as usize, run.end as usize);
+            if start >= end {
+                break;
+            }
+            if stop <= at {
+                continue;
+            }
+            let (a, b) = (start.max(at), stop.min(end));
+            if a > at {
+                f(at - x0..a - x0, false);
+            }
+            f(a - x0..b - x0, true);
+            at = b;
+        }
+        if at < end {
+            f(at - x0..end - x0, false);
+        }
+    }
+}
+
+/// Append the maximal runs of `row` entries that satisfy `keep` to
+/// `out`; returns how many entries they cover.
+fn push_runs(row: &[MapEntry], keep: impl Fn(&MapEntry) -> bool, out: &mut Vec<ValidSpan>) -> u64 {
+    let mut covered = 0u64;
+    let mut x = 0usize;
+    while x < row.len() {
+        if !keep(&row[x]) {
+            x += 1;
+            continue;
+        }
+        let start = x;
+        while x < row.len() && keep(&row[x]) {
+            x += 1;
+        }
+        out.push(ValidSpan {
+            start: start as u32,
+            end: x as u32,
+        });
+        covered += (x - start) as u64;
+    }
+    covered
+}
+
+/// The exclusive bounds `(xlim, ylim)` an interior pixel's
+/// `fx = sx − 0.5` and `fy = sy − 0.5` stay below over a `sw`×`sh`
+/// source: `min(n − 1, 2²²)` per axis. Below `n − 1` the corner and its
+/// right/lower neighbour are both inside the source; below 2²² the lane
+/// kernel's integer floor is exact.
+fn interior_limits((sw, sh): (u32, u32)) -> (f32, f32) {
+    let lim = |n: u32| (n.saturating_sub(1) as f32).min(FLOOR_EXACT);
+    (lim(sw), lim(sh))
+}
+
+/// Scan one map row: append its valid spans and its interior runs
+/// (taps inside a source whose [`interior_limits`] are `lim`) and
+/// return `(invalid pixels, row digest)`. The digest covers every
+/// coordinate's bit pattern, so it distinguishes NaN-invalid entries
+/// and any sub-ulp coordinate change.
+fn scan_row(
+    row: &[MapEntry],
+    (xlim, ylim): (f32, f32),
+    spans: &mut RowRuns,
+    interior: &mut RowRuns,
+) -> (u64, u64) {
+    let valid = push_runs(row, MapEntry::is_valid, &mut spans.runs);
+    push_runs(
+        row,
+        |e| {
+            let (fx, fy) = (e.sx - 0.5, e.sy - 0.5);
+            fx >= 0.0 && fx < xlim && fy >= 0.0 && fy < ylim
+        },
+        &mut interior.runs,
+    );
+    spans.end_row();
+    interior.end_row();
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     for e in row {
         h.mix(((e.sx.to_bits() as u64) << 32) | e.sy.to_bits() as u64);
     }
-    (invalid, h.0)
+    (row.len() as u64 - valid, h.0)
 }
 
 /// Whether two map rows are bit-identical (NaN-aware: invalid entries
 /// with the same bit pattern compare equal, unlike `f32` equality).
-fn rows_bit_equal(a: &[crate::map::MapEntry], b: &[crate::map::MapEntry]) -> bool {
+fn rows_bit_equal(a: &[MapEntry], b: &[MapEntry]) -> bool {
     a.len() == b.len()
         && a.iter()
             .zip(b)
@@ -329,9 +446,9 @@ fn rows_bit_equal(a: &[crate::map::MapEntry], b: &[crate::map::MapEntry]) -> boo
 
 impl RemapPlan {
     /// Compile `map` into an execution plan. Always builds the SoA
-    /// planes and valid-span index; additionally prequantizes one
-    /// fixed-point LUT per requested `frac_bits` and one tile plan per
-    /// requested geometry.
+    /// planes, the valid-span index and the interior-run index;
+    /// additionally prequantizes one fixed-point LUT per requested
+    /// `frac_bits` and one tile plan per requested geometry.
     ///
     /// Deterministic: the same map and options yield a byte-identical
     /// plan (same [`RemapPlan::digest`]).
@@ -348,9 +465,9 @@ impl RemapPlan {
         let mut sy = Vec::with_capacity(entries.len());
         let w = map.width() as usize;
         let h = map.height() as usize;
-        let mut spans = Vec::new();
-        let mut row_offsets = Vec::with_capacity(h + 1);
-        row_offsets.push(0u32);
+        let lim = interior_limits(map.src_dims());
+        let mut spans = RowRuns::with_rows(h);
+        let mut interior = RowRuns::with_rows(h);
         let mut row_digests = Vec::with_capacity(h);
         let mut invalid = 0u64;
         // one streaming pass: each row is split into the SoA planes
@@ -359,17 +476,19 @@ impl RemapPlan {
             let row = &entries[y * w..][..w];
             sx.extend(row.iter().map(|e| e.sx));
             sy.extend(row.iter().map(|e| e.sy));
-            let (inv, rd) = scan_row(row, &mut spans);
+            let (inv, rd) = scan_row(row, lim, &mut spans, &mut interior);
             invalid += inv;
             row_digests.push(rd);
-            row_offsets.push(spans.len() as u32);
         }
         let (fixed, tiles) = if eager {
             (
-                opts.frac_bits.iter().map(|&b| map.to_fixed(b)).collect(),
+                opts.frac_bits
+                    .iter()
+                    .map(|&b| Arc::new(map.to_fixed(b)))
+                    .collect(),
                 opts.tiles
                     .iter()
-                    .map(|&(tw, th)| TilePlan::build(&map, tw, th, opts.interp))
+                    .map(|&(tw, th)| Arc::new(TilePlan::build(&map, tw, th, opts.interp)))
                     .collect(),
             )
         } else {
@@ -381,7 +500,7 @@ impl RemapPlan {
             sx,
             sy,
             spans,
-            row_offsets,
+            interior,
             invalid_pixels: invalid,
             row_digests,
             digest,
@@ -397,14 +516,14 @@ impl RemapPlan {
     /// the cheap path behind an interactive view change.
     ///
     /// Rows whose coordinates are bit-identical to the previous map
-    /// reuse their span index and row digest; changed rows are
-    /// rescanned. Quantized LUTs and tile plans are *not* eagerly
-    /// rebuilt — a backend that needs one derives and memoizes it on
-    /// first use (reported as a plan miss). The result is bit-exact
-    /// against `RemapPlan::compile(&map, self.opts())` — same
-    /// coordinates, spans, lazily-derived artifacts and
-    /// [`RemapPlan::digest`] — so a digest-keyed cache can never
-    /// confuse delta-compiled and cold-compiled plans.
+    /// reuse their valid spans, interior runs and row digest; changed
+    /// rows are rescanned. Quantized LUTs and tile plans are *not*
+    /// eagerly rebuilt — a backend that needs one derives and memoizes
+    /// it on first use (reported as a plan miss). The result is
+    /// bit-exact against `RemapPlan::compile(&map, self.opts())` —
+    /// same coordinates, spans, interior runs, lazily-derived
+    /// artifacts and [`RemapPlan::digest`] — so a digest-keyed cache
+    /// can never confuse delta-compiled and cold-compiled plans.
     pub fn recompile(&self, map: RemapMap) -> RemapPlan {
         if map.width() != self.width()
             || map.height() != self.height()
@@ -418,9 +537,11 @@ impl RemapPlan {
         let mut sy = Vec::with_capacity(entries.len());
         let w = map.width() as usize;
         let h = map.height() as usize;
-        let mut spans = Vec::with_capacity(self.spans.len());
-        let mut row_offsets = Vec::with_capacity(h + 1);
-        row_offsets.push(0u32);
+        let lim = interior_limits(map.src_dims());
+        let mut spans = RowRuns::with_rows(h);
+        spans.runs.reserve(self.spans.runs.len());
+        let mut interior = RowRuns::with_rows(h);
+        interior.runs.reserve(self.interior.runs.len());
         let mut row_digests = Vec::with_capacity(h);
         let mut invalid = 0u64;
         // same single-pass row loop as `build_plan`, plus the reuse
@@ -430,18 +551,16 @@ impl RemapPlan {
             sx.extend(row.iter().map(|e| e.sx));
             sy.extend(row.iter().map(|e| e.sy));
             if rows_bit_equal(row, &old[y * w..][..w]) {
-                let a = self.row_offsets[y] as usize;
-                let b = self.row_offsets[y + 1] as usize;
-                let reused = &self.spans[a..b];
+                let reused = self.spans.row(y as u32);
                 invalid += w as u64 - reused.iter().map(|s| s.len() as u64).sum::<u64>();
-                spans.extend_from_slice(reused);
+                spans.push_row_of(&self.spans, y as u32);
+                interior.push_row_of(&self.interior, y as u32);
                 row_digests.push(self.row_digests[y]);
             } else {
-                let (inv, rd) = scan_row(row, &mut spans);
+                let (inv, rd) = scan_row(row, lim, &mut spans, &mut interior);
                 invalid += inv;
                 row_digests.push(rd);
             }
-            row_offsets.push(spans.len() as u32);
         }
         let digest = Self::digest_of(&map, &row_digests, invalid, &self.opts);
         RemapPlan {
@@ -449,7 +568,7 @@ impl RemapPlan {
             sx,
             sy,
             spans,
-            row_offsets,
+            interior,
             invalid_pixels: invalid,
             row_digests,
             digest,
@@ -508,14 +627,23 @@ impl RemapPlan {
     /// Valid spans of row `y`, left to right.
     #[inline]
     pub fn spans(&self, y: u32) -> &[ValidSpan] {
-        let a = self.row_offsets[y as usize] as usize;
-        let b = self.row_offsets[y as usize + 1] as usize;
-        &self.spans[a..b]
+        self.spans.row(y)
     }
 
     /// Total number of valid spans across all rows.
     pub fn span_count(&self) -> usize {
-        self.spans.len()
+        self.spans.runs.len()
+    }
+
+    /// Interior runs of row `y`, left to right: the maximal runs of
+    /// output pixels whose four bilinear taps all lie inside the
+    /// source (see the module docs for the exact predicate). Each lies
+    /// inside one valid span; the rest of every span is its border
+    /// runs, which the `simd` and `fixed` kernels send to the scalar
+    /// samplers.
+    #[inline]
+    pub fn interior_runs(&self, y: u32) -> &[ValidSpan] {
+        self.interior.row(y)
     }
 
     /// Output pixels with no valid source mapping (precomputed at
@@ -528,11 +656,14 @@ impl RemapPlan {
     /// The prequantized LUT for `frac_bits`, if one was requested at
     /// compile time.
     pub fn fixed(&self, frac_bits: u32) -> Option<&FixedRemapMap> {
-        self.fixed.iter().find(|f| f.frac_bits() == frac_bits)
+        self.fixed
+            .iter()
+            .find(|f| f.frac_bits() == frac_bits)
+            .map(|f| &**f)
     }
 
     /// All prequantized LUTs, in ascending `frac_bits` order.
-    pub fn fixed_luts(&self) -> &[FixedRemapMap] {
+    pub fn fixed_luts(&self) -> &[Arc<FixedRemapMap>] {
         &self.fixed
     }
 
@@ -542,15 +673,18 @@ impl RemapPlan {
         self.tiles
             .iter()
             .find(|t| t.tile_dims() == (tile_w, tile_h))
+            .map(|t| &**t)
     }
 
-    /// Total plan size in bytes (map + SoA planes + spans + quantized
-    /// LUTs); what a view change costs in memory.
+    /// Total plan size in bytes (map + SoA planes + span and
+    /// interior-run indices + quantized LUTs); what a view change
+    /// costs in memory.
     pub fn bytes(&self) -> usize {
         self.map.bytes()
             + self.sx.len() * 4
             + self.sy.len() * 4
-            + self.spans.len() * std::mem::size_of::<ValidSpan>()
+            + self.spans.bytes()
+            + self.interior.bytes()
             + self.fixed.iter().map(|f| f.bytes()).sum::<usize>()
     }
 
@@ -561,13 +695,16 @@ impl RemapPlan {
         &self.opts
     }
 
-    /// Derive (or fetch the memoized) quantized LUT for a `frac_bits`
-    /// the plan was *not* compiled with — the plan-miss path. Returns
-    /// the LUT plus `Some(milliseconds)` if this call materialized it
-    /// (`None` = memo hit; later frames pay nothing). Callers should
-    /// try [`RemapPlan::fixed`] first: widths in the compiled set are
-    /// already materialized and borrowable for free.
+    /// The quantized LUT for `frac_bits`: the one the plan was compiled
+    /// with if there is one, else one derived on first use and
+    /// memoized — the plan-miss path. Returns the LUT plus
+    /// `Some(milliseconds)` if this call materialized it (`None` =
+    /// compiled or memoized; later frames pay nothing). Every consumer
+    /// looks LUTs up here, so none requantizes a width the plan holds.
     pub fn fixed_lazy(&self, frac_bits: u32) -> (Arc<FixedRemapMap>, Option<f64>) {
+        if let Some(f) = self.fixed.iter().find(|f| f.frac_bits() == frac_bits) {
+            return (Arc::clone(f), None);
+        }
         let mut memo = self.fixed_memo.lock();
         if let Some(f) = memo.iter().find(|f| f.frac_bits() == frac_bits) {
             return (Arc::clone(f), None);
@@ -579,11 +716,18 @@ impl RemapPlan {
         (f, Some(ms))
     }
 
-    /// Derive (or fetch the memoized) tile plan for a geometry the
-    /// plan was *not* compiled with — the plan-miss path, memoized
-    /// like [`RemapPlan::fixed_lazy`]. The footprint margin uses the
-    /// plan's compiled interpolator.
+    /// The tile plan for a geometry: the compiled one first, else one
+    /// derived on first use and memoized, like
+    /// [`RemapPlan::fixed_lazy`]. The footprint margin uses the plan's
+    /// compiled interpolator.
     pub fn tile_plan_lazy(&self, tile_w: u32, tile_h: u32) -> (Arc<TilePlan>, Option<f64>) {
+        if let Some(t) = self
+            .tiles
+            .iter()
+            .find(|t| t.tile_dims() == (tile_w, tile_h))
+        {
+            return (Arc::clone(t), None);
+        }
         let mut memo = self.tile_memo.lock();
         if let Some(t) = memo.iter().find(|t| t.tile_dims() == (tile_w, tile_h)) {
             return (Arc::clone(t), None);
@@ -735,17 +879,22 @@ macro_rules! with_sampler {
 pub(crate) use with_sampler;
 
 /// The `simd` datapath: [`EnginePixel::lane_span`] (the 8-lane gather)
-/// over a span; a lone pixel takes `sample_bilinear`, the same
-/// arithmetic one lane computes.
+/// over the interior runs of a span, `sample_bilinear` over its border
+/// runs and over a lone pixel — the same arithmetic one lane computes.
 pub(crate) struct Lanes<'a, P: Pixel> {
     src: &'a Image<P>,
     xy: Coords<'a>,
+    interior: &'a RowRuns,
 }
 
 impl<'a, P: Pixel> Lanes<'a, P> {
     pub(crate) fn new(src: &'a Image<P>, plan: &'a RemapPlan) -> Self {
         let xy = Coords::of(plan);
-        Lanes { src, xy }
+        Lanes {
+            src,
+            xy,
+            interior: &plan.interior,
+        }
     }
 }
 
@@ -753,7 +902,16 @@ impl<P: EnginePixel> SpanKernel<P> for Lanes<'_, P> {
     #[inline]
     fn span(&self, y: u32, x0: usize, out: &mut [P]) {
         let (sx, sy) = self.xy.span(y, x0, out.len());
-        P::lane_span(self.src, sx, sy, out);
+        self.interior.split(y, x0, out.len(), |r, interior| {
+            let (sx, sy, out) = (&sx[r.clone()], &sy[r.clone()], &mut out[r]);
+            if interior {
+                P::lane_span(self.src, sx, sy, out);
+            } else {
+                for ((o, &x), &y) in out.iter_mut().zip(sx).zip(sy) {
+                    *o = sample_bilinear(self.src, x, y);
+                }
+            }
+        });
     }
 
     #[inline]
@@ -763,25 +921,50 @@ impl<P: EnginePixel> SpanKernel<P> for Lanes<'_, P> {
 }
 
 /// The `fixed` datapath: [`EnginePixel::fixed_span`] (the Q-format
-/// sampler) over a quantized LUT of the plan's map. A valid span holds
-/// only valid entries, so the kernel reads no per-pixel validity.
+/// sampler) over a quantized LUT of the plan's map, told per run
+/// whether the run is interior. A valid span holds only valid entries,
+/// so the kernel reads no per-pixel validity, and the LUT's weight
+/// width is read once, when the kernel is built.
 pub(crate) struct Fixed<'a, P: Pixel> {
-    pub(crate) src: &'a Image<P>,
-    pub(crate) lut: &'a FixedRemapMap,
+    src: &'a Image<P>,
+    lut: &'a FixedRemapMap,
+    frac_bits: u32,
+    interior: &'a RowRuns,
+}
+
+impl<'a, P: Pixel> Fixed<'a, P> {
+    /// `lut` must be quantized from `plan`'s map
+    /// ([`RemapPlan::fixed_lazy`]).
+    pub(crate) fn new(src: &'a Image<P>, plan: &'a RemapPlan, lut: &'a FixedRemapMap) -> Self {
+        Fixed {
+            src,
+            lut,
+            frac_bits: lut.frac_bits(),
+            interior: &plan.interior,
+        }
+    }
 }
 
 impl<P: EnginePixel> SpanKernel<P> for Fixed<'_, P> {
     #[inline]
     fn span(&self, y: u32, x0: usize, out: &mut [P]) {
         let lut = &self.lut.row(y)[x0..x0 + out.len()];
-        P::fixed_span(self.src, lut, self.lut.frac_bits(), out);
+        self.interior.split(y, x0, out.len(), |r, interior| {
+            P::fixed_span(
+                self.src,
+                &lut[r.clone()],
+                self.frac_bits,
+                interior,
+                &mut out[r],
+            );
+        });
     }
 
     #[inline]
     fn sample(&self, i: usize) -> P {
         let mut px = [P::BLACK];
         let lut = &self.lut.entries()[i..=i];
-        P::fixed_span(self.src, lut, self.lut.frac_bits(), &mut px);
+        P::fixed_span(self.src, lut, self.frac_bits, false, &mut px);
         px[0]
     }
 }

@@ -20,18 +20,26 @@
 //! * Each lane is quantized straight into the output row, with the
 //!   pixel type's own `from_channels_f32`.
 //!
-//! The integer floor is exact only while `|fx| < 2²²`. A lane block
-//! with a coordinate that is not finite, or outside that range, takes
-//! the scalar `sample_bilinear` path instead. The kernel is therefore
-//! bit-exact with the scalar reference for every map
-//! `RemapMap::from_entries` accepts, not only for maps traced from
-//! lens geometry.
+//! The kernel gathers one interior run at a time: it is the `simd`
+//! datapath's [`EnginePixel::lane_span`], which the plan's lane span
+//! kernel calls with coordinates straight from a plan's SoA planes for
+//! each of the plan's interior runs
+//! ([`RemapPlan::interior_runs`](crate::plan::RemapPlan::interior_runs))
+//! within a valid span or a composite's exclusive run. Every lane's
+//! four taps lie inside the source there, and `|fx|`, `|fy|` stay
+//! below 2²², where the integer floor is exact, so lanes carry no
+//! validity mask, no range check and no clamp, and each lane reads its
+//! taps at one index `y0·w + x0`.
 //!
-//! The kernel gathers one valid span at a time: it is the `simd`
-//! datapath's [`EnginePixel::lane_span`], which the plan's valid-span
-//! walk and the composite's segment walk both call with coordinates
-//! straight from a plan's SoA planes, so lanes carry no validity mask.
-//! The walks fill the gaps black. Engines report `lanes` = [`LANES`].
+//! **Border runs.** A pixel whose taps reach past the source edge, or
+//! whose coordinate is not finite or lies beyond 2²², is in a border
+//! run. The span kernel sends border runs to the scalar
+//! `sample_bilinear`, which clamps each tap, as it does a run's tail
+//! shorter than a lane block. The datapath is therefore bit-exact with
+//! the scalar reference for every map `RemapMap::from_entries`
+//! accepts, not only for maps traced from lens geometry. The walks fill
+//! the gaps between valid spans black. Engines report `lanes` =
+//! [`LANES`].
 
 // The kernel runs inside serving sessions on every simd frame, single
 // and composite; a panic here takes streams down.
@@ -46,8 +54,9 @@ use crate::plan::{span_row, Lanes, RemapPlan};
 /// Number of lanes processed together.
 pub const LANES: usize = 8;
 
-/// Magnitude (2²²) below which [`floor_i32`] is exact.
-const FLOOR_EXACT: f32 = 4_194_304.0;
+/// Magnitude (2²²) below which [`floor_i32`] is exact; it caps the
+/// plan's interior runs.
+pub(crate) const FLOOR_EXACT: f32 = 4_194_304.0;
 
 /// 1.5·2²³, the rounding bias of [`floor_i32`].
 const ROUND: f32 = 12_582_912.0;
@@ -96,8 +105,14 @@ impl LaneTap for GrayF32 {
 }
 
 /// Bilinear-correct one frame with the span kernel. Bit-exact with
-/// `correct(…, Interpolator::Bilinear, …)`.
+/// `correct(…, Interpolator::Bilinear, …)`. `src` must have the
+/// plan's source dimensions: interior taps are read unclamped.
 pub fn correct_bilinear_simd<P: LaneTap>(src: &Image<P>, plan: &RemapPlan) -> Image<P> {
+    assert_eq!(
+        src.dims(),
+        plan.src_dims(),
+        "source dimensions must match the plan"
+    );
     let mut out = Image::new(plan.width(), plan.height());
     let k = Lanes::new(src, plan);
     for y in 0..plan.height() {
@@ -106,73 +121,53 @@ pub fn correct_bilinear_simd<P: LaneTap>(src: &Image<P>, plan: &RemapPlan) -> Im
     out
 }
 
-/// Bilinear-gather one span of coordinates into `out`: whole lane
-/// blocks through the lane kernel, the tail through `sample_bilinear`.
-/// Every coordinate must be valid (the caller walks a plan's span
-/// index). This is the `simd` datapath's
+/// Bilinear-gather one interior run of coordinates into `out`: whole
+/// lane blocks through the lane kernel, the tail through
+/// `sample_bilinear`. Every coordinate's four taps must lie inside
+/// `src` with `|fx|`, `|fy|` below 2²² (the caller walks a plan's
+/// interior runs). This is the `simd` datapath's
 /// [`EnginePixel::lane_span`](crate::engine::EnginePixel::lane_span),
 /// which the engine's and the composite's walks both reach.
 pub(crate) fn gather_span<P: LaneTap>(src: &Image<P>, sx: &[f32], sy: &[f32], out: &mut [P]) {
     debug_assert_eq!(sx.len(), out.len());
     debug_assert_eq!(sy.len(), out.len());
-    let (w, h) = src.dims();
     let taps = Taps {
         data: src.pixels(),
-        stride: w as usize,
-        xmax: i32::try_from(w.saturating_sub(1)).unwrap_or(i32::MAX),
-        ymax: i32::try_from(h.saturating_sub(1)).unwrap_or(i32::MAX),
+        stride: src.dims().0 as usize,
     };
     let (cx_blocks, cx_tail) = sx.as_chunks::<LANES>();
     let (cy_blocks, cy_tail) = sy.as_chunks::<LANES>();
     let (out_blocks, out_tail) = out.as_chunks_mut::<LANES>();
     for ((o, cx), cy) in out_blocks.iter_mut().zip(cx_blocks).zip(cy_blocks) {
-        if !taps.lane_block(cx, cy, o) {
-            for ((o, &x), &y) in o.iter_mut().zip(cx).zip(cy) {
-                *o = sample_bilinear(src, x, y);
-            }
-        }
+        taps.lane_block(cx, cy, o);
     }
     for ((o, &x), &y) in out_tail.iter_mut().zip(cx_tail).zip(cy_tail) {
         *o = sample_bilinear(src, x, y);
     }
 }
 
-/// The source plane as the lane kernel reads it: row-major pixels and
-/// the clamp bounds of its border-replicating taps.
+/// The source plane as the lane kernel reads it: row-major pixels.
 struct Taps<'a, P> {
     data: &'a [P],
     stride: usize,
-    xmax: i32,
-    ymax: i32,
 }
 
 impl<P: LaneTap> Taps<'_, P> {
-    /// Interpolate one block of [`LANES`] coordinates into `out`, with
-    /// `sample_bilinear`'s operation order per lane. Returns `false`,
-    /// writing nothing, when a coordinate is outside the range where
-    /// the integer floor is exact (NaN and ±inf included).
+    /// Interpolate one block of [`LANES`] interior coordinates into
+    /// `out`, with `sample_bilinear`'s operation order per lane.
     #[inline]
-    fn lane_block(&self, cx: &[f32; LANES], cy: &[f32; LANES], out: &mut [P; LANES]) -> bool {
-        let mut fx = [0f32; LANES];
-        let mut fy = [0f32; LANES];
-        let mut exact = true;
-        for i in 0..LANES {
-            fx[i] = cx[i] - 0.5;
-            fy[i] = cy[i] - 0.5;
-            exact &= fx[i].abs() < FLOOR_EXACT && fy[i].abs() < FLOOR_EXACT;
-        }
-        if !exact {
-            return false;
-        }
+    fn lane_block(&self, cx: &[f32; LANES], cy: &[f32; LANES], out: &mut [P; LANES]) {
         let mut x0 = [0i32; LANES];
         let mut y0 = [0i32; LANES];
         let mut wx = [0f32; LANES];
         let mut wy = [0f32; LANES];
         for i in 0..LANES {
-            x0[i] = floor_i32(fx[i]);
-            y0[i] = floor_i32(fy[i]);
-            wx[i] = fx[i] - x0[i] as f32;
-            wy[i] = fy[i] - y0[i] as f32;
+            let fx = cx[i] - 0.5;
+            let fy = cy[i] - 0.5;
+            x0[i] = floor_i32(fx);
+            y0[i] = floor_i32(fy);
+            wx[i] = fx - x0[i] as f32;
+            wy[i] = fy - y0[i] as f32;
         }
         // the gather itself stays scalar — on an SPE too, which is why
         // the paper's kernels are memory-bound here
@@ -181,21 +176,18 @@ impl<P: LaneTap> Taps<'_, P> {
         let mut p01 = [0f32; LANES];
         let mut p11 = [0f32; LANES];
         for i in 0..LANES {
-            let xa = x0[i].clamp(0, self.xmax) as usize;
-            let xb = (x0[i] + 1).clamp(0, self.xmax) as usize;
-            let ra = y0[i].clamp(0, self.ymax) as usize * self.stride;
-            let rb = (y0[i] + 1).clamp(0, self.ymax) as usize * self.stride;
-            p00[i] = self.data[ra + xa].tap();
-            p10[i] = self.data[ra + xb].tap();
-            p01[i] = self.data[rb + xa].tap();
-            p11[i] = self.data[rb + xb].tap();
+            let at = y0[i] as usize * self.stride + x0[i] as usize;
+            let (top, bot) = (&self.data[at..][..2], &self.data[at + self.stride..][..2]);
+            p00[i] = top[0].tap();
+            p10[i] = top[1].tap();
+            p01[i] = bot[0].tap();
+            p11[i] = bot[1].tap();
         }
         for i in 0..LANES {
             let top = p00[i] * (1.0 - wx[i]) + p10[i] * wx[i];
             let bot = p01[i] * (1.0 - wx[i]) + p11[i] * wx[i];
             out[i] = P::from_channels_f32(&[top * (1.0 - wy[i]) + bot * wy[i]]);
         }
-        true
     }
 }
 

@@ -244,6 +244,11 @@ fn delta_recompile_bit_exact_with_cold_compile() {
         ensure_eq!(delta.invalid_pixels(), cold.invalid_pixels());
         for y in 0..map.height() {
             ensure_eq!(delta.spans(y), cold.spans(y), "spans row {y}");
+            ensure_eq!(
+                delta.interior_runs(y),
+                cold.interior_runs(y),
+                "interior runs row {y}"
+            );
             let bits = |v: &[f32]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
             ensure_eq!(bits(delta.row_sx(y)), bits(cold.row_sx(y)), "sx row {y}");
             ensure_eq!(bits(delta.row_sy(y)), bits(cold.row_sy(y)), "sy row {y}");
@@ -272,6 +277,44 @@ fn delta_recompile_bit_exact_with_cold_compile() {
         );
         Ok(())
     });
+}
+
+/// A delta recompilation holds the same interior-run index as a cold
+/// compile, row for row, and so the same [`RemapPlan::bytes`]: rows it
+/// reuses keep their runs, rows it rescans rebuild them. The options
+/// carry no eager LUT or tile plan, which a delta plan leaves to lazy
+/// derivation and would not count.
+#[test]
+fn delta_recompile_keeps_the_interior_runs_and_bytes() {
+    proputil::check(
+        "delta_recompile_keeps_the_interior_runs_and_bytes",
+        CASES,
+        |g| {
+            let (lens, view, sw, sh) = arb_geometry(g);
+            let opts = PlanOptions {
+                interp: arb_interp(g),
+                ..PlanOptions::default()
+            };
+            let prev = RemapPlan::compile(&RemapMap::build(&lens, &view, sw, sh), opts.clone());
+            let next = match g.usize_in(0, 3) {
+                0 => view,
+                1 => view.look(g.f64_in(-2.0, 2.0), g.f64_in(-1.0, 1.0)),
+                _ => PerspectiveView::centered(view.width, view.height, g.f64_in(40.0, 170.0)),
+            };
+            let map = RemapMap::build(&lens, &next, sw, sh);
+            let cold = RemapPlan::compile(&map, opts);
+            let delta = prev.recompile(map.clone());
+            for y in 0..map.height() {
+                ensure_eq!(
+                    delta.interior_runs(y),
+                    cold.interior_runs(y),
+                    "interior runs row {y}"
+                );
+            }
+            ensure_eq!(delta.bytes(), cold.bytes());
+            Ok(())
+        },
+    );
 }
 
 /// Delta recompilation over degenerate hand-built maps: fully
@@ -311,7 +354,13 @@ fn delta_recompile_handles_degenerate_maps() {
         ensure_eq!(delta.invalid_pixels(), cold.invalid_pixels());
         for y in 0..h {
             ensure_eq!(delta.spans(y), cold.spans(y), "spans row {y}");
+            ensure_eq!(
+                delta.interior_runs(y),
+                cold.interior_runs(y),
+                "interior runs row {y}"
+            );
         }
+        ensure_eq!(delta.bytes(), cold.bytes(), "shape {shape} {w}x{h}");
         let frame = pixmap::scene::random_gray(sw, sh, g.u64_any());
         let interp = arb_interp(g);
         ensure_eq!(

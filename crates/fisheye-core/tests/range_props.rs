@@ -18,6 +18,14 @@
 //! engine on every host datapath, and a two-source composite with
 //! random scores must equal `compose_layers` over the per-source
 //! engine outputs.
+//!
+//! The plan splits every valid span into interior runs, whose four
+//! taps lie inside the source and which `simd` and `fixed` read with
+//! no clamp, and border runs, which go to the scalar samplers. Maps
+//! whose coordinates sit on that boundary (`s − 0.5` at 0, at the last
+//! tap corner, at ±2²² and at ±1e20, each with its ulp neighbours) must
+//! keep both datapaths equal to their references, and the runs must
+//! partition each valid span exactly as the interior predicate says.
 
 use std::sync::Arc;
 
@@ -25,12 +33,12 @@ use fisheye_core::composite::{compose_layers, CompositePlan};
 use fisheye_core::engine::{build_host, execute_host_post, EngineSpec, HostCtx, HostEnv};
 use fisheye_core::plan::{PlanOptions, RemapPlan};
 use fisheye_core::{
-    correct, correct_fixed, execute_composite_host, CompositePixel, EnginePixel, Interpolator,
-    MapEntry, RemapMap,
+    correct, correct_fixed, execute_composite_host, CompositePixel, EnginePixel, FixedRemapMap,
+    Interpolator, MapEntry, RemapMap,
 };
 use par_runtime::{Schedule, ThreadPool};
 use pixmap::{Gray8, GrayF32, Image};
-use proputil::{ensure_eq, CaseResult, Gen};
+use proputil::{ensure, ensure_eq, CaseResult, Gen};
 
 const CASES: u32 = 96;
 
@@ -198,11 +206,21 @@ fn composite<P: CompositePixel>(
 /// Pixel types compared by bit pattern, so NaN outputs count too.
 trait Bits: CompositePixel {
     fn bits(img: &Image<Self>) -> Vec<u32>;
+
+    /// `correct_fixed` over `lut`, where the type has an integer
+    /// datapath.
+    fn fixed_reference(_src: &Image<Self>, _lut: &FixedRemapMap) -> Option<Image<Self>> {
+        None
+    }
 }
 
 impl Bits for Gray8 {
     fn bits(img: &Image<Gray8>) -> Vec<u32> {
         img.pixels().iter().map(|p| p.0 as u32).collect()
+    }
+
+    fn fixed_reference(src: &Image<Gray8>, lut: &FixedRemapMap) -> Option<Image<Gray8>> {
+        Some(correct_fixed(src, lut))
     }
 }
 
@@ -320,6 +338,222 @@ fn composites_agree_with_engines_on_out_of_range_maps() {
                     .collect();
                 Image::from_vec(w, h, values)
             })
+        },
+    );
+}
+
+/// Coordinates on and next to the interior/border boundary along a
+/// source axis of `n` pixels: `s − 0.5` at 0, at `n − 1`, at ±2²² and at
+/// ±1e20, each with the coordinates one ulp either side of it.
+fn boundary_coords(n: u32) -> Vec<f32> {
+    let mut v = Vec::new();
+    for f in [0.0, (n - 1) as f32, 4_194_304.0, -4_194_304.0, 1e20, -1e20] {
+        let s = f + 0.5;
+        v.extend([s.next_down(), s, s.next_up()]);
+    }
+    v
+}
+
+/// A coordinate along a source axis of `n` pixels: half the time on the
+/// interior/border boundary, else inside the source, so interior runs
+/// long enough for whole lane blocks form between boundary pixels.
+fn arb_edge_coord(g: &mut Gen, n: u32) -> f32 {
+    if g.bool() {
+        *g.pick(&boundary_coords(n))
+    } else {
+        g.f64_in(0.5, n as f64 - 0.5) as f32
+    }
+}
+
+/// A `from_entries` map over a `sw`×`sh` source whose coordinates sit
+/// on the interior/border boundary ([`boundary_coords`]), with a few
+/// invalid entries so rows break into several spans.
+fn boundary_map(g: &mut Gen, w: u32, h: u32, sw: u32, sh: u32) -> RemapMap {
+    let entries = (0..w * h)
+        .map(|_| {
+            if g.u32_in(0, 16) == 0 {
+                MapEntry::INVALID
+            } else {
+                MapEntry {
+                    sx: arb_edge_coord(g, sw),
+                    sy: arb_edge_coord(g, sh),
+                }
+            }
+        })
+        .collect();
+    RemapMap::from_entries(w, h, sw, sh, entries)
+}
+
+/// `spec`'s output for one source through a one-source composite.
+fn one_source<P: CompositePixel>(
+    spec: &EngineSpec,
+    src: &Image<P>,
+    plan: &Arc<RemapPlan>,
+    pool: &ThreadPool,
+) -> Result<Image<P>, String> {
+    let (w, h) = (plan.width(), plan.height());
+    let one = CompositePlan::assemble(vec![Arc::clone(plan)], &[vec![1.0; (w * h) as usize]]);
+    composite(spec, &[src], &one, pool)
+}
+
+/// `simd` on `P` and `fixed` on `Gray8`, each against its reference
+/// (`correct`, `correct_fixed` of the Q12 LUT), on a single plan, a
+/// one-source composite and a two-source composite over boundary maps.
+fn check_boundary<P: Bits>(
+    g: &mut Gen,
+    pool: &ThreadPool,
+    (sw, sh): (u32, u32),
+    frame: &mut impl FnMut(&mut Gen, u32, u32) -> Image<P>,
+) -> CaseResult {
+    let (w, h) = (g.u32_in(1, 41), g.u32_in(1, 4));
+    let (tw, th) = (g.u32_in(2, 17), g.u32_in(2, 17));
+    let (a, b) = (boundary_map(g, w, h, sw, sh), boundary_map(g, w, h, tw, th));
+    let (src_a, src_b) = (frame(g, sw, sh), frame(g, tw, th));
+    let plan_a = Arc::new(RemapPlan::compile(&a, PlanOptions::default()));
+    let plan_b = Arc::new(RemapPlan::compile(&b, PlanOptions::default()));
+    let two = CompositePlan::assemble(
+        vec![Arc::clone(&plan_a), Arc::clone(&plan_b)],
+        &[arb_scores(g, w * h), arb_scores(g, w * h)],
+    );
+    let [.., simd, fixed] = datapaths();
+    for spec in [simd, fixed] {
+        let reference = |map: &RemapMap, src: &Image<P>| match spec {
+            EngineSpec::FixedPoint { frac_bits } => {
+                P::fixed_reference(src, &map.to_fixed(frac_bits))
+            }
+            _ => Some(correct(src, map, Interpolator::Bilinear)),
+        };
+        let (Some(ref_a), Some(ref_b)) = (reference(&a, &src_a), reference(&b, &src_b)) else {
+            continue;
+        };
+        let name = spec.name();
+        let single = host(&spec, &src_a, &plan_a, pool)?.ok_or("datapath vanished")?;
+        ensure_eq!(P::bits(&single), P::bits(&ref_a), "{name} single plan");
+        let one = one_source(&spec, &src_a, &plan_a, pool)?;
+        ensure_eq!(
+            P::bits(&one),
+            P::bits(&ref_a),
+            "{name} one-source composite"
+        );
+        let blended = composite(&spec, &[&src_a, &src_b], &two, pool)?;
+        let expect = compose_layers(&two, &[&ref_a, &ref_b]);
+        ensure_eq!(
+            P::bits(&blended),
+            P::bits(&expect),
+            "{name} two-source composite"
+        );
+    }
+    Ok(())
+}
+
+#[test]
+fn simd_and_fixed_agree_on_interior_boundary_maps() {
+    let pool = ThreadPool::new(2);
+    proputil::check(
+        "simd_and_fixed_agree_on_interior_boundary_maps",
+        CASES,
+        |g| {
+            let dims = (g.u32_in(2, 17), g.u32_in(2, 17));
+            check_boundary(g, &pool, dims, &mut |g, w, h| {
+                pixmap::scene::random_gray(w, h, g.u64_any())
+            })?;
+            check_boundary(g, &pool, dims, &mut |g, w, h| {
+                let values = (0..w * h)
+                    .map(|_| GrayF32(g.f64_in(-2.0, 300.0) as f32))
+                    .collect();
+                Image::from_vec(w, h, values)
+            })
+        },
+    );
+}
+
+/// A source wider than 2²² + 1 pixels, where the interior bound is the
+/// lane kernel's exact-floor range rather than the source edge: a tap
+/// corner just below 2²² is interior, one at 2²² is a border pixel
+/// whose taps are still inside the source.
+#[test]
+fn simd_and_fixed_agree_where_the_floor_range_bounds_the_interior() {
+    let pool = ThreadPool::new(2);
+    proputil::check(
+        "simd_and_fixed_agree_where_the_floor_range_bounds_the_interior",
+        4,
+        |g| {
+            let (sw, sh) = ((1 << 22) + 3, 2);
+            let (w, h) = (g.u32_in(1, 41), g.u32_in(1, 4));
+            check_partition(&boundary_map(g, w, h, sw, sh))?;
+            check_boundary(g, &pool, (sw, sh), &mut |g, w, h| {
+                pixmap::scene::random_gray(w, h, g.u64_any())
+            })
+        },
+    );
+}
+
+/// Whether the four bilinear taps of `(sx, sy)` lie inside a `sw`×`sh`
+/// source with both `|s − 0.5|` below 2²², where the lane kernel's
+/// integer floor is exact.
+fn taps_inside(sx: f32, sy: f32, sw: u32, sh: u32) -> bool {
+    let axis = |s: f32, n: u32| {
+        let f = s - 0.5;
+        let (c, taps) = (f.floor() as i64, 0..n as i64);
+        f.abs() < 4_194_304.0 && taps.contains(&c) && taps.contains(&(c + 1))
+    };
+    axis(sx, sw) && axis(sy, sh)
+}
+
+/// The interior runs of `map`'s plan partition each valid span
+/// exactly: sorted, disjoint, maximal, each inside one valid span, and
+/// holding exactly the valid pixels whose taps are inside the source.
+fn check_partition(map: &RemapMap) -> CaseResult {
+    let (sw, sh) = map.src_dims();
+    let plan = RemapPlan::compile(map, PlanOptions::default());
+    for y in 0..map.height() {
+        let mut interior = vec![false; map.width() as usize];
+        let mut prev_end = None;
+        for r in plan.interior_runs(y) {
+            ensure!(r.start < r.end, "empty interior run in row {y}");
+            ensure!(
+                prev_end.is_none_or(|e| r.start > e),
+                "interior runs of row {y} overlap, touch or run backwards"
+            );
+            ensure!(
+                plan.spans(y)
+                    .iter()
+                    .any(|s| s.start <= r.start && r.end <= s.end),
+                "interior run {r:?} of row {y} leaves its valid span"
+            );
+            interior[r.start as usize..r.end as usize].fill(true);
+            prev_end = Some(r.end);
+        }
+        for (x, (e, &inside)) in map.row(y).iter().zip(&interior).enumerate() {
+            if !e.is_valid() {
+                ensure!(!inside, "invalid ({x},{y}) in an interior run");
+                continue;
+            }
+            ensure_eq!(
+                inside,
+                taps_inside(e.sx, e.sy, sw, sh),
+                "({x},{y}) at ({}, {}) over {sw}x{sh}",
+                e.sx,
+                e.sy
+            );
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn interior_runs_partition_the_valid_spans_exactly() {
+    proputil::check(
+        "interior_runs_partition_the_valid_spans_exactly",
+        CASES,
+        |g| {
+            let (sw, sh) = (g.u32_in(1, 17), g.u32_in(1, 17));
+            if g.bool() {
+                check_partition(&arb_map(g, sw, sh))
+            } else {
+                let (w, h) = (g.u32_in(1, 41), g.u32_in(1, 4));
+                check_partition(&boundary_map(g, w, h, sw.max(2), sh.max(2)))
+            }
         },
     );
 }
