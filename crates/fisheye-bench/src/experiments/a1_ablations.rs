@@ -186,6 +186,7 @@ mod tests {
 
     #[test]
     fn variants_agree_functionally() {
+        let _serial = crate::experiments::serialize();
         let w = random_workload(resolution("QVGA"), 31);
         let base = correct(&w.frame, &w.map, Interpolator::Bilinear);
         let soa = correct_soa(&w.frame, &SoaMap::from(&w.map));
@@ -211,6 +212,7 @@ mod tests {
 
     #[test]
     fn table_runs() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         assert_eq!(t.rows.len(), 6);
         for r in &t.rows {

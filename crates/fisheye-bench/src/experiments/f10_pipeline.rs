@@ -75,6 +75,7 @@ mod tests {
 
     #[test]
     fn pipeline_completes_all_configs() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         assert_eq!(t.rows.len(), 6);
         for r in &t.rows {

@@ -36,7 +36,7 @@ pub fn run(scale: Scale) -> Table {
     let map = RemapMap::build(&lens, &view, res.w, res.h);
     let opts = PlanOptions::for_spec(&spec, interp);
     let plan = ViewPlan::compile(FrameFormat::Yuv420, &lens, &view, res.w, res.h, &opts);
-    let corrector = FrameCorrector::host_sequential(FrameFormat::Yuv420, plan, &spec, interp, 1)
+    let corrector = FrameCorrector::host(FrameFormat::Yuv420, plan, &spec, interp, 1)
         .expect("serial backend corrects yuv420");
 
     // measure the three formats interleaved, rep by rep, and keep each
@@ -91,6 +91,7 @@ mod tests {
 
     #[test]
     fn shape_yuv_between_gray_and_rgb() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         let v = |name: &str| -> f64 {
             t.rows.iter().find(|r| r[0] == name).unwrap()[2]

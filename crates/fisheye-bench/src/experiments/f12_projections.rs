@@ -82,6 +82,7 @@ mod tests {
 
     #[test]
     fn shape_panoramas_cover_more() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         assert_eq!(t.rows.len(), 3);
         let cov = |name: &str| -> f64 {

@@ -65,6 +65,7 @@ mod tests {
 
     #[test]
     fn shape_miss_rates_and_amplification() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         assert_eq!(t.rows.len(), 4);
         for r in &t.rows {

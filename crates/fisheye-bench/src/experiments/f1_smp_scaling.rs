@@ -93,6 +93,7 @@ mod tests {
 
     #[test]
     fn shape_mapgen_scales_better_than_correct() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         assert_eq!(t.rows.len(), 5);
         // at 8 threads (row 3): modeled mapgen speedup > modeled correct speedup

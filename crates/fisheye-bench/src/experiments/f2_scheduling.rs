@@ -85,6 +85,7 @@ mod tests {
 
     #[test]
     fn shape_static_beats_fine_dynamic_in_model() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         let find = |label: &str| -> f64 {
             t.rows
@@ -103,6 +104,7 @@ mod tests {
 
     #[test]
     fn all_policies_present() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         assert_eq!(t.rows.len(), policies().len());
     }

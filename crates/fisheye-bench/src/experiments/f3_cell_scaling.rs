@@ -61,6 +61,7 @@ mod tests {
 
     #[test]
     fn shape_scaling_and_buffering() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         assert_eq!(t.rows.len(), 6);
         // fps grows with SPEs

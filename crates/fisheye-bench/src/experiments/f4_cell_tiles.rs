@@ -76,6 +76,7 @@ mod tests {
 
     #[test]
     fn shape_sweet_spot_exists() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         let fps: Vec<Option<f64>> = t.rows.iter().map(|r| r[2].parse().ok()).collect();
         // smallest tile is slower than some mid tile

@@ -66,6 +66,7 @@ mod tests {
 
     #[test]
     fn shape_locality_and_throughput() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         assert_eq!(t.rows.len(), 2 * BLOCK_SIZES.len());
         let hit: Vec<f64> = t

@@ -123,6 +123,7 @@ mod tests {
 
     #[test]
     fn shape_quality_ordering() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         let psnr = |name: &str| -> f64 {
             t.rows.iter().find(|r| r[0] == name).unwrap()[1]

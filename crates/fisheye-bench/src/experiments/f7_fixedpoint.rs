@@ -60,6 +60,7 @@ mod tests {
 
     #[test]
     fn shape_monotone_in_bits_until_plateau() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         let weights: Vec<f64> = t
             .rows
@@ -85,6 +86,7 @@ mod tests {
 
     #[test]
     fn shape_cordic_converges() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         let cordic: Vec<f64> = t
             .rows

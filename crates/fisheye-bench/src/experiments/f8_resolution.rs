@@ -78,6 +78,7 @@ mod tests {
 
     #[test]
     fn shape_fps_falls_with_pixels() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         for col in [3usize, 4, 5] {
             let fps: Vec<f64> = t.rows.iter().map(|r| r[col].parse().unwrap()).collect();
@@ -92,6 +93,7 @@ mod tests {
 
     #[test]
     fn shape_accelerators_beat_single_host_thread() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         for r in &t.rows {
             let host: f64 = r[2].parse().unwrap();

@@ -74,6 +74,7 @@ mod tests {
 
     #[test]
     fn shape_lut_amortizes() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         assert_eq!(t.rows.len(), PERIODS.len());
         let lut: Vec<f64> = t.rows.iter().map(|r| r[1].parse().unwrap()).collect();

@@ -84,6 +84,20 @@ pub const SMOKE: &[&str] = &[
     "t10_simt_codegen",
 ];
 
+/// Serializes the experiment tests. Several of them assert timing
+/// shapes (T6 times a four-thread `smp` row), and cargo runs tests on
+/// parallel threads, so on a host with few cores one experiment's
+/// threads would load the cores another is timing. Every `#[test]` of
+/// an experiment module takes it first. A test that panics holding it
+/// leaves nothing to repair, so a poisoned lock is taken as is.
+#[cfg(test)]
+pub(crate) fn serialize() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -279,6 +279,7 @@ mod tests {
 
     #[test]
     fn shape_interpreter_matches_model_and_stays_exact() {
+        let _serial = crate::experiments::serialize();
         let points = points(Scale::Quick);
         assert_eq!(points.len(), 4, "2 resolutions x 2 workgroups");
         for p in &points {

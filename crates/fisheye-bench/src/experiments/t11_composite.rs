@@ -331,6 +331,7 @@ mod tests {
 
     #[test]
     fn shape_composite_amortizes_and_fleet_shares_plans() {
+        let _serial = crate::experiments::serialize();
         // tiny local point: the shape claims, not the release bands
         let p = composite_point(
             Resolution {

@@ -93,6 +93,7 @@ mod tests {
 
     #[test]
     fn shape_platform_ordering() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         for r in &t.rows {
             let host: f64 = r[1].parse().unwrap();

@@ -48,6 +48,7 @@ mod tests {
 
     #[test]
     fn shape_traffic_vs_working_set_tradeoff() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         let red: Vec<f64> = t.rows.iter().map(|r| r[1].parse().unwrap()).collect();
         let ws: Vec<f64> = t.rows.iter().map(|r| r[5].parse().unwrap()).collect();

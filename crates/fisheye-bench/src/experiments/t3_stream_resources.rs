@@ -56,6 +56,7 @@ mod tests {
 
     #[test]
     fn shape_resources_scale_with_resolution() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         let rows: Vec<u32> = t.rows.iter().map(|r| r[1].parse().unwrap()).collect();
         assert!(rows[1] > rows[0], "line buffers must grow: {rows:?}");

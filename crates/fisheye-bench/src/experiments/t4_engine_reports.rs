@@ -119,6 +119,7 @@ mod tests {
 
     #[test]
     fn shape_every_backend_reports() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         let names: Vec<&str> = t.rows.iter().map(|r| r[0].as_str()).collect();
         for spec in EngineSpec::registry() {

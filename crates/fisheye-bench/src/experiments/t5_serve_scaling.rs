@@ -218,6 +218,7 @@ mod tests {
 
     #[test]
     fn shape_admission_cache_and_degradation() {
+        let _serial = crate::experiments::serialize();
         let t = run(Scale::Quick);
         assert_eq!(t.rows.len(), 5);
         let num = |s: &str| s.parse::<f64>().unwrap_or_else(|_| panic!("number: {s}"));

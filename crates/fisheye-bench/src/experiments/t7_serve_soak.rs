@@ -448,6 +448,7 @@ mod tests {
     /// `repro t7_serve_soak`, whose `sessions` gate this fleet fails.
     #[test]
     fn soak_shape_holds_on_a_small_fleet() {
+        let _serial = crate::experiments::serialize();
         let r = soak(SoakConfig {
             drivers: 2,
             per_driver: 12,

@@ -273,6 +273,7 @@ mod tests {
 
     #[test]
     fn shape_delta_beats_cold_and_stays_bit_exact() {
+        let _serial = crate::experiments::serialize();
         let points = points(Scale::Quick);
         assert_eq!(points.len(), 2);
         for p in &points {

@@ -277,6 +277,7 @@ mod tests {
 
     #[test]
     fn shape_fusion_is_cheap_exact_and_beats_two_pass() {
+        let _serial = crate::experiments::serialize();
         let points = points(Scale::Quick);
         assert_eq!(points.len(), 6, "2 resolutions x 3 backends");
         for p in &points {

@@ -20,13 +20,15 @@
 //!   plan cache.
 //! * [`FrameCorrector`] drives the existing single-plane
 //!   [`CorrectionEngine`]s over a multi-plane [`Frame`], correcting
-//!   planes concurrently on a `par_runtime` pool when the backend is a
-//!   reentrant host kernel, and merging the per-plane [`FrameReport`]s
-//!   into one report with per-plane kv sections.
+//!   the planes in plane order on the calling thread, and merging the
+//!   per-plane [`FrameReport`]s into one report with per-plane kv
+//!   sections. Parallelism inside a frame is the `smp` engine's rows.
 //!
 //! The gray path is the degenerate single-plane case of all three, so
 //! higher layers (the `fisheye` facade's `Corrector`, videopipe,
 //! `fisheye-serve`) route *every* format through this module.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::fmt;
 use std::ops::DerefMut;
@@ -35,7 +37,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fisheye_geom::{FisheyeLens, PerspectiveView};
-use par_runtime::sync::Mutex;
 use par_runtime::{Schedule, ThreadPool};
 use pixmap::yuv::Yuv420;
 use pixmap::{Gray8, GrayF32, Image, Rgb8};
@@ -665,16 +666,15 @@ impl ViewPlan {
     /// The plan driving plane index `i` of a frame.
     pub fn plane_plan(&self, plane: usize) -> &Arc<RemapPlan> {
         let class = self.format.plane_classes()[plane];
-        self.class_plan(class).expect("class always present")
+        // every plane class is one of the format's classes
+        self.class_plan(class).unwrap_or(self.full())
     }
 
     /// Output dimensions of every plane, in plane order (pool sizing).
     pub fn plane_dims(&self) -> Vec<(u32, u32)> {
-        self.format
-            .plane_classes()
-            .iter()
-            .map(|&c| {
-                let p = self.class_plan(c).expect("class always present");
+        (0..self.format.planes())
+            .map(|i| {
+                let p = self.plane_plan(i);
                 (p.width(), p.height())
             })
             .collect()
@@ -743,21 +743,10 @@ pub enum FrameEngines {
     F32(Box<dyn CorrectionEngine<GrayF32>>),
 }
 
-/// One plane's work order inside the concurrent dispatch.
-struct PlaneJob<'a> {
-    label: &'static str,
-    plan: &'a RemapPlan,
-    post: Option<&'a PostPlan>,
-    src: &'a Image<Gray8>,
-    out: &'a mut Image<Gray8>,
-}
-
 /// Drives the existing single-plane [`CorrectionEngine`]s over
 /// multi-plane [`Frame`]s: each plane is corrected through its class's
-/// plan from a [`ViewPlan`], concurrently on a `par_runtime`
-/// [`ThreadPool`] when the engine is a reentrant host kernel
-/// (`serial` / `fixed` / `simd`), sequentially otherwise (`smp` owns
-/// its own row-level pool; accelerator models are single-stream).
+/// plan from a [`ViewPlan`], in plane order on the calling thread
+/// (parallelism inside a frame is the `smp` engine's rows).
 /// The per-plane [`FrameReport`]s are merged into one report whose
 /// `correct_time` is the **summed kernel cost** across planes (the
 /// quantity the paper's 1.5×-for-color claim is about) and whose model
@@ -774,19 +763,13 @@ pub struct FrameCorrector {
     /// One compiled post plan per plane, in plane order; `None` for
     /// planes the stage is inert on (so engines skip post entirely).
     post: Vec<Option<PostPlan>>,
-    /// Pool for plane-level concurrency. Guarded by `gate`: a
-    /// `broadcast` must have a single submitter, so concurrent
-    /// `correct_frame_into` calls race for the gate and the losers
-    /// fall back to sequential planes.
-    plane_pool: Option<Arc<ThreadPool>>,
-    gate: std::sync::Mutex<()>,
 }
 
 impl FrameCorrector {
     /// Build a frame corrector from host engines for `spec`
-    /// ([`build_host`]): plane-concurrent where safe. Accelerator
-    /// specs are rejected here — resolve those through the facade
-    /// crate and use [`FrameCorrector::from_parts`].
+    /// ([`build_host`]). Accelerator specs are rejected here — resolve
+    /// those through the facade crate and use
+    /// [`FrameCorrector::from_parts`].
     pub fn host(
         format: FrameFormat,
         plan: ViewPlan,
@@ -804,51 +787,7 @@ impl FrameCorrector {
         } else {
             FrameEngines::F32(build_host::<GrayF32>(spec, &ctx)?)
         };
-        let pool = FrameCorrector::default_plane_pool(format, spec, threads);
-        FrameCorrector::from_parts(format, plan, engines, pool)
-    }
-
-    /// The plane-concurrency pool the default policy would attach: one
-    /// worker per plane (capped at `threads`) when the format is
-    /// multi-plane **and** `spec` is a reentrant host kernel
-    /// (`serial` / `fixed` / `simd`); `None` otherwise (`smp` already
-    /// owns a row-level pool — concurrent submissions to one pool are
-    /// not allowed — and the accelerator models are single-stream).
-    pub fn default_plane_pool(
-        format: FrameFormat,
-        spec: &EngineSpec,
-        threads: usize,
-    ) -> Option<Arc<ThreadPool>> {
-        if format.is_multi_plane() && plane_concurrency_safe(spec) {
-            Some(Arc::new(ThreadPool::new(
-                format.planes().min(threads.max(1)),
-            )))
-        } else {
-            None
-        }
-    }
-
-    /// [`FrameCorrector::host`] with plane-level concurrency disabled
-    /// — for callers that already parallelize across frames (videopipe
-    /// workers) and don't want `planes × workers` threads.
-    pub fn host_sequential(
-        format: FrameFormat,
-        plan: ViewPlan,
-        spec: &EngineSpec,
-        interp: Interpolator,
-        threads: usize,
-    ) -> Result<FrameCorrector, EngineError> {
-        let ctx = HostCtx {
-            interp,
-            threads,
-            geometry: None,
-        };
-        let engines = if format.has_u8_planes() {
-            FrameEngines::U8(build_host::<Gray8>(spec, &ctx)?)
-        } else {
-            FrameEngines::F32(build_host::<GrayF32>(spec, &ctx)?)
-        };
-        FrameCorrector::from_parts(format, plan, engines, None)
+        FrameCorrector::from_parts(format, plan, engines)
     }
 
     /// Assemble from pre-resolved engines (the facade's accelerator
@@ -858,7 +797,6 @@ impl FrameCorrector {
         format: FrameFormat,
         plan: ViewPlan,
         engines: FrameEngines,
-        plane_pool: Option<Arc<ThreadPool>>,
     ) -> Result<FrameCorrector, EngineError> {
         if plan.format() != format {
             return Err(EngineError::backend(
@@ -881,8 +819,6 @@ impl FrameCorrector {
             engines,
             post_stage: PostStage::identity(),
             post: vec![None; format.planes()],
-            plane_pool,
-            gate: std::sync::Mutex::new(()),
         })
     }
 
@@ -922,11 +858,6 @@ impl FrameCorrector {
             FrameEngines::U8(e) => e.name(),
             FrameEngines::F32(e) => e.name(),
         }
-    }
-
-    /// Whether planes may run concurrently on the plane pool.
-    pub fn plane_concurrent(&self) -> bool {
-        self.plane_pool.is_some()
     }
 
     /// Correct one `u8` plane of class `class` through its plan — the
@@ -1002,7 +933,12 @@ impl FrameCorrector {
         if let (Frame::GrayF32(s), Frame::GrayF32(o)) = (src, &mut *out) {
             return self.correct_plane_f32(s, o);
         }
-        let mut outs = out.u8_planes_mut().expect("every other format is u8");
+        let Some(mut outs) = out.u8_planes_mut() else {
+            return Err(EngineError::backend(
+                "frame-corrector",
+                "a float frame has no u8 planes",
+            ));
+        };
         self.correct_u8_planes_into(src, &mut outs)
     }
 
@@ -1052,39 +988,24 @@ impl FrameCorrector {
         if let (Frame::Gray8(s), [o]) = (src, &mut *outs) {
             return engine.correct_frame_post(s, self.plan.plane_plan(0), self.plane_post(0), o);
         }
-        let srcs = src.u8_planes().expect("a u8 engine's format has u8 planes");
-        let t0 = Instant::now();
-        let mut jobs: Vec<PlaneJob<'_>> = Vec::with_capacity(labels.len());
-        for (i, out) in outs.iter_mut().enumerate() {
-            jobs.push(PlaneJob {
-                label: labels[i],
-                plan: self.plan.plane_plan(i),
-                post: self.plane_post(i),
-                src: srcs[i],
-                out,
-            });
-        }
-        // A broadcast has one submitter; concurrent frame calls on the
-        // same corrector lose the gate race and run planes in line.
-        let guard = self.gate.try_lock();
-        let reports = match (&self.plane_pool, &guard) {
-            (Some(pool), Ok(_)) => run_planes_concurrent(engine.as_ref(), pool, jobs)?,
-            _ => jobs
-                .into_iter()
-                .map(|job| {
-                    engine
-                        .correct_frame_post(job.src, job.plan, job.post, job.out)
-                        .map(|r| (job.label, r))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
+        let Some(srcs) = src.u8_planes() else {
+            return Err(EngineError::backend(
+                "frame-corrector",
+                "a float frame has no u8 planes",
+            ));
         };
-        drop(guard);
-        Ok(merge_reports(
-            &self.engine_name(),
-            t0.elapsed(),
-            self.plane_concurrent(),
-            &reports,
-        ))
+        let t0 = Instant::now();
+        let mut reports = Vec::with_capacity(labels.len());
+        for (i, out) in outs.iter_mut().enumerate() {
+            let report = engine.correct_frame_post(
+                srcs[i],
+                self.plan.plane_plan(i),
+                self.plane_post(i),
+                out,
+            )?;
+            reports.push((labels[i], report));
+        }
+        Ok(merge_reports(&self.engine_name(), t0.elapsed(), &reports))
     }
 }
 
@@ -1094,57 +1015,16 @@ impl fmt::Debug for FrameCorrector {
             .field("format", &self.format)
             .field("engine", &self.engine_name())
             .field("plan", &self.plan)
-            .field("plane_concurrent", &self.plane_concurrent())
             .finish()
     }
 }
 
-/// Host specs whose per-frame kernel is reentrant (no internal pool,
-/// no shared mutable state), so distinct planes can run on distinct
-/// threads of the plane pool.
-fn plane_concurrency_safe(spec: &EngineSpec) -> bool {
-    matches!(
-        spec,
-        EngineSpec::Serial | EngineSpec::FixedPoint { .. } | EngineSpec::Simd
-    )
-}
-
-/// Run every plane job on the plane pool, one job per pool task.
-fn run_planes_concurrent(
-    engine: &dyn CorrectionEngine<Gray8>,
-    pool: &ThreadPool,
-    jobs: Vec<PlaneJob<'_>>,
-) -> Result<Vec<(&'static str, FrameReport)>, EngineError> {
-    let n = jobs.len();
-    let cells: Vec<Mutex<Option<PlaneJob<'_>>>> =
-        jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    type Slot = Option<(&'static str, Result<FrameReport, EngineError>)>;
-    let results: Vec<Mutex<Slot>> = (0..n).map(|_| Mutex::new(None)).collect();
-    pool.parallel_for(0..n, Schedule::Dynamic { chunk: 1 }, &|range| {
-        for i in range {
-            let job = cells[i].lock().take();
-            if let Some(job) = job {
-                let r = engine.correct_frame_post(job.src, job.plan, job.post, job.out);
-                *results[i].lock() = Some((job.label, r));
-            }
-        }
-    });
-    results
-        .into_iter()
-        .map(|slot| {
-            let (label, r) = slot.into_inner().expect("every plane dispatched");
-            r.map(|rep| (label, rep))
-        })
-        .collect()
-}
-
-/// Merge per-plane reports: `correct_time` is the summed kernel cost
-/// (comparable across plane-concurrency settings), counters sum, and
-/// each plane's report lands in the model section under its label.
+/// Merge per-plane reports: `correct_time` is the summed kernel cost,
+/// counters sum, and each plane's report lands in the model section
+/// under its label.
 fn merge_reports(
     backend: &str,
     wall: Duration,
-    concurrent: bool,
     per_plane: &[(&'static str, FrameReport)],
 ) -> FrameReport {
     let mut merged = FrameReport::new(backend);
@@ -1158,12 +1038,12 @@ fn merge_reports(
         merged.merge_plane(label, r);
     }
     merged.kv("planes", per_plane.len() as f64);
-    merged.kv("plane_concurrent", if concurrent { 1.0 } else { 0.0 });
     merged.kv("frame_wall_ms", wall.as_secs_f64() * 1e3);
     merged
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use pixmap::scene::{Checkerboard, RadialGradient, Scene};
@@ -1371,7 +1251,6 @@ mod tests {
             4,
         )
         .expect("host corrector");
-        assert!(fc.plane_concurrent());
         let (out, report) = fc.correct_frame(&src).expect("correct");
         assert_eq!(out.format(), FrameFormat::Yuv420);
         assert_eq!(out.dims(), (80, 60));
@@ -1395,8 +1274,29 @@ mod tests {
         }
     }
 
+    /// A `Gray8` engine that records, per call, the calling thread and
+    /// the source plane's first sample, and leaves the output as is.
+    struct Recorder(Arc<par_runtime::sync::Mutex<Vec<(std::thread::ThreadId, u8)>>>);
+
+    impl CorrectionEngine<Gray8> for Recorder {
+        fn name(&self) -> String {
+            "recorder".into()
+        }
+
+        fn correct_frame(
+            &self,
+            src: &Image<Gray8>,
+            _plan: &RemapPlan,
+            _out: &mut Image<Gray8>,
+        ) -> Result<FrameReport, EngineError> {
+            let call = (std::thread::current().id(), src.pixel(0, 0).0);
+            self.0.lock().push(call);
+            Ok(FrameReport::new(self.name()))
+        }
+    }
+
     #[test]
-    fn sequential_and_concurrent_planes_agree() {
+    fn planes_run_in_order_on_the_calling_thread() {
         let (lens, view) = geometry();
         let vp = ViewPlan::compile(
             FrameFormat::Yuv420,
@@ -1406,27 +1306,25 @@ mod tests {
             72,
             &PlanOptions::default(),
         );
-        let src = yuv_frame(96, 72);
-        let conc = FrameCorrector::host(
-            FrameFormat::Yuv420,
-            vp.clone(),
-            &EngineSpec::Serial,
-            Interpolator::Bilinear,
-            4,
-        )
-        .expect("concurrent");
-        let seq = FrameCorrector::host_sequential(
+        let calls = Arc::new(par_runtime::sync::Mutex::new(Vec::new()));
+        let fc = FrameCorrector::from_parts(
             FrameFormat::Yuv420,
             vp,
-            &EngineSpec::Serial,
-            Interpolator::Bilinear,
-            4,
+            FrameEngines::U8(Box::new(Recorder(Arc::clone(&calls)))),
         )
-        .expect("sequential");
-        assert!(!seq.plane_concurrent());
-        let (a, _) = conc.correct_frame(&src).expect("concurrent run");
-        let (b, _) = seq.correct_frame(&src).expect("sequential run");
-        assert_eq!(a, b);
+        .expect("recording corrector");
+        // y, cb and cr each carry their own sample value
+        let (cw, ch) = PlaneClass::HalfChroma.apply((96, 72));
+        let src = Frame::Yuv420(Yuv420 {
+            y: Image::filled(96, 72, Gray8(1)),
+            cb: Image::filled(cw, ch, Gray8(2)),
+            cr: Image::filled(cw, ch, Gray8(3)),
+        });
+        let (_, report) = fc.correct_frame(&src).expect("correct");
+        let me = std::thread::current().id();
+        assert_eq!(*calls.lock(), vec![(me, 1), (me, 2), (me, 3)]);
+        assert_eq!(report.model.get("planes"), Some(&3.0));
+        assert!(report.model.contains_key("frame_wall_ms"));
     }
 
     #[test]
@@ -1553,7 +1451,6 @@ mod tests {
             2,
         )
         .expect("smp corrector");
-        assert!(!fc.plane_concurrent(), "smp owns the row pool");
         let (out, _) = fc.correct_frame(&src).expect("correct");
         let outs = out.u8_planes().expect("u8");
         let srcs = src.u8_planes().expect("u8");

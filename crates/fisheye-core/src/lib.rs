@@ -32,9 +32,6 @@ pub mod antialias;
 pub mod composite;
 pub mod correct;
 pub mod engine;
-// the frame layer dispatches every multi-plane correction; a panic
-// here takes down whole streams, so unwrap is denied at the module
-#[deny(clippy::unwrap_used)]
 pub mod frame;
 pub mod interp;
 pub mod map;

@@ -2,9 +2,9 @@
 //! frame driven through [`FrameCorrector`] must be **bit-exact**, per
 //! plane, with running each plane individually through a single-plane
 //! corrector of the same backend — for every host engine
-//! (serial/smp/fixed/simd), with and without plane concurrency. The
-//! frame layer is dispatch, not arithmetic; if it ever perturbs a
-//! pixel, these shrink to a small failing lens/view.
+//! (serial/smp/fixed/simd). The frame layer is dispatch, not
+//! arithmetic; if it ever perturbs a pixel, these shrink to a small
+//! failing lens/view.
 //!
 //! Runs on the in-tree `proputil` harness (seeded cases, halving
 //! shrinker) — see DESIGN.md §5 for why no external property-test
@@ -80,7 +80,7 @@ fn single_plane_reference(
 ) -> Result<Image<Gray8>, String> {
     let view_plan = ViewPlan::from_plans(FrameFormat::Gray8, vec![Arc::clone(plan)])
         .map_err(|e| e.to_string())?;
-    let corrector = FrameCorrector::host_sequential(FrameFormat::Gray8, view_plan, spec, interp, 2)
+    let corrector = FrameCorrector::host(FrameFormat::Gray8, view_plan, spec, interp, 2)
         .map_err(|e| e.to_string())?;
     match corrector
         .correct_frame(&Frame::Gray8(src.clone()))
@@ -101,13 +101,9 @@ fn yuv420_frame_path_bit_exact_with_per_plane_engines() {
             let (spec, interp) = arb_spec(g);
             let opts = PlanOptions::for_spec(&spec, interp);
             let plan = ViewPlan::compile(FrameFormat::Yuv420, &lens, &view, sw, sh, &opts);
-            let concurrent_planes = g.bool();
-            let corrector = if concurrent_planes {
+            let corrector =
                 FrameCorrector::host(FrameFormat::Yuv420, plan.clone(), &spec, interp, 2)
-            } else {
-                FrameCorrector::host_sequential(FrameFormat::Yuv420, plan.clone(), &spec, interp, 2)
-            }
-            .map_err(|e| e.to_string())?;
+                    .map_err(|e| e.to_string())?;
 
             let (frame, report) = corrector
                 .correct_frame(&Frame::Yuv420(yuv.clone()))
@@ -124,7 +120,7 @@ fn yuv420_frame_path_bit_exact_with_per_plane_engines() {
                 ensure_eq!(
                     reference,
                     *out,
-                    "plane {label} diverged ({} concurrent={concurrent_planes} interp {})",
+                    "plane {label} diverged ({} interp {})",
                     spec.name(),
                     interp.name()
                 );

@@ -139,15 +139,40 @@ impl Registry {
         Registry::default()
     }
 
+    /// Apply `apply` to the metric `name`, created as `fresh()` when
+    /// absent. The name is copied into the map only on creation, so an
+    /// update to an existing metric allocates nothing.
+    fn with_metric(
+        &self,
+        name: &str,
+        fresh: impl FnOnce() -> Metric,
+        apply: impl FnOnce(&mut Metric),
+    ) {
+        let mut m = self.metrics.lock();
+        match m.get_mut(name) {
+            Some(metric) => apply(metric),
+            None => {
+                let mut metric = fresh();
+                apply(&mut metric);
+                m.insert(name.to_string(), metric);
+            }
+        }
+    }
+
     /// Add `n` to the counter `name` (created at zero on first use).
     /// If `name` currently holds a gauge or histogram the sample is
     /// dropped — a type clash is a programming error we surface in
     /// the snapshot rather than panic over.
     pub fn add(&self, name: &str, n: u64) {
-        let mut m = self.metrics.lock();
-        if let Metric::Counter(v) = m.entry(name.to_string()).or_insert(Metric::Counter(0)) {
-            *v += n;
-        }
+        self.with_metric(
+            name,
+            || Metric::Counter(0),
+            |m| {
+                if let Metric::Counter(v) = m {
+                    *v += n;
+                }
+            },
+        );
     }
 
     /// Increment the counter `name` by one.
@@ -157,21 +182,28 @@ impl Registry {
 
     /// Set the gauge `name` (same type-clash rule as [`Registry::add`]).
     pub fn gauge(&self, name: &str, value: f64) {
-        let mut m = self.metrics.lock();
-        if let Metric::Gauge(v) = m.entry(name.to_string()).or_insert(Metric::Gauge(value)) {
-            *v = value;
-        }
+        self.with_metric(
+            name,
+            || Metric::Gauge(value),
+            |m| {
+                if let Metric::Gauge(v) = m {
+                    *v = value;
+                }
+            },
+        );
     }
 
     /// Record a duration sample into the histogram `name`.
     pub fn observe(&self, name: &str, d: Duration) {
-        let mut m = self.metrics.lock();
-        if let Metric::Histogram(h) = m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Box::default()))
-        {
-            h.observe(d);
-        }
+        self.with_metric(
+            name,
+            || Metric::Histogram(Box::default()),
+            |m| {
+                if let Metric::Histogram(h) = m {
+                    h.observe(d);
+                }
+            },
+        );
     }
 
     /// Current value of a counter (0 when absent or not a counter).

@@ -664,19 +664,8 @@ impl Server {
     ///
     /// `base` is the session's outgoing plan, when the request is a
     /// view *change* rather than a first compile: a cache miss then
-    /// delta-recompiles from the matching class plan instead of
-    /// compiling cold — bit-exact, same digest, much cheaper for
-    /// small view perturbations. A base compiled under different
-    /// [`PlanOptions`] (e.g. across a degradation rung's interp
-    /// change) is ignored: its digests live in a different key space
-    /// and must never seed this one.
-    ///
-    /// The session's post stage salts the digest (identity stages
-    /// don't): a cache entry's key then covers everything that shapes
-    /// the session's output bytes, matching the facade's
-    /// `request_digest` contract, and shedding the grading at
-    /// [`DegradeLevel::DropGrading`] re-keys the session onto the
-    /// plans ungraded sessions of the same view already share.
+    /// delta-recompiles from the matching class plan
+    /// ([`Server::cached_plan`]).
     #[allow(clippy::too_many_arguments)]
     fn view_plan_for(
         &self,
@@ -690,19 +679,12 @@ impl Server {
         base: Option<&ViewPlan>,
     ) -> Result<ViewPlan, fisheye::Error> {
         let opts = PlanOptions::for_spec(spec, interp);
-        let post_salt = if post.is_identity() { 0 } else { post.digest() };
         let plans = ViewPlan::plane_requests(format, lens, view, src_w, src_h)
             .into_iter()
             .map(|req| {
-                let digest = req.digest(&opts) ^ post_salt;
-                self.inner.cache.get_or_compile(digest, || {
-                    match base.and_then(|b| b.class_plan(req.class)) {
-                        Some(prev) if prev.opts() == &opts => {
-                            self.inner.metrics.inc("serve.plan.delta_recompiles");
-                            prev.recompile(self.build_plane_map(&req))
-                        }
-                        _ => RemapPlan::compile(&self.build_plane_map(&req), opts.clone()),
-                    }
+                let prev = base.and_then(|b| b.class_plan(req.class));
+                self.cached_plan(req.digest(&opts), post, &opts, prev, || {
+                    self.build_plane_map(&req)
                 })
             })
             .collect();
@@ -713,7 +695,7 @@ impl Server {
     /// Compile-through-cache for one panorama composite: one cache
     /// entry **per (camera, plane class)**, keyed by
     /// [`panorama_camera_digest`] over the class-scaled rig geometry
-    /// and salted by the post stage exactly like [`Server::view_plan_for`].
+    /// and salted by the post stage exactly like [`Server::cached_plan`].
     /// Two panorama sessions sharing a camera orientation share that
     /// camera's plans; the composite segment/weight program is
     /// assembled per session (it is cheap relative to a plan compile
@@ -737,7 +719,6 @@ impl Server {
         base: Option<&CompositeViewPlan>,
     ) -> Result<CompositeViewPlan, fisheye::Error> {
         let opts = PlanOptions::for_spec(spec, interp);
-        let post_salt = if post.is_identity() { 0 } else { post.digest() };
         let classes = format.classes();
         let mut class_plans = Vec::with_capacity(classes.len());
         for (ci, &class) in classes.iter().enumerate() {
@@ -749,19 +730,13 @@ impl Server {
             };
             let mut sources = Vec::with_capacity(class_rig.len());
             for (cam_i, cam) in class_rig.cameras().iter().enumerate() {
-                let digest = panorama_camera_digest(cam, cw, ch, &opts) ^ post_salt;
+                let digest = panorama_camera_digest(cam, cw, ch, &opts);
                 let prev = base
                     .and_then(|b| b.class_plans().get(ci))
-                    .and_then(|p| p.sources().get(cam_i))
-                    .cloned();
-                let plan = self.inner.cache.get_or_compile(digest, || match prev {
-                    Some(prev) if prev.opts() == &opts => {
-                        self.inner.metrics.inc("serve.plan.delta_recompiles");
-                        prev.recompile(panorama_camera_map(cam, cw, ch))
-                    }
-                    _ => RemapPlan::compile(&panorama_camera_map(cam, cw, ch), opts.clone()),
-                });
-                sources.push(plan);
+                    .and_then(|p| p.sources().get(cam_i));
+                sources.push(self.cached_plan(digest, post, &opts, prev, || {
+                    panorama_camera_map(cam, cw, ch)
+                }));
             }
             class_plans.push(CompositePlan::from_rig_plans(&class_rig, sources, cw, ch));
         }
@@ -786,22 +761,16 @@ impl Server {
         base: Option<&StereoPlan>,
     ) -> Result<StereoPlan, fisheye::Error> {
         let opts = PlanOptions::for_spec(spec, interp);
-        let post_salt = if post.is_identity() { 0 } else { post.digest() };
         let pair = rig.rectify(out_w, out_h, h_fov_deg, v_fov_deg);
         let mut eyes = Vec::with_capacity(2);
         for (eye, prev) in [
-            (&rig.left, base.map(|b| Arc::clone(&b.left))),
-            (&rig.right, base.map(|b| Arc::clone(&b.right))),
+            (&rig.left, base.map(|b| &b.left)),
+            (&rig.right, base.map(|b| &b.right)),
         ] {
-            let digest = rectified_camera_digest(&pair, eye, &opts) ^ post_salt;
-            let plan = self.inner.cache.get_or_compile(digest, || match prev {
-                Some(prev) if prev.opts() == &opts => {
-                    self.inner.metrics.inc("serve.plan.delta_recompiles");
-                    prev.recompile(rectified_camera_map(&pair, eye))
-                }
-                _ => RemapPlan::compile(&rectified_camera_map(&pair, eye), opts.clone()),
-            });
-            eyes.push(plan);
+            let digest = rectified_camera_digest(&pair, eye, &opts);
+            eyes.push(self.cached_plan(digest, post, &opts, prev, || {
+                rectified_camera_map(&pair, eye)
+            }));
         }
         self.inner.cache.export(&self.inner.metrics, "serve.cache");
         let right = eyes.pop();
@@ -811,6 +780,43 @@ impl Server {
             // two pushes above: structurally unreachable
             _ => Err(fisheye::Error::config("stereo plan resolution lost an eye")),
         }
+    }
+
+    /// Resolve one plan through the shared cache under `digest`, the
+    /// plan's geometric digest. A hit returns the cached plan. A miss
+    /// delta-recompiles from `prev`, the session's outgoing plan for
+    /// the same plane or camera, when `prev` was compiled under `opts`
+    /// (counted under `serve.plan.delta_recompiles`): bit-exact, same
+    /// digest, much cheaper for small view perturbations. Otherwise it
+    /// compiles cold. A `prev` compiled under different
+    /// [`PlanOptions`] (e.g. across a degradation rung's interp change)
+    /// is ignored: its digests live in a different key space and must
+    /// never seed this one. `map` traces the map, only on a miss.
+    ///
+    /// The session's post stage salts the digest (identity stages
+    /// don't): a cache entry's key then covers everything that shapes
+    /// the session's output bytes, matching the facade's
+    /// `request_digest` contract, and shedding the grading at
+    /// [`DegradeLevel::DropGrading`] re-keys the session onto the
+    /// plans ungraded sessions of the same view already share.
+    fn cached_plan(
+        &self,
+        digest: u64,
+        post: &PostStage,
+        opts: &PlanOptions,
+        prev: Option<&Arc<RemapPlan>>,
+        map: impl FnOnce() -> RemapMap,
+    ) -> Arc<RemapPlan> {
+        let post_salt = if post.is_identity() { 0 } else { post.digest() };
+        self.inner
+            .cache
+            .get_or_compile(digest ^ post_salt, || match prev {
+                Some(prev) if prev.opts() == opts => {
+                    self.inner.metrics.inc("serve.plan.delta_recompiles");
+                    prev.recompile(map())
+                }
+                _ => RemapPlan::compile(&map(), opts.clone()),
+            })
     }
 
     /// Trace one plane request's map, row-parallel on the server's

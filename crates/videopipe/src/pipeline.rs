@@ -185,11 +185,10 @@ struct CorrectedPlanes {
 }
 
 /// Drive `source` through the correction pipeline to exhaustion and
-/// return the measurements. Every worker owns a sequential
-/// [`FrameCorrector`] over the shared [`ViewPlan`] (frame-level
-/// parallelism is already provided by the workers, so planes run in
-/// line inside each worker rather than stacking a second pool per
-/// worker). Output planes come from a primed [`PlanePool`], and
+/// return the measurements. Every worker owns a [`FrameCorrector`]
+/// over the shared [`ViewPlan`], which corrects a frame's planes in
+/// order on the worker's thread: the parallelism is across frames, one
+/// per worker. Output planes come from a primed [`PlanePool`], and
 /// `on_frame` is invoked at the sink for every corrected frame with
 /// its pooled planes in plane order, **by value**: drop them to
 /// recycle the buffers, or [`PooledFrame::detach`] one to keep the
@@ -257,8 +256,8 @@ pub fn run_frame_pipeline(
             }
             q_in_prod.close();
         });
-        // corrector workers — one sequential frame corrector each over
-        // the shared per-class plans
+        // corrector workers — one frame corrector each over the shared
+        // per-class plans
         let worker_handles: Vec<_> = (0..config.workers)
             .map(|_| {
                 let q_in = q_in.clone();
@@ -268,7 +267,7 @@ pub fn run_frame_pipeline(
                 let spec = config.engine;
                 let plan = plan.clone();
                 s.spawn(move || {
-                    let fc = FrameCorrector::host_sequential(format, plan, &spec, interp, 1)
+                    let fc = FrameCorrector::host(format, plan, &spec, interp, 1)
                         .expect("engine validated before workers started");
                     while let Some(packet) = q_in.pop() {
                         let mut planes = pool.acquire();

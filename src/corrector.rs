@@ -892,9 +892,7 @@ impl<P: CorrectorPixel> Corrector<P> {
                 gpu: self.gpu,
             },
         )?;
-        let pool = FrameCorrector::default_plane_pool(self.format, &self.spec, self.threads);
-        let mut frames =
-            FrameCorrector::from_parts(self.format, plan, P::pack_engine(engine), pool)?;
+        let mut frames = FrameCorrector::from_parts(self.format, plan, P::pack_engine(engine))?;
         frames.set_post(&self.post);
         self.frames = Some(frames);
         Ok(())
