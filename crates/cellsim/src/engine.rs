@@ -13,7 +13,9 @@
 //! redundancy, modeled cycles) land in the [`FrameReport`]'s uniform
 //! key/value section.
 
-use fisheye_core::engine::{CorrectionEngine, EngineError, EngineSpec, FrameReport};
+use fisheye_core::engine::{
+    check_frame_dims, CorrectionEngine, EngineError, EngineSpec, FrameReport,
+};
 use fisheye_core::plan::RemapPlan;
 use pixmap::{Gray8, Image};
 
@@ -76,26 +78,7 @@ impl CorrectionEngine<Gray8> for CellEngine {
         out: &mut Image<Gray8>,
     ) -> Result<FrameReport, EngineError> {
         let name = self.spec.name();
-        if out.dims() != (plan.width(), plan.height()) {
-            return Err(EngineError::backend(
-                &name,
-                format!(
-                    "output {:?} does not match plan {:?}",
-                    out.dims(),
-                    (plan.width(), plan.height())
-                ),
-            ));
-        }
-        if src.dims() != plan.src_dims() {
-            return Err(EngineError::backend(
-                &name,
-                format!(
-                    "source {:?} does not match plan source {:?}",
-                    src.dims(),
-                    plan.src_dims()
-                ),
-            ));
-        }
+        check_frame_dims(&name, src, plan, out)?;
         // Plan-miss fallback: the plan derives anything it was not
         // compiled with through its memo, so only the first frame on a
         // given plan pays the derivation — later frames are free (and

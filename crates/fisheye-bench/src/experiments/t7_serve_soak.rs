@@ -6,8 +6,8 @@
 //! two kinds of churn run continuously: ~10% of each driver's
 //! sessions disconnect and reconnect every round (exercising the
 //! admission budget and per-shard session teardown), and ~20% change
-//! view each round from a small shared pool (exercising the hot/cold
-//! plan-cache tiers without unbounded plan growth).
+//! view each round from a small shared pool (exercising the shared
+//! plan cache without unbounded plan growth).
 //!
 //! Two soak claims are measured, both declared as gates on the T7
 //! table (with the ≥1000-session floor) and checked by `repro`:
@@ -17,8 +17,8 @@
 //!   [`Histogram::diff`] — must not grow unboundedly over the early
 //!   half's. A leaking queue or a degrading shard loop shows up here.
 //! * **Bounded resident plan bytes.** Views come from a fixed pool,
-//!   so once every plan is compiled the resident bytes (hot tiers +
-//!   cold tier) must plateau: end-of-soak bytes may not exceed
+//!   so once every plan is compiled the resident bytes of the shared
+//!   plan cache must plateau: end-of-soak bytes may not exceed
 //!   mid-soak bytes by more than slack.
 //!
 //! Frames are tiny (64×48 source, 32×24 views) on purpose: the soak
@@ -117,11 +117,11 @@ pub struct SoakResult {
     pub p99_late_us: u64,
     /// `p99_late / p99_early`.
     pub p99_growth: f64,
-    /// Resident plan bytes (hot tiers + cold) at mid-soak.
+    /// Resident plan bytes of the shared plan cache at mid-soak.
     pub bytes_mid: usize,
     /// Resident plan bytes at end of soak.
     pub bytes_end: usize,
-    /// Cold-tier plan compiles over the whole soak.
+    /// Plan compiles (cache misses) over the whole soak.
     pub plan_compiles: u64,
     /// Late p99 within `4× early + 50 ms`.
     pub bounded_p99: bool,
@@ -345,7 +345,7 @@ pub fn soak(cfg: SoakConfig) -> SoakResult {
     let bytes_end = srv.resident_plan_bytes();
     let plan_compiles = srv
         .metrics_snapshot()
-        .gauge_value("serve.cache.cold.misses")
+        .gauge_value("serve.cache.misses")
         .unwrap_or(0.0) as u64;
 
     let mut stats = DriverStats::default();
@@ -426,7 +426,7 @@ pub fn table(r: &SoakResult) -> Table {
     ]);
     t.note("p99_early/p99_late: server-side serve.latency_us p99 over the first/second half of the measured window (late isolated via Histogram::diff)");
     t.note("bounded_p99: late p99 <= 4x early + 50 ms — sustained service does not degrade as the soak runs");
-    t.note("bounded_bytes: resident plan bytes (hot shard tiers + cold tier) plateau once the fixed view pool is compiled");
+    t.note("bounded_bytes: resident bytes of the plan cache the shards share plateau once the fixed view pool is compiled");
     t.note("frames are deliberately tiny (64x48 -> 32x24): the soak stresses sessions, churn and caches, not pixels");
     t.gate("sessions", r.sessions as f64, Cmp::AtLeast, 1000.0);
     t.gate_flag("bounded_p99", r.bounded_p99);

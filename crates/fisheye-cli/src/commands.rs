@@ -50,7 +50,7 @@ USAGE:
                     [--lut NAME|FILE.cube] [--grade-strength F]
                     [--tone-map linear|mcface]
   fisheye serve     [--bind HOST:PORT] [--shards N] [--capacity N] [--queue N]
-                    [--deadline-ms F] [--hot-cache N] [--threads N]
+                    [--deadline-ms F] [--threads N]
                     [--for-ms N]      (0 = run until killed)
   fisheye client    --connect HOST:PORT [--frames N] [--size WxH]
                     [--view-size WxH] [--fov DEG] [--view-fov DEG]
@@ -707,7 +707,6 @@ fn serve(args: &Args) -> CmdResult {
         "capacity",
         "queue",
         "deadline-ms",
-        "hot-cache",
         "threads",
         "for-ms",
     ])?;
@@ -716,7 +715,6 @@ fn serve(args: &Args) -> CmdResult {
     let capacity: usize = args.num("capacity", 64)?;
     let queue: usize = args.num("queue", 4)?;
     let deadline_ms: f64 = args.num("deadline-ms", 20.0)?;
-    let hot_cache: usize = args.num("hot-cache", 8)?;
     let threads: usize = args.num("threads", 1)?;
     let for_ms: u64 = args.num("for-ms", 0)?;
     if deadline_ms <= 0.0 {
@@ -731,7 +729,6 @@ fn serve(args: &Args) -> CmdResult {
             ..ServerConfig::default()
         },
         shards,
-        hot_cache_capacity: hot_cache,
         ..NetServerConfig::default()
     };
     let mut srv = NetServer::bind(bind, cfg)?;

@@ -16,7 +16,9 @@
 
 use std::time::Instant;
 
-use fisheye_core::engine::{CorrectionEngine, EngineError, EnginePixel, EngineSpec, FrameReport};
+use fisheye_core::engine::{
+    check_frame_dims, CorrectionEngine, EngineError, EnginePixel, EngineSpec, FrameReport,
+};
 use fisheye_core::interp::sample_bilinear_fixed_gray8;
 use fisheye_core::plan::RemapPlan;
 use fisheye_core::post::{PostPixel, PostPlan};
@@ -299,36 +301,6 @@ impl SimtEngine {
         })
     }
 
-    fn check_dims<P: Pixel>(
-        &self,
-        src: &Image<P>,
-        plan: &RemapPlan,
-        out: &Image<P>,
-    ) -> Result<(), EngineError> {
-        let name = self.spec().name();
-        if out.dims() != (plan.width(), plan.height()) {
-            return Err(EngineError::backend(
-                name,
-                format!(
-                    "output {:?} does not match plan {:?}",
-                    out.dims(),
-                    (plan.width(), plan.height())
-                ),
-            ));
-        }
-        if src.dims() != plan.src_dims() {
-            return Err(EngineError::backend(
-                name,
-                format!(
-                    "source {:?} does not match plan source {:?}",
-                    src.dims(),
-                    plan.src_dims()
-                ),
-            ));
-        }
-        Ok(())
-    }
-
     /// Interpret the float kernel for one frame, accumulating into
     /// `counters`; returns whether the tile plan was derived here.
     fn run_float_frame<P: EnginePixel + PostPixel>(
@@ -339,7 +311,7 @@ impl SimtEngine {
         out: &mut Image<P>,
         counters: &mut SimtCounters,
     ) -> Result<Option<f64>, EngineError> {
-        self.check_dims(src, plan, out)?;
+        check_frame_dims(&self.spec().name(), src, plan, out)?;
         let ir = self.lower_ir(plan)?;
         let interp = plan.interp();
         // Tiles compiled eagerly (the spec's capabilities asked for
@@ -380,7 +352,7 @@ impl SimtEngine {
         out: &mut Image<Gray8>,
     ) -> Result<FrameReport, EngineError> {
         let name = self.spec().name();
-        self.check_dims(src, plan, out)?;
+        check_frame_dims(&self.spec().name(), src, plan, out)?;
         let pp = post.filter(|p| !p.is_noop());
         let mut ir = lower(plan, &EngineSpec::FixedPoint { frac_bits }).map_err(|e| match e {
             CodegenError::Unsupported { backend, reason } => {

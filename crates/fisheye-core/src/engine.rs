@@ -167,13 +167,21 @@ impl FrameReport {
     }
 
     /// Fold one plane's (or stereo eye's) report into this
-    /// frame-level report: times and counters sum, and the plane's
-    /// model statistics keep their identity under a `label.` prefix.
+    /// frame-level report: times and counters sum, the plane's own
+    /// time, rows and invalid pixels land under `label.correct_ms`,
+    /// `label.rows` and `label.invalid`, and its model statistics keep
+    /// their identity under a `label.` prefix.
     pub fn merge_plane(&mut self, label: &str, plane: &FrameReport) {
         self.correct_time += plane.correct_time;
         self.rows += plane.rows;
         self.tiles += plane.tiles;
         self.invalid_pixels += plane.invalid_pixels;
+        self.kv(
+            &format!("{label}.correct_ms"),
+            plane.correct_time.as_secs_f64() * 1e3,
+        );
+        self.kv(&format!("{label}.rows"), plane.rows as f64);
+        self.kv(&format!("{label}.invalid"), plane.invalid_pixels as f64);
         for (k, v) in &plane.model {
             self.kv(&format!("{label}.{k}"), *v);
         }
@@ -825,7 +833,10 @@ pub struct HostEnv<'a> {
     pub geometry: Option<(&'a FisheyeLens, &'a PerspectiveView)>,
 }
 
-fn check_frame_dims<P: Pixel>(
+/// The dimension check every engine runs before a frame: `out` must
+/// have the plan's output dims and `src` the plan's source dims, or
+/// the frame is refused with [`EngineError::Backend`] under `name`.
+pub fn check_frame_dims<P: Pixel>(
     name: &str,
     src: &Image<P>,
     plan: &RemapPlan,

@@ -1021,7 +1021,7 @@ impl fmt::Debug for FrameCorrector {
 
 /// Merge per-plane reports: `correct_time` is the summed kernel cost,
 /// counters sum, and each plane's report lands in the model section
-/// under its label.
+/// under its label ([`FrameReport::merge_plane`]).
 fn merge_reports(
     backend: &str,
     wall: Duration,
@@ -1029,12 +1029,6 @@ fn merge_reports(
 ) -> FrameReport {
     let mut merged = FrameReport::new(backend);
     for (label, r) in per_plane {
-        merged.kv(
-            &format!("{label}.correct_ms"),
-            r.correct_time.as_secs_f64() * 1e3,
-        );
-        merged.kv(&format!("{label}.rows"), r.rows as f64);
-        merged.kv(&format!("{label}.invalid"), r.invalid_pixels as f64);
         merged.merge_plane(label, r);
     }
     merged.kv("planes", per_plane.len() as f64);

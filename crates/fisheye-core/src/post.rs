@@ -487,8 +487,8 @@ impl PostStage {
     }
 
     /// Content digest over the chain's parameters (LUT samples,
-    /// strength, curve, seed) — the serving layer salts plan-cache
-    /// digests with this.
+    /// strength, curve, seed) — every [`PostPlan`] compiled from the
+    /// stage folds it into its own digest.
     pub fn digest(&self) -> u64 {
         let mut h = FNV_OFFSET;
         match &self.grade {

@@ -16,6 +16,10 @@
 //! on a condvar and receive the same `Arc`. Hit / miss / eviction /
 //! byte counters feed the serve [`Registry`].
 
+// Admission and every view change resolve plans here, on the serving
+// threads: a panic takes a shard down.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -75,11 +79,6 @@ struct CacheInner {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    /// Shared cold tier consulted (and filled) on a miss. A sharded
-    /// server gives every shard a private hot cache over one cold
-    /// tier, so the hot path takes only an uncontended per-shard lock
-    /// while compiles still single-flight process-wide.
-    cold: Option<PlanCache>,
 }
 
 /// Removes the in-flight mark when the compiling caller unwinds, so a
@@ -99,8 +98,9 @@ impl Drop for InflightGuard<'_> {
 }
 
 /// A bounded, digest-keyed, LRU cache of compiled remap plans shared
-/// by every session of a [`Server`](crate::Server). Clone-cheap
-/// (`Arc` inside); all clones share one store.
+/// by every session of a [`Server`](crate::Server), and by every
+/// shard of a [`NetServer`](crate::NetServer). Clone-cheap (`Arc`
+/// inside); all clones share one store.
 #[derive(Clone)]
 pub struct PlanCache {
     inner: Arc<CacheInner>,
@@ -122,19 +122,6 @@ impl PlanCache {
     /// can hold nothing would recompile on every frame-facing view
     /// change, silently.
     pub fn new(capacity: usize) -> Result<PlanCache, fisheye::Error> {
-        PlanCache::build(capacity, None)
-    }
-
-    /// A hot tier of at most `capacity` entries in front of a shared
-    /// `cold` cache. A miss here asks `cold` first (which
-    /// single-flights the compile across every hot tier sharing it)
-    /// and then remembers the plan locally, so repeated lookups stay
-    /// on this cache's own lock.
-    pub fn with_cold_tier(capacity: usize, cold: PlanCache) -> Result<PlanCache, fisheye::Error> {
-        PlanCache::build(capacity, Some(cold))
-    }
-
-    fn build(capacity: usize, cold: Option<PlanCache>) -> Result<PlanCache, fisheye::Error> {
         if capacity == 0 {
             return Err(fisheye::Error::config(
                 "plan cache capacity must be at least 1",
@@ -152,14 +139,8 @@ impl PlanCache {
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 evictions: AtomicU64::new(0),
-                cold,
             }),
         })
-    }
-
-    /// The shared cold tier, when this cache is a hot tier over one.
-    pub fn cold_tier(&self) -> Option<&PlanCache> {
-        self.inner.cold.as_ref()
     }
 
     /// The plan for `digest`, compiling it with `compile` on a miss.
@@ -198,10 +179,7 @@ impl PlanCache {
         }
         drop(state);
         let guard = InflightGuard { inner, digest };
-        let plan = match &inner.cold {
-            Some(cold) => cold.get_or_compile(digest, compile),
-            None => Arc::new(compile()),
-        };
+        let plan = Arc::new(compile());
         let bytes = plan.bytes();
         let mut state = inner.state.lock();
         state.tick += 1;
@@ -271,6 +249,7 @@ impl PlanCache {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use fisheye_core::plan::PlanOptions;

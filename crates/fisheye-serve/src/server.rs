@@ -4,10 +4,11 @@
 //! admits [`Session`]s against a fixed capacity budget: past the cap,
 //! [`Server::connect`] returns [`fisheye::Error::Rejected`]
 //! immediately — there is no wait queue to grow without bound, the
-//! caller decides whether to retry. Each admitted session owns a
-//! [`Corrector`] resolved from its [`EngineSpec`], a bounded queue of
-//! [`Frame`]s and a [`PlanePool`] of output planes (one plane for
-//! gray8), and measures every frame against its deadline.
+//! caller decides whether to retry. Each admitted session owns its
+//! plans (a single-camera session through a [`Corrector`] resolved
+//! from its [`EngineSpec`]), a bounded queue of [`Frame`]s and a
+//! [`PlanePool`] of output planes (one plane for gray8), and measures
+//! every frame against its deadline.
 //!
 //! Under sustained overload — a windowed fraction of frames missing
 //! their deadlines — the server walks a degradation ladder, one rung
@@ -33,6 +34,18 @@
 //! rejection, drop, deadline miss and level transition is counted in
 //! the registry; [`Registry::snapshot`] is the audit trail.
 //!
+//! A rung sets three things, each derived from the session's base
+//! configuration: the interpolation kernel, the output view and
+//! whether grading runs. A session changes only what differs from
+//! what it applied last, whatever its workload: a grading change
+//! recompiles the 256-entry post tables, a kernel change rebuilds a
+//! single-camera session's engine (composite executors take the
+//! kernel per frame), and only a view change — [`Session::set_view`]
+//! or `HalfRes` — or a rig change resolves plans through the cache.
+//! Plans are keyed by geometry and plan options alone, never by the
+//! post stage, so a graded and an ungraded session of one view share
+//! one compiled plan.
+//!
 //! Besides the classic single-camera session, a [`SessionConfig`] may
 //! declare a composite [`Workload`]: an N-camera
 //! [`Workload::Panorama`] whose per-camera plans are ordinary
@@ -45,6 +58,10 @@
 //! ([`Session::set_rig`]) recompiles only the plans of the camera
 //! that moved, counted under `serve.plan.delta_recompiles`.
 
+// Every served frame runs `Session::pump_one`: a panic here takes
+// the shard and every session on it down.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -55,13 +72,11 @@ use fisheye_core::composite::{
     execute_composite_host, panorama_camera_digest, panorama_camera_map, rectified_camera_digest,
     rectified_camera_map, CompositePlan, CompositeViewPlan, StereoPlan,
 };
-use fisheye_core::engine::{
-    build_host, CorrectionEngine, EngineSpec, FrameReport, HostCtx, HostEnv,
-};
+use fisheye_core::engine::{execute_host_post, EngineSpec, FrameReport, HostEnv};
 use fisheye_core::frame::{Frame, FrameFormat, PlaneRequest, ViewPlan};
 use fisheye_core::map::RemapMap;
 use fisheye_core::plan::{PlanOptions, RemapPlan};
-use fisheye_core::post::{PostChannel, PostPlan, PostStage};
+use fisheye_core::post::{PostPlan, PostStage};
 use fisheye_core::Interpolator;
 use fisheye_geom::{CameraRig, FisheyeLens, PerspectiveView, StereoRig};
 use par_runtime::sync::Mutex;
@@ -261,7 +276,7 @@ impl SessionConfig {
 /// fixed session capacity. Clone-cheap (`Arc` inside); a sharded
 /// front end hands every shard's [`Server`] a clone of one budget, so
 /// capacity is enforced globally while each shard keeps its own
-/// cache, ladder and registry.
+/// ladder and registry.
 #[derive(Clone)]
 pub struct AdmissionBudget {
     inner: Arc<BudgetInner>,
@@ -366,11 +381,11 @@ impl Server {
 
     /// A server assembled from externally owned parts — the shard
     /// constructor. A sharded front end builds N of these sharing one
-    /// [`AdmissionBudget`] (capacity is global) while each carries a
-    /// private hot [`PlanCache`] (usually
-    /// [`with_cold_tier`](PlanCache::with_cold_tier) over one shared
-    /// cold cache) and a private [`Registry`] merged at snapshot
-    /// time, so nothing on the frame path crosses a shard boundary.
+    /// [`AdmissionBudget`] (capacity is global) and one [`PlanCache`]
+    /// (a clone: compiles single-flight machine-wide, and only
+    /// admission and view changes take its lock), while each carries
+    /// a private [`Registry`] merged at snapshot time, so nothing on
+    /// the frame path crosses a shard boundary.
     pub fn with_parts(
         cfg: ServerConfig,
         budget: AdmissionBudget,
@@ -502,14 +517,74 @@ impl Server {
                 cfg.format
             )));
         }
+        let single = matches!(cfg.workload, Workload::Single);
+        // composites run on the plan-consuming host executors:
+        // accelerator specs have no multi-source gather, and direct
+        // mode has no plan to execute
+        if !single && (!cfg.backend.is_host() || matches!(cfg.backend, EngineSpec::Direct)) {
+            return Err(fisheye::Error::config(format!(
+                "composite sessions run on plan-consuming host backends, not {}",
+                cfg.backend.name()
+            )));
+        }
+        // a composite on a kernel-locked backend (bilinear-only simd)
+        // serves its locked kernel from the start instead of failing
+        // per frame
+        let interp = match cfg.backend.capabilities().interp_locked {
+            Some(locked) if !single => locked,
+            _ => cfg.interp,
+        };
+        let opts = PlanOptions::for_spec(&cfg.backend, interp);
+        let dims = (cfg.view.width, cfg.view.height);
         let work = match &cfg.workload {
-            Workload::Single => Workhorse::Single(self.admit_single(&cfg)?),
-            Workload::Panorama { rig } => Workhorse::Panorama(self.admit_panorama(&cfg, rig)?),
+            Workload::Single => {
+                let plan =
+                    self.view_plan_for(&cfg.lens, &cfg.view, cfg.source, cfg.format, &opts, None)?;
+                Workhorse::Single(Box::new(
+                    Corrector::builder()
+                        .lens(cfg.lens)
+                        .view(cfg.view)
+                        .source(cfg.source.0, cfg.source.1)
+                        .format(cfg.format)
+                        .backend(cfg.backend)
+                        .interp(interp)
+                        .post_stage(cfg.post.clone())
+                        .threads(self.inner.cfg.threads)
+                        .view_plan(plan)
+                        .build()?,
+                ))
+            }
+            Workload::Panorama { rig } => Workhorse::Panorama {
+                plan: self.composite_plan_for(rig, cfg.format, dims, &opts, None)?,
+                rig: rig.clone(),
+            },
             Workload::StereoPair {
                 rig,
                 h_fov_deg,
                 v_fov_deg,
-            } => Workhorse::Stereo(self.admit_stereo(&cfg, rig, *h_fov_deg, *v_fov_deg)?),
+            } => {
+                if cfg.format != FrameFormat::Gray8 {
+                    return Err(fisheye::Error::config(format!(
+                        "stereo sessions serve gray8, not {}",
+                        cfg.format
+                    )));
+                }
+                let fovs = (*h_fov_deg, *v_fov_deg);
+                Workhorse::Stereo {
+                    plan: self.stereo_plan_for(rig, dims, fovs, &opts, None)?,
+                    rig: rig.clone(),
+                    fovs,
+                }
+            }
+        };
+        // a single session's corrector compiles its own post tables
+        // and owns its engine's pool
+        let (post, smp) = if single {
+            (Vec::new(), None)
+        } else {
+            let smp = matches!(cfg.backend, EngineSpec::Smp { .. })
+                .then(|| ThreadPool::new(self.inner.cfg.threads.max(1)));
+            (cfg.format.compile_post(&cfg.post), smp)
         };
         let pool_dims = work.plane_dims();
         Ok(Session {
@@ -517,9 +592,15 @@ impl Server {
             server: self.clone(),
             base_view: cfg.view,
             base_interp: cfg.interp,
-            base_post: cfg.post,
             format: cfg.format,
+            spec: cfg.backend,
             deadline: cfg.deadline.unwrap_or(self.inner.cfg.frame_deadline),
+            applied_view: cfg.view,
+            interp,
+            graded: !cfg.post.is_identity(),
+            base_post: cfg.post,
+            post,
+            smp,
             work,
             queue: VecDeque::new(),
             seq: 0,
@@ -530,162 +611,31 @@ impl Server {
         })
     }
 
-    /// Build the classic single-camera corrector on a cache-shared
-    /// plan.
-    fn admit_single(&self, cfg: &SessionConfig) -> Result<Corrector<Gray8>, fisheye::Error> {
-        let (src_w, src_h) = cfg.source;
-        let plan = self.view_plan_for(
-            &cfg.lens,
-            &cfg.view,
-            (src_w, src_h),
-            cfg.format,
-            &cfg.backend,
-            cfg.interp,
-            &cfg.post,
-            None,
-        )?;
-        Corrector::builder()
-            .lens(cfg.lens)
-            .view(cfg.view)
-            .source(src_w, src_h)
-            .format(cfg.format)
-            .backend(cfg.backend)
-            .interp(cfg.interp)
-            .post_stage(cfg.post.clone())
-            .threads(self.inner.cfg.threads)
-            .view_plan(plan)
-            .build()
-    }
-
-    /// Build a panorama session's state: per-camera plans through the
-    /// shared cache, one composite per plane class.
-    fn admit_panorama(
-        &self,
-        cfg: &SessionConfig,
-        rig: &CameraRig,
-    ) -> Result<PanoramaState, fisheye::Error> {
-        // the composite executor is the plan-consuming host path:
-        // accelerator specs have no multi-source gather, and direct
-        // mode has no plan to composite through
-        if !cfg.backend.is_host() || matches!(cfg.backend, EngineSpec::Direct) {
-            return Err(fisheye::Error::config(format!(
-                "panorama sessions run on plan-consuming host backends, not {}",
-                cfg.backend.name()
-            )));
-        }
-        // a kernel-locked backend (bilinear-only simd) serves its
-        // locked kernel from the start instead of failing per-frame
-        let interp = cfg
-            .backend
-            .capabilities()
-            .interp_locked
-            .unwrap_or(cfg.interp);
-        let dims = (cfg.view.width, cfg.view.height);
-        let plan =
-            self.composite_plan_for(rig, cfg.format, dims, &cfg.backend, interp, &cfg.post, None)?;
-        let pool = match cfg.backend {
-            EngineSpec::Smp { .. } => Some(ThreadPool::new(self.inner.cfg.threads.max(1))),
-            _ => None,
-        };
-        Ok(PanoramaState {
-            rig: rig.clone(),
-            spec: cfg.backend,
-            plan,
-            interp,
-            dims,
-            post: cfg.format.compile_post(&cfg.post),
-            graded: !cfg.post.is_identity(),
-            pool,
-        })
-    }
-
-    /// Build a stereo session's state: both eye plans through the
-    /// shared cache over one rectified surface.
-    fn admit_stereo(
-        &self,
-        cfg: &SessionConfig,
-        rig: &StereoRig,
-        h_fov_deg: f64,
-        v_fov_deg: f64,
-    ) -> Result<StereoState, fisheye::Error> {
-        if cfg.format != FrameFormat::Gray8 {
-            return Err(fisheye::Error::config(format!(
-                "stereo sessions serve gray8, not {}",
-                cfg.format
-            )));
-        }
-        let interp = cfg
-            .backend
-            .capabilities()
-            .interp_locked
-            .unwrap_or(cfg.interp);
-        let engine = build_host::<Gray8>(
-            &cfg.backend,
-            &HostCtx {
-                interp,
-                threads: self.inner.cfg.threads,
-                geometry: None,
-            },
-        )?;
-        let dims = (cfg.view.width, cfg.view.height);
-        let plan = self.stereo_plan_for(
-            rig,
-            dims,
-            (h_fov_deg, v_fov_deg),
-            &cfg.backend,
-            interp,
-            &cfg.post,
-            None,
-        )?;
-        let graded = !cfg.post.is_identity();
-        Ok(StereoState {
-            rig: rig.clone(),
-            fovs: (h_fov_deg, v_fov_deg),
-            spec: cfg.backend,
-            plan,
-            engine,
-            interp,
-            dims,
-            post: if graded {
-                Some(cfg.post.compile(PostChannel::Luma))
-            } else {
-                None
-            },
-            graded,
-        })
-    }
-
     /// Compile-through-cache for one (lens, view, source, format,
-    /// backend, interp) request: one cache entry **per plane class**,
-    /// so a YUV session's full-res luma plan is the same cache entry
-    /// a gray session of the same view uses, and its half-res chroma
-    /// plan is shared with every other 4:2:0 session — never confused
-    /// with a full-res plan thanks to the class-salted digest.
+    /// options) request: one cache entry **per plane class**, so a
+    /// YUV session's full-res luma plan is the same cache entry a gray
+    /// session of the same view uses, and its half-res chroma plan is
+    /// shared with every other 4:2:0 session — never confused with a
+    /// full-res plan thanks to the class-salted digest.
     ///
     /// `base` is the session's outgoing plan, when the request is a
     /// view *change* rather than a first compile: a cache miss then
     /// delta-recompiles from the matching class plan
     /// ([`Server::cached_plan`]).
-    #[allow(clippy::too_many_arguments)]
     fn view_plan_for(
         &self,
         lens: &FisheyeLens,
         view: &PerspectiveView,
         (src_w, src_h): (u32, u32),
         format: FrameFormat,
-        spec: &EngineSpec,
-        interp: Interpolator,
-        post: &PostStage,
+        opts: &PlanOptions,
         base: Option<&ViewPlan>,
     ) -> Result<ViewPlan, fisheye::Error> {
-        let opts = PlanOptions::for_spec(spec, interp);
         let plans = ViewPlan::plane_requests(format, lens, view, src_w, src_h)
             .into_iter()
             .map(|req| {
                 let prev = base.and_then(|b| b.class_plan(req.class));
-                self.cached_plan(req.digest(&opts), post, &opts, prev, || {
-                    self.build_plane_map(&req)
-                })
+                self.cached_plan(req.digest(opts), opts, prev, || self.build_plane_map(&req))
             })
             .collect();
         self.inner.cache.export(&self.inner.metrics, "serve.cache");
@@ -694,31 +644,26 @@ impl Server {
 
     /// Compile-through-cache for one panorama composite: one cache
     /// entry **per (camera, plane class)**, keyed by
-    /// [`panorama_camera_digest`] over the class-scaled rig geometry
-    /// and salted by the post stage exactly like [`Server::cached_plan`].
+    /// [`panorama_camera_digest`] over the class-scaled rig geometry.
     /// Two panorama sessions sharing a camera orientation share that
     /// camera's plans; the composite segment/weight program is
     /// assembled per session (it is cheap relative to a plan compile
     /// and carries no interpolation state).
     ///
-    /// `base` is the session's outgoing composite on a rig or quality
+    /// `base` is the session's outgoing composite on a rig or view
     /// *change*: a per-camera cache miss then delta-recompiles from
     /// the same camera's outgoing class plan — so a one-camera rig
     /// rotation recompiles only that camera's plans (counted under
     /// `serve.plan.delta_recompiles`) while every other camera's
     /// plans are cache hits.
-    #[allow(clippy::too_many_arguments)]
     fn composite_plan_for(
         &self,
         rig: &CameraRig,
         format: FrameFormat,
         (out_w, out_h): (u32, u32),
-        spec: &EngineSpec,
-        interp: Interpolator,
-        post: &PostStage,
+        opts: &PlanOptions,
         base: Option<&CompositeViewPlan>,
     ) -> Result<CompositeViewPlan, fisheye::Error> {
-        let opts = PlanOptions::for_spec(spec, interp);
         let classes = format.classes();
         let mut class_plans = Vec::with_capacity(classes.len());
         for (ci, &class) in classes.iter().enumerate() {
@@ -730,13 +675,13 @@ impl Server {
             };
             let mut sources = Vec::with_capacity(class_rig.len());
             for (cam_i, cam) in class_rig.cameras().iter().enumerate() {
-                let digest = panorama_camera_digest(cam, cw, ch, &opts);
+                let digest = panorama_camera_digest(cam, cw, ch, opts);
                 let prev = base
                     .and_then(|b| b.class_plans().get(ci))
                     .and_then(|p| p.sources().get(cam_i));
-                sources.push(self.cached_plan(digest, post, &opts, prev, || {
-                    panorama_camera_map(cam, cw, ch)
-                }));
+                sources.push(
+                    self.cached_plan(digest, opts, prev, || panorama_camera_map(cam, cw, ch)),
+                );
             }
             class_plans.push(CompositePlan::from_rig_plans(&class_rig, sources, cw, ch));
         }
@@ -749,28 +694,22 @@ impl Server {
     /// eye, keyed by [`rectified_camera_digest`] over the shared
     /// rectified surface. A pure-translation rig's two eyes share one
     /// digest — and therefore one cached plan — by construction.
-    #[allow(clippy::too_many_arguments)]
     fn stereo_plan_for(
         &self,
         rig: &StereoRig,
         (out_w, out_h): (u32, u32),
         (h_fov_deg, v_fov_deg): (f64, f64),
-        spec: &EngineSpec,
-        interp: Interpolator,
-        post: &PostStage,
+        opts: &PlanOptions,
         base: Option<&StereoPlan>,
     ) -> Result<StereoPlan, fisheye::Error> {
-        let opts = PlanOptions::for_spec(spec, interp);
         let pair = rig.rectify(out_w, out_h, h_fov_deg, v_fov_deg);
         let mut eyes = Vec::with_capacity(2);
         for (eye, prev) in [
             (&rig.left, base.map(|b| &b.left)),
             (&rig.right, base.map(|b| &b.right)),
         ] {
-            let digest = rectified_camera_digest(&pair, eye, &opts);
-            eyes.push(self.cached_plan(digest, post, &opts, prev, || {
-                rectified_camera_map(&pair, eye)
-            }));
+            let digest = rectified_camera_digest(&pair, eye, opts);
+            eyes.push(self.cached_plan(digest, opts, prev, || rectified_camera_map(&pair, eye)));
         }
         self.inner.cache.export(&self.inner.metrics, "serve.cache");
         let right = eyes.pop();
@@ -793,30 +732,23 @@ impl Server {
     /// is ignored: its digests live in a different key space and must
     /// never seed this one. `map` traces the map, only on a miss.
     ///
-    /// The session's post stage salts the digest (identity stages
-    /// don't): a cache entry's key then covers everything that shapes
-    /// the session's output bytes, matching the facade's
-    /// `request_digest` contract, and shedding the grading at
-    /// [`DegradeLevel::DropGrading`] re-keys the session onto the
-    /// plans ungraded sessions of the same view already share.
+    /// The key holds geometry and plan options alone. A session's
+    /// post stage shapes its output bytes but not its plans, so graded
+    /// and ungraded sessions of one view share one entry.
     fn cached_plan(
         &self,
         digest: u64,
-        post: &PostStage,
         opts: &PlanOptions,
         prev: Option<&Arc<RemapPlan>>,
         map: impl FnOnce() -> RemapMap,
     ) -> Arc<RemapPlan> {
-        let post_salt = if post.is_identity() { 0 } else { post.digest() };
-        self.inner
-            .cache
-            .get_or_compile(digest ^ post_salt, || match prev {
-                Some(prev) if prev.opts() == opts => {
-                    self.inner.metrics.inc("serve.plan.delta_recompiles");
-                    prev.recompile(map())
-                }
-                _ => RemapPlan::compile(&map(), opts.clone()),
-            })
+        self.inner.cache.get_or_compile(digest, || match prev {
+            Some(prev) if prev.opts() == opts => {
+                self.inner.metrics.inc("serve.plan.delta_recompiles");
+                prev.recompile(map())
+            }
+            _ => RemapPlan::compile(&map(), opts.clone()),
+        })
     }
 
     /// Trace one plane request's map, row-parallel on the server's
@@ -1010,15 +942,25 @@ impl std::fmt::Debug for FrameOutcome {
     }
 }
 
-/// The execution state behind one session, per workload shape. The
-/// single-camera variant keeps the classic facade corrector;
-/// composite variants hold their cache-resolved plans plus whatever
-/// executes them, at the currently *applied* (possibly degraded)
-/// quality.
+/// The plans behind one session, per workload shape, at the applied
+/// view. The single-camera variant keeps the classic facade corrector
+/// (with its engine); composite variants hold only geometry and plans
+/// and run through the host executors with the session's spec,
+/// kernel, post plans and pool.
 enum Workhorse {
-    Single(Corrector<Gray8>),
-    Panorama(PanoramaState),
-    Stereo(StereoState),
+    Single(Box<Corrector<Gray8>>),
+    Panorama {
+        rig: CameraRig,
+        /// Per-class composites.
+        plan: CompositeViewPlan,
+    },
+    Stereo {
+        rig: Box<StereoRig>,
+        /// Rectified grid spans `(h_fov_deg, v_fov_deg)`.
+        fovs: (f64, f64),
+        /// Both eye plans over the shared surface.
+        plan: StereoPlan,
+    },
 }
 
 impl Workhorse {
@@ -1027,57 +969,18 @@ impl Workhorse {
     fn plane_dims(&self) -> Vec<(u32, u32)> {
         match self {
             Workhorse::Single(c) => c.view_plan().plane_dims(),
-            Workhorse::Panorama(st) => st.plan.plane_dims(),
-            Workhorse::Stereo(st) => {
-                let dims = (st.plan.pair.width, st.plan.pair.height);
+            Workhorse::Panorama { plan, .. } => plan.plane_dims(),
+            Workhorse::Stereo { plan, .. } => {
+                let dims = (plan.pair.width, plan.pair.height);
                 vec![dims, dims]
             }
         }
     }
 }
 
-/// Applied state of a panorama session.
-struct PanoramaState {
-    rig: CameraRig,
-    spec: EngineSpec,
-    /// Per-class composites at the applied quality.
-    plan: CompositeViewPlan,
-    /// Applied interpolation kernel.
-    interp: Interpolator,
-    /// Applied full-resolution output dims.
-    dims: (u32, u32),
-    /// Compiled post plan per plane (`None` where the applied stage
-    /// is inert).
-    post: Vec<Option<PostPlan>>,
-    /// Whether the session's base grading is currently applied.
-    graded: bool,
-    /// Worker pool for the smp spec.
-    pool: Option<ThreadPool>,
-}
-
-/// Applied state of a stereo session.
-struct StereoState {
-    rig: StereoRig,
-    /// Rectified grid spans `(h_fov_deg, v_fov_deg)`.
-    fovs: (f64, f64),
-    spec: EngineSpec,
-    /// Both eye plans over the shared surface, at applied quality.
-    plan: StereoPlan,
-    /// Host engine both eyes run through.
-    engine: Box<dyn CorrectionEngine<Gray8>>,
-    /// Applied interpolation kernel.
-    interp: Interpolator,
-    /// Applied rectified-grid dims.
-    dims: (u32, u32),
-    /// Compiled post plan (`None` when ungraded).
-    post: Option<PostPlan>,
-    /// Whether the session's base grading is currently applied.
-    graded: bool,
-}
-
-/// One admitted view-session: a corrector on a cache-shared plan, a
-/// bounded frame queue and a pooled output path. Dropping the session
-/// releases its admission slot.
+/// One admitted view-session: cache-shared plans, a bounded frame
+/// queue and a pooled output path. Dropping the session releases its
+/// admission slot.
 pub struct Session {
     id: u64,
     server: Server,
@@ -1085,7 +988,20 @@ pub struct Session {
     base_interp: Interpolator,
     base_post: PostStage,
     format: FrameFormat,
+    spec: EngineSpec,
     deadline: Duration,
+    /// Applied output view: the base view, halved at `HalfRes`.
+    applied_view: PerspectiveView,
+    /// Applied interpolation kernel.
+    interp: Interpolator,
+    /// Whether the base grading is applied.
+    graded: bool,
+    /// A composite's compiled post plan per plane (`None` where the
+    /// applied stage is inert); empty for a single session, whose
+    /// corrector compiles its own.
+    post: Vec<Option<PostPlan>>,
+    /// Row pool a composite's `smp` executors share.
+    smp: Option<ThreadPool>,
     work: Workhorse,
     queue: VecDeque<Pending>,
     seq: u64,
@@ -1162,16 +1078,14 @@ impl Session {
     }
 
     /// The session's corrector (its plan, spec and dims are the
-    /// currently *applied* — possibly degraded — configuration).
-    /// Single-camera sessions only: composite sessions execute
-    /// through their plans, not a facade corrector.
-    ///
-    /// # Panics
-    /// On a panorama or stereo session.
-    pub fn corrector(&self) -> &Corrector<Gray8> {
+    /// currently *applied* — possibly degraded — configuration), when
+    /// this is a single-camera session: composite sessions execute
+    /// through their plans ([`Session::composite_plan`],
+    /// [`Session::stereo_plan`]), not a facade corrector.
+    pub fn corrector(&self) -> Option<&Corrector<Gray8>> {
         match &self.work {
-            Workhorse::Single(c) => c,
-            _ => panic!("composite sessions have no single-camera corrector"),
+            Workhorse::Single(c) => Some(c),
+            _ => None,
         }
     }
 
@@ -1179,7 +1093,7 @@ impl Session {
     /// session.
     pub fn composite_plan(&self) -> Option<&CompositeViewPlan> {
         match &self.work {
-            Workhorse::Panorama(st) => Some(&st.plan),
+            Workhorse::Panorama { plan, .. } => Some(plan),
             _ => None,
         }
     }
@@ -1187,16 +1101,17 @@ impl Session {
     /// The applied stereo plan, when this is a stereo session.
     pub fn stereo_plan(&self) -> Option<&StereoPlan> {
         match &self.work {
-            Workhorse::Stereo(st) => Some(&st.plan),
+            Workhorse::Stereo { plan, .. } => Some(plan),
             _ => None,
         }
     }
 
     /// Point the session at a new view. The plan comes from the
-    /// shared cache — if any session already watches this view (at
-    /// this quality), the switch is a lookup, not a compile. On a
-    /// composite session the view supplies the output dimensions;
-    /// its plans re-resolve through the cache at the new size.
+    /// shared cache — if any session already watches this view (on
+    /// this backend and kernel), the switch is a lookup, not a
+    /// compile. On a composite session the view supplies the output
+    /// dimensions; its plans re-resolve through the cache at the new
+    /// size.
     pub fn set_view(&mut self, view: PerspectiveView) -> Result<(), fisheye::Error> {
         if view.width == 0 || view.height == 0 {
             return Err(fisheye::Error::config("view dimensions must be positive"));
@@ -1235,35 +1150,25 @@ impl Session {
     /// outgoing selves (`serve.plan.delta_recompiles`) instead of
     /// compiling cold — the "one camera nudged" fast path.
     pub fn set_rig(&mut self, rig: CameraRig) -> Result<(), fisheye::Error> {
-        let Workhorse::Panorama(st) = &mut self.work else {
+        let opts = self.plan_options();
+        let Workhorse::Panorama { rig: current, plan } = &mut self.work else {
             return Err(fisheye::Error::config(
                 "set_rig reconfigures panorama sessions",
             ));
         };
-        if rig.len() != st.rig.len() {
+        if rig.len() != current.len() {
             return Err(fisheye::Error::config(format!(
                 "session rig has {} cameras, got {}",
-                st.rig.len(),
+                current.len(),
                 rig.len()
             )));
         }
-        let stage = if st.graded {
-            self.base_post.clone()
-        } else {
-            PostStage::identity()
-        };
-        let plan = self.server.composite_plan_for(
-            &rig,
-            self.format,
-            st.dims,
-            &st.spec,
-            st.interp,
-            &stage,
-            Some(&st.plan),
-        )?;
-        st.rig = rig;
-        st.plan = plan;
-        self.server.inner.metrics.inc("serve.view_changes");
+        let dims = (self.applied_view.width, self.applied_view.height);
+        *plan = self
+            .server
+            .composite_plan_for(&rig, self.format, dims, &opts, Some(plan))?;
+        *current = rig;
+        self.server.metrics().inc("serve.view_changes");
         Ok(())
     }
 
@@ -1359,162 +1264,217 @@ impl Session {
     /// Route one pending frame through the session's workhorse onto
     /// pooled output buffers.
     fn correct_pending(
-        &mut self,
+        &self,
         src: &SourceFrame,
     ) -> Result<(FrameReport, ServedFrame), fisheye::Error> {
         match &self.work {
             Workhorse::Single(corrector) => correct_single(corrector, self.format, &self.pool, src),
-            Workhorse::Panorama(st) => {
-                let frames = rig_frames(src, st.rig.len(), "panorama")?;
-                correct_panorama(st, self.format, &self.pool, frames)
+            Workhorse::Panorama { rig, plan } => {
+                self.correct_panorama(plan, rig_frames(src, rig.len(), "panorama")?)
             }
-            Workhorse::Stereo(st) => {
-                let frames = rig_frames(src, 2, "stereo")?;
-                correct_stereo(st, &self.pool, frames)
+            Workhorse::Stereo { plan, .. } => {
+                self.correct_stereo(plan, rig_frames(src, 2, "stereo")?)
             }
         }
     }
 
-    /// Apply `level` to the workhorse: interpolation downgrade and/or
-    /// half-resolution plan swap, both derived from the session's
-    /// full-quality base so levels compose and recovery is exact.
-    /// Composite sessions walk the same rungs; their re-resolved
-    /// plans seed per-camera delta recompilation from the outgoing
-    /// plans.
-    fn reconfigure(&mut self, level: DegradeLevel) -> Result<(), fisheye::Error> {
-        let desired_interp = match level {
-            DegradeLevel::Normal | DegradeLevel::DropOldest => self.base_interp,
-            DegradeLevel::InterpDown => downgrade(self.base_interp, 1),
-            DegradeLevel::InterpFloor | DegradeLevel::DropGrading | DegradeLevel::HalfRes => {
-                downgrade(self.base_interp, 2)
+    /// Composite one panorama output from per-camera frames, plane by
+    /// plane through the host composite executor. A single-plane format
+    /// returns the executor's report unchanged; a multi-plane format
+    /// merges the per-plane reports under the plane labels.
+    fn correct_panorama(
+        &self,
+        plan: &CompositeViewPlan,
+        frames: &[Arc<Frame>],
+    ) -> Result<(FrameReport, ServedFrame), fisheye::Error> {
+        let format = self.format;
+        for (i, f) in frames.iter().enumerate() {
+            if f.format() != format {
+                return Err(fisheye::Error::config(format!(
+                    "panorama session serves {format}, camera {i} submitted {}",
+                    f.format()
+                )));
             }
+        }
+        let plane_sets: Vec<Vec<&Image<Gray8>>> = frames
+            .iter()
+            .map(|f| {
+                f.u8_planes().ok_or_else(|| {
+                    fisheye::Error::config("grayf32 sessions are rejected at connect")
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        let env = HostEnv {
+            pool: self.smp.as_ref(),
+            ..HostEnv::default()
         };
-        let desired_view = if level == DegradeLevel::HalfRes {
+        let composite = |p: usize, out: &mut Image<Gray8>| -> Result<FrameReport, fisheye::Error> {
+            let plane_srcs: Vec<&Image<Gray8>> = plane_sets.iter().map(|set| set[p]).collect();
+            Ok(execute_composite_host(
+                &self.spec,
+                self.interp,
+                &plane_srcs,
+                plan.plane_plan(p),
+                self.post[p].as_ref(),
+                &env,
+                out,
+            )?)
+        };
+        let mut planes = self.pool.acquire();
+        let report = if let [out] = &mut planes[..] {
+            composite(0, out)?
+        } else {
+            let mut merged = FrameReport::new(self.spec.name());
+            for (p, (out, label)) in planes.iter_mut().zip(format.plane_labels()).enumerate() {
+                merged.merge_plane(label, &composite(p, out)?);
+            }
+            merged
+        };
+        Ok((report, ServedFrame { format, planes }))
+    }
+
+    /// Correct both eyes of a stereo pair through the host executor
+    /// onto the pool's two eye buffers, merging the per-eye reports
+    /// under `left.` / `right.` keys.
+    fn correct_stereo(
+        &self,
+        plan: &StereoPlan,
+        frames: &[Arc<Frame>],
+    ) -> Result<(FrameReport, ServedFrame), fisheye::Error> {
+        let mut eyes = Vec::with_capacity(2);
+        for (i, f) in frames.iter().enumerate() {
+            match f.as_ref() {
+                Frame::Gray8(img) => eyes.push(img),
+                other => {
+                    return Err(fisheye::Error::config(format!(
+                        "stereo sessions serve gray8, eye {i} submitted {}",
+                        other.format()
+                    )))
+                }
+            }
+        }
+        let env = HostEnv {
+            pool: self.smp.as_ref(),
+            ..HostEnv::default()
+        };
+        let post = self.post.first().and_then(Option::as_ref);
+        let mut planes = self.pool.acquire();
+        let mut merged = FrameReport::new(self.spec.name());
+        let eye_plans = [&plan.left, &plan.right];
+        for (i, (out, label)) in planes.iter_mut().zip(["left", "right"]).enumerate() {
+            let report = execute_host_post(
+                &self.spec,
+                self.interp,
+                eyes[i],
+                eye_plans[i],
+                post,
+                &env,
+                out,
+            )?;
+            merged.merge_plane(label, &report);
+        }
+        Ok((
+            merged,
+            ServedFrame {
+                format: self.format,
+                planes,
+            },
+        ))
+    }
+
+    /// The plan options the session resolves plans under: its spec's
+    /// and applied kernel's.
+    fn plan_options(&self) -> PlanOptions {
+        PlanOptions::for_spec(&self.spec, self.interp)
+    }
+
+    /// Apply `level`. A rung sets the kernel, the output view and
+    /// whether grading runs, each derived from the session's base so
+    /// levels compose and recovery is exact, and only what differs
+    /// from the applied state changes: a grading change recompiles
+    /// post tables, a kernel change rebuilds a single session's
+    /// engine, and a view change resolves plans through the cache,
+    /// the outgoing plans seeding delta recompilation on a miss.
+    fn reconfigure(&mut self, level: DegradeLevel) -> Result<(), fisheye::Error> {
+        // grading is shed at DropGrading and stays shed above it;
+        // restored exactly from the session's base on recovery
+        let graded = level < DegradeLevel::DropGrading && !self.base_post.is_identity();
+        if graded != self.graded {
+            if !graded {
+                self.server.metrics().inc("serve.degrade.post_shed");
+            }
+            let stage = if graded {
+                self.base_post.clone()
+            } else {
+                PostStage::identity()
+            };
+            match &mut self.work {
+                Workhorse::Single(corrector) => corrector.set_post(stage),
+                _ => self.post = self.format.compile_post(&stage),
+            }
+            self.graded = graded;
+        }
+        let steps = match level {
+            DegradeLevel::Normal | DegradeLevel::DropOldest => 0,
+            DegradeLevel::InterpDown => 1,
+            DegradeLevel::InterpFloor | DegradeLevel::DropGrading | DegradeLevel::HalfRes => 2,
+        };
+        let mut interp = downgrade(self.base_interp, steps);
+        // a kernel-locked backend (bilinear-only simd) skips the
+        // interpolation rungs: its capabilities declare the lock up
+        // front, and degradation must never take a session down
+        if let Some(locked) = self.spec.capabilities().interp_locked {
+            if locked != interp {
+                self.server
+                    .metrics()
+                    .inc("serve.degrade.interp_unsupported");
+            }
+            interp = locked;
+        }
+        if interp != self.interp {
+            if let Workhorse::Single(corrector) = &mut self.work {
+                corrector.set_interp(interp)?;
+            }
+            self.interp = interp;
+        }
+        let view = if level == DegradeLevel::HalfRes {
             halved(self.base_view)
         } else {
             self.base_view
         };
-        // grading is shed at DropGrading and stays shed above it;
-        // restored exactly from the session's base on recovery
-        let desired_graded = level < DegradeLevel::DropGrading && !self.base_post.is_identity();
-        let desired_post = if desired_graded {
-            self.base_post.clone()
-        } else {
-            PostStage::identity()
-        };
-        let server = self.server.clone();
-        let format = self.format;
-        match &mut self.work {
-            Workhorse::Single(corrector) => {
-                if corrector.post_stage().digest() != desired_post.digest() {
-                    if desired_post.is_identity() {
-                        server.inner.metrics.inc("serve.degrade.post_shed");
-                    }
-                    corrector.set_post(desired_post);
-                }
-                if corrector.interp() != desired_interp {
-                    // an engine locked to one kernel (the bilinear-only
-                    // SIMD path) skips the rung — its capabilities
-                    // declare the lock up front, so no trial rebuild is
-                    // needed, and degradation must never take a session
-                    // down
-                    match corrector.spec().capabilities().interp_locked {
-                        Some(locked) if locked != desired_interp => {
-                            server.inner.metrics.inc("serve.degrade.interp_unsupported");
-                        }
-                        _ => corrector.set_interp(desired_interp)?,
-                    }
-                }
-                if corrector.view() != Some(desired_view) {
-                    // the outgoing plan seeds delta recompilation on a
-                    // cache miss — a small pan recompiles only the rows
-                    // it moved
-                    let post = corrector.post_stage().clone();
-                    let plan = server.view_plan_for(
-                        &corrector.lens(),
-                        &desired_view,
-                        corrector.source_dims(),
-                        format,
-                        &corrector.spec(),
-                        corrector.interp(),
-                        &post,
-                        Some(corrector.view_plan()),
-                    )?;
-                    corrector.set_view_plan(desired_view, plan)?;
-                }
-            }
-            Workhorse::Panorama(st) => {
-                let desired_interp = clamp_locked_interp(&server, &st.spec, desired_interp);
-                let desired_dims = (desired_view.width, desired_view.height);
-                if st.graded && !desired_graded {
-                    server.inner.metrics.inc("serve.degrade.post_shed");
-                }
-                if st.interp != desired_interp
-                    || st.dims != desired_dims
-                    || st.graded != desired_graded
-                {
-                    let plan = server.composite_plan_for(
-                        &st.rig,
-                        format,
-                        desired_dims,
-                        &st.spec,
-                        desired_interp,
-                        &desired_post,
-                        Some(&st.plan),
-                    )?;
-                    st.plan = plan;
-                    st.interp = desired_interp;
-                    st.dims = desired_dims;
-                    if st.graded != desired_graded {
-                        st.graded = desired_graded;
-                        st.post = format.compile_post(&desired_post);
-                    }
-                }
-            }
-            Workhorse::Stereo(st) => {
-                let desired_interp = clamp_locked_interp(&server, &st.spec, desired_interp);
-                let desired_dims = (desired_view.width, desired_view.height);
-                if st.graded && !desired_graded {
-                    server.inner.metrics.inc("serve.degrade.post_shed");
-                }
-                if st.interp != desired_interp
-                    || st.dims != desired_dims
-                    || st.graded != desired_graded
-                {
-                    let plan = server.stereo_plan_for(
-                        &st.rig,
-                        desired_dims,
-                        st.fovs,
-                        &st.spec,
-                        desired_interp,
-                        &desired_post,
-                        Some(&st.plan),
-                    )?;
-                    if st.interp != desired_interp {
-                        st.engine = build_host::<Gray8>(
-                            &st.spec,
-                            &HostCtx {
-                                interp: desired_interp,
-                                threads: server.inner.cfg.threads,
-                                geometry: None,
-                            },
-                        )?;
-                    }
-                    st.plan = plan;
-                    st.interp = desired_interp;
-                    st.dims = desired_dims;
-                    if st.graded != desired_graded {
-                        st.graded = desired_graded;
-                        st.post = if desired_graded {
-                            Some(desired_post.compile(PostChannel::Luma))
-                        } else {
-                            None
-                        };
-                    }
-                }
-            }
+        if view != self.applied_view {
+            self.resolve_plans(view)?;
         }
         self.applied = level;
+        Ok(())
+    }
+
+    /// Resolve the session's plans for `view` (for a composite, its
+    /// output dims) through the server's cache at the applied kernel.
+    fn resolve_plans(&mut self, view: PerspectiveView) -> Result<(), fisheye::Error> {
+        let opts = self.plan_options();
+        let dims = (view.width, view.height);
+        let server = &self.server;
+        match &mut self.work {
+            Workhorse::Single(corrector) => {
+                let plan = server.view_plan_for(
+                    &corrector.lens(),
+                    &view,
+                    corrector.source_dims(),
+                    self.format,
+                    &opts,
+                    Some(corrector.view_plan()),
+                )?;
+                corrector.set_view_plan(view, plan)?;
+            }
+            Workhorse::Panorama { rig, plan } => {
+                *plan = server.composite_plan_for(rig, self.format, dims, &opts, Some(plan))?;
+            }
+            Workhorse::Stereo { rig, fovs, plan } => {
+                *plan = server.stereo_plan_for(rig, dims, *fovs, &opts, Some(plan))?;
+            }
+        }
+        self.applied_view = view;
         Ok(())
     }
 
@@ -1557,21 +1517,6 @@ fn halved(view: PerspectiveView) -> PerspectiveView {
         width: (view.width / 2).max(1),
         height: (view.height / 2).max(1),
         ..view
-    }
-}
-
-/// A kernel-locked backend (the bilinear-only SIMD path) skips
-/// interpolation rungs: keep its locked kernel and count the skipped
-/// rung, so degradation never takes a session down.
-fn clamp_locked_interp(server: &Server, spec: &EngineSpec, desired: Interpolator) -> Interpolator {
-    match spec.capabilities().interp_locked {
-        Some(locked) => {
-            if locked != desired {
-                server.inner.metrics.inc("serve.degrade.interp_unsupported");
-            }
-            locked
-        }
-        None => desired,
     }
 }
 
@@ -1619,93 +1564,6 @@ fn rig_frames<'a>(
         )));
     }
     Ok(frames)
-}
-
-/// Composite one panorama output from per-camera frames, plane by
-/// plane through the host composite executor. A single-plane format
-/// returns the executor's report unchanged; a multi-plane format
-/// merges the per-plane reports under the plane labels.
-fn correct_panorama(
-    st: &PanoramaState,
-    format: FrameFormat,
-    pool: &PlanePool<Gray8>,
-    frames: &[Arc<Frame>],
-) -> Result<(FrameReport, ServedFrame), fisheye::Error> {
-    for (i, f) in frames.iter().enumerate() {
-        if f.format() != format {
-            return Err(fisheye::Error::config(format!(
-                "panorama session serves {format}, camera {i} submitted {}",
-                f.format()
-            )));
-        }
-    }
-    let plane_sets: Vec<Vec<&Image<Gray8>>> = frames
-        .iter()
-        .map(|f| {
-            f.u8_planes()
-                .ok_or_else(|| fisheye::Error::config("grayf32 sessions are rejected at connect"))
-        })
-        .collect::<Result<_, _>>()?;
-    let env = HostEnv {
-        pool: st.pool.as_ref(),
-        ..HostEnv::default()
-    };
-    let composite = |p: usize, out: &mut Image<Gray8>| -> Result<FrameReport, fisheye::Error> {
-        let plane_srcs: Vec<&Image<Gray8>> = plane_sets.iter().map(|set| set[p]).collect();
-        Ok(execute_composite_host(
-            &st.spec,
-            st.interp,
-            &plane_srcs,
-            st.plan.plane_plan(p),
-            st.post[p].as_ref(),
-            &env,
-            out,
-        )?)
-    };
-    let mut planes = pool.acquire();
-    let report = if let [out] = &mut planes[..] {
-        composite(0, out)?
-    } else {
-        let mut merged = FrameReport::new(st.spec.name());
-        for (p, (out, label)) in planes.iter_mut().zip(format.plane_labels()).enumerate() {
-            merged.merge_plane(label, &composite(p, out)?);
-        }
-        merged
-    };
-    Ok((report, ServedFrame { format, planes }))
-}
-
-/// Correct both eyes of a stereo pair through the session's host
-/// engine onto the pool's two eye buffers, merging the per-eye
-/// reports under `left.` / `right.` keys.
-fn correct_stereo(
-    st: &StereoState,
-    pool: &PlanePool<Gray8>,
-    frames: &[Arc<Frame>],
-) -> Result<(FrameReport, ServedFrame), fisheye::Error> {
-    let mut eyes = Vec::with_capacity(2);
-    for (i, f) in frames.iter().enumerate() {
-        match f.as_ref() {
-            Frame::Gray8(img) => eyes.push(img),
-            other => {
-                return Err(fisheye::Error::config(format!(
-                    "stereo sessions serve gray8, eye {i} submitted {}",
-                    other.format()
-                )))
-            }
-        }
-    }
-    let mut planes = pool.acquire();
-    let mut merged = FrameReport::new(st.spec.name());
-    let plans = [&st.plan.left, &st.plan.right];
-    for (i, (out, label)) in planes.iter_mut().zip(["left", "right"]).enumerate() {
-        let report =
-            st.engine
-                .correct_frame_post(eyes[i], plans[i], st.post.as_ref(), &mut **out)?;
-        merged.merge_plane(label, &report);
-    }
-    let format = FrameFormat::Gray8;
-    Ok((merged, ServedFrame { format, planes }))
 }
 
 /// Aggregate result of one [`pump_round`].

@@ -11,9 +11,9 @@
 //! no thread sleeps a fixed interval while idle. Everything that
 //! matters per frame is **shard-local**:
 //!
-//! * each shard owns a [`Server`] whose hot [`PlanCache`] fronts one
-//!   shared cold tier (compiles still single-flight process-wide,
-//!   lookups take only the shard's own lock);
+//! * each shard owns a [`Server`] over one shared [`PlanCache`]
+//!   (compiles single-flight process-wide; no frame reads the cache,
+//!   only admission and view changes do);
 //! * each shard owns a private [`Registry`]; cross-shard totals exist
 //!   only at [`NetServer::metrics_snapshot`], which merges and then
 //!   fixes up the non-additive gauges (ladder level, hit rates,
@@ -46,7 +46,7 @@ use fisheye_core::engine::EngineSpec;
 use fisheye_core::post::PostStage;
 use pixmap::{Gray8, Image};
 
-use crate::cache::{CacheStats, PlanCache};
+use crate::cache::PlanCache;
 use crate::metrics::Registry;
 use crate::readiness::{Poller, Waker};
 use crate::server::{AdmissionBudget, Server, ServerConfig, Session, SessionConfig, SubmitOutcome};
@@ -57,13 +57,11 @@ use crate::wire::{self, Message, SessionDesc, ShedReason, WireError};
 pub struct NetServerConfig {
     /// Per-shard server tuning. `capacity` and `plan_cache_capacity`
     /// are **global**: capacity backs the shared admission budget and
-    /// the cache capacity sizes the shared cold tier.
+    /// the cache capacity sizes the one plan cache every shard shares.
     pub server: ServerConfig,
     /// Worker shards (threads); connections spread across them by
     /// session-id hash.
     pub shards: usize,
-    /// Ready entries in each shard's hot plan cache tier.
-    pub hot_cache_capacity: usize,
     /// Outbound bytes a connection may buffer before the shard stops
     /// pumping new frames for it (they age in the bounded session
     /// queue instead — backpressure, not memory growth).
@@ -75,7 +73,6 @@ impl Default for NetServerConfig {
         NetServerConfig {
             server: ServerConfig::default(),
             shards: 2,
-            hot_cache_capacity: 8,
             max_write_buffer: 8 << 20,
         }
     }
@@ -117,7 +114,7 @@ pub struct NetServer {
     accept_waker: Waker,
     shards: Vec<ShardHandle>,
     budget: AdmissionBudget,
-    cold: PlanCache,
+    cache: PlanCache,
 }
 
 impl std::fmt::Debug for NetServer {
@@ -147,7 +144,7 @@ impl NetServer {
             .map_err(|e| fisheye::Error::runtime(format!("set_nonblocking: {e}")))?;
 
         let budget = AdmissionBudget::new(cfg.server.capacity);
-        let cold = PlanCache::new(cfg.server.plan_cache_capacity)?;
+        let cache = PlanCache::new(cfg.server.plan_cache_capacity)?;
         let stop = Arc::new(AtomicBool::new(false));
 
         let poller =
@@ -155,8 +152,8 @@ impl NetServer {
         let mut shards = Vec::with_capacity(cfg.shards);
         let mut routes = Vec::with_capacity(cfg.shards);
         for i in 0..cfg.shards {
-            let hot = PlanCache::with_cold_tier(cfg.hot_cache_capacity, cold.clone())?;
-            let server = Server::with_parts(cfg.server, budget.clone(), hot, Registry::new())?;
+            let server =
+                Server::with_parts(cfg.server, budget.clone(), cache.clone(), Registry::new())?;
             let (tx, rx) = std::sync::mpsc::channel();
             let (shard_poller, waker) = poller()?;
             let worker = server.clone();
@@ -218,7 +215,7 @@ impl NetServer {
             accept_waker,
             shards,
             budget,
-            cold,
+            cache,
         })
     }
 
@@ -232,51 +229,32 @@ impl NetServer {
         self.budget.active()
     }
 
-    /// Plan bytes resident across every hot tier plus the shared cold
-    /// tier — the number the soak bench bounds.
+    /// Plan bytes resident in the shared plan cache — the number the
+    /// soak bench bounds.
     pub fn resident_plan_bytes(&self) -> usize {
-        let hot: usize = self
-            .shards
-            .iter()
-            .map(|s| s.server.cache().stats().bytes)
-            .sum();
-        hot + self.cold.stats().bytes
+        self.cache.stats().bytes
     }
 
     /// Merge every shard's registry into one snapshot, then fix up
     /// the gauges that don't add: `serve.sessions.active` comes from
     /// the shared budget, `serve.degrade.level` is the worst shard's
-    /// level, and the `serve.cache.*` family is recomputed live from
-    /// the hot tiers (summed) plus the cold tier under
-    /// `serve.cache.cold.*`.
+    /// level, and the `serve.cache.*` family is read live from the
+    /// one shared cache.
     pub fn metrics_snapshot(&self) -> Registry {
         let merged = Registry::new();
         let mut worst_level = 0.0f64;
-        let mut hot = CacheStats::default();
         for sh in &self.shards {
             merged.merge_from(sh.server.metrics());
             if let Some(l) = sh.server.metrics().gauge_value("serve.degrade.level") {
                 worst_level = worst_level.max(l);
             }
-            let s = sh.server.cache().stats();
-            hot.hits += s.hits;
-            hot.misses += s.misses;
-            hot.evictions += s.evictions;
-            hot.entries += s.entries;
-            hot.bytes += s.bytes;
         }
         merged.gauge("serve.sessions.active", self.budget.active() as f64);
         merged.gauge("serve.degrade.level", worst_level);
-        merged.gauge("serve.cache.hits", hot.hits as f64);
-        merged.gauge("serve.cache.misses", hot.misses as f64);
-        merged.gauge("serve.cache.evictions", hot.evictions as f64);
-        merged.gauge("serve.cache.hit_rate", hot.hit_rate());
-        merged.gauge("serve.cache.entries", hot.entries as f64);
-        merged.gauge("serve.cache.bytes", hot.bytes as f64);
-        self.cold.export(&merged, "serve.cache.cold");
+        self.cache.export(&merged, "serve.cache");
         merged.gauge(
             "serve.cache.resident_bytes",
-            (hot.bytes + self.cold.stats().bytes) as f64,
+            self.cache.stats().bytes as f64,
         );
         merged
     }

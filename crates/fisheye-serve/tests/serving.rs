@@ -12,7 +12,8 @@ use fisheye_core::post::{Lut3d, PostStage, ToneMap};
 use fisheye_core::Interpolator;
 use fisheye_geom::{FisheyeLens, PerspectiveView};
 use fisheye_serve::{
-    CameraFeed, DegradeConfig, DegradeLevel, Server, ServerConfig, SessionConfig, SubmitOutcome,
+    CameraFeed, DegradeConfig, DegradeLevel, FrameOutcome, Server, ServerConfig, Session,
+    SessionConfig, SubmitOutcome,
 };
 use pixmap::{Gray8, Image};
 
@@ -60,6 +61,30 @@ fn gray_image(frame: &Frame) -> &Image<Gray8> {
     }
 }
 
+/// Walk a zero-deadline session on a [`test_server`] up the whole
+/// ladder: every frame misses, so each 8-frame window closes one rung
+/// higher. `submit` queues one frame; `at_rung` sees the session and
+/// the outcome of each rung's first frame. Every frame must be served.
+fn climb_ladder(
+    session: &mut Session,
+    mut submit: impl FnMut(&mut Session),
+    mut at_rung: impl FnMut(&Session, &FrameOutcome),
+) {
+    for rung in DegradeLevel::LADDER {
+        for i in 0..8 {
+            submit(session);
+            let out = session
+                .pump_one()
+                .unwrap_or_else(|e| panic!("{} serves frames: {e}", rung.name()))
+                .expect("frame pending");
+            assert_eq!(out.level, rung);
+            if i == 0 {
+                at_rung(session, &out);
+            }
+        }
+    }
+}
+
 #[test]
 fn admission_is_a_budget_not_a_queue() {
     let server = test_server(2);
@@ -100,7 +125,10 @@ fn identical_views_share_one_compiled_plan() {
     assert_eq!(stats.hits, 3);
     for s in &sessions[1..] {
         assert!(
-            Arc::ptr_eq(sessions[0].corrector().plan(), s.corrector().plan()),
+            Arc::ptr_eq(
+                sessions[0].corrector().expect("single session").plan(),
+                s.corrector().expect("single session").plan()
+            ),
             "sessions share the same plan allocation"
         );
     }
@@ -170,7 +198,10 @@ fn ladder_escalates_under_overload_and_recovers() {
         (32, 24),
         "half resolution at the top rung"
     );
-    assert_eq!(hot.corrector().interp(), Interpolator::Nearest);
+    assert_eq!(
+        hot.corrector().expect("single session").interp(),
+        Interpolator::Nearest
+    );
     assert_eq!(hot.applied_level(), DegradeLevel::HalfRes);
 
     // at drop-oldest and above, a full queue sheds its *oldest* frame
@@ -201,7 +232,10 @@ fn ladder_escalates_under_overload_and_recovers() {
     cool.submit_frame(gray(&mut camera));
     let out = cool.pump_one().expect("engine ok").expect("frame pending");
     assert_eq!(out.frame.dims(), (64, 48), "full resolution restored");
-    assert_eq!(cool.corrector().interp(), Interpolator::Bicubic);
+    assert_eq!(
+        cool.corrector().expect("single session").interp(),
+        Interpolator::Bicubic
+    );
 
     let m = server.metrics();
     assert_eq!(m.counter("serve.degrade.escalations"), 5);
@@ -228,14 +262,21 @@ fn grading_is_shed_before_resolution_and_restored_after() {
             ..session_cfg()
         })
         .expect("slot");
-    assert!(!hot.corrector().post_stage().is_identity());
+    assert!(!hot
+        .corrector()
+        .expect("single session")
+        .post_stage()
+        .is_identity());
 
-    // the post stage salts the plan digest: an ungraded session of
-    // the same view compiles its own cache entry rather than aliasing
-    // the graded one
-    let misses_before = server.cache().stats().misses;
+    // plans are keyed by geometry alone: an ungraded session of the
+    // same view shares the graded session's cache entry
+    let (hits_before, misses_before) = {
+        let stats = server.cache().stats();
+        (stats.hits, stats.misses)
+    };
     drop(server.connect(session_cfg()).expect("slot"));
-    assert_eq!(server.cache().stats().misses, misses_before + 1);
+    assert_eq!(server.cache().stats().misses, misses_before);
+    assert_eq!(server.cache().stats().hits, hits_before + 1);
 
     // four saturated windows climb to DropGrading: grading shed,
     // geometry (resolution) untouched
@@ -250,7 +291,10 @@ fn grading_is_shed_before_resolution_and_restored_after() {
     let out = hot.pump_one().expect("engine ok").expect("frame pending");
     assert_eq!(out.level, DegradeLevel::DropGrading);
     assert!(
-        hot.corrector().post_stage().is_identity(),
+        hot.corrector()
+            .expect("single session")
+            .post_stage()
+            .is_identity(),
         "grading shed at DropGrading"
     );
     assert_eq!(out.frame.dims(), (64, 48), "resolution survives the rung");
@@ -267,7 +311,11 @@ fn grading_is_shed_before_resolution_and_restored_after() {
     let out = hot.pump_one().expect("engine ok").expect("frame pending");
     assert_eq!(out.level, DegradeLevel::HalfRes);
     assert_eq!(out.frame.dims(), (32, 24));
-    assert!(hot.corrector().post_stage().is_identity());
+    assert!(hot
+        .corrector()
+        .expect("single session")
+        .post_stage()
+        .is_identity());
     drop(hot);
 
     // recovery runs the rungs in reverse: resolution comes back while
@@ -287,7 +335,11 @@ fn grading_is_shed_before_resolution_and_restored_after() {
             let out = cool.pump_one().expect("engine ok").expect("frame pending");
             if out.level == DegradeLevel::DropGrading {
                 assert_eq!(out.frame.dims(), (64, 48));
-                assert!(cool.corrector().post_stage().is_identity());
+                assert!(cool
+                    .corrector()
+                    .expect("single session")
+                    .post_stage()
+                    .is_identity());
                 saw_restored_res_without_grading = true;
             }
         }
@@ -301,7 +353,11 @@ fn grading_is_shed_before_resolution_and_restored_after() {
     let out = cool.pump_one().expect("engine ok").expect("frame pending");
     assert_eq!(out.level, DegradeLevel::Normal);
     assert!(
-        !cool.corrector().post_stage().is_identity(),
+        !cool
+            .corrector()
+            .expect("single session")
+            .post_stage()
+            .is_identity(),
         "grading restored from the base config"
     );
     assert_eq!(out.frame.dims(), (64, 48));
@@ -459,7 +515,7 @@ fn yuv_sessions_share_plane_plans_and_serve_bit_exact_frames() {
     let planes = out.frame.planes();
     assert_eq!(planes.len(), 3);
     assert_eq!(planes[1].dims(), (32, 24), "chroma at half view res");
-    let plan = a.corrector().view_plan().clone();
+    let plan = a.corrector().expect("single session").view_plan().clone();
     let srcs = frame.u8_planes().expect("yuv has byte planes");
     for (i, (src, got)) in srcs.iter().zip(planes.iter()).enumerate() {
         let expect = fisheye_core::correct_plan(src, plan.plane_plan(i), Interpolator::Bicubic);
@@ -621,7 +677,10 @@ fn view_changes_delta_recompile_from_the_outgoing_plan() {
         &RemapMap::build(&lens(), &panned, SRC.0, SRC.1),
         PlanOptions::for_spec(&EngineSpec::Serial, Interpolator::Bicubic),
     );
-    assert_eq!(s.corrector().plan().digest(), cold.digest());
+    assert_eq!(
+        s.corrector().expect("single session").plan().digest(),
+        cold.digest()
+    );
     let mut camera = CameraFeed::new(SRC.0, SRC.1, 5);
     let frame = gray(&mut camera);
     s.submit_frame(Arc::clone(&frame));
@@ -658,7 +717,10 @@ fn degraded_interp_never_seeds_delta_recompilation() {
     }
     assert_eq!(server.level(), DegradeLevel::InterpDown);
     assert_eq!(hot.applied_level(), DegradeLevel::InterpDown);
-    assert_eq!(hot.corrector().interp(), Interpolator::Bilinear);
+    assert_eq!(
+        hot.corrector().expect("single session").interp(),
+        Interpolator::Bilinear
+    );
 
     // a pan at this rung compiles into the *bilinear* key space; the
     // outgoing bicubic-opts plan must not seed it
@@ -673,7 +735,10 @@ fn degraded_interp_never_seeds_delta_recompilation() {
         &RemapMap::build(&lens(), &panned, SRC.0, SRC.1),
         PlanOptions::for_spec(&EngineSpec::Serial, Interpolator::Bilinear),
     );
-    assert_eq!(hot.corrector().plan().digest(), cold.digest());
+    assert_eq!(
+        hot.corrector().expect("single session").plan().digest(),
+        cold.digest()
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -803,7 +868,7 @@ mod composite_sessions {
         let direct = engine
             .correct_frame_post(
                 gray_image(&frame),
-                single.corrector().plan(),
+                single.corrector().expect("single session").plan(),
                 None,
                 &mut out,
             )
@@ -870,6 +935,160 @@ mod composite_sessions {
             assert_eq!(&**got, &want, "plane {p}");
         }
         assert_eq!(served[1].dims(), (64, 32));
+    }
+
+    /// Every merged report carries its per-plane keys, so a yuv420
+    /// panorama records the per-plane timings a yuv420 single session
+    /// does.
+    #[test]
+    fn yuv420_panorama_sessions_record_per_plane_timings() {
+        let server = test_server(1);
+        let mut s = server
+            .connect(SessionConfig {
+                format: FrameFormat::Yuv420,
+                ..pano_cfg(128, 64)
+            })
+            .expect("slot");
+        let mut feed = CameraFeed::new(96, 96, 41);
+        s.submit_rig(
+            (0..2)
+                .map(|_| feed.next_frame_in(FrameFormat::Yuv420))
+                .collect(),
+        );
+        let out = s.pump_one().expect("engine ok").expect("frame pending");
+        let m = server.metrics();
+        for label in ["y", "cb", "cr"] {
+            assert!(out
+                .report
+                .model
+                .contains_key(&format!("{label}.correct_ms")));
+            let h = m
+                .histogram(&format!("serve.plane.{label}.correct_us"))
+                .unwrap_or_else(|| panic!("serve.plane.{label}.correct_us missing"));
+            assert_eq!(h.count(), 1);
+        }
+    }
+
+    /// A rung recompiles only what it changes: the kernel and grading
+    /// rungs resolve no plan, graded or not, and only HalfRes (a view
+    /// change) goes through the cache.
+    #[test]
+    fn panorama_rungs_resolve_plans_only_at_halfres() {
+        let graded = PostStage::identity()
+            .with_grade(Arc::new(Lut3d::builtin("warm").expect("builtin lut")), 1.0)
+            .with_tone_map(ToneMap::McFace);
+        for post in [PostStage::identity(), graded] {
+            let server = test_server(1);
+            let mut s = server
+                .connect(SessionConfig {
+                    interp: Interpolator::Bicubic,
+                    post: post.clone(),
+                    deadline: Some(Duration::ZERO),
+                    ..pano_cfg(128, 64)
+                })
+                .expect("slot");
+            let mut seed = 0;
+            let mut misses = Vec::new();
+            climb_ladder(
+                &mut s,
+                |s| {
+                    seed += 2;
+                    s.submit_rig(rig_frames(seed));
+                },
+                |_, _| misses.push(server.cache().stats().misses),
+            );
+            let graded = !post.is_identity();
+            assert_eq!(misses, [2, 2, 2, 2, 2, 4], "graded: {graded}");
+            assert_eq!(
+                server.metrics().counter("serve.plan.delta_recompiles"),
+                0,
+                "graded: {graded}"
+            );
+        }
+    }
+
+    /// A kernel-locked backend (bilinear-only simd) skips every rung
+    /// that asks for another kernel, counting each skip, and keeps
+    /// serving to HalfRes: a single session declared bilinear and a
+    /// panorama declared bicubic alike.
+    #[test]
+    fn locked_kernel_sessions_skip_interp_rungs_and_serve_to_halfres() {
+        let unsupported =
+            |server: &Server| server.metrics().counter("serve.degrade.interp_unsupported");
+
+        let server = test_server(1);
+        let mut single = server
+            .connect(SessionConfig {
+                backend: EngineSpec::Simd,
+                deadline: Some(Duration::ZERO),
+                ..SessionConfig::new(lens(), wide_view(), SRC)
+            })
+            .expect("slot");
+        let mut camera = CameraFeed::new(SRC.0, SRC.1, 31);
+        let mut seen = Vec::new();
+        climb_ladder(
+            &mut single,
+            |s| {
+                s.submit_frame(gray(&mut camera));
+            },
+            |s, out| {
+                let corrector = s.corrector().expect("single session");
+                assert_eq!(corrector.interp(), Interpolator::Bilinear);
+                seen.push((out.frame.dims(), unsupported(&server)));
+            },
+        );
+        let full = (64, 48);
+        assert_eq!(
+            seen,
+            [
+                (full, 0),
+                (full, 0),
+                (full, 1),
+                (full, 2),
+                (full, 3),
+                ((32, 24), 4)
+            ]
+        );
+
+        let server = test_server(1);
+        let mut pano = server
+            .connect(SessionConfig {
+                backend: EngineSpec::Simd,
+                interp: Interpolator::Bicubic,
+                deadline: Some(Duration::ZERO),
+                ..pano_cfg(128, 64)
+            })
+            .expect("slot");
+        let mut seed = 0;
+        let mut seen = Vec::new();
+        climb_ladder(
+            &mut pano,
+            |s| {
+                seed += 2;
+                s.submit_rig(rig_frames(seed));
+            },
+            |s, out| {
+                let plan = s.composite_plan().expect("panorama session");
+                for class in plan.class_plans() {
+                    for source in class.sources() {
+                        assert_eq!(source.opts().interp, Interpolator::Bilinear);
+                    }
+                }
+                seen.push((out.frame.dims(), unsupported(&server)));
+            },
+        );
+        let full = (128, 64);
+        assert_eq!(
+            seen,
+            [
+                (full, 0),
+                (full, 1),
+                (full, 1),
+                (full, 2),
+                (full, 3),
+                ((64, 32), 4)
+            ]
+        );
     }
 
     #[test]

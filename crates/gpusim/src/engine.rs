@@ -10,7 +10,9 @@
 //! rate, DRAM traffic, warp memory profile, modeled cycles) into the
 //! [`FrameReport`]'s uniform key/value section.
 
-use fisheye_core::engine::{CorrectionEngine, EngineError, EnginePixel, EngineSpec, FrameReport};
+use fisheye_core::engine::{
+    check_frame_dims, CorrectionEngine, EngineError, EnginePixel, EngineSpec, FrameReport,
+};
 use fisheye_core::plan::RemapPlan;
 use fisheye_core::Interpolator;
 use pixmap::Image;
@@ -68,26 +70,7 @@ impl<P: EnginePixel> CorrectionEngine<P> for GpuEngine {
         out: &mut Image<P>,
     ) -> Result<FrameReport, EngineError> {
         let name = self.spec.name();
-        if out.dims() != (plan.width(), plan.height()) {
-            return Err(EngineError::backend(
-                &name,
-                format!(
-                    "output {:?} does not match plan {:?}",
-                    out.dims(),
-                    (plan.width(), plan.height())
-                ),
-            ));
-        }
-        if src.dims() != plan.src_dims() {
-            return Err(EngineError::backend(
-                &name,
-                format!(
-                    "source {:?} does not match plan source {:?}",
-                    src.dims(),
-                    plan.src_dims()
-                ),
-            ));
-        }
+        check_frame_dims(&name, src, plan, out)?;
         let (frame, gpu) = self.runner.correct_frame(src, plan.map(), self.interp);
         out.pixels_mut().copy_from_slice(frame.pixels());
 

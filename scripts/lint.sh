@@ -27,18 +27,22 @@ echo "lint: cargo clippy videopipe lib (deny unwrap_used)"
 cargo clippy --offline -p videopipe --no-deps --lib -- -D warnings -D clippy::unwrap_used
 
 # The wire codec, shard loop, its readiness waits and the client face
-# raw bytes from the network: wire.rs, shard.rs, readiness.rs and
-# client.rs carry module-level
+# raw bytes from the network, and every frame a shard serves runs the
+# session code in server.rs, which resolves plans through cache.rs:
+# wire.rs, shard.rs, readiness.rs, client.rs, server.rs and cache.rs
+# carry module-level
 #   #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 # (wire.rs additionally denies indexing_slicing), so a panic path
 # cannot appear there without deleting the attribute. Clippy enforces
 # the attributes in the run above; this check makes sure nobody
 # quietly removes them.
-echo "lint: wire/shard/readiness/client panic-free deny attributes present"
+echo "lint: wire/shard/readiness/client/server/cache panic-free deny attributes present"
 for f in crates/fisheye-serve/src/wire.rs \
          crates/fisheye-serve/src/shard.rs \
          crates/fisheye-serve/src/readiness.rs \
-         crates/fisheye-serve/src/client.rs; do
+         crates/fisheye-serve/src/client.rs \
+         crates/fisheye-serve/src/server.rs \
+         crates/fisheye-serve/src/cache.rs; do
   # whitespace-insensitive: rustfmt may wrap the attribute across lines
   tr -d ' \n' < "$f" | grep -q '#!\[deny(clippy::unwrap_used,clippy::expect_used,clippy::panic' \
     || { echo "lint: FAIL ($f lost its panic-free deny attribute)"; exit 1; }

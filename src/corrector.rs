@@ -29,10 +29,9 @@
 //! compile the [`ViewPlan`], resolve the [`EngineSpec`] to an engine
 //! — so the per-frame call is nothing but plan execution. View
 //! changes go through [`Corrector::set_view`] (recompile) or, in the
-//! serving layer, [`Corrector::set_plan`] /
-//! [`Corrector::set_view_plan`] (adopt cached plans compiled by
-//! another session — the same `Arc<RemapPlan>`s serve every tenant
-//! with that view).
+//! serving layer, [`Corrector::set_view_plan`] (adopt cached plans
+//! compiled by another session — the same `Arc<RemapPlan>`s serve
+//! every tenant with that view).
 //!
 //! ## Multi-plane formats
 //!
@@ -715,23 +714,6 @@ impl<P: CorrectorPixel> Corrector<P> {
         Ok(())
     }
 
-    /// Adopt a plan compiled elsewhere (the serving layer's shared
-    /// cache) for a new view. The plan must have been compiled for
-    /// `view` over this corrector's source dimensions. Single-plane
-    /// formats only; multi-plane correctors adopt a whole
-    /// [`ViewPlan`] through [`set_view_plan`](Self::set_view_plan).
-    pub fn set_plan(&mut self, view: PerspectiveView, plan: Arc<RemapPlan>) -> Result<(), Error> {
-        if self.format.is_multi_plane() {
-            return Err(Error::config(format!(
-                "set_plan on a {} corrector; adopt a ViewPlan with set_view_plan",
-                self.format
-            )));
-        }
-        check_plan_matches(&plan, (view.width, view.height), (self.src_w, self.src_h))?;
-        let vp = ViewPlan::from_plans(self.format, vec![plan])?;
-        self.set_view_plan(view, vp)
-    }
-
     /// Adopt a whole [`ViewPlan`] compiled/assembled elsewhere for a
     /// new view (the serving layer resolves each plane class against
     /// its shared cache and injects the assembly here).
@@ -781,28 +763,19 @@ impl<P: CorrectorPixel> Corrector<P> {
 
     /// Pre-compile digest of this corrector's (lens, view, source,
     /// options) full-resolution plan request — the key a plan cache
-    /// files that plan under. `None` for projection targets, which
-    /// are not cache-keyed. (Multi-plane formats have one digest per
-    /// plane class; see
-    /// [`ViewPlan::plane_requests`].)
+    /// files that plan under. The post stage is not part of it: no
+    /// plan depends on it. `None` for projection targets, which are
+    /// not cache-keyed. (Multi-plane formats have one digest per
+    /// plane class; see [`ViewPlan::plane_requests`].)
     pub fn request_digest(&self) -> Option<u64> {
         match &self.target {
-            Target::View(v) => {
-                let mut d = plan_request_digest(
-                    &self.lens,
-                    v,
-                    self.src_w,
-                    self.src_h,
-                    &self.plan_options(),
-                );
-                // the post stage changes output bytes, so it salts the
-                // cache identity — but an identity stage is a no-op and
-                // must hash like a corrector with no post at all
-                if !self.post.is_identity() {
-                    d ^= self.post.digest();
-                }
-                Some(d)
-            }
+            Target::View(v) => Some(plan_request_digest(
+                &self.lens,
+                v,
+                self.src_w,
+                self.src_h,
+                &self.plan_options(),
+            )),
             Target::Projection(_) => None,
         }
     }
@@ -1285,7 +1258,7 @@ mod tests {
     }
 
     #[test]
-    fn post_stage_salts_request_digest_and_set_post_updates_it() {
+    fn set_post_leaves_request_digest_alone() {
         let (lens, view) = lens_view();
         let mut c = Corrector::<Gray8>::builder()
             .lens(lens)
@@ -1295,8 +1268,11 @@ mod tests {
         let d0 = c.request_digest().unwrap();
         let lut = Arc::new(Lut3d::builtin("cool").unwrap());
         c.set_post(PostStage::identity().with_grade(lut, 1.0));
-        let d1 = c.request_digest().unwrap();
-        assert_ne!(d0, d1);
+        assert_eq!(
+            c.request_digest().unwrap(),
+            d0,
+            "no plan depends on the post stage"
+        );
         c.set_post(PostStage::identity());
         assert_eq!(c.request_digest().unwrap(), d0);
     }
