@@ -267,7 +267,7 @@ fn double_buffered_timeline(ins: &[f64], comps: &[f64], outs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fisheye_core::{correct_fixed, Interpolator, RemapMap};
+    use fisheye_core::{correct_fixed, RemapMap};
     use fisheye_geom::{FisheyeLens, PerspectiveView};
 
     fn setup(out_w: u32, out_h: u32) -> (RemapMap, FixedRemapMap, Image<Gray8>) {
@@ -283,7 +283,7 @@ mod tests {
     fn functional_output_bit_exact() {
         let (map, fmap, src) = setup(128, 96);
         let reference = correct_fixed(&src, &fmap);
-        let plan = TilePlan::build(&map, 32, 16, Interpolator::Bilinear);
+        let plan = TilePlan::build(&map, 32, 16);
         let runner = CellRunner::new(CellConfig::default());
         let (out, report) = runner.correct_frame(&src, &fmap, &plan).unwrap();
         assert_eq!(out, reference);
@@ -294,7 +294,7 @@ mod tests {
     #[test]
     fn spe_scaling_improves_fps() {
         let (map, fmap, src) = setup(128, 96);
-        let plan = TilePlan::build(&map, 32, 16, Interpolator::Bilinear);
+        let plan = TilePlan::build(&map, 32, 16);
         let mut prev_fps = 0.0;
         for n in [1, 2, 4, 6] {
             let runner = CellRunner::new(CellConfig {
@@ -314,7 +314,7 @@ mod tests {
     #[test]
     fn double_buffering_beats_single() {
         let (map, fmap, src) = setup(128, 96);
-        let plan = TilePlan::build(&map, 32, 16, Interpolator::Bilinear);
+        let plan = TilePlan::build(&map, 32, 16);
         let double = CellRunner::new(CellConfig::default());
         let single = CellRunner::new(CellConfig {
             double_buffer: false,
@@ -335,7 +335,7 @@ mod tests {
     fn oversized_tiles_overflow_local_store() {
         let (map, fmap, src) = setup(512, 384);
         // 512x384 output in one tile: working set far beyond 256 KB
-        let plan = TilePlan::build(&map, 512, 384, Interpolator::Bilinear);
+        let plan = TilePlan::build(&map, 512, 384);
         let runner = CellRunner::new(CellConfig::default());
         let err = runner.correct_frame(&src, &fmap, &plan).unwrap_err();
         assert!(err.requested > err.available);
@@ -348,7 +348,7 @@ mod tests {
         let budget = CellConfig::default().data_budget();
         let mut chosen = None;
         for t in [160u32, 128, 96, 64] {
-            let plan = TilePlan::build(&map, t, t, Interpolator::Bilinear);
+            let plan = TilePlan::build(&map, t, t);
             let ws = plan
                 .jobs
                 .iter()
@@ -373,7 +373,7 @@ mod tests {
     #[test]
     fn report_accounting_consistent() {
         let (map, fmap, src) = setup(96, 64);
-        let plan = TilePlan::build(&map, 16, 16, Interpolator::Bilinear);
+        let plan = TilePlan::build(&map, 16, 16);
         let runner = CellRunner::new(CellConfig::default());
         let (_, report) = runner.correct_frame(&src, &fmap, &plan).unwrap();
         let tiles: usize = report.per_spe.iter().map(|s| s.tiles).sum();

@@ -76,7 +76,7 @@ fn sample_entry_local(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fisheye_core::{correct_fixed, Interpolator, RemapMap, TilePlan};
+    use fisheye_core::{correct_fixed, RemapMap, TilePlan};
     use fisheye_geom::{FisheyeLens, PerspectiveView};
 
     #[test]
@@ -88,7 +88,7 @@ mod tests {
         let src = pixmap::scene::random_gray(160, 120, 21);
         let reference = correct_fixed(&src, &fmap);
 
-        let plan = TilePlan::build(&map, 16, 16, Interpolator::Bilinear);
+        let plan = TilePlan::build(&map, 16, 16);
         let kernel = SpeKernel::new(6.0);
         let mut out: Image<Gray8> = Image::new(64, 48);
         for job in &plan.jobs {
@@ -112,7 +112,7 @@ mod tests {
         let fmap = map.to_fixed(8);
         let src = pixmap::scene::random_gray(64, 64, 2);
         let kernel = SpeKernel::new(10.0);
-        let plan = TilePlan::build(&map, 16, 8, Interpolator::Bilinear);
+        let plan = TilePlan::build(&map, 16, 8);
         let job = &plan.jobs[0];
         let local = src.crop(job.src);
         let (_, cycles) = kernel.run_tile(job, &local, &fmap);

@@ -63,7 +63,7 @@ fn bench_correct() {
 /// fisheye frame 2.5× (thumb) or 2× its size.
 fn bench_engines() {
     let specs = [EngineSpec::Simd, EngineSpec::FixedPoint { frac_bits: 12 }];
-    let opts = PlanOptions::for_specs(&specs, Interpolator::Bilinear);
+    let opts = PlanOptions::for_specs(&specs);
     let mut g = Group::new("engines");
     for (shape, (ow, oh), (sw, sh)) in [
         ("thumb", (64, 48), (160, 120)),

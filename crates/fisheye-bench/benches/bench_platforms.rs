@@ -14,10 +14,10 @@ fn main() {
     let res = resolution("QVGA");
     let w = random_workload(res, 3);
     let fmap = w.map.to_fixed(12);
-    let plan = TilePlan::build(&w.map, 32, 16, Interpolator::Bilinear);
+    let plan = TilePlan::build(&w.map, 32, 16);
     let mut g = Group::new("platform_models");
     g.bench("tile_plan_qvga", || {
-        black_box(TilePlan::build(&w.map, 32, 16, Interpolator::Bilinear));
+        black_box(TilePlan::build(&w.map, 32, 16));
     });
     let cell = CellRunner::new(CellConfig::default());
     g.bench("cell_frame_qvga", || {

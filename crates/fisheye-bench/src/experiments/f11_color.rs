@@ -34,7 +34,7 @@ pub fn run(scale: Scale) -> Table {
     let yuv = Frame::Yuv420(Yuv420::from_rgb(&rgb));
 
     let map = RemapMap::build(&lens, &view, res.w, res.h);
-    let opts = PlanOptions::for_spec(&spec, interp);
+    let opts = PlanOptions::for_specs(&[spec]);
     let plan = ViewPlan::compile(FrameFormat::Yuv420, &lens, &view, res.w, res.h, &opts);
     let corrector = FrameCorrector::host(FrameFormat::Yuv420, plan, &spec, interp, 1)
         .expect("serial backend corrects yuv420");

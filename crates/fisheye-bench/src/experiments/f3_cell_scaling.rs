@@ -1,7 +1,7 @@
 //! F3 — Cell BE: fps vs number of SPEs, single vs double buffering.
 
 use cellsim::{CellConfig, CellRunner};
-use fisheye_core::{Interpolator, TilePlan};
+use fisheye_core::TilePlan;
 
 use crate::table::{f1, f2, Table};
 use crate::workloads::{default_resolution, random_workload};
@@ -12,7 +12,7 @@ pub fn run(scale: Scale) -> Table {
     let res = default_resolution(scale);
     let w = random_workload(res, 3);
     let fmap = w.map.to_fixed(12);
-    let plan = TilePlan::build(&w.map, 64, 32, Interpolator::Bilinear);
+    let plan = TilePlan::build(&w.map, 64, 32);
 
     let mut table = Table::new(
         format!("F3 — Cell BE scaling ({}, 64x32 tiles)", res.name),

@@ -2,7 +2,7 @@
 //! the 256 KB local-store constraint.
 
 use cellsim::{CellConfig, CellRunner};
-use fisheye_core::{Interpolator, TilePlan};
+use fisheye_core::TilePlan;
 
 use crate::table::{f1, f2, Table};
 use crate::workloads::{default_resolution, random_workload};
@@ -41,7 +41,7 @@ pub fn run(scale: Scale) -> Table {
         ],
     );
     for &(tw, th) in TILE_SIZES {
-        let plan = TilePlan::build(&w.map, tw, th, Interpolator::Bilinear);
+        let plan = TilePlan::build(&w.map, tw, th);
         match runner.correct_frame(&w.frame, &fmap, &plan) {
             Ok((_, report)) => {
                 table.row(vec![

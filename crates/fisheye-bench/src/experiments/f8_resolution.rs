@@ -43,7 +43,7 @@ pub fn run(scale: Scale) -> Table {
         let host_fps = 1.0 / t;
 
         let fmap = w.map.to_fixed(12);
-        let plan = TilePlan::build(&w.map, 64, 32, Interpolator::Bilinear);
+        let plan = TilePlan::build(&w.map, 64, 32);
         let cell_fps = CellRunner::new(CellConfig::default())
             .correct_frame(&w.frame, &fmap, &plan)
             .map(|(_, r)| r.fps)

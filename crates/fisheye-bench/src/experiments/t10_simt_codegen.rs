@@ -95,17 +95,14 @@ fn simt_point(res_name: &'static str, workgroup: usize, reps: usize) -> SimtPoin
     // tile grid (32 x workgroup/32) and the q12 LUT
     let plan = RemapPlan::compile(
         &w.map,
-        PlanOptions::for_specs(
-            &[
-                spec,
-                EngineSpec::FixedPoint {
-                    frac_bits: FRAC_BITS,
-                },
-            ],
-            Interpolator::Bilinear,
-        ),
+        PlanOptions::for_specs(&[
+            spec,
+            EngineSpec::FixedPoint {
+                frac_bits: FRAC_BITS,
+            },
+        ]),
     );
-    let engine = SimtEngine::from_spec(&spec).expect("simt spec builds");
+    let engine = SimtEngine::from_spec(&spec, Interpolator::Bilinear).expect("simt spec builds");
     let (ow, oh) = (plan.width(), plan.height());
 
     // float leg: batch of one frame, counters + output

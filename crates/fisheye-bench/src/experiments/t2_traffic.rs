@@ -1,6 +1,6 @@
 //! T2 — memory traffic per frame vs tile size (the DMA bill).
 
-use fisheye_core::{Interpolator, TilePlan};
+use fisheye_core::TilePlan;
 
 use crate::table::{f2, Table};
 use crate::workloads::{default_resolution, random_workload};
@@ -24,7 +24,7 @@ pub fn run(scale: Scale) -> Table {
         ],
     );
     for &(tw, th) in super::f4_cell_tiles::TILE_SIZES {
-        let plan = TilePlan::build(&w.map, tw, th, Interpolator::Bilinear);
+        let plan = TilePlan::build(&w.map, tw, th);
         let src = plan.total_src_bytes(1) as f64;
         let out = plan.total_out_bytes(1) as f64;
         let lut = plan.total_out_bytes(8) as f64; // 8 B/entry

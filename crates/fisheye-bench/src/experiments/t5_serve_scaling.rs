@@ -72,7 +72,8 @@ fn serve_point(
     let lens = FisheyeLens::equidistant_fov(src.0, src.1, 180.0);
     let out = ((src.0 / 2).max(1), (src.1 / 2).max(1));
     // the two views every session rotates through — shared across
-    // sessions, so the cache compiles each once per quality variant
+    // sessions, so the cache compiles each once per output size (full,
+    // and half at HalfRes); the kernel rungs reuse the same plans
     let views = [
         PerspectiveView::centered(out.0, out.1, 90.0),
         PerspectiveView::centered(out.0, out.1, 90.0).look(18.0, 0.0),
@@ -206,7 +207,7 @@ pub fn run(scale: Scale) -> Table {
         ]);
     }
     table.note("admission caps work at capacity: offered sessions beyond it are rejected, so p99 stays bounded at 4x offered load");
-    table.note("sessions share two rotating views: the plan cache compiles each quality variant once and serves the rest as digest hits");
+    table.note("sessions share two rotating views: the plan cache compiles each once per output size (full, and half at HalfRes; plans hold no kernel, so the kernel rungs compile nothing) and serves the rest as digest hits");
     table.note("the overload row (deadline 0) forces the degradation ladder up: degraded_pct counts frames served below full quality");
     table.note("every row satisfies submitted = completed + shed + pending; shed = drop-oldest + refused-at-queue");
     table

@@ -153,7 +153,7 @@ pub fn run(scale: Scale) -> Table {
         let correctors: Vec<FrameCorrector> = frames
             .iter()
             .map(|(format, frame)| {
-                let opts = PlanOptions::for_spec(&spec, interp);
+                let opts = PlanOptions::for_specs(&[spec]);
                 let plan = ViewPlan::compile(*format, &lens, &view, res.w, res.h, &opts);
                 let engines = FrameEngines::U8(Box::new(SharedEngine(Arc::clone(&engine))));
                 let c = FrameCorrector::from_parts(*format, plan, engines)

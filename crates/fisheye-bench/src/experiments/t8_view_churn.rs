@@ -71,7 +71,7 @@ fn churn_point(res: Resolution, reps: usize, ticks: usize) -> ChurnPoint {
     let lens = FisheyeLens::equidistant_fov(w, h, 180.0);
     let view0 = PerspectiveView::centered(w, h, 90.0);
     let view1 = view0.look(1.0, 0.0); // the canonical small change
-    let opts = PlanOptions::for_specs(&EngineSpec::registry(), Interpolator::Bilinear);
+    let opts = PlanOptions::for_specs(&EngineSpec::registry());
 
     // the previous plan an interactive view change starts from
     let prev = RemapPlan::compile(&RemapMap::build(&lens, &view0, w, h), opts.clone());

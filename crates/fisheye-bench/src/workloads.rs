@@ -77,13 +77,9 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Compile an execution plan for `spec` over this workload's map
-    /// (bilinear, the experiments' standard kernel).
+    /// Compile an execution plan for `spec` over this workload's map.
     pub fn plan_for(&self, spec: &EngineSpec) -> RemapPlan {
-        RemapPlan::compile(
-            &self.map,
-            PlanOptions::for_spec(spec, Interpolator::Bilinear),
-        )
+        RemapPlan::compile(&self.map, PlanOptions::for_specs(&[*spec]))
     }
 }
 

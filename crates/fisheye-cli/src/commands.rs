@@ -346,8 +346,8 @@ fn emit_kernel(args: &Args) -> CmdResult {
     let lens = FisheyeLens::equidistant_fov(sw, sh, fov);
     let view = PerspectiveView::centered(ow, oh, view_fov).look(pan, tilt);
     let map = RemapMap::build(&lens, &view, sw, sh);
-    let plan = RemapPlan::compile(&map, PlanOptions::for_spec(&spec, interp));
-    let kernel = fisheye::codegen::emit_kernel(&plan, &spec, target)?;
+    let plan = RemapPlan::compile(&map, PlanOptions::for_specs(&[spec]));
+    let kernel = fisheye::codegen::emit_kernel(&plan, &spec, interp, target)?;
 
     let out = args.req("out")?;
     let path = std::path::Path::new(out);
@@ -406,10 +406,7 @@ fn panorama(args: &Args) -> CmdResult {
             &pool,
             par_runtime::Schedule::Static { chunk: None },
         );
-        let plan = RemapPlan::compile(
-            &map,
-            PlanOptions::for_spec(&EngineSpec::Serial, Interpolator::Bilinear),
-        );
+        let plan = RemapPlan::compile(&map, PlanOptions::for_specs(&[EngineSpec::Serial]));
         builder.plan(Arc::new(plan)).build()?
     } else {
         builder.build()?
@@ -439,7 +436,7 @@ fn stitch(args: &Args) -> CmdResult {
     let fov: f64 = args.num("fov", 190.0)?;
     let (ow, oh) = parse_size(args.opt("out-size", "1024x512"))?;
     let rig = fisheye_geom::CameraRig::symmetric(front.width(), front.height(), fov);
-    let opts = PlanOptions::for_spec(&EngineSpec::Serial, Interpolator::Bilinear);
+    let opts = PlanOptions::for_specs(&[EngineSpec::Serial]);
     let plan = fisheye_core::CompositePlan::compile_panorama(&rig, ow, oh, &opts);
     let mut pano = Image::<Gray8>::new(ow, oh);
     fisheye_core::execute_composite_host(
@@ -489,7 +486,7 @@ fn rectify(args: &Args) -> CmdResult {
     let (ow, oh) = parse_size(args.opt("out-size", "640x480"))?;
     let lens = FisheyeLens::equidistant_fov(left.width(), left.height(), fov);
     let rig = fisheye_geom::StereoRig::side_by_side(lens, separation);
-    let opts = PlanOptions::for_spec(&EngineSpec::Serial, Interpolator::Bilinear);
+    let opts = PlanOptions::for_specs(&[EngineSpec::Serial]);
     let plan = fisheye_core::StereoPlan::compile(&rig, ow, oh, h_fov, v_fov, &opts);
     let out_l = fisheye_core::correct_plan(&left, &plan.left, Interpolator::Bilinear);
     let out_r = fisheye_core::correct_plan(&right, &plan.right, Interpolator::Bilinear);

@@ -1,9 +1,13 @@
 //! C emitter: renders the kernel IR as portable C99 — the `fixed` /
 //! `simd` engine loops as source a host compiler (or an accelerator
 //! SDK) can build. Float kernels emit the span-friendly row loop with
-//! a 4-wide unrolled inner body (the SoA-SIMD shape); the fixed-LUT
-//! kernel emits the 8-byte entry struct and the 64-bit two-stage
-//! accumulator exactly as `sample_bilinear_fixed_gray8` computes it.
+//! a 4-wide unrolled inner body (the SoA-SIMD shape) around samplers
+//! that compute as the host's `interp` samplers do, op for op, on
+//! channels in [0, 1]; the fixed-LUT kernel emits the 8-byte entry
+//! struct and the 64-bit two-stage accumulator exactly as
+//! `sample_bilinear_fixed_gray8` computes it. Built without FMA
+//! contraction (`-ffp-contract=off`), both are bit-exact with the
+//! host (`tests/emitted_c.rs`).
 
 use crate::ir::{KernelIr, KernelOp, SampleMode};
 
@@ -27,7 +31,7 @@ fn header(s: &mut String, ir: &KernelIr) {
          \x20* plan: 0x{:016x}\n\
          \x20* out: {}x{}  src: {}x{}  tile: {}x{}  fused_post: {}\n\
          \x20*/\n\
-         #include <stdint.h>\n#include <math.h>\n\n\
+         #include <stddef.h>\n#include <stdint.h>\n#include <math.h>\n\n\
          #define FISHEYE_OUT_W {}u\n#define FISHEYE_OUT_H {}u\n\
          #define FISHEYE_SRC_W {}u\n#define FISHEYE_SRC_H {}u\n\n",
         ir.name,
@@ -79,6 +83,22 @@ fn post_fns(s: &mut String) {
 }
 
 fn sample_fn(s: &mut String, ir: &KernelIr) {
+    if ir.sample != SampleMode::Nearest {
+        // the float samplers read and write channels as the host's
+        // `Gray8` does, so the arithmetic is the host's op for op
+        s.push_str(
+            "/* A texel's channel value in [0, 1] (channel_f32 on the host). */\n\
+             static inline float fisheye_chan(const uint8_t *src, int64_t x, int64_t y) {\n\
+             \x20   return (float)fisheye_load_src(src, x, y) / 255.0f;\n\
+             }\n\n\
+             /* Clamp to [0, 1] and round to a byte (quantize_u8 on the host). */\n\
+             static inline uint8_t fisheye_quantize(float v) {\n\
+             \x20   if (v < 0.0f) v = 0.0f;\n\
+             \x20   if (v > 1.0f) v = 1.0f;\n\
+             \x20   return (uint8_t)(v * 255.0f + 0.5f);\n\
+             }\n\n",
+        );
+    }
     match ir.sample {
         SampleMode::Nearest => s.push_str(
             "static inline uint8_t fisheye_sample(const uint8_t *src, float sx, float sy) {\n\
@@ -95,14 +115,13 @@ fn sample_fn(s: &mut String, ir: &KernelIr) {
              \x20   float wy = fy - y0;\n\
              \x20   int64_t ix = (int64_t)x0;\n\
              \x20   int64_t iy = (int64_t)y0;\n\
-             \x20   float p00 = (float)fisheye_load_src(src, ix, iy);\n\
-             \x20   float p10 = (float)fisheye_load_src(src, ix + 1, iy);\n\
-             \x20   float p01 = (float)fisheye_load_src(src, ix, iy + 1);\n\
-             \x20   float p11 = (float)fisheye_load_src(src, ix + 1, iy + 1);\n\
+             \x20   float p00 = fisheye_chan(src, ix, iy);\n\
+             \x20   float p10 = fisheye_chan(src, ix + 1, iy);\n\
+             \x20   float p01 = fisheye_chan(src, ix, iy + 1);\n\
+             \x20   float p11 = fisheye_chan(src, ix + 1, iy + 1);\n\
              \x20   float top = p00 * (1.0f - wx) + p10 * wx;\n\
              \x20   float bot = p01 * (1.0f - wx) + p11 * wx;\n\
-             \x20   float v = top * (1.0f - wy) + bot * wy;\n\
-             \x20   return (uint8_t)(v + 0.5f);\n\
+             \x20   return fisheye_quantize(top * (1.0f - wy) + bot * wy);\n\
              }\n\n",
         ),
         SampleMode::Bicubic => s.push_str(
@@ -121,17 +140,19 @@ fn sample_fn(s: &mut String, ir: &KernelIr) {
              \x20   float ty = fy - y0;\n\
              \x20   int64_t ix = (int64_t)x0;\n\
              \x20   int64_t iy = (int64_t)y0;\n\
+             \x20   float wx[4] = {fisheye_catmull_rom(tx + 1.0f), fisheye_catmull_rom(tx),\n\
+             \x20                  fisheye_catmull_rom(tx - 1.0f), fisheye_catmull_rom(tx - 2.0f)};\n\
+             \x20   float wy[4] = {fisheye_catmull_rom(ty + 1.0f), fisheye_catmull_rom(ty),\n\
+             \x20                  fisheye_catmull_rom(ty - 1.0f), fisheye_catmull_rom(ty - 2.0f)};\n\
              \x20   float acc = 0.0f;\n\
              \x20   for (int j = 0; j < 4; j++) {\n\
-             \x20       float wy = fisheye_catmull_rom(ty - (float)j + 1.0f);\n\
+             \x20       float row = 0.0f;\n\
              \x20       for (int i = 0; i < 4; i++) {\n\
-             \x20           float wx = fisheye_catmull_rom(tx - (float)i + 1.0f);\n\
-             \x20           acc += (float)fisheye_load_src(src, ix - 1 + i, iy - 1 + j) * wx * wy;\n\
+             \x20           row += fisheye_chan(src, ix - 1 + i, iy - 1 + j) * wx[i];\n\
              \x20       }\n\
+             \x20       acc += row * wy[j];\n\
              \x20   }\n\
-             \x20   if (acc < 0.0f) acc = 0.0f;\n\
-             \x20   if (acc > 255.0f) acc = 255.0f;\n\
-             \x20   return (uint8_t)(acc + 0.5f);\n\
+             \x20   return fisheye_quantize(acc);\n\
              }\n\n",
         ),
     }

@@ -1,7 +1,7 @@
 //! The target-neutral kernel IR.
 //!
-//! [`lower`] turns a compiled [`RemapPlan`] plus an [`EngineSpec`]
-//! into a [`KernelIr`]: a short, fixed op list every lane of a warp
+//! [`lower`] turns a compiled [`RemapPlan`] plus an [`EngineSpec`] and
+//! an [`Interpolator`] into a [`KernelIr`]: a short, fixed op list every lane of a warp
 //! executes in lockstep under a validity mask, plus the metadata the
 //! emitters and the interpreter need (sample mode, workgroup/tile
 //! geometry, dimensions, plan digest). The op list is deliberately
@@ -121,14 +121,19 @@ impl KernelIr {
     }
 }
 
-/// Lower a compiled plan + spec into kernel IR.
+/// Lower a compiled plan + spec + kernel into kernel IR.
 ///
 /// The spec picks the datapath: `fixed`/`cell` lower to the integer
 /// LUT kernel at their weight width, `simd` to the bilinear kernel it
-/// is locked to, and every other plan-consuming spec to the plan's
-/// own interpolator. `direct` recomputes the projection per pixel and
-/// has no plan-driven kernel, so it is rejected.
-pub fn lower(plan: &RemapPlan, spec: &EngineSpec) -> Result<KernelIr, CodegenError> {
+/// is locked to, and every other plan-consuming spec to `interp`, the
+/// kernel its engine runs (a plan carries none). `direct` recomputes
+/// the projection per pixel and has no plan-driven kernel, so it is
+/// rejected.
+pub fn lower(
+    plan: &RemapPlan,
+    spec: &EngineSpec,
+    interp: Interpolator,
+) -> Result<KernelIr, CodegenError> {
     let caps = spec.capabilities();
     if !caps.uses_plan {
         return Err(CodegenError::unsupported(
@@ -141,7 +146,7 @@ pub fn lower(plan: &RemapPlan, spec: &EngineSpec) -> Result<KernelIr, CodegenErr
             SampleMode::FixedLut { frac_bits }
         }
         EngineSpec::Simd => SampleMode::Bilinear,
-        _ => match plan.interp() {
+        _ => match interp {
             Interpolator::Nearest => SampleMode::Nearest,
             Interpolator::Bilinear => SampleMode::Bilinear,
             Interpolator::Bicubic => SampleMode::Bicubic,

@@ -8,9 +8,11 @@
 //! lowers it to executable kernel source:
 //!
 //! 1. [`lower`] derives a small target-neutral [`KernelIr`] from the
-//!    plan + an [`EngineSpec`] —
-//!    gather, sample (bilinear / bicubic / fixed-LUT), gap fill, and
-//!    the fused post-stage table lookup, as one lockstep op list.
+//!    plan + an [`EngineSpec`] + an [`Interpolator`] — gather, sample
+//!    (nearest / bilinear / bicubic / fixed-LUT), gap fill, and the
+//!    fused post-stage table lookup, as one lockstep op list. The
+//!    kernel is an argument because a plan holds geometry only: the
+//!    same plan lowers to every kernel.
 //! 2. [`emit_kernel`] renders the IR for a [`KernelTarget`]: a WGSL
 //!    compute shader (workgroup = tile) or portable C99 (the
 //!    `fixed`/`simd` engine loops as source).
@@ -18,8 +20,9 @@
 //!    batches of frames — warp/workgroup stepping with divergence and
 //!    coalescing counters — so `gpusim`'s analytic occupancy numbers
 //!    can be checked against measured kernel behavior (experiment
-//!    T10). It registers as the `simt[:WG]` engine and its output is
-//!    bit-exact with the host engines on the same plan.
+//!    T10). It registers as the `simt[:WG]` engine, is built with its
+//!    kernel as every engine is, and its output is bit-exact with the
+//!    host engines on the same plan.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -35,6 +38,7 @@ pub use simt::{
 
 use fisheye_core::engine::EngineSpec;
 use fisheye_core::plan::RemapPlan;
+use fisheye_core::Interpolator;
 
 /// Why a plan/spec combination could not be lowered to kernel source.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -126,13 +130,16 @@ impl EmittedKernel {
     }
 }
 
-/// Lower `plan` + `spec` to IR and render it for `target`.
+/// Lower `plan` + `spec` + `interp` to IR and render it for `target`.
+/// `interp` picks the float sampler; specs locked to one datapath
+/// (`fixed`, `cell`, `simd`) ignore it, as their engines do.
 pub fn emit_kernel(
     plan: &RemapPlan,
     spec: &EngineSpec,
+    interp: Interpolator,
     target: KernelTarget,
 ) -> Result<EmittedKernel, CodegenError> {
-    let ir = ir::lower(plan, spec)?;
+    let ir = ir::lower(plan, spec, interp)?;
     let source = match target {
         KernelTarget::Wgsl => wgsl::emit(&ir),
         KernelTarget::C => c_src::emit(&ir),

@@ -23,6 +23,7 @@ use fisheye_core::interp::sample_bilinear_fixed_gray8;
 use fisheye_core::plan::RemapPlan;
 use fisheye_core::post::{PostPixel, PostPlan};
 use fisheye_core::tile::{tap_lines, TileJob};
+use fisheye_core::Interpolator;
 use pixmap::{Gray8, Image, Pixel};
 
 use crate::ir::{lower, KernelIr, KernelOp};
@@ -251,26 +252,31 @@ fn interpret_frame<P, C, FL, FV, FO, FS>(
 
 /// The `simt[:WG]` registry engine: runs the lowered kernel through
 /// the interpreter. Float-datapath output is bit-exact with the
-/// `serial`/`simd` engines on the same plan; see
+/// `serial`/`simd` engines on the same plan and kernel; see
 /// [`SimtEngine::run_fixed_gray8`] for the fixed-LUT kernel.
 #[derive(Clone, Copy, Debug)]
 pub struct SimtEngine {
     config: SimtConfig,
+    /// The float kernel every frame lowers to.
+    interp: Interpolator,
 }
 
 impl SimtEngine {
-    /// Interpreter over an explicit configuration.
-    pub fn new(config: SimtConfig) -> Self {
-        SimtEngine { config }
+    /// Interpreter over an explicit configuration, running `interp`.
+    pub fn new(config: SimtConfig, interp: Interpolator) -> Self {
+        SimtEngine { config, interp }
     }
 
-    /// Build from an [`EngineSpec::Simt`] spec.
-    pub fn from_spec(spec: &EngineSpec) -> Result<Self, EngineError> {
+    /// Build from an [`EngineSpec::Simt`] spec, running `interp`.
+    pub fn from_spec(spec: &EngineSpec, interp: Interpolator) -> Result<Self, EngineError> {
         match *spec {
-            EngineSpec::Simt { workgroup } => Ok(SimtEngine::new(SimtConfig {
-                workgroup,
-                ..SimtConfig::default()
-            })),
+            EngineSpec::Simt { workgroup } => Ok(SimtEngine::new(
+                SimtConfig {
+                    workgroup,
+                    ..SimtConfig::default()
+                },
+                interp,
+            )),
             _ => Err(EngineError::unsupported(
                 spec.name(),
                 "the SIMT interpreter only executes simt specs",
@@ -294,7 +300,7 @@ impl SimtEngine {
     }
 
     fn lower_ir(&self, plan: &RemapPlan) -> Result<KernelIr, EngineError> {
-        lower(plan, &self.spec()).map_err(|e| match e {
+        lower(plan, &self.spec(), self.interp).map_err(|e| match e {
             CodegenError::Unsupported { backend, reason } => {
                 EngineError::unsupported(backend, reason)
             }
@@ -313,7 +319,6 @@ impl SimtEngine {
     ) -> Result<Option<f64>, EngineError> {
         check_frame_dims(&self.spec().name(), src, plan, out)?;
         let ir = self.lower_ir(plan)?;
-        let interp = plan.interp();
         // Tiles compiled eagerly (the spec's capabilities asked for
         // them) are free; only an unrequested geometry pays the
         // derive-and-memoize path and reports a plan miss.
@@ -333,7 +338,7 @@ impl SimtEngine {
                     (sy - 0.5).floor().max(0.0) as u64,
                 )
             },
-            |&(sx, sy)| interp.sample(src, sx, sy),
+            |&(sx, sy)| self.interp.sample(src, sx, sy),
         );
         Ok(derive_ms)
     }
@@ -354,11 +359,13 @@ impl SimtEngine {
         let name = self.spec().name();
         check_frame_dims(&self.spec().name(), src, plan, out)?;
         let pp = post.filter(|p| !p.is_noop());
-        let mut ir = lower(plan, &EngineSpec::FixedPoint { frac_bits }).map_err(|e| match e {
-            CodegenError::Unsupported { backend, reason } => {
-                EngineError::unsupported(backend, reason)
-            }
-        })?;
+        let mut ir = lower(plan, &EngineSpec::FixedPoint { frac_bits }, self.interp).map_err(
+            |e| match e {
+                CodegenError::Unsupported { backend, reason } => {
+                    EngineError::unsupported(backend, reason)
+                }
+            },
+        )?;
         // The fixed host engine runs post as a second pass, so its
         // lowered kernel has no Post op; the interpreter always
         // fuses, which is bit-exact with the two-pass reference by

@@ -67,11 +67,14 @@ fn arb_post(g: &mut Gen) -> Option<PostPlan> {
     Some(stage.compile(PostChannel::Luma))
 }
 
-fn simt(g: &mut Gen) -> SimtEngine {
-    SimtEngine::new(SimtConfig {
-        workgroup: arb_workgroup(g),
-        ..SimtConfig::default()
-    })
+fn simt(g: &mut Gen, interp: Interpolator) -> SimtEngine {
+    SimtEngine::new(
+        SimtConfig {
+            workgroup: arb_workgroup(g),
+            ..SimtConfig::default()
+        },
+        interp,
+    )
 }
 
 #[test]
@@ -83,13 +86,7 @@ fn simt_float_kernel_bit_exact_vs_serial_and_simd() {
             let (map, frame) = arb_workload(g);
             let interp = arb_interp(g);
             let post = arb_post(g);
-            let plan = RemapPlan::compile(
-                &map,
-                PlanOptions {
-                    interp,
-                    ..PlanOptions::default()
-                },
-            );
+            let plan = RemapPlan::compile(&map, PlanOptions::default());
             let env = HostEnv {
                 pool: None,
                 geometry: None,
@@ -105,7 +102,7 @@ fn simt_float_kernel_bit_exact_vs_serial_and_simd() {
                 &mut reference,
             )
             .map_err(|e| format!("serial reference: {e}"))?;
-            let engine = simt(g);
+            let engine = simt(g, interp);
             let mut out = Image::new(map.width(), map.height());
             let report = engine
                 .correct_frame_post(&frame, &plan, post.as_ref(), &mut out)
@@ -163,7 +160,7 @@ fn simt_fixed_lut_kernel_bit_exact_vs_correct_fixed() {
                     Gray8::post_row(reference.row_mut(y), y, pp);
                 }
             }
-            let engine = simt(g);
+            let engine = simt(g, Interpolator::Bilinear);
             let mut out = Image::new(map.width(), map.height());
             let report = engine
                 .run_fixed_gray8(&frame, &plan, frac_bits, post.as_ref(), &mut out)
@@ -184,13 +181,7 @@ fn simt_float_kernel_bit_exact_on_gray_f32() {
         let (map, frame8) = arb_workload(g);
         let frame: Image<GrayF32> = frame8.map(|p| GrayF32(p.0 as f32 / 255.0));
         let interp = arb_interp(g);
-        let plan = RemapPlan::compile(
-            &map,
-            PlanOptions {
-                interp,
-                ..PlanOptions::default()
-            },
-        );
+        let plan = RemapPlan::compile(&map, PlanOptions::default());
         let env = HostEnv {
             pool: None,
             geometry: None,
@@ -207,7 +198,7 @@ fn simt_float_kernel_bit_exact_on_gray_f32() {
         )
         .map_err(|e| format!("serial reference: {e}"))?;
         let mut out = Image::new(map.width(), map.height());
-        simt(g)
+        simt(g, interp)
             .correct_frame_post(&frame, &plan, None, &mut out)
             .map_err(|e| format!("simt: {e}"))?;
         // f32 equality must be bit-level, not approximate.
@@ -253,13 +244,7 @@ fn simt_handles_degenerate_and_ragged_maps() {
         let map = RemapMap::from_entries(w, h, sw, sh, entries);
         let interp = arb_interp(g);
         let post = arb_post(g);
-        let plan = RemapPlan::compile(
-            &map,
-            PlanOptions {
-                interp,
-                ..PlanOptions::default()
-            },
-        );
+        let plan = RemapPlan::compile(&map, PlanOptions::default());
         let env = HostEnv {
             pool: None,
             geometry: None,
@@ -275,7 +260,7 @@ fn simt_handles_degenerate_and_ragged_maps() {
             &mut reference,
         )
         .map_err(|e| format!("serial reference: {e}"))?;
-        let engine = simt(g);
+        let engine = simt(g, interp);
         let mut out = Image::new(w, h);
         let report = engine
             .correct_frame_post(&frame, &plan, post.as_ref(), &mut out)
@@ -304,7 +289,7 @@ fn simt_batch_matches_per_frame_runs() {
             .collect();
         let post = arb_post(g);
         let plan = RemapPlan::compile(&map, PlanOptions::default());
-        let engine = simt(g);
+        let engine = simt(g, Interpolator::Bilinear);
         let mut outs: Vec<Image<Gray8>> = (0..n)
             .map(|_| Image::new(map.width(), map.height()))
             .collect();
@@ -344,7 +329,7 @@ fn simt_rejects_mismatched_dims_like_host_engines() {
     let view = PerspectiveView::centered(40, 30, 90.0);
     let map = RemapMap::build(&lens, &view, 64, 48);
     let plan = RemapPlan::compile(&map, PlanOptions::default());
-    let engine = SimtEngine::new(SimtConfig::default());
+    let engine = SimtEngine::new(SimtConfig::default(), Interpolator::Bilinear);
     let src: Image<Gray8> = Image::new(64, 48);
     let mut bad_out: Image<Gray8> = Image::new(39, 30);
     let err = engine

@@ -18,15 +18,15 @@ use fisheye_core::{Interpolator, RemapMap};
 use fisheye_geom::{FisheyeLens, PerspectiveView};
 
 /// The fixed snapshot geometry: the same 320×240 → 160×120 equi-
-/// distant setup the docs use everywhere.
-fn snapshot_plan(interp: Interpolator, frac_bits: Option<u32>) -> RemapPlan {
+/// distant setup the docs use everywhere. The plan holds no kernel;
+/// every float snapshot lowers this one plan.
+fn snapshot_plan(frac_bits: Option<u32>) -> RemapPlan {
     let lens = FisheyeLens::equidistant_fov(320, 240, 180.0);
     let view = PerspectiveView::centered(160, 120, 90.0);
     let map = RemapMap::build(&lens, &view, 320, 240);
     RemapPlan::compile(
         &map,
         PlanOptions {
-            interp,
             frac_bits: frac_bits.into_iter().collect(),
             ..PlanOptions::default()
         },
@@ -68,9 +68,10 @@ fn check_snapshot(kernel: &EmittedKernel, plan: &RemapPlan) {
 
 #[test]
 fn wgsl_bilinear_snapshot() {
-    let plan = snapshot_plan(Interpolator::Bilinear, None);
+    let plan = snapshot_plan(None);
     let spec = EngineSpec::Simt { workgroup: 256 };
-    let kernel = emit_kernel(&plan, &spec, KernelTarget::Wgsl).expect("emit");
+    let kernel =
+        emit_kernel(&plan, &spec, Interpolator::Bilinear, KernelTarget::Wgsl).expect("emit");
     assert_eq!(kernel.name, "fisheye_remap_bilinear");
     assert_eq!(kernel.entry_point, kernel.name);
     assert_eq!(kernel.plan_digest, plan.digest());
@@ -79,45 +80,47 @@ fn wgsl_bilinear_snapshot() {
 
 #[test]
 fn wgsl_bicubic_snapshot() {
-    let plan = snapshot_plan(Interpolator::Bicubic, None);
+    let plan = snapshot_plan(None);
     let spec = EngineSpec::Simt { workgroup: 256 };
-    let kernel = emit_kernel(&plan, &spec, KernelTarget::Wgsl).expect("emit");
+    let kernel =
+        emit_kernel(&plan, &spec, Interpolator::Bicubic, KernelTarget::Wgsl).expect("emit");
     assert_eq!(kernel.name, "fisheye_remap_bicubic");
     check_snapshot(&kernel, &plan);
 }
 
 #[test]
 fn wgsl_fixed_lut_snapshot() {
-    let plan = snapshot_plan(Interpolator::Bilinear, Some(12));
+    let plan = snapshot_plan(Some(12));
     let spec = EngineSpec::FixedPoint { frac_bits: 12 };
-    let kernel = emit_kernel(&plan, &spec, KernelTarget::Wgsl).expect("emit");
+    let kernel =
+        emit_kernel(&plan, &spec, Interpolator::Bilinear, KernelTarget::Wgsl).expect("emit");
     assert_eq!(kernel.name, "fisheye_remap_fixed_q12");
     check_snapshot(&kernel, &plan);
 }
 
 #[test]
 fn c_bilinear_snapshot() {
-    let plan = snapshot_plan(Interpolator::Bilinear, None);
+    let plan = snapshot_plan(None);
     let spec = EngineSpec::Simt { workgroup: 256 };
-    let kernel = emit_kernel(&plan, &spec, KernelTarget::C).expect("emit");
+    let kernel = emit_kernel(&plan, &spec, Interpolator::Bilinear, KernelTarget::C).expect("emit");
     assert_eq!(kernel.file_name(), "fisheye_remap_bilinear.c");
     check_snapshot(&kernel, &plan);
 }
 
 #[test]
 fn c_fixed_lut_snapshot() {
-    let plan = snapshot_plan(Interpolator::Bilinear, Some(12));
+    let plan = snapshot_plan(Some(12));
     let spec = EngineSpec::FixedPoint { frac_bits: 12 };
-    let kernel = emit_kernel(&plan, &spec, KernelTarget::C).expect("emit");
+    let kernel = emit_kernel(&plan, &spec, Interpolator::Bilinear, KernelTarget::C).expect("emit");
     assert_eq!(kernel.file_name(), "fisheye_remap_fixed_q12.c");
     check_snapshot(&kernel, &plan);
 }
 
 #[test]
 fn lowering_tracks_spec_datapath_and_tile_shape() {
-    let plan = snapshot_plan(Interpolator::Bicubic, Some(10));
-    // simd is locked to bilinear regardless of the plan interp.
-    let ir = lower(&plan, &EngineSpec::Simd).expect("lower simd");
+    let plan = snapshot_plan(Some(10));
+    // simd is locked to bilinear regardless of the kernel asked for.
+    let ir = lower(&plan, &EngineSpec::Simd, Interpolator::Bicubic).expect("lower simd");
     assert_eq!(ir.sample, SampleMode::Bilinear);
     // fixed/cell lower to the LUT kernel at their own width.
     let ir = lower(
@@ -128,24 +131,36 @@ fn lowering_tracks_spec_datapath_and_tile_shape() {
             double_buffer: true,
             frac_bits: 10,
         },
+        Interpolator::Bicubic,
     )
     .expect("lower cell");
     assert_eq!(ir.sample, SampleMode::FixedLut { frac_bits: 10 });
     assert_eq!(ir.workgroup, (64, 16));
     // simt derives its tile from the workgroup: 32-wide warps.
-    let ir = lower(&plan, &EngineSpec::Simt { workgroup: 96 }).expect("lower simt");
+    let ir = lower(
+        &plan,
+        &EngineSpec::Simt { workgroup: 96 },
+        Interpolator::Bicubic,
+    )
+    .expect("lower simt");
     assert_eq!(ir.workgroup, (32, 3));
     assert_eq!(ir.sample, SampleMode::Bicubic);
-    // serial keeps the plan's interpolator and fuses post.
-    let ir = lower(&plan, &EngineSpec::Serial).expect("lower serial");
+    // serial lowers to the kernel it is handed and fuses post.
+    let ir = lower(&plan, &EngineSpec::Serial, Interpolator::Nearest).expect("lower serial");
+    assert_eq!(ir.sample, SampleMode::Nearest);
     assert!(ir.fused_post);
 }
 
 #[test]
 fn direct_spec_has_no_plan_kernel() {
-    let plan = snapshot_plan(Interpolator::Bilinear, None);
-    let err = emit_kernel(&plan, &EngineSpec::Direct, KernelTarget::Wgsl)
-        .expect_err("direct must not lower");
+    let plan = snapshot_plan(None);
+    let err = emit_kernel(
+        &plan,
+        &EngineSpec::Direct,
+        Interpolator::Bilinear,
+        KernelTarget::Wgsl,
+    )
+    .expect_err("direct must not lower");
     match err {
         CodegenError::Unsupported { backend, reason } => {
             assert_eq!(backend, "direct");
@@ -157,11 +172,11 @@ fn direct_spec_has_no_plan_kernel() {
 
 #[test]
 fn emission_is_deterministic() {
-    let plan = snapshot_plan(Interpolator::Bilinear, None);
+    let plan = snapshot_plan(None);
     let spec = EngineSpec::Simt { workgroup: 256 };
     for target in [KernelTarget::Wgsl, KernelTarget::C] {
-        let a = emit_kernel(&plan, &spec, target).expect("emit a");
-        let b = emit_kernel(&plan, &spec, target).expect("emit b");
+        let a = emit_kernel(&plan, &spec, Interpolator::Bilinear, target).expect("emit a");
+        let b = emit_kernel(&plan, &spec, Interpolator::Bilinear, target).expect("emit b");
         assert_eq!(a, b, "emission must be deterministic for {target}");
     }
 }

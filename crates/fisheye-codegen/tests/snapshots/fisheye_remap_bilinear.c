@@ -1,7 +1,8 @@
 /* fisheye_remap_bilinear — generated by fisheye-codegen (do not edit)
- * plan: 0x91cf7cd591f7f3de
+ * plan: 0x65e94cfd8c6661ab
  * out: 160x120  src: 320x240  tile: 32x8  fused_post: yes
  */
+#include <stddef.h>
 #include <stdint.h>
 #include <math.h>
 
@@ -38,6 +39,18 @@ static inline uint8_t fisheye_post(uint8_t v, uint32_t x, uint32_t y,
     return (uint8_t)(out + 0.5f);
 }
 
+/* A texel's channel value in [0, 1] (channel_f32 on the host). */
+static inline float fisheye_chan(const uint8_t *src, int64_t x, int64_t y) {
+    return (float)fisheye_load_src(src, x, y) / 255.0f;
+}
+
+/* Clamp to [0, 1] and round to a byte (quantize_u8 on the host). */
+static inline uint8_t fisheye_quantize(float v) {
+    if (v < 0.0f) v = 0.0f;
+    if (v > 1.0f) v = 1.0f;
+    return (uint8_t)(v * 255.0f + 0.5f);
+}
+
 static inline uint8_t fisheye_sample(const uint8_t *src, float sx, float sy) {
     float fx = sx - 0.5f;
     float fy = sy - 0.5f;
@@ -47,14 +60,13 @@ static inline uint8_t fisheye_sample(const uint8_t *src, float sx, float sy) {
     float wy = fy - y0;
     int64_t ix = (int64_t)x0;
     int64_t iy = (int64_t)y0;
-    float p00 = (float)fisheye_load_src(src, ix, iy);
-    float p10 = (float)fisheye_load_src(src, ix + 1, iy);
-    float p01 = (float)fisheye_load_src(src, ix, iy + 1);
-    float p11 = (float)fisheye_load_src(src, ix + 1, iy + 1);
+    float p00 = fisheye_chan(src, ix, iy);
+    float p10 = fisheye_chan(src, ix + 1, iy);
+    float p01 = fisheye_chan(src, ix, iy + 1);
+    float p11 = fisheye_chan(src, ix + 1, iy + 1);
     float top = p00 * (1.0f - wx) + p10 * wx;
     float bot = p01 * (1.0f - wx) + p11 * wx;
-    float v = top * (1.0f - wy) + bot * wy;
-    return (uint8_t)(v + 0.5f);
+    return fisheye_quantize(top * (1.0f - wy) + bot * wy);
 }
 
 /* Row loop in the SoA-SIMD shape: the inner body is unrolled

@@ -1,7 +1,8 @@
 /* fisheye_remap_fixed_q12 — generated by fisheye-codegen (do not edit)
- * plan: 0x3e33a3dec5c08531
+ * plan: 0x89339ad58d1b838a
  * out: 160x120  src: 320x240  tile: 32x8  fused_post: no
  */
+#include <stddef.h>
 #include <stdint.h>
 #include <math.h>
 

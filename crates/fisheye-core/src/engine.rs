@@ -1179,10 +1179,7 @@ mod tests {
 
     /// Compile a plan covering every registry spec's needs.
     fn plan_for(map: &RemapMap) -> RemapPlan {
-        RemapPlan::compile(
-            map,
-            PlanOptions::for_specs(&EngineSpec::registry(), Interpolator::Bilinear),
-        )
+        RemapPlan::compile(map, PlanOptions::for_specs(&EngineSpec::registry()))
     }
 
     #[test]

@@ -595,6 +595,18 @@ impl ViewPlan {
         )
     }
 
+    /// Whether this view plan may seed [`ViewPlan::recompile_timed`]
+    /// toward one compiled with `opts` that renders `out` from `src`
+    /// (full-resolution `(w, h)`): [`RemapPlan::can_seed`] holds for
+    /// every class plan at its class-scaled dimensions.
+    pub fn can_seed(&self, opts: &PlanOptions, out: (u32, u32), src: (u32, u32)) -> bool {
+        self.format
+            .classes()
+            .iter()
+            .zip(&self.plans)
+            .all(|(class, plan)| plan.can_seed(opts, class.apply(out), class.apply(src)))
+    }
+
     /// Assemble a view plan from per-class plans resolved elsewhere
     /// (the serve layer's shared cache). `plans` must be in
     /// [`FrameFormat::classes`] order; geometry is validated: every

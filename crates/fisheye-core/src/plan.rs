@@ -36,6 +36,14 @@
 //!   AoS view (the GPU cache model replays entry order; `direct`
 //!   comparisons read it for reference).
 //!
+//! A plan holds no interpolation kernel. Everything above is a
+//! function of lens, view and the requested artifact set, while the
+//! kernel is per-frame work owned by whichever engine runs the plan,
+//! so one plan (and one plan-cache entry) serves nearest, bilinear
+//! and bicubic engines alike, and a kernel change never recompiles or
+//! re-keys a plan. Tile footprints cover the bilinear taps of the Cell
+//! SPE's Q-format sampler ([`TilePlan::build`]).
+//!
 //! Execution contract: every [`crate::engine::CorrectionEngine`]
 //! consumes `&RemapPlan`. Whoever owns the view owns the plan —
 //! the facade `Corrector` recompiles on `set_view`, videopipe and the
@@ -80,41 +88,32 @@ use crate::simd::FLOOR_EXACT;
 use crate::tile::TilePlan;
 
 /// What [`RemapPlan::compile`] should prederive beyond the SoA planes
-/// and valid spans (which are always built).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// and valid spans (which are always built): the artifact set. A plan
+/// holds no interpolation kernel; the engine that executes it does.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PlanOptions {
     /// Fractional weight widths to prequantize ([`RemapPlan::fixed`]).
     pub frac_bits: Vec<u32>,
     /// Tile geometries `(tile_w, tile_h)` to preplan
     /// ([`RemapPlan::tile_plan`]).
     pub tiles: Vec<(u32, u32)>,
-    /// Interpolator whose margin inflates tile source footprints.
-    pub interp: Interpolator,
-}
-
-impl Default for PlanOptions {
-    fn default() -> Self {
-        PlanOptions {
-            frac_bits: Vec::new(),
-            tiles: Vec::new(),
-            interp: Interpolator::Bilinear,
-        }
-    }
 }
 
 impl PlanOptions {
     /// The options one engine spec needs to run without plan misses.
-    pub fn for_spec(spec: &EngineSpec, interp: Interpolator) -> PlanOptions {
-        PlanOptions::for_specs(std::slice::from_ref(spec), interp)
+    ///
+    /// `_interp` is ignored: no plan artifact depends on the kernel.
+    /// The argument stays only until the framebench benchmark's next
+    /// change drops it from its two calls; new code calls
+    /// [`PlanOptions::for_specs`] with one spec.
+    pub fn for_spec(spec: &EngineSpec, _interp: Interpolator) -> PlanOptions {
+        PlanOptions::for_specs(std::slice::from_ref(spec))
     }
 
     /// The union of what several specs need — compile one plan, run
     /// every backend on it.
-    pub fn for_specs(specs: &[EngineSpec], interp: Interpolator) -> PlanOptions {
-        let mut opts = PlanOptions {
-            interp,
-            ..Default::default()
-        };
+    pub fn for_specs(specs: &[EngineSpec]) -> PlanOptions {
+        let mut opts = PlanOptions::default();
         for spec in specs {
             let caps = spec.capabilities();
             if let Some(frac_bits) = caps.requires_lut {
@@ -182,7 +181,7 @@ impl Fnv {
     }
 
     /// Fold plan options: the length-prefixed `frac_bits` and tile
-    /// lists, then the interpolator.
+    /// lists.
     pub(crate) fn mix_opts(&mut self, opts: &PlanOptions) {
         self.mix(opts.frac_bits.len() as u64);
         for &b in &opts.frac_bits {
@@ -192,7 +191,6 @@ impl Fnv {
         for &(tw, th) in &opts.tiles {
             self.mix(((tw as u64) << 32) | th as u64);
         }
-        self.mix(opts.interp as u64);
     }
 }
 
@@ -259,8 +257,8 @@ pub struct RemapPlan {
     row_digests: Vec<u64>,
     /// Cached full digest (map rows + compile parameters).
     digest: u64,
-    /// Options the plan was compiled with (eager artifact set +
-    /// interpolator); reused verbatim by [`RemapPlan::recompile`].
+    /// Options the plan was compiled with (the eager artifact set);
+    /// reused verbatim by [`RemapPlan::recompile`].
     opts: PlanOptions,
     fixed: Vec<Arc<FixedRemapMap>>,
     tiles: Vec<Arc<TilePlan>>,
@@ -488,7 +486,7 @@ impl RemapPlan {
                     .collect(),
                 opts.tiles
                     .iter()
-                    .map(|&(tw, th)| Arc::new(TilePlan::build(&map, tw, th, opts.interp)))
+                    .map(|&(tw, th)| Arc::new(TilePlan::build(&map, tw, th)))
                     .collect(),
             )
         } else {
@@ -580,6 +578,17 @@ impl RemapPlan {
         }
     }
 
+    /// Whether this plan may seed [`RemapPlan::recompile`] toward a
+    /// plan compiled with `opts` that renders `out` from `src` (both
+    /// `(w, h)`): it must have been compiled with exactly `opts` and
+    /// have those output and source dimensions. Every view change that
+    /// can delta-recompile — the facade's `Corrector::set_view` and the
+    /// serving layer's plan cache — asks this and compiles cold on
+    /// `false`.
+    pub fn can_seed(&self, opts: &PlanOptions, out: (u32, u32), src: (u32, u32)) -> bool {
+        self.opts == *opts && (self.width(), self.height()) == out && self.src_dims() == src
+    }
+
     /// Output width.
     #[inline]
     pub fn width(&self) -> u32 {
@@ -602,12 +611,6 @@ impl RemapPlan {
     #[inline]
     pub fn map(&self) -> &RemapMap {
         &self.map
-    }
-
-    /// Interpolator the tile footprints were inflated for.
-    #[inline]
-    pub fn interp(&self) -> Interpolator {
-        self.opts.interp
     }
 
     /// Row `y` of the SoA x-coordinate plane.
@@ -688,8 +691,8 @@ impl RemapPlan {
             + self.fixed.iter().map(|f| f.bytes()).sum::<usize>()
     }
 
-    /// The options the plan was compiled with (eager artifact set and
-    /// interpolator). [`RemapPlan::recompile`] carries these forward.
+    /// The options the plan was compiled with (the eager artifact
+    /// set). [`RemapPlan::recompile`] carries these forward.
     #[inline]
     pub fn opts(&self) -> &PlanOptions {
         &self.opts
@@ -718,8 +721,7 @@ impl RemapPlan {
 
     /// The tile plan for a geometry: the compiled one first, else one
     /// derived on first use and memoized, like
-    /// [`RemapPlan::fixed_lazy`]. The footprint margin uses the plan's
-    /// compiled interpolator.
+    /// [`RemapPlan::fixed_lazy`].
     pub fn tile_plan_lazy(&self, tile_w: u32, tile_h: u32) -> (Arc<TilePlan>, Option<f64>) {
         if let Some(t) = self
             .tiles
@@ -733,7 +735,7 @@ impl RemapPlan {
             return (Arc::clone(t), None);
         }
         let t0 = std::time::Instant::now();
-        let t = Arc::new(TilePlan::build(&self.map, tile_w, tile_h, self.opts.interp));
+        let t = Arc::new(TilePlan::build(&self.map, tile_w, tile_h));
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         memo.push(Arc::clone(&t));
         (t, Some(ms))
@@ -742,8 +744,7 @@ impl RemapPlan {
     /// Order-sensitive FNV-1a digest of the plan's *content*: the map
     /// dimensions, every coordinate bit pattern (via per-row digests)
     /// and the compile parameters (eager `frac_bits` set, tile
-    /// geometries, interpolator). Cached at compile time — reading it
-    /// is free.
+    /// geometries). Cached at compile time — reading it is free.
     ///
     /// Two compilations of the same map with the same options produce
     /// the same digest — including a [`RemapPlan::recompile`] against
@@ -760,8 +761,8 @@ impl RemapPlan {
 
     /// Compute the digest stored by every constructor. Folds in the
     /// parameters of every *derivable* artifact (quantization widths,
-    /// tile geometries, interpolator margin) rather than the artifact
-    /// bytes, so materialization state cannot affect the hash.
+    /// tile geometries) rather than the artifact bytes, so
+    /// materialization state cannot affect the hash.
     fn digest_of(map: &RemapMap, row_digests: &[u64], invalid: u64, opts: &PlanOptions) -> u64 {
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
         h.mix(map.width() as u64);
@@ -1130,7 +1131,7 @@ mod tests {
         );
         assert!(plan.tile_plan(8, 8).is_none());
         let t = plan.tile_plan(32, 16).unwrap();
-        let direct = TilePlan::build(&map, 32, 16, Interpolator::Bilinear);
+        let direct = TilePlan::build(&map, 32, 16);
         assert_eq!(t.jobs, direct.jobs);
     }
 
@@ -1152,7 +1153,7 @@ mod tests {
                 frac_bits: 8,
             },
         ];
-        let opts = PlanOptions::for_specs(&specs, Interpolator::Bilinear);
+        let opts = PlanOptions::for_specs(&specs);
         assert_eq!(opts.frac_bits, vec![8, 12]);
         assert_eq!(opts.tiles, vec![(32, 16)]);
     }
@@ -1163,7 +1164,6 @@ mod tests {
         let opts = PlanOptions {
             frac_bits: vec![12],
             tiles: vec![(32, 16)],
-            interp: Interpolator::Bilinear,
         };
         let a = RemapPlan::compile(&map, opts.clone());
         let b = RemapPlan::compile(&map, opts);
@@ -1206,10 +1206,5 @@ mod tests {
             ..Default::default()
         };
         assert_ne!(base, plan_request_digest(&lens, &view, 64, 48, &loaded));
-        let nearest = PlanOptions {
-            interp: Interpolator::Nearest,
-            ..Default::default()
-        };
-        assert_ne!(base, plan_request_digest(&lens, &view, 64, 48, &nearest));
     }
 }

@@ -49,9 +49,11 @@ pub struct TilePlan {
 
 impl TilePlan {
     /// Tile the output of `map` into `tile_w`×`tile_h` tiles (edge
-    /// tiles may be smaller) and compute each tile's footprint for the
-    /// given interpolator.
-    pub fn build(map: &RemapMap, tile_w: u32, tile_h: u32, interp: Interpolator) -> Self {
+    /// tiles may be smaller) and compute each tile's footprint for
+    /// bilinear taps: the Cell SPE, the one consumer of tile jobs,
+    /// always runs the bilinear Q-format sampler. Models that gather
+    /// wider kernels size their footprints with [`footprint`].
+    pub fn build(map: &RemapMap, tile_w: u32, tile_h: u32) -> Self {
         assert!(tile_w > 0 && tile_h > 0, "tile dimensions must be positive");
         let (src_w, src_h) = map.src_dims();
         let src_bounds = Rect::new(0, 0, src_w, src_h);
@@ -63,7 +65,7 @@ impl TilePlan {
             while x < map.width() {
                 let x1 = (x + tile_w).min(map.width());
                 let out = Rect::new(x, y, x1, y1);
-                let src = footprint(map, &out, interp)
+                let src = footprint(map, &out, Interpolator::Bilinear)
                     .map_or(Rect::new(0, 0, 0, 0), |r| r.intersect(&src_bounds));
                 jobs.push(TileJob { out, src });
                 x = x1;
@@ -192,7 +194,7 @@ mod tests {
     #[test]
     fn tiles_cover_output_exactly() {
         let map = map_180(100, 70);
-        let plan = TilePlan::build(&map, 32, 16, Interpolator::Bilinear);
+        let plan = TilePlan::build(&map, 32, 16);
         let mut covered = vec![false; 100 * 70];
         for j in &plan.jobs {
             for y in j.out.y0..j.out.y1 {
@@ -215,7 +217,7 @@ mod tests {
         let map = map_180(64, 48);
         let src = pixmap::scene::random_gray(320, 240, 7);
         let full = crate::correct::correct(&src, &map, Interpolator::Bilinear);
-        let plan = TilePlan::build(&map, 16, 16, Interpolator::Bilinear);
+        let plan = TilePlan::build(&map, 16, 16);
         for j in &plan.jobs {
             if j.src.is_empty() {
                 continue;
@@ -240,15 +242,19 @@ mod tests {
 
     #[test]
     fn footprints_contain_all_taps_bicubic() {
+        // the tile plan's footprints are bilinear; a bicubic gather
+        // over the same tiles sizes its own with `footprint`
         let map = map_180(48, 32);
         let src = pixmap::scene::random_gray(320, 240, 8);
         let full = crate::correct::correct(&src, &map, Interpolator::Bicubic);
-        let plan = TilePlan::build(&map, 16, 8, Interpolator::Bicubic);
+        let plan = TilePlan::build(&map, 16, 8);
         for j in &plan.jobs {
-            if j.src.is_empty() {
+            let Some(fp) = footprint(&map, &j.out, Interpolator::Bicubic) else {
+                assert!(j.src.is_empty(), "tile {:?} has no valid entry", j.out);
                 continue;
-            }
-            let local = src.crop(j.src);
+            };
+            let fp = fp.intersect(&src.bounds());
+            let local = src.crop(fp);
             for y in j.out.y0..j.out.y1 {
                 for x in j.out.x0..j.out.x1 {
                     let e = map.entry(x, y);
@@ -262,8 +268,8 @@ mod tests {
                     }
                     let got = Interpolator::Bicubic.sample(
                         &local,
-                        e.sx - j.src.x0 as f32,
-                        e.sy - j.src.y0 as f32,
+                        e.sx - fp.x0 as f32,
+                        e.sy - fp.y0 as f32,
                     );
                     assert_eq!(got, full.pixel(x, y), "tile {:?} pixel ({x},{y})", j.out);
                 }
@@ -277,7 +283,7 @@ mod tests {
         let lens = FisheyeLens::equidistant_fov(320, 240, 100.0);
         let view = PerspectiveView::centered(96, 96, 160.0);
         let map = RemapMap::build(&lens, &view, 320, 240);
-        let plan = TilePlan::build(&map, 8, 8, Interpolator::Bilinear);
+        let plan = TilePlan::build(&map, 8, 8);
         let empty = plan.jobs.iter().filter(|j| j.src.is_empty()).count();
         assert!(empty > 0, "expected some fully-invalid corner tiles");
     }
@@ -285,8 +291,8 @@ mod tests {
     #[test]
     fn smaller_tiles_fetch_less_per_tile_more_total() {
         let map = map_180(128, 96);
-        let small = TilePlan::build(&map, 8, 8, Interpolator::Bilinear);
-        let large = TilePlan::build(&map, 64, 64, Interpolator::Bilinear);
+        let small = TilePlan::build(&map, 8, 8);
+        let large = TilePlan::build(&map, 64, 64);
         assert!(small.max_working_set(1, 1, 8) < large.max_working_set(1, 1, 8));
         // margins overlap more with small tiles → more total bytes
         assert!(small.total_src_bytes(1) > large.total_src_bytes(1));
@@ -295,7 +301,7 @@ mod tests {
     #[test]
     fn redundancy_reported() {
         let map = map_180(128, 96);
-        let plan = TilePlan::build(&map, 16, 16, Interpolator::Bilinear);
+        let plan = TilePlan::build(&map, 16, 16);
         let r = plan.redundancy();
         assert!(r > 0.0 && r < 4.0, "redundancy {r}");
     }
@@ -303,7 +309,7 @@ mod tests {
     #[test]
     fn out_bytes_match_area() {
         let map = map_180(100, 70);
-        let plan = TilePlan::build(&map, 32, 16, Interpolator::Bilinear);
+        let plan = TilePlan::build(&map, 32, 16);
         assert_eq!(plan.total_out_bytes(1), 100 * 70);
         assert_eq!(plan.total_out_bytes(3), 3 * 100 * 70);
     }
@@ -322,7 +328,7 @@ mod tests {
         // 100x70 output with 32x16 tiles: the last tile column is
         // 100 - 3*32 = 4 wide, the last row 70 - 4*16 = 6 tall
         let map = map_180(100, 70);
-        let plan = TilePlan::build(&map, 32, 16, Interpolator::Bilinear);
+        let plan = TilePlan::build(&map, 32, 16);
         for j in &plan.jobs {
             let w = j.out.x1 - j.out.x0;
             let h = j.out.y1 - j.out.y0;
@@ -344,7 +350,7 @@ mod tests {
         let map = map_180(101, 67);
         let src = pixmap::scene::random_gray(320, 240, 11);
         let full = crate::correct::correct(&src, &map, Interpolator::Bilinear);
-        let plan = TilePlan::build(&map, 16, 12, Interpolator::Bilinear);
+        let plan = TilePlan::build(&map, 16, 12);
         let mut out: Image<Gray8> = Image::new(101, 67);
         for j in &plan.jobs {
             let local = if j.src.is_empty() {
@@ -381,7 +387,7 @@ mod tests {
         let map = RemapMap::build(&lens, &view, 320, 240);
         let src = pixmap::scene::random_gray(320, 240, 12);
         let full = crate::correct::correct(&src, &map, Interpolator::Bilinear);
-        let plan = TilePlan::build(&map, 8, 8, Interpolator::Bilinear);
+        let plan = TilePlan::build(&map, 8, 8);
         let empty: Vec<_> = plan.jobs.iter().filter(|j| j.src.is_empty()).collect();
         assert!(!empty.is_empty(), "expected fully-invalid tiles");
         let mut out: Image<Gray8> = Image::new(96, 96);
@@ -424,7 +430,7 @@ mod tests {
         let map = map_180(64, 48);
         let src = pixmap::scene::random_gray(320, 240, 3);
         let full = crate::correct::correct(&src, &map, Interpolator::Bilinear);
-        let plan = TilePlan::build(&map, 16, 12, Interpolator::Bilinear);
+        let plan = TilePlan::build(&map, 16, 12);
         let mut out: Image<Gray8> = Image::new(64, 48);
         for j in &plan.jobs {
             let local = if j.src.is_empty() {

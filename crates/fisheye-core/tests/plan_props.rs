@@ -108,7 +108,6 @@ fn plan_compilation_is_deterministic() {
         let opts = PlanOptions {
             frac_bits: vec![g.u32_in(4, 16)],
             tiles: vec![(g.u32_in(4, 33), g.u32_in(4, 33))],
-            ..PlanOptions::default()
         };
         let a = RemapPlan::compile(&map, opts.clone());
         let b = RemapPlan::compile(&map, opts);
@@ -150,8 +149,8 @@ fn spans_partition_the_valid_entries_exactly() {
 
 /// The digest is a function of the map and the *requested* options,
 /// never of which artifacts happen to be materialized: forcing lazy
-/// derivation must not move it, while different quantization widths,
-/// tile geometries and interpolators must never collide. This is what
+/// derivation must not move it, while different quantization widths
+/// and tile geometries must never collide. This is what
 /// lets the serve-layer plan cache key on the digest while backends
 /// materialize LUTs and tile plans on demand.
 #[test]
@@ -166,7 +165,6 @@ fn digest_ignores_materialization_but_folds_in_options() {
             let opts = PlanOptions {
                 frac_bits: vec![frac_bits],
                 tiles: vec![(tw, th)],
-                ..PlanOptions::default()
             };
             let eager = RemapPlan::compile(&map, opts.clone());
             let lazy = RemapPlan::compile(&map, PlanOptions::default());
@@ -193,19 +191,11 @@ fn digest_ignores_materialization_but_folds_in_options() {
             );
             let geom = PlanOptions {
                 tiles: vec![(tw + 1, th)],
-                ..opts.clone()
+                ..opts
             };
             ensure!(
                 RemapPlan::compile(&map, geom).digest() != eager.digest(),
                 "tile geometry not folded into the digest"
-            );
-            let flip = PlanOptions {
-                interp: Interpolator::Nearest,
-                ..opts
-            };
-            ensure!(
-                RemapPlan::compile(&map, flip).digest() != eager.digest(),
-                "interpolator not folded into the digest"
             );
             Ok(())
         },
@@ -227,7 +217,6 @@ fn delta_recompile_bit_exact_with_cold_compile() {
         let opts = PlanOptions {
             frac_bits: vec![frac_bits],
             tiles: vec![(tw, th)],
-            ..PlanOptions::default()
         };
         let prev = RemapPlan::compile(&RemapMap::build(&lens, &view, sw, sh), opts.clone());
         let kind = g.usize_in(0, 4);
@@ -291,10 +280,7 @@ fn delta_recompile_keeps_the_interior_runs_and_bytes() {
         CASES,
         |g| {
             let (lens, view, sw, sh) = arb_geometry(g);
-            let opts = PlanOptions {
-                interp: arb_interp(g),
-                ..PlanOptions::default()
-            };
+            let opts = PlanOptions::default();
             let prev = RemapPlan::compile(&RemapMap::build(&lens, &view, sw, sh), opts.clone());
             let next = match g.usize_in(0, 3) {
                 0 => view,

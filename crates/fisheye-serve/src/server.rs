@@ -43,8 +43,8 @@
 //! kernel per frame), and only a view change — [`Session::set_view`]
 //! or `HalfRes` — or a rig change resolves plans through the cache.
 //! Plans are keyed by geometry and plan options alone, never by the
-//! post stage, so a graded and an ungraded session of one view share
-//! one compiled plan.
+//! kernel or the post stage, so sessions of one view share one
+//! compiled plan whatever kernel they run and whether they grade.
 //!
 //! Besides the classic single-camera session, a [`SessionConfig`] may
 //! declare a composite [`Workload`]: an N-camera
@@ -528,13 +528,14 @@ impl Server {
             )));
         }
         // a composite on a kernel-locked backend (bilinear-only simd)
-        // serves its locked kernel from the start instead of failing
-        // per frame
+        // hands its executors the locked kernel from the start instead
+        // of failing per frame; plans hold no kernel, so the choice
+        // reaches only the engine or executor, never a plan key
         let interp = match cfg.backend.capabilities().interp_locked {
             Some(locked) if !single => locked,
             _ => cfg.interp,
         };
-        let opts = PlanOptions::for_spec(&cfg.backend, interp);
+        let opts = PlanOptions::for_specs(&[cfg.backend]);
         let dims = (cfg.view.width, cfg.view.height);
         let work = match &cfg.workload {
             Workload::Single => {
@@ -723,18 +724,19 @@ impl Server {
 
     /// Resolve one plan through the shared cache under `digest`, the
     /// plan's geometric digest. A hit returns the cached plan. A miss
-    /// delta-recompiles from `prev`, the session's outgoing plan for
-    /// the same plane or camera, when `prev` was compiled under `opts`
-    /// (counted under `serve.plan.delta_recompiles`): bit-exact, same
-    /// digest, much cheaper for small view perturbations. Otherwise it
-    /// compiles cold. A `prev` compiled under different
-    /// [`PlanOptions`] (e.g. across a degradation rung's interp change)
-    /// is ignored: its digests live in a different key space and must
-    /// never seed this one. `map` traces the map, only on a miss.
+    /// traces the map with `map` and delta-recompiles it from `prev`,
+    /// the session's outgoing plan for the same plane or camera, when
+    /// `prev` can seed it ([`RemapPlan::can_seed`]: compiled under
+    /// `opts`, with the map's output and source dimensions), counted
+    /// under `serve.plan.delta_recompiles`: bit-exact, same digest,
+    /// much cheaper for small view perturbations. Otherwise — no
+    /// outgoing plan, other options, or a size change such as
+    /// `HalfRes` — it compiles cold.
     ///
     /// The key holds geometry and plan options alone. A session's
-    /// post stage shapes its output bytes but not its plans, so graded
-    /// and ungraded sessions of one view share one entry.
+    /// kernel and post stage shape its output bytes but not its plans,
+    /// so sessions of one view share one entry whatever their kernel
+    /// or grading.
     fn cached_plan(
         &self,
         digest: u64,
@@ -742,12 +744,15 @@ impl Server {
         prev: Option<&Arc<RemapPlan>>,
         map: impl FnOnce() -> RemapMap,
     ) -> Arc<RemapPlan> {
-        self.inner.cache.get_or_compile(digest, || match prev {
-            Some(prev) if prev.opts() == opts => {
-                self.inner.metrics.inc("serve.plan.delta_recompiles");
-                prev.recompile(map())
+        self.inner.cache.get_or_compile(digest, || {
+            let map = map();
+            match prev {
+                Some(prev) if prev.can_seed(opts, (map.width(), map.height()), map.src_dims()) => {
+                    self.inner.metrics.inc("serve.plan.delta_recompiles");
+                    prev.recompile(map)
+                }
+                _ => RemapPlan::compile(&map, opts.clone()),
             }
-            _ => RemapPlan::compile(&map(), opts.clone()),
         })
     }
 
@@ -1107,11 +1112,11 @@ impl Session {
     }
 
     /// Point the session at a new view. The plan comes from the
-    /// shared cache — if any session already watches this view (on
-    /// this backend and kernel), the switch is a lookup, not a
-    /// compile. On a composite session the view supplies the output
-    /// dimensions; its plans re-resolve through the cache at the new
-    /// size.
+    /// shared cache — if any session already watches this view with
+    /// the same plan options (those of its backend; its kernel plays
+    /// no part), the switch is a lookup, not a compile. On a composite
+    /// session the view supplies the output dimensions; its plans
+    /// re-resolve through the cache at the new size.
     pub fn set_view(&mut self, view: PerspectiveView) -> Result<(), fisheye::Error> {
         if view.width == 0 || view.height == 0 {
             return Err(fisheye::Error::config("view dimensions must be positive"));
@@ -1382,10 +1387,10 @@ impl Session {
         ))
     }
 
-    /// The plan options the session resolves plans under: its spec's
-    /// and applied kernel's.
+    /// The plan options the session resolves plans under: its
+    /// spec's artifact set.
     fn plan_options(&self) -> PlanOptions {
-        PlanOptions::for_spec(&self.spec, self.interp)
+        PlanOptions::for_specs(&[self.spec])
     }
 
     /// Apply `level`. A rung sets the kernel, the output view and
@@ -1450,7 +1455,7 @@ impl Session {
     }
 
     /// Resolve the session's plans for `view` (for a composite, its
-    /// output dims) through the server's cache at the applied kernel.
+    /// output dims) through the server's cache.
     fn resolve_plans(&mut self, view: PerspectiveView) -> Result<(), fisheye::Error> {
         let opts = self.plan_options();
         let dims = (view.width, view.height);

@@ -653,92 +653,121 @@ fn view_changes_delta_recompile_from_the_outgoing_plan() {
     use fisheye_core::map::RemapMap;
     use fisheye_core::plan::{PlanOptions, RemapPlan};
 
-    let server = test_server(2);
-    let mut s = server.connect(session_cfg()).expect("slot");
-    let m = server.metrics();
-    assert_eq!(
-        m.counter("serve.plan.delta_recompiles"),
-        0,
-        "first compile is cold"
-    );
+    // at Normal the session runs bicubic; two saturated windows (zero
+    // deadline) later it runs bilinear at InterpDown on the same
+    // plans, which hold no kernel: a pan delta-recompiles either way
+    for (level, climb, kernel) in [
+        (DegradeLevel::Normal, 0, Interpolator::Bicubic),
+        (DegradeLevel::InterpDown, 17, Interpolator::Bilinear),
+    ] {
+        let server = test_server(2);
+        let mut camera = CameraFeed::new(SRC.0, SRC.1, 5);
+        let mut s = server
+            .connect(SessionConfig {
+                deadline: (climb > 0).then_some(Duration::ZERO),
+                ..session_cfg()
+            })
+            .expect("slot");
+        for _ in 0..climb {
+            s.submit_frame(gray(&mut camera));
+            s.pump_one().expect("engine ok").expect("frame pending");
+        }
+        assert_eq!(s.applied_level(), level);
+        assert_eq!(
+            s.corrector().expect("single session").interp(),
+            kernel,
+            "{}",
+            level.name()
+        );
+        let m = server.metrics();
+        assert_eq!(
+            m.counter("serve.plan.delta_recompiles"),
+            0,
+            "first compile is cold"
+        );
 
-    let panned = wide_view().look(1.0, 0.0);
-    s.set_view(panned).expect("valid view");
-    assert_eq!(
-        m.counter("serve.plan.delta_recompiles"),
-        1,
-        "the cache miss was served by delta recompilation from the outgoing plan"
-    );
+        let panned = wide_view().look(1.0, 0.0);
+        s.set_view(panned).expect("valid view");
+        assert_eq!(
+            m.counter("serve.plan.delta_recompiles"),
+            1,
+            "{}: the cache miss was served by delta recompilation from the outgoing plan",
+            level.name()
+        );
 
-    // bit-exact against a cold offline compile of the same view: same
-    // digest (so the cache entry is shared with cold-compiled
-    // sessions) and bit-identical corrected frames
-    let cold = RemapPlan::compile(
-        &RemapMap::build(&lens(), &panned, SRC.0, SRC.1),
-        PlanOptions::for_spec(&EngineSpec::Serial, Interpolator::Bicubic),
-    );
-    assert_eq!(
-        s.corrector().expect("single session").plan().digest(),
-        cold.digest()
-    );
-    let mut camera = CameraFeed::new(SRC.0, SRC.1, 5);
-    let frame = gray(&mut camera);
-    s.submit_frame(Arc::clone(&frame));
-    let out = s.pump_one().expect("engine ok").expect("frame pending");
-    let [got] = out.frame.planes() else {
-        panic!("gray session serves one plane");
-    };
-    assert_eq!(
-        **got,
-        fisheye_core::correct_plan(gray_image(&frame), &cold, Interpolator::Bicubic),
-        "delta-recompiled plan corrects bit-exactly"
-    );
+        // bit-exact against a cold offline compile of the same view:
+        // same digest (so the cache entry is shared with cold-compiled
+        // sessions) and bit-identical corrected frames
+        let cold = RemapPlan::compile(
+            &RemapMap::build(&lens(), &panned, SRC.0, SRC.1),
+            PlanOptions::for_specs(&[EngineSpec::Serial]),
+        );
+        assert_eq!(
+            s.corrector().expect("single session").plan().digest(),
+            cold.digest(),
+            "{}",
+            level.name()
+        );
+        let frame = gray(&mut camera);
+        s.submit_frame(Arc::clone(&frame));
+        let out = s.pump_one().expect("engine ok").expect("frame pending");
+        assert_eq!(out.level, level);
+        let [got] = out.frame.planes() else {
+            panic!("gray session serves one plane");
+        };
+        assert_eq!(
+            **got,
+            fisheye_core::correct_plan(gray_image(&frame), &cold, kernel),
+            "{}: delta-recompiled plan corrects bit-exactly",
+            level.name()
+        );
+    }
 }
 
+/// Every rung serves the kernel it names, whatever engine runs it: a
+/// bicubic single session's first frame at each rung is exactly the
+/// plan-driven reference under that rung's kernel, on `simt` as on
+/// `serial`.
 #[test]
-fn degraded_interp_never_seeds_delta_recompilation() {
+fn every_rung_serves_its_kernel_on_every_backend() {
     use fisheye_core::engine::EngineSpec;
-    use fisheye_core::map::RemapMap;
-    use fisheye_core::plan::{PlanOptions, RemapPlan};
 
-    // walk the ladder to InterpDown: the corrector now runs bilinear
-    // while its plan was compiled under bicubic options
-    let server = test_server(2);
-    let mut camera = CameraFeed::new(SRC.0, SRC.1, 17);
-    let mut hot = server
-        .connect(SessionConfig {
-            deadline: Some(Duration::ZERO),
-            ..session_cfg()
-        })
-        .expect("slot");
-    for _ in 0..17 {
-        hot.submit_frame(gray(&mut camera));
-        hot.pump_one().expect("engine ok").expect("frame pending");
+    let rung_kernels = [
+        Interpolator::Bicubic,
+        Interpolator::Bicubic,
+        Interpolator::Bilinear,
+        Interpolator::Nearest,
+        Interpolator::Nearest,
+        Interpolator::Nearest,
+    ];
+    let frame = Arc::new(Frame::Gray8(pixmap::scene::random_gray(SRC.0, SRC.1, 29)));
+    for backend in [EngineSpec::Serial, EngineSpec::Simt { workgroup: 64 }] {
+        let server = test_server(1);
+        let mut s = server
+            .connect(SessionConfig {
+                backend,
+                deadline: Some(Duration::ZERO),
+                ..session_cfg()
+            })
+            .expect("slot");
+        climb_ladder(
+            &mut s,
+            |s| {
+                s.submit_frame(Arc::clone(&frame));
+            },
+            |s, out| {
+                let kernel = rung_kernels[out.level.index()];
+                let corrector = s.corrector().expect("single session");
+                let at = format!("{} at {}", backend.name(), out.level.name());
+                assert_eq!(corrector.interp(), kernel, "{at}");
+                let [got] = out.frame.planes() else {
+                    panic!("gray session serves one plane");
+                };
+                let want = fisheye_core::correct_plan(gray_image(&frame), corrector.plan(), kernel);
+                assert_eq!(**got, want, "{at} serves {}", kernel.name());
+            },
+        );
     }
-    assert_eq!(server.level(), DegradeLevel::InterpDown);
-    assert_eq!(hot.applied_level(), DegradeLevel::InterpDown);
-    assert_eq!(
-        hot.corrector().expect("single session").interp(),
-        Interpolator::Bilinear
-    );
-
-    // a pan at this rung compiles into the *bilinear* key space; the
-    // outgoing bicubic-opts plan must not seed it
-    let panned = wide_view().look(1.0, 0.0);
-    hot.set_view(panned).expect("valid view");
-    assert_eq!(
-        server.metrics().counter("serve.plan.delta_recompiles"),
-        0,
-        "mismatched plan options fall back to a cold compile"
-    );
-    let cold = RemapPlan::compile(
-        &RemapMap::build(&lens(), &panned, SRC.0, SRC.1),
-        PlanOptions::for_spec(&EngineSpec::Serial, Interpolator::Bilinear),
-    );
-    assert_eq!(
-        hot.corrector().expect("single session").plan().digest(),
-        cold.digest()
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -1067,15 +1096,7 @@ mod composite_sessions {
                 seed += 2;
                 s.submit_rig(rig_frames(seed));
             },
-            |s, out| {
-                let plan = s.composite_plan().expect("panorama session");
-                for class in plan.class_plans() {
-                    for source in class.sources() {
-                        assert_eq!(source.opts().interp, Interpolator::Bilinear);
-                    }
-                }
-                seen.push((out.frame.dims(), unsupported(&server)));
-            },
+            |_, out| seen.push((out.frame.dims(), unsupported(&server))),
         );
         let full = (128, 64);
         assert_eq!(
@@ -1173,40 +1194,71 @@ mod composite_sessions {
         );
     }
 
+    /// A bicubic panorama climbs to HalfRes under a zero deadline and
+    /// is dropped; a panorama of the same view with a generous
+    /// deadline then walks the ladder back down. Only HalfRes resolves
+    /// plans, and plans hold no kernel, so the way down compiles
+    /// nothing: Normal runs on the plans the climb started from.
     #[test]
     fn panorama_sessions_ride_the_ladder_to_halfres() {
         let server = test_server(1);
-        let mut s = server
-            .connect(SessionConfig {
-                deadline: Some(Duration::ZERO),
-                ..pano_cfg(128, 64)
-            })
-            .expect("slot");
-        // five 8-frame windows of guaranteed misses: one escalation
-        // each, normal → half-res
-        for _ in 0..5 {
-            for i in 0..8 {
-                s.submit_rig(rig_frames(i));
-                s.pump_one().expect("engine ok").expect("frame pending");
+        let cfg = |deadline| SessionConfig {
+            interp: Interpolator::Bicubic,
+            deadline: Some(deadline),
+            ..pano_cfg(128, 64)
+        };
+        let digests = |s: &Session| -> Vec<u64> {
+            let plan = s.composite_plan().expect("panorama session");
+            plan.class_plans()
+                .iter()
+                .flat_map(|c| c.sources().iter().map(|p| p.digest()))
+                .collect()
+        };
+        let mut hot = server.connect(cfg(Duration::ZERO)).expect("slot");
+        let pre_climb = digests(&hot);
+        let mut seed = 0;
+        climb_ladder(
+            &mut hot,
+            |s| {
+                seed += 2;
+                s.submit_rig(rig_frames(seed));
+            },
+            |_, out| {
+                let full = out.level < DegradeLevel::HalfRes;
+                let dims = if full { (128, 64) } else { (64, 32) };
+                assert_eq!(out.frame.dims(), dims, "{}", out.level.name());
+            },
+        );
+        assert_eq!(server.level(), DegradeLevel::HalfRes);
+        assert_eq!(
+            server.cache().stats().misses,
+            4,
+            "two full-res and two half-res camera plans"
+        );
+        drop(hot);
+
+        let mut cool = server.connect(cfg(Duration::from_secs(60))).expect("slot");
+        let mut walked = Vec::new();
+        for _ in 0..8 * DegradeLevel::LADDER.len() {
+            seed += 2;
+            cool.submit_rig(rig_frames(seed));
+            let out = cool.pump_one().expect("engine ok").expect("frame pending");
+            if walked.last().map(|&(level, _)| level) != Some(out.level) {
+                walked.push((out.level, server.cache().stats().misses));
+            }
+            if out.level == DegradeLevel::Normal {
+                assert_eq!(out.frame.dims(), (128, 64), "full resolution restored");
+                break;
             }
         }
-        assert_eq!(server.level(), DegradeLevel::HalfRes);
-        s.submit_rig(rig_frames(9));
-        let out = s.pump_one().expect("engine ok").expect("frame pending");
-        assert_eq!(out.level, DegradeLevel::HalfRes);
-        assert_eq!(out.frame.dims(), (64, 32), "half-res composite output");
-
-        // recovery: generous deadlines walk the ladder back down, and
-        // the full-res plans come back as cache hits
-        let mut relaxed = Vec::new();
-        for _ in 0..40 {
-            s.submit_rig(rig_frames(11));
-            let out = s.pump_one().expect("engine ok").expect("frame pending");
-            relaxed.push(out.missed);
-        }
-        // the zero deadline still misses; drop the session's pressure
-        // by checking the ladder at least reconfigured without errors
-        assert!(relaxed.iter().all(|&m| m));
+        let down: Vec<_> = DegradeLevel::LADDER.iter().rev().map(|&l| (l, 4)).collect();
+        assert_eq!(walked, down, "(rung, cache misses) on the way down");
+        assert_eq!(
+            digests(&cool),
+            pre_climb,
+            "Normal runs on the pre-climb plans"
+        );
+        assert_eq!(server.metrics().counter("serve.plan.delta_recompiles"), 0);
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn main() {
 
     // compile the composite plan and execute it
     let t0 = std::time::Instant::now();
-    let opts = PlanOptions::for_spec(&EngineSpec::Serial, Interpolator::Bilinear);
+    let opts = PlanOptions::for_specs(&[EngineSpec::Serial]);
     let plan = CompositePlan::compile_panorama(&rig, 1280, 640, &opts);
     println!(
         "composite plan: {:.1} ms, overlap covers {:.1}% of the panorama",

@@ -57,7 +57,7 @@ fn main() {
     assert_eq!(host_out, par_out, "parallel output must be bit-exact");
 
     // Cell/B.E. (modeled)
-    let plan = TilePlan::build(&map, 64, 32, Interpolator::Bilinear);
+    let plan = TilePlan::build(&map, 64, 32);
     let cell = CellRunner::new(CellConfig::default());
     let (cell_out, cr) = cell.correct_frame(&frame, &fmap, &plan).unwrap();
     println!(

@@ -71,16 +71,18 @@ tr -d ' \n' < crates/fisheye-serve/src/readiness.rs \
 # kernel, which every simd frame, single or composite, runs, the plan
 # module, whose span kernels and valid-span walk every host frame
 # runs, the engine module, whose host dispatch and Gray8 span hooks
-# every served frame runs, and the frame module, whose plane loop
-# every served frame goes through.
-echo "lint: rig/rectify/composite/simd/plan/engine/frame panic-free deny attributes present"
+# every served frame runs, the frame module, whose plane loop every
+# served frame goes through, and the facade's corrector module, which
+# every frame served to a single-camera session passes through.
+echo "lint: rig/rectify/composite/simd/plan/engine/frame/corrector panic-free deny attributes present"
 for f in crates/fisheye-geom/src/rig.rs \
          crates/fisheye-geom/src/rectify.rs \
          crates/fisheye-core/src/composite.rs \
          crates/fisheye-core/src/simd.rs \
          crates/fisheye-core/src/plan.rs \
          crates/fisheye-core/src/engine.rs \
-         crates/fisheye-core/src/frame.rs; do
+         crates/fisheye-core/src/frame.rs \
+         src/corrector.rs; do
   tr -d ' \n' < "$f" | grep -q '#!\[deny(clippy::unwrap_used,clippy::expect_used,clippy::panic' \
     || { echo "lint: FAIL ($f lost its panic-free deny attribute)"; exit 1; }
 done

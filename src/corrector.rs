@@ -60,6 +60,11 @@
 //! # Ok::<(), fisheye::Error>(())
 //! ```
 
+// Every frame a shard serves to a single-camera session goes through
+// `Corrector::frame_corrector`; a panic here takes the shard's
+// sessions down.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -150,7 +155,7 @@ impl CorrectorPixel for Gray8 {
             EngineSpec::Gpu { .. } => {
                 Ok(Box::new(GpuEngine::from_spec(spec, ctx.gpu, ctx.interp)?))
             }
-            EngineSpec::Simt { .. } => Ok(Box::new(SimtEngine::from_spec(spec)?)),
+            EngineSpec::Simt { .. } => Ok(Box::new(SimtEngine::from_spec(spec, ctx.interp)?)),
             _ => build_host::<Gray8>(spec, &ctx.host()),
         }
     }
@@ -186,7 +191,7 @@ impl CorrectorPixel for GrayF32 {
             EngineSpec::Gpu { .. } => {
                 Ok(Box::new(GpuEngine::from_spec(spec, ctx.gpu, ctx.interp)?))
             }
-            EngineSpec::Simt { .. } => Ok(Box::new(SimtEngine::from_spec(spec)?)),
+            EngineSpec::Simt { .. } => Ok(Box::new(SimtEngine::from_spec(spec, ctx.interp)?)),
             _ => build_host::<GrayF32>(spec, &ctx.host()),
         }
     }
@@ -217,6 +222,18 @@ impl Target {
         match self {
             Target::View(v) => (v.width, v.height),
             Target::Projection(p) => p.dims(),
+        }
+    }
+
+    /// The lens + view pair a `direct` engine recomputes the projection
+    /// from (`None` for projection targets).
+    fn geometry<'a>(
+        &'a self,
+        lens: &'a FisheyeLens,
+    ) -> Option<(&'a FisheyeLens, &'a PerspectiveView)> {
+        match self {
+            Target::View(v) => Some((lens, v)),
+            Target::Projection(_) => None,
         }
     }
 }
@@ -452,24 +469,28 @@ impl<P: CorrectorPixel> CorrectorBuilder<P> {
                 return Err(Error::config("smp schedule chunk must be positive"));
             }
         }
-        let opts = PlanOptions::for_spec(&self.spec, self.interp);
-        let (plan, plan_injected, map_time, plan_time) = match (self.view_plan, self.plan) {
+        let opts = PlanOptions::for_specs(&[self.spec]);
+        let (plan, map_time, plan_time) = match (self.view_plan, self.plan) {
             (Some(vp), _) => {
                 check_view_plan_matches(&vp, format, (out_w, out_h), (src_w, src_h))?;
-                (vp, true, Duration::ZERO, Duration::ZERO)
+                (vp, Duration::ZERO, Duration::ZERO)
             }
             (None, Some(plan)) => {
                 check_plan_matches(&plan, (out_w, out_h), (src_w, src_h))?;
                 let vp = ViewPlan::from_plans(format, vec![plan])?;
-                (vp, true, Duration::ZERO, Duration::ZERO)
+                (vp, Duration::ZERO, Duration::ZERO)
             }
-            (None, None) => {
-                let (vp, map_time, plan_time) =
-                    compile_target(format, &lens, &target, src_w, src_h, &opts, None);
-                (vp, false, map_time, plan_time)
-            }
+            (None, None) => compile_target(format, &lens, &target, src_w, src_h, &opts, None)?,
         };
-        let mut corrector = Corrector {
+        let ctx = ResolveCtx {
+            interp: self.interp,
+            threads: self.threads,
+            geometry: target.geometry(&lens),
+            cell: self.cell,
+            gpu: self.gpu,
+        };
+        let frames = assemble_frames::<P>(format, &self.spec, &ctx, plan, &self.post)?;
+        Ok(Corrector {
             lens,
             target,
             src_w,
@@ -480,17 +501,29 @@ impl<P: CorrectorPixel> CorrectorBuilder<P> {
             threads: self.threads,
             cell: self.cell,
             gpu: self.gpu,
-            frames: None,
-            plan_injected,
+            frames,
             map_time,
             plan_time,
             map_pool: None,
             post: self.post,
             _pixel: PhantomData,
-        };
-        corrector.rebuild_frames(plan)?;
-        Ok(corrector)
+        })
     }
+}
+
+/// Resolve `spec`'s engine for `ctx` and assemble the frame corrector
+/// around `plan`, its post tables compiled from `post`.
+fn assemble_frames<P: CorrectorPixel>(
+    format: FrameFormat,
+    spec: &EngineSpec,
+    ctx: &ResolveCtx<'_>,
+    plan: ViewPlan,
+    post: &PostStage,
+) -> Result<FrameCorrector, Error> {
+    let engine = P::resolve_engine(spec, ctx)?;
+    let mut frames = FrameCorrector::from_parts(format, plan, P::pack_engine(engine))?;
+    frames.set_post(post);
+    Ok(frames)
 }
 
 /// Compile the view plan for a target: perspective views go through
@@ -506,20 +539,19 @@ fn compile_target(
     src_h: u32,
     opts: &PlanOptions,
     pool: Option<(&ThreadPool, Schedule)>,
-) -> (ViewPlan, Duration, Duration) {
+) -> Result<(ViewPlan, Duration, Duration), Error> {
     match target {
-        Target::View(v) => {
-            ViewPlan::compile_timed_pooled(format, lens, v, src_w, src_h, opts, pool)
-        }
+        Target::View(v) => Ok(ViewPlan::compile_timed_pooled(
+            format, lens, v, src_w, src_h, opts, pool,
+        )),
         Target::Projection(p) => {
             let t0 = Instant::now();
             let map = RemapMap::build_projection_pooled(lens, p, src_w, src_h, pool);
             let map_time = t0.elapsed();
             let t1 = Instant::now();
             let plan = Arc::new(RemapPlan::compile(&map, opts.clone()));
-            let vp = ViewPlan::from_plans(format, vec![plan])
-                .expect("single-plane projection plan is trivially consistent");
-            (vp, map_time, t1.elapsed())
+            let vp = ViewPlan::from_plans(format, vec![plan])?;
+            Ok((vp, map_time, t1.elapsed()))
         }
     }
 }
@@ -581,10 +613,7 @@ pub struct Corrector<P: CorrectorPixel = Gray8> {
     threads: usize,
     cell: CellConfig,
     gpu: GpuConfig,
-    /// Always `Some` after construction; `Option` only so rebuilds can
-    /// move the plan out without a placeholder corrector.
-    frames: Option<FrameCorrector>,
-    plan_injected: bool,
+    frames: FrameCorrector,
     map_time: Duration,
     plan_time: Duration,
     /// Row-parallel pool for map retraces on view changes, spun up
@@ -602,10 +631,6 @@ impl<P: CorrectorPixel> Corrector<P> {
         CorrectorBuilder::default()
     }
 
-    fn frames_ref(&self) -> &FrameCorrector {
-        self.frames.as_ref().expect("frames present after build")
-    }
-
     /// Correct one single-plane frame into a caller-supplied buffer.
     /// This is the steady-state path: no allocation, no map work —
     /// just plan execution on the chosen backend. On a multi-plane
@@ -613,7 +638,7 @@ impl<P: CorrectorPixel> Corrector<P> {
     /// single-channel view of the stream); whole frames go through
     /// [`correct_frame_into`](Self::correct_frame_into).
     pub fn correct_into(&self, src: &Image<P>, out: &mut Image<P>) -> Result<FrameReport, Error> {
-        Ok(P::correct_single(self.frames_ref(), src, out)?)
+        Ok(P::correct_single(&self.frames, src, out)?)
     }
 
     /// Correct one single-plane frame into a freshly allocated output
@@ -630,87 +655,66 @@ impl<P: CorrectorPixel> Corrector<P> {
     /// multi-plane formats the report is the merged per-plane report
     /// (summed kernel time, `<plane>.correct_ms` kv sections).
     pub fn correct_frame_into(&self, src: &Frame, out: &mut Frame) -> Result<FrameReport, Error> {
-        Ok(self.frames_ref().correct_frame_into(src, out)?)
+        Ok(self.frames.correct_frame_into(src, out)?)
     }
 
     /// Correct a whole frame into a freshly allocated output frame.
     pub fn correct_frame(&self, src: &Frame) -> Result<(Frame, FrameReport), Error> {
-        Ok(self.frames_ref().correct_frame(src)?)
+        Ok(self.frames.correct_frame(src)?)
     }
 
     /// Point the corrector at a new perspective view — the
-    /// per-view-change cost; frames stay cheap. When the previous
-    /// plan was compiled here (not injected), this is the **delta
-    /// path**: the maps are retraced row-parallel on the corrector's
-    /// pool and [`ViewPlan::recompile_timed`] reuses everything the
-    /// view change did not invalidate, deferring LUT/tile
-    /// materialization to first use. Bit-exact against a cold
-    /// rebuild. Reports [`Error::Config`] on a projection-target
-    /// corrector.
+    /// per-view-change cost; frames stay cheap. When the outgoing plans
+    /// can seed the new ones ([`ViewPlan::can_seed`]: compiled with
+    /// this corrector's plan options, at the new view's output and
+    /// source dimensions — whether compiled here or injected), this is
+    /// the **delta path**: the maps are retraced row-parallel on the
+    /// corrector's pool and [`ViewPlan::recompile_timed`] reuses
+    /// everything the view change did not invalidate, deferring
+    /// LUT/tile materialization to first use. Otherwise the plans
+    /// compile cold. Bit-exact against a cold rebuild either way.
+    /// Reports [`Error::Config`] on a projection-target corrector.
     pub fn set_view(&mut self, view: PerspectiveView) -> Result<(), Error> {
         if view.width == 0 || view.height == 0 {
             return Err(Error::config("view dimensions must be positive"));
         }
-        match self.target {
-            Target::View(old) => {
-                if !self.plan_injected {
-                    // delta fast path against the current compiled plans
-                    let prev = self.frames_ref().plan().clone();
-                    let pool = self.map_pool();
-                    let sched = Schedule::Static { chunk: None };
-                    let (plan, map_time, plan_time) = prev.recompile_timed(
-                        &self.lens,
-                        &view,
-                        self.src_w,
-                        self.src_h,
-                        pool.as_deref().map(|p| (p, sched)),
-                    );
-                    self.target = Target::View(view);
-                    if let Err(e) = self.rebuild_frames(plan) {
-                        self.target = Target::View(old);
-                        return Err(e);
-                    }
-                    self.map_time = map_time;
-                    self.plan_time = plan_time;
-                    return Ok(());
-                }
-                self.target = Target::View(view);
-                if let Err(e) = self.recompile() {
-                    self.target = Target::View(old);
-                    return Err(e);
-                }
-                Ok(())
-            }
-            Target::Projection(_) => Err(Error::config(
+        if let Target::Projection(_) = self.target {
+            return Err(Error::config(
                 "set_view on a projection corrector; build a new one",
-            )),
+            ));
         }
+        let target = Target::View(view);
+        let opts = self.plan_options();
+        let (src_w, src_h) = (self.src_w, self.src_h);
+        let pool = self.map_pool();
+        let pool = pool
+            .as_deref()
+            .map(|p| (p, Schedule::Static { chunk: None }));
+        let prev = self.frames.plan();
+        let (plan, map_time, plan_time) =
+            if prev.can_seed(&opts, (view.width, view.height), (src_w, src_h)) {
+                prev.recompile_timed(&self.lens, &view, src_w, src_h, pool)
+            } else {
+                compile_target(self.format, &self.lens, &target, src_w, src_h, &opts, pool)?
+            };
+        self.frames = self.assemble(&target, self.interp, plan)?;
+        self.target = target;
+        self.map_time = map_time;
+        self.plan_time = plan_time;
+        Ok(())
     }
 
     /// Switch interpolation kernel (the serve layer's degradation
     /// ladder walks bicubic → bilinear → nearest through this).
-    /// Rebuilds the engine; recompiles the plan only when it was
-    /// compiled here (an injected cache plan is left alone — its
-    /// footprints were sized for the original kernel, which can only
-    /// over-cover after a downgrade).
+    /// Rebuilds the engine only: plans hold no kernel, so the same
+    /// compiled plans — the same `Arc`s — serve the new kernel, and
+    /// no map is traced.
     pub fn set_interp(&mut self, interp: Interpolator) -> Result<(), Error> {
         if interp == self.interp {
             return Ok(());
         }
-        let before = self.interp;
+        self.frames = self.assemble(&self.target, interp, self.frames.plan().clone())?;
         self.interp = interp;
-        let plan = self.frames_ref().plan().clone();
-        if let Err(e) = self.rebuild_frames(plan) {
-            self.interp = before;
-            // restore the old engine: the previous build succeeded, so
-            // this cannot fail; if it somehow does, surface that error
-            let plan = self.frames_ref().plan().clone();
-            self.rebuild_frames(plan)?;
-            return Err(e);
-        }
-        if !self.plan_injected {
-            self.recompile()?;
-        }
         Ok(())
     }
 
@@ -718,28 +722,23 @@ impl<P: CorrectorPixel> Corrector<P> {
     /// new view (the serving layer resolves each plane class against
     /// its shared cache and injects the assembly here).
     pub fn set_view_plan(&mut self, view: PerspectiveView, plan: ViewPlan) -> Result<(), Error> {
-        match self.target {
-            Target::View(_) => {
-                let old = self.target;
-                self.target = Target::View(view);
-                check_view_plan_matches(
-                    &plan,
-                    self.format,
-                    (view.width, view.height),
-                    (self.src_w, self.src_h),
-                )
-                .and_then(|()| self.rebuild_frames(plan))
-                .inspect(|()| {
-                    self.plan_injected = true;
-                    self.map_time = Duration::ZERO;
-                    self.plan_time = Duration::ZERO;
-                })
-                .inspect_err(|_| self.target = old)
-            }
-            Target::Projection(_) => Err(Error::config(
+        if let Target::Projection(_) = self.target {
+            return Err(Error::config(
                 "set_view_plan on a projection corrector; build a new one",
-            )),
+            ));
         }
+        check_view_plan_matches(
+            &plan,
+            self.format,
+            (view.width, view.height),
+            (self.src_w, self.src_h),
+        )?;
+        let target = Target::View(view);
+        self.frames = self.assemble(&target, self.interp, plan)?;
+        self.target = target;
+        self.map_time = Duration::ZERO;
+        self.plan_time = Duration::ZERO;
+        Ok(())
     }
 
     /// The compiled full-resolution plan, shareable across correctors
@@ -747,18 +746,18 @@ impl<P: CorrectorPixel> Corrector<P> {
     /// this is the luma-class plan; the rest are on
     /// [`view_plan`](Self::view_plan).
     pub fn plan(&self) -> &Arc<RemapPlan> {
-        self.frames_ref().plan().full()
+        self.frames.plan().full()
     }
 
     /// The full per-plane-class plan set.
     pub fn view_plan(&self) -> &ViewPlan {
-        self.frames_ref().plan()
+        self.frames.plan()
     }
 
     /// The frame-layer dispatcher every call routes through — the
     /// serving layer uses it directly for pooled per-plane output.
     pub fn frame_corrector(&self) -> &FrameCorrector {
-        self.frames_ref()
+        &self.frames
     }
 
     /// Pre-compile digest of this corrector's (lens, view, source,
@@ -785,9 +784,7 @@ impl<P: CorrectorPixel> Corrector<P> {
     /// tables, never the remap plan or the engine.
     pub fn set_post(&mut self, stage: PostStage) {
         self.post = stage;
-        if let Some(frames) = self.frames.as_mut() {
-            frames.set_post(&self.post);
-        }
+        self.frames.set_post(&self.post);
     }
 
     /// The active post-correction stage (identity when unset).
@@ -845,30 +842,25 @@ impl<P: CorrectorPixel> Corrector<P> {
     }
 
     fn plan_options(&self) -> PlanOptions {
-        PlanOptions::for_spec(&self.spec, self.interp)
+        PlanOptions::for_specs(&[self.spec])
     }
 
-    /// Resolve the engine for the current spec/interp and assemble the
-    /// frame corrector around `plan`.
-    fn rebuild_frames(&mut self, plan: ViewPlan) -> Result<(), Error> {
-        let geometry = match &self.target {
-            Target::View(v) => Some((&self.lens, v)),
-            Target::Projection(_) => None,
+    /// Resolve the engine for `interp` and `target`'s geometry, and
+    /// assemble a frame corrector around `plan`.
+    fn assemble(
+        &self,
+        target: &Target,
+        interp: Interpolator,
+        plan: ViewPlan,
+    ) -> Result<FrameCorrector, Error> {
+        let ctx = ResolveCtx {
+            interp,
+            threads: self.threads,
+            geometry: target.geometry(&self.lens),
+            cell: self.cell,
+            gpu: self.gpu,
         };
-        let engine = P::resolve_engine(
-            &self.spec,
-            &ResolveCtx {
-                interp: self.interp,
-                threads: self.threads,
-                geometry,
-                cell: self.cell,
-                gpu: self.gpu,
-            },
-        )?;
-        let mut frames = FrameCorrector::from_parts(self.format, plan, P::pack_engine(engine))?;
-        frames.set_post(&self.post);
-        self.frames = Some(frames);
-        Ok(())
+        assemble_frames::<P>(self.format, &self.spec, &ctx, plan, &self.post)
     }
 
     /// The lazily-created row-parallel pool for map retraces (`None`
@@ -880,28 +872,6 @@ impl<P: CorrectorPixel> Corrector<P> {
         Some(Arc::clone(self.map_pool.get_or_insert_with(|| {
             Arc::new(ThreadPool::new(self.threads))
         })))
-    }
-
-    /// Recompile the plan(s) for the current target from scratch and
-    /// rebuild the frame corrector around them (map trace
-    /// row-parallel on the corrector's pool).
-    fn recompile(&mut self) -> Result<(), Error> {
-        let pool = self.map_pool();
-        let sched = Schedule::Static { chunk: None };
-        let (plan, map_time, plan_time) = compile_target(
-            self.format,
-            &self.lens,
-            &self.target,
-            self.src_w,
-            self.src_h,
-            &self.plan_options(),
-            pool.as_deref().map(|p| (p, sched)),
-        );
-        self.rebuild_frames(plan)?;
-        self.map_time = map_time;
-        self.plan_time = plan_time;
-        self.plan_injected = false;
-        Ok(())
     }
 }
 
@@ -918,6 +888,7 @@ impl<P: CorrectorPixel> std::fmt::Debug for Corrector<P> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::core::engine::EngineSpec;
@@ -1070,6 +1041,53 @@ mod tests {
         let reference = crate::core::correct(&src, &map, Interpolator::Nearest);
         let (out, _) = c.correct(&src).unwrap();
         assert_eq!(out.pixels(), reference.pixels());
+    }
+
+    #[test]
+    fn set_interp_rebuilds_only_the_engine() {
+        let (lens, view) = lens_view();
+        let mut c = Corrector::<Gray8>::builder()
+            .lens(lens)
+            .view(view)
+            .interp(Interpolator::Bicubic)
+            .build()
+            .unwrap();
+        let plan = Arc::clone(c.plan());
+        let (map_time, plan_time) = (c.map_time(), c.plan_time());
+        c.set_interp(Interpolator::Nearest).unwrap();
+        assert!(Arc::ptr_eq(c.plan(), &plan), "the same compiled plan");
+        assert_eq!((c.map_time(), c.plan_time()), (map_time, plan_time));
+        let src = crate::img::scene::random_gray(64, 48, 7);
+        let map = RemapMap::build(&lens, &view, 64, 48);
+        let (out, _) = c.correct(&src).unwrap();
+        assert_eq!(
+            out.pixels(),
+            crate::core::correct(&src, &map, Interpolator::Nearest).pixels()
+        );
+    }
+
+    #[test]
+    fn set_view_across_a_size_change_compiles_cold() {
+        let (lens, view) = lens_view();
+        let build = |v| {
+            Corrector::<Gray8>::builder()
+                .lens(lens)
+                .view(v)
+                .backend(EngineSpec::FixedPoint { frac_bits: 12 })
+                .build()
+                .unwrap()
+        };
+        let mut c = build(view);
+        let smaller = PerspectiveView::centered(16, 12, 90.0);
+        c.set_view(smaller).unwrap();
+        let cold = build(smaller);
+        assert_eq!(c.view_plan().digest(), cold.view_plan().digest());
+        // a cold compile holds the LUT its backend needs: no first-frame
+        // derivation, unlike a delta recompile's plan miss
+        let src = crate::img::scene::random_gray(64, 48, 9);
+        let (a, report) = c.correct(&src).unwrap();
+        assert_eq!(report.model.get("plan_miss"), None);
+        assert_eq!(a, cold.correct(&src).unwrap().0);
     }
 
     #[test]

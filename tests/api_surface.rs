@@ -167,16 +167,22 @@ fn prelude_is_sufficient_for_kernel_emission() {
     let view = PerspectiveView::centered(32, 24, 90.0);
     let map = RemapMap::build(&lens, &view, 64, 48);
     let plan = RemapPlan::compile(&map, PlanOptions::default());
+    let simt = EngineSpec::Simt { workgroup: 64 };
     for target in [KernelTarget::Wgsl, KernelTarget::C] {
         let kernel: EmittedKernel =
-            emit_kernel(&plan, &EngineSpec::Simt { workgroup: 64 }, target).expect("emit");
+            emit_kernel(&plan, &simt, Interpolator::Bilinear, target).expect("emit");
         assert_eq!(kernel.target, target);
         assert_eq!(kernel.plan_digest, plan.digest());
         assert!(kernel.file_name().ends_with(target.file_extension()));
         assert!(!kernel.source.is_empty());
     }
-    let err: Error = emit_kernel(&plan, &EngineSpec::Direct, KernelTarget::Wgsl)
-        .expect_err("direct has no plan kernel");
+    let err: Error = emit_kernel(
+        &plan,
+        &EngineSpec::Direct,
+        Interpolator::Bilinear,
+        KernelTarget::Wgsl,
+    )
+    .expect_err("direct has no plan kernel");
     assert_eq!(err.kind(), ErrorKind::Codegen);
 }
 

@@ -31,10 +31,7 @@ fn registry() -> Vec<EngineSpec> {
 
 /// One plan for the whole registry.
 fn plan_for_registry(map: &RemapMap) -> Arc<RemapPlan> {
-    Arc::new(RemapPlan::compile(
-        map,
-        PlanOptions::for_specs(&registry(), Interpolator::Bilinear),
-    ))
+    Arc::new(RemapPlan::compile(map, PlanOptions::for_specs(&registry())))
 }
 
 fn workload() -> (FisheyeLens, PerspectiveView, Arc<RemapPlan>, Image<Gray8>) {
@@ -167,7 +164,7 @@ fn odd_dimension_chroma_bit_exact_on_every_engine() {
 
     let lens = FisheyeLens::equidistant_fov(159, 119, 180.0);
     let view = PerspectiveView::centered(101, 75, 90.0);
-    let opts = PlanOptions::for_specs(&registry(), Interpolator::Bilinear);
+    let opts = PlanOptions::for_specs(&registry());
     let vp = ViewPlan::compile(FrameFormat::Yuv420, &lens, &view, 159, 119, &opts);
     let chroma = vp.class_plan(PlaneClass::HalfChroma).expect("chroma plan");
     assert_eq!(chroma.src_dims(), (80, 60));

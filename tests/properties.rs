@@ -292,7 +292,7 @@ fn footprints_always_sufficient() {
         let map = RemapMap::build(&lens, &view, 128, 96);
         let frame = fisheye::img::scene::random_gray(128, 96, 6);
         let full = correct(&frame, &map, Interpolator::Bilinear);
-        let plan = TilePlan::build(&map, tw, th, Interpolator::Bilinear);
+        let plan = TilePlan::build(&map, tw, th);
         for job in &plan.jobs {
             if job.src.is_empty() {
                 continue;
