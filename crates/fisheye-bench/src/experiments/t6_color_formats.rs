@@ -22,7 +22,7 @@ use std::sync::Arc;
 use fisheye_core::engine::{
     build_host, CorrectionEngine, EngineError, EngineSpec, FrameReport, HostCtx,
 };
-use fisheye_core::frame::{Frame, FrameCorrector, FrameEngines, FrameFormat, ViewPlan};
+use fisheye_core::frame::{Frame, FrameCorrector, FrameFormat, ViewPlan};
 use fisheye_core::plan::{PlanOptions, RemapPlan};
 use fisheye_core::post::PostPlan;
 use fisheye_core::Interpolator;
@@ -155,8 +155,8 @@ pub fn run(scale: Scale) -> Table {
             .map(|(format, frame)| {
                 let opts = PlanOptions::for_specs(&[spec]);
                 let plan = ViewPlan::compile(*format, &lens, &view, res.w, res.h, &opts);
-                let engines = FrameEngines::U8(Box::new(SharedEngine(Arc::clone(&engine))));
-                let c = FrameCorrector::from_parts(*format, plan, engines)
+                let shared = Box::new(SharedEngine(Arc::clone(&engine)));
+                let c = FrameCorrector::from_parts(*format, plan, shared)
                     .expect("host backend builds for every byte format");
                 let _ = time_median(1, || {
                     std::hint::black_box(c.correct_frame(frame).expect("warmup"));

@@ -10,7 +10,9 @@
 //! * **correct** — the bare correction, no post stage: the baseline
 //!   the fused path's overhead is measured against.
 //! * **fused** — [`CorrectionEngine::correct_frame_post`]: grade
-//!   applied inside the same memory traversal as the remap.
+//!   applied inside the same memory traversal as the remap. Every
+//!   swept backend (`simd` included) grades each row in the host row
+//!   driver as the span walk finishes it, and reports `fused=1`.
 //! * **twopass** — correct, then the naive separate grading pass a
 //!   bolted-on filter stage would run: the full per-pixel float chain
 //!   (sRGB EOTF → trilinear LUT sample → strength mix → tone curve →

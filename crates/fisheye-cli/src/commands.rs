@@ -219,11 +219,6 @@ fn run_correct(args: &Args) -> CmdResult {
     let tilt: f64 = args.num("tilt", 0.0)?;
     let interp = parse_interp(args.opt("interp", "bilinear"))?;
     let format = parse_format(args.opt("format", "gray8"))?;
-    if format == FrameFormat::GrayF32 {
-        return Err(CliError::Usage(
-            "PGM I/O is 8-bit; --format grayf32 is not supported here".into(),
-        ));
-    }
     let mut threads: usize = args.num("threads", 1)?;
     let mut spec = EngineSpec::parse(args.opt("backend", "serial")).map_err(CliError::Usage)?;
     // back-compat: `--threads N` without an explicit backend means smp
@@ -273,8 +268,7 @@ fn run_correct(args: &Args) -> CmdResult {
         _ => Frame::Gray8(input),
     };
     let (out_frame, report) = corrector.correct_frame(&frame)?;
-    let planes = out_frame.u8_planes().expect("byte formats only here");
-    write_pgm(planes[0], out)?;
+    write_pgm(out_frame.planes()[0], out)?;
     println!(
         "corrected {sw}x{sh} -> {ow}x{oh} ({format}, {}, backend {}): map {:.1} ms, plan {:.1} ms, correct {:.1} ms -> {out}",
         interp.name(),
@@ -581,11 +575,6 @@ fn serve_sim(args: &Args) -> CmdResult {
     let interp = parse_interp(args.opt("interp", "bicubic"))?;
     let format = parse_format(args.opt("format", "gray8"))?;
     let post = parse_post(args)?;
-    if format == FrameFormat::GrayF32 {
-        return Err(CliError::Usage(
-            "the serving layer corrects byte formats; --format grayf32 is not servable".into(),
-        ));
-    }
     if sessions == 0 || views == 0 || frames == 0 {
         return Err(CliError::Usage(
             "sessions, views and frames must be positive".into(),
@@ -791,11 +780,6 @@ fn client(args: &Args) -> CmdResult {
     let pan: f64 = args.num("pan", 0.0)?;
     let tilt: f64 = args.num("tilt", 0.0)?;
     let format = parse_format(args.opt("format", "gray8"))?;
-    if format == FrameFormat::GrayF32 {
-        return Err(CliError::Usage(
-            "the wire protocol carries byte formats; --format grayf32 is not servable".into(),
-        ));
-    }
     let interp = parse_interp(args.opt("interp", "bilinear"))?;
     let backend = args.opt("backend", "serial");
     // validate locally before dialing so typos are usage errors, not
@@ -878,9 +862,7 @@ fn client(args: &Args) -> CmdResult {
     if let Some(out) = args.options.get("out") {
         let frame =
             last.ok_or_else(|| CliError::Runtime("no frame received; nothing to write".into()))?;
-        let planes = frame
-            .u8_planes()
-            .ok_or_else(|| CliError::Runtime("the served frame has no byte planes".into()))?;
+        let planes = frame.planes();
         let first = planes
             .first()
             .ok_or_else(|| CliError::Runtime("the served frame is empty".into()))?;

@@ -114,13 +114,6 @@ pub struct KernelIr {
     pub ops: Vec<KernelOp>,
 }
 
-impl KernelIr {
-    /// Warps per full workgroup (one per workgroup row).
-    pub fn warps_per_workgroup(&self) -> u32 {
-        self.workgroup.1
-    }
-}
-
 /// Lower a compiled plan + spec + kernel into kernel IR.
 ///
 /// The spec picks the datapath: `fixed`/`cell` lower to the integer

@@ -359,22 +359,14 @@ impl SimtEngine {
         let name = self.spec().name();
         check_frame_dims(&self.spec().name(), src, plan, out)?;
         let pp = post.filter(|p| !p.is_noop());
-        let mut ir = lower(plan, &EngineSpec::FixedPoint { frac_bits }, self.interp).map_err(
-            |e| match e {
-                CodegenError::Unsupported { backend, reason } => {
-                    EngineError::unsupported(backend, reason)
-                }
-            },
-        )?;
-        // The fixed host engine runs post as a second pass, so its
-        // lowered kernel has no Post op; the interpreter always
-        // fuses, which is bit-exact with the two-pass reference by
-        // construction (both apply the same per-pixel post to every
-        // output pixel, gaps included).
-        if pp.is_some() && !ir.fused_post {
-            ir.fused_post = true;
-            ir.ops.insert(ir.ops.len() - 1, KernelOp::Post);
-        }
+        let ir =
+            lower(plan, &EngineSpec::FixedPoint { frac_bits }, self.interp).map_err(
+                |e| match e {
+                    CodegenError::Unsupported { backend, reason } => {
+                        EngineError::unsupported(backend, reason)
+                    }
+                },
+            )?;
         let t0 = Instant::now();
         // The eagerly-compiled artifacts when the plan has them, else
         // the memoized derive path for a (LUT width, tile shape) the

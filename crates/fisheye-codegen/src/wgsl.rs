@@ -1,10 +1,11 @@
 //! WGSL compute emitter: renders the kernel IR as a WGSL compute
 //! shader, one workgroup per output tile (workgroup = tile, one warp
-//! of the `@workgroup_size(32, H, 1)` grid per tile row). The sample
-//! functions transliterate the `interp` kernels term for term so the
-//! shader computes the same arithmetic the host engines do; the
-//! emitted text is pinned by golden snapshot tests keyed to the plan
-//! digest.
+//! of the `@workgroup_size(32, H, 1)` grid per tile row). The float
+//! samplers compute as the C emitter's do, which the C harness runs
+//! bit-exact against the host: channels in [0, 1], the host's
+//! expression order, and its quantizer. No WGSL runtime checks the
+//! shader; the emitted text is pinned by golden snapshot tests keyed
+//! to the plan digest.
 
 use crate::ir::{KernelIr, KernelOp, SampleMode};
 
@@ -38,11 +39,7 @@ fn header(s: &mut String, ir: &KernelIr) {
         ir.workgroup.1,
         if ir.fused_post { "yes" } else { "no" },
     ));
-    s.push_str(
-        "// Pixels travel as one f32 channel value per texel in channel\n\
-         // units (0..255 for byte frames); rebind CHAN_MAX for other\n\
-         // formats.\nconst CHAN_MIN: f32 = 0.0;\nconst CHAN_MAX: f32 = 255.0;\n\n",
-    );
+    s.push_str("// Pixels travel as one f32 per texel holding a byte value (0..255).\n\n");
 }
 
 fn params(s: &mut String, ir: &KernelIr) {
@@ -105,6 +102,19 @@ fn load_src(s: &mut String) {
 }
 
 fn sampler(s: &mut String, ir: &KernelIr) {
+    if matches!(ir.sample, SampleMode::Bilinear | SampleMode::Bicubic) {
+        // the C samplers' channel reads and quantizer, op for op
+        s.push_str(
+            "// A texel's channel value in [0, 1] (channel_f32 on the host).\n\
+             fn load_chan(x: i32, y: i32) -> f32 {\n\
+             \x20   return load_src(x, y) / 255.0;\n\
+             }\n\n\
+             // Clamp to [0, 1] and round to a byte value (quantize_u8 on the host).\n\
+             fn quantize(v: f32) -> f32 {\n\
+             \x20   return floor(clamp(v, 0.0, 1.0) * 255.0 + 0.5);\n\
+             }\n\n",
+        );
+    }
     match ir.sample {
         SampleMode::Nearest => s.push_str(
             "fn sample_px(sx: f32, sy: f32) -> f32 {\n\
@@ -121,13 +131,13 @@ fn sampler(s: &mut String, ir: &KernelIr) {
              \x20   let wy = fy - y0;\n\
              \x20   let ix = i32(x0);\n\
              \x20   let iy = i32(y0);\n\
-             \x20   let p00 = load_src(ix, iy);\n\
-             \x20   let p10 = load_src(ix + 1, iy);\n\
-             \x20   let p01 = load_src(ix, iy + 1);\n\
-             \x20   let p11 = load_src(ix + 1, iy + 1);\n\
+             \x20   let p00 = load_chan(ix, iy);\n\
+             \x20   let p10 = load_chan(ix + 1, iy);\n\
+             \x20   let p01 = load_chan(ix, iy + 1);\n\
+             \x20   let p11 = load_chan(ix + 1, iy + 1);\n\
              \x20   let top = p00 * (1.0 - wx) + p10 * wx;\n\
              \x20   let bot = p01 * (1.0 - wx) + p11 * wx;\n\
-             \x20   return top * (1.0 - wy) + bot * wy;\n\
+             \x20   return quantize(top * (1.0 - wy) + bot * wy);\n\
              }\n\n",
         ),
         SampleMode::Bicubic => s.push_str(
@@ -146,15 +156,19 @@ fn sampler(s: &mut String, ir: &KernelIr) {
              \x20   let ty = fy - y0;\n\
              \x20   let ix = i32(x0);\n\
              \x20   let iy = i32(y0);\n\
+             \x20   var wx = array<f32, 4>(catmull_rom(tx + 1.0), catmull_rom(tx),\n\
+             \x20                          catmull_rom(tx - 1.0), catmull_rom(tx - 2.0));\n\
+             \x20   var wy = array<f32, 4>(catmull_rom(ty + 1.0), catmull_rom(ty),\n\
+             \x20                          catmull_rom(ty - 1.0), catmull_rom(ty - 2.0));\n\
              \x20   var acc = 0.0;\n\
              \x20   for (var j = 0; j < 4; j = j + 1) {\n\
-             \x20       let wy = catmull_rom(ty - f32(j) + 1.0);\n\
+             \x20       var row = 0.0;\n\
              \x20       for (var i = 0; i < 4; i = i + 1) {\n\
-             \x20           let wx = catmull_rom(tx - f32(i) + 1.0);\n\
-             \x20           acc = acc + load_src(ix - 1 + i, iy - 1 + j) * wx * wy;\n\
+             \x20           row = row + load_chan(ix - 1 + i, iy - 1 + j) * wx[i];\n\
              \x20       }\n\
+             \x20       acc = acc + row * wy[j];\n\
              \x20   }\n\
-             \x20   return clamp(acc, CHAN_MIN, CHAN_MAX);\n\
+             \x20   return quantize(acc);\n\
              }\n\n",
         ),
         SampleMode::FixedLut { frac_bits } => s.push_str(&format!(
@@ -194,9 +208,9 @@ fn post_fns(s: &mut String, _ir: &KernelIr) {
          \x20   return fract(52.982918 * fract(0.06711056 * x + 0.00583715 * y));\n\
          }\n\n\
          fn post_apply(v: f32, x: u32, y: u32) -> f32 {\n\
-         \x20   let t = post_table[u32(clamp(v, CHAN_MIN, CHAN_MAX))];\n\
+         \x20   let t = post_table[u32(clamp(v, 0.0, 255.0))];\n\
          \x20   let d = (ign(f32(x + params.dither_x), f32(y + params.dither_y)) - 0.5) * 0.95;\n\
-         \x20   return clamp(t + d, CHAN_MIN, CHAN_MAX);\n\
+         \x20   return clamp(t + d, 0.0, 255.0);\n\
          }\n\n",
     );
 }
@@ -251,7 +265,7 @@ fn entry(s: &mut String, ir: &KernelIr) {
             }
             KernelOp::Sample(_) => {}
             KernelOp::FillGap => {
-                s.push_str("    // FillGap\n    if (!lane_valid) { v = CHAN_MIN; }\n");
+                s.push_str("    // FillGap\n    if (!lane_valid) { v = 0.0; }\n");
             }
             KernelOp::Post => {
                 s.push_str(

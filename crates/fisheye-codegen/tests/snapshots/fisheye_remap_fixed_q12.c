@@ -1,6 +1,6 @@
 /* fisheye_remap_fixed_q12 — generated by fisheye-codegen (do not edit)
  * plan: 0x89339ad58d1b838a
- * out: 160x120  src: 320x240  tile: 32x8  fused_post: no
+ * out: 160x120  src: 320x240  tile: 32x8  fused_post: yes
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -18,6 +18,25 @@ static inline uint8_t fisheye_load_src(const uint8_t *src, int64_t x, int64_t y)
     if (y < 0) y = 0;
     if (y >= (int64_t)FISHEYE_SRC_H) y = (int64_t)FISHEYE_SRC_H - 1;
     return src[(size_t)y * FISHEYE_SRC_W + (size_t)x];
+}
+
+/* Interleaved-gradient-noise dither, same constants as the host
+ * post stage; pass table == NULL to disable the stage. */
+static inline float fisheye_ign(float x, float y) {
+    float t = 0.06711056f * x + 0.00583715f * y;
+    t = t - floorf(t);
+    t = 52.982918f * t;
+    return t - floorf(t);
+}
+
+static inline uint8_t fisheye_post(uint8_t v, uint32_t x, uint32_t y,
+                                   const uint8_t *table,
+                                   uint32_t dither_x, uint32_t dither_y) {
+    float d = (fisheye_ign((float)(x + dither_x), (float)(y + dither_y)) - 0.5f) * 0.95f;
+    float out = (float)table[v] + d;
+    if (out < 0.0f) out = 0.0f;
+    if (out > 255.0f) out = 255.0f;
+    return (uint8_t)(out + 0.5f);
 }
 
 /* Quantized LUT entry: top-left texel + Q0.12 weights.
@@ -47,7 +66,8 @@ static inline uint8_t fisheye_sample_fixed(const uint8_t *src, fisheye_fixed_ent
 }
 
 void fisheye_remap_fixed_q12(const fisheye_fixed_entry *map,
-         const uint8_t *src, uint8_t *dst) {
+         const uint8_t *src, uint8_t *dst,
+        const uint8_t *post_table, uint32_t dither_x, uint32_t dither_y) {
     for (uint32_t y = 0; y < FISHEYE_OUT_H; y++) {
         for (uint32_t x = 0; x < FISHEYE_OUT_W; x++) {
             size_t idx = (size_t)y * FISHEYE_OUT_W + x;
@@ -56,6 +76,8 @@ void fisheye_remap_fixed_q12(const fisheye_fixed_entry *map,
             uint8_t v = 0;
             if (e.x0 != INT16_MIN) v = fisheye_sample_fixed(src, e);
             /* FillGap: v stays 0 (black) for gap lanes */
+            /* Post (fused; covers gap lanes too) */
+            if (post_table) v = fisheye_post(v, x, y, post_table, dither_x, dither_y);
             /* Store */
             dst[idx] = v;
         }

@@ -18,17 +18,17 @@
 //!   `u8` so the hot loop never renormalizes;
 //! * a digest mixing the per-source plan digests with the segment
 //!   program, keyed with the same FNV-1a constants as
-//!   [`plan_request_digest`](crate::plan::plan_request_digest) so
-//!   composites share the serve layer's two-tier cache.
+//!   [`plan_request_digest`](crate::plan::plan_request_digest), so
+//!   each source camera's plan lives in the serve layer's one shared
+//!   plan cache.
 //!
 //! [`execute_composite_host`] mirrors `execute_host_post` and shares
 //! its span kernels and row driver: the spec picks one kernel per
 //! source (reading that source plan's SoA planes or fixed LUT), and a
 //! segment walk hands each `Exclusive` run to its source's kernel
-//! whole and each `Blend` pixel to every weighted source's kernel. The
-//! serial/smp backends grade each finished row with the post stage;
-//! simd/fixed run the two-pass post reference after the frame. Every
-//! backend is bit-exact against
+//! whole and each `Blend` pixel to every weighted source's kernel.
+//! Every backend grades each finished row with the post stage in the
+//! row driver. Every backend is bit-exact against
 //! [`compose_layers`] applied to per-camera corrections from the
 //! matching single-plan backend — the "two-pass" reference the
 //! property tests pin. The SIMT backend does not lower composites:
@@ -51,8 +51,8 @@ use fisheye_geom::{
 use pixmap::{Gray8, GrayF32, Image, Pixel};
 
 use crate::engine::{
-    active_post, drive_rows, host_pool, post_pass, refuse_host, EngineError, EnginePixel,
-    EngineSpec, FrameReport, HostEnv,
+    active_post, drive_rows, host_pool, refuse_host, EngineError, EnginePixel, EngineSpec,
+    FrameReport, HostEnv,
 };
 use crate::frame::FrameFormat;
 use crate::interp::Interpolator;
@@ -845,11 +845,12 @@ fn check_composite_dims<P: Pixel>(
 /// Execute a composite on a host backend — the multi-source analogue
 /// of the single-plan host executor, sharing its span kernels, row
 /// driver, report and error conventions: the spec picks one kernel per
-/// source, and the segment walk drives them. Serial and smp fuse the
-/// post stage row by row; simd and fixed correct the frame and then
-/// run the two-pass post reference. Accelerator specs (cell/gpu/simt)
-/// are `Unsupported`: in particular the SIMT kernel ISA has no
-/// multi-source gather operand, so composites stay on host backends.
+/// source, and the segment walk drives them. Every backend fuses the
+/// post stage row by row (`fused=1`), bit-exact with correcting first
+/// and running [`post_pass`](crate::engine::post_pass) after.
+/// Accelerator specs (cell/gpu/simt) are `Unsupported`: in particular
+/// the SIMT kernel ISA has no multi-source gather operand, so
+/// composites stay on host backends.
 pub fn execute_composite_host<P: CompositePixel>(
     spec: &EngineSpec,
     interp: Interpolator,
@@ -886,10 +887,6 @@ pub fn execute_composite_host<P: CompositePixel>(
                     .collect();
                 drive_rows(pool, post, out, |y, row| seg_row(plan, &ks, y, row))
             });
-            if post.is_some() {
-                report.kv("fused", 1.0);
-            }
-            return Ok(report);
         }
         EngineSpec::Simd => {
             let ks: Vec<_> = srcs
@@ -897,7 +894,7 @@ pub fn execute_composite_host<P: CompositePixel>(
                 .zip(&plan.sources)
                 .map(|(src, sp)| Lanes::new(src, sp))
                 .collect();
-            report.correct_time = drive_rows(None, None, out, |y, row| seg_row(plan, &ks, y, row));
+            report.correct_time = drive_rows(None, post, out, |y, row| seg_row(plan, &ks, y, row));
             report.kv("lanes", crate::simd::LANES as f64);
         }
         EngineSpec::FixedPoint { frac_bits } => {
@@ -925,7 +922,7 @@ pub fn execute_composite_host<P: CompositePixel>(
                 .zip(&luts)
                 .map(|((src, sp), lut)| Fixed::new(src, sp, lut))
                 .collect();
-            report.correct_time = drive_rows(None, None, out, |y, row| seg_row(plan, &ks, y, row));
+            report.correct_time = drive_rows(None, post, out, |y, row| seg_row(plan, &ks, y, row));
             report.kv("frac_bits", frac_bits as f64);
         }
         _ => {
@@ -935,7 +932,9 @@ pub fn execute_composite_host<P: CompositePixel>(
             ));
         }
     }
-    post_pass(&name, post, out, &mut report)?;
+    if post.is_some() {
+        report.kv("fused", 1.0);
+    }
     Ok(report)
 }
 
@@ -1458,40 +1457,36 @@ mod tests {
 
     #[test]
     fn fused_post_matches_two_pass_post() {
-        use crate::post::{PostChannel, PostStage, ToneMap};
+        use crate::engine::post_pass;
+        use crate::post::{DitherSeed, PostChannel, PostStage, ToneMap};
         let (rig, front, back) = rig_and_captures(&RadialGradient, 195.0);
         let plan = pano(&rig, 96, 48);
         let srcs = [&front, &back];
-        let stage = PostStage::identity().with_tone_map(ToneMap::McFace);
-        let pp = stage.compile(PostChannel::Luma);
-        let mut fused = Image::new(96, 48);
-        execute_composite_host(
-            &EngineSpec::Serial,
-            Interpolator::Bilinear,
-            &srcs,
-            &plan,
-            Some(&pp),
-            &HostEnv::default(),
-            &mut fused,
-        )
-        .expect("fused serial");
-        // reference: composite without post, then the row-wise post
-        let mut plain = Image::new(96, 48);
-        execute_composite_host(
-            &EngineSpec::Serial,
-            Interpolator::Bilinear,
-            &srcs,
-            &plan,
-            None,
-            &HostEnv::default(),
-            &mut plain,
-        )
-        .expect("plain serial");
-        for y in 0..48u32 {
-            let row = plain.row_mut(y);
-            <Gray8 as PostPixel>::post_row(row, y, &pp);
+        // dithered, so the grade depends on the row each walk hands it
+        let pp = PostStage::identity()
+            .with_tone_map(ToneMap::McFace)
+            .with_dither(DitherSeed(7))
+            .compile(PostChannel::Luma);
+        for spec in [
+            EngineSpec::Serial,
+            EngineSpec::FixedPoint { frac_bits: 12 },
+            EngineSpec::Simd,
+        ] {
+            let name = spec.name();
+            let run = |post, out: &mut Image<Gray8>| {
+                let env = HostEnv::default();
+                execute_composite_host(&spec, Interpolator::Bilinear, &srcs, &plan, post, &env, out)
+                    .expect("composite")
+            };
+            let mut fused = Image::new(96, 48);
+            let report = run(Some(&pp), &mut fused);
+            assert_eq!(report.model.get("fused"), Some(&1.0), "{name}");
+            // reference: composite without post, then the two-pass post
+            let mut two_pass = Image::new(96, 48);
+            let mut plain = run(None, &mut two_pass);
+            post_pass(&name, Some(&pp), &mut two_pass, &mut plain).expect("post pass");
+            assert_eq!(fused, two_pass, "{name}");
         }
-        assert_eq!(fused, plain);
     }
 
     #[test]

@@ -569,11 +569,13 @@ impl EngineSpec {
                 ..base
             },
             EngineSpec::FixedPoint { frac_bits } => Capabilities {
+                fused_post: true,
                 requires_lut: Some(frac_bits),
                 supports_frame_concurrency: true,
                 ..base
             },
             EngineSpec::Simd => Capabilities {
+                fused_post: true,
                 interp_locked: Some(Interpolator::Bilinear),
                 supports_frame_concurrency: true,
                 ..base
@@ -908,7 +910,7 @@ pub(crate) fn host_pool<'a>(
     Ok(Some((pool, schedule)))
 }
 
-/// The row driver both host executors share: `row` fills output row
+/// The row driver every host datapath shares: `row` fills output row
 /// `y`, in order on the calling thread or across `pool`. An active
 /// `post` stage then grades each finished row while it is still hot in
 /// cache, through the two-pass path's own [`EnginePixel::post_row`],
@@ -946,11 +948,12 @@ pub(crate) fn drive_rows<P: EnginePixel>(
 /// plan's prequantized LUT, requantizing (and reporting `plan_miss=1`)
 /// only when the plan was compiled without the requested width.
 ///
-/// `serial` and `smp` fuse the post stage, grading each row as it is
-/// finished (`fused=1`, cost inside `correct_time`); `fixed`, `simd`
-/// and `direct` correct the frame and then run one post pass over the
-/// output (`fused=0`, cost in `post_ms`). All paths are bit-exact with
-/// each other.
+/// Every plan-driven datapath (`serial`, `smp`, `fixed`, `simd`) fuses
+/// the post stage in the row driver, grading each row as it is
+/// finished (`fused=1`, cost inside `correct_time`); `direct` corrects
+/// the frame and then runs the [`post_pass`] reference over the output
+/// (`fused=0`, cost in `post_ms`). All paths are bit-exact with each
+/// other.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_host_post<P: EnginePixel>(
     spec: &EngineSpec,
@@ -977,10 +980,6 @@ pub fn execute_host_post<P: EnginePixel>(
                 let k = Float::new(src, plan, f);
                 drive_rows(pool, post, out, |y, row| span_row(plan, &k, y, row))
             });
-            if post.is_some() {
-                report.kv("fused", 1.0);
-            }
-            return Ok(report);
         }
         EngineSpec::Direct => {
             let (lens, view) = env.geometry.ok_or_else(|| {
@@ -993,6 +992,8 @@ pub fn execute_host_post<P: EnginePixel>(
                 ));
             }
             report = execute_direct(interp, src, lens, view, out)?;
+            post_pass::<P>(&name, post, out, &mut report)?;
+            return Ok(report);
         }
         EngineSpec::FixedPoint { frac_bits } => {
             // only the first frame after a (delta) compile without this
@@ -1003,19 +1004,21 @@ pub fn execute_host_post<P: EnginePixel>(
                 report.kv("plan_derive_ms", ms);
             }
             let k = Fixed::new(src, plan, &lut);
-            report.correct_time = drive_rows(None, None, out, |y, row| span_row(plan, &k, y, row));
+            report.correct_time = drive_rows(None, post, out, |y, row| span_row(plan, &k, y, row));
             report.kv("frac_bits", frac_bits as f64);
         }
         EngineSpec::Simd => {
             let k = Lanes::new(src, plan);
-            report.correct_time = drive_rows(None, None, out, |y, row| span_row(plan, &k, y, row));
+            report.correct_time = drive_rows(None, post, out, |y, row| span_row(plan, &k, y, row));
             report.kv("lanes", simd::LANES as f64);
         }
         EngineSpec::Cell { .. } | EngineSpec::Gpu { .. } | EngineSpec::Simt { .. } => {
             unreachable!("refuse_host refuses {name}")
         }
     }
-    post_pass::<P>(&name, post, out, &mut report)?;
+    if post.is_some() {
+        report.kv("fused", 1.0);
+    }
     Ok(report)
 }
 
@@ -1255,9 +1258,9 @@ mod tests {
             "serial" => (true, None, None, true, true, true, None),
             "smp" => (true, None, None, false, true, true, None),
             "direct" => (false, None, None, true, true, false, None),
-            "fixed" => (false, Some(12), None, true, true, true, None),
+            "fixed" => (true, Some(12), None, true, true, true, None),
             "simd" => (
-                false,
+                true,
                 None,
                 None,
                 true,

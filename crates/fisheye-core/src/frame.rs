@@ -8,8 +8,9 @@
 //! planes. This module makes those formats a property of the *plan*,
 //! not of ad-hoc helper functions:
 //!
-//! * [`FrameFormat`] names the wire format and derives its **plane
-//!   classes** — the distinct geometries that need their own remap
+//! * [`FrameFormat`] names the wire format — `gray8`, `yuv420` or
+//!   `rgb8`, all carried as 8-bit planes — and derives its **plane
+//!   classes**: the distinct geometries that need their own remap
 //!   plan. Gray and RGB have one class (full resolution); YUV 4:2:0
 //!   has two (full-res luma, half-res chroma through
 //!   [`FisheyeLens::scaled`]`(0.5)`).
@@ -18,8 +19,8 @@
 //!   ([`PlaneRequest::digest`]) so a half-res chroma plan can never
 //!   collide with a full-res plan for the same lens/view in a shared
 //!   plan cache.
-//! * [`FrameCorrector`] drives the existing single-plane
-//!   [`CorrectionEngine`]s over a multi-plane [`Frame`], correcting
+//! * [`FrameCorrector`] drives one single-plane `Gray8`
+//!   [`CorrectionEngine`] over a multi-plane [`Frame`], correcting
 //!   the planes in plane order on the calling thread, and merging the
 //!   per-plane [`FrameReport`]s into one report with per-plane kv
 //!   sections. Parallelism inside a frame is the `smp` engine's rows.
@@ -39,7 +40,7 @@ use std::time::{Duration, Instant};
 use fisheye_geom::{FisheyeLens, PerspectiveView};
 use par_runtime::{Schedule, ThreadPool};
 use pixmap::yuv::Yuv420;
-use pixmap::{Gray8, GrayF32, Image, Rgb8};
+use pixmap::{Gray8, Image, Rgb8};
 
 use crate::engine::{build_host, CorrectionEngine, EngineError, EngineSpec, FrameReport, HostCtx};
 use crate::interp::Interpolator;
@@ -106,14 +107,12 @@ impl PlaneClass {
 // ---------------------------------------------------------------------
 
 /// The pixel format of a video frame, as the stack's layers see it:
-/// how many planes, what geometry each has, and what element type the
-/// per-plane engines run on.
+/// how many planes it carries and what geometry each has. Every plane
+/// of every format is an 8-bit plane.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FrameFormat {
     /// Single 8-bit gray plane — the degenerate single-plane case.
     Gray8,
-    /// Single `f32` gray plane (accuracy experiments).
-    GrayF32,
     /// Planar YCbCr 4:2:0: full-res Y + two half-res chroma planes —
     /// the paper's "1.5× bill for color".
     Yuv420,
@@ -123,19 +122,13 @@ pub enum FrameFormat {
 
 impl FrameFormat {
     /// Every format, in registry order.
-    pub const ALL: [FrameFormat; 4] = [
-        FrameFormat::Gray8,
-        FrameFormat::GrayF32,
-        FrameFormat::Yuv420,
-        FrameFormat::Rgb8,
-    ];
+    pub const ALL: [FrameFormat; 3] = [FrameFormat::Gray8, FrameFormat::Yuv420, FrameFormat::Rgb8];
 
     /// Canonical name — round-trips through [`FromStr`] (the CLI
     /// `--format` flag).
     pub fn name(self) -> &'static str {
         match self {
             FrameFormat::Gray8 => "gray8",
-            FrameFormat::GrayF32 => "grayf32",
             FrameFormat::Yuv420 => "yuv420",
             FrameFormat::Rgb8 => "rgb8",
         }
@@ -145,7 +138,7 @@ impl FrameFormat {
     /// counters).
     pub fn plane_labels(self) -> &'static [&'static str] {
         match self {
-            FrameFormat::Gray8 | FrameFormat::GrayF32 => &["y"],
+            FrameFormat::Gray8 => &["y"],
             FrameFormat::Yuv420 => &["y", "cb", "cr"],
             FrameFormat::Rgb8 => &["r", "g", "b"],
         }
@@ -154,7 +147,7 @@ impl FrameFormat {
     /// The geometric class of every plane, in plane order.
     pub fn plane_classes(self) -> &'static [PlaneClass] {
         match self {
-            FrameFormat::Gray8 | FrameFormat::GrayF32 => &[PlaneClass::Full],
+            FrameFormat::Gray8 => &[PlaneClass::Full],
             FrameFormat::Yuv420 => &[
                 PlaneClass::Full,
                 PlaneClass::HalfChroma,
@@ -169,7 +162,7 @@ impl FrameFormat {
     /// curve-exempt, RGB planes grade per channel.
     pub fn plane_channels(self) -> &'static [PostChannel] {
         match self {
-            FrameFormat::Gray8 | FrameFormat::GrayF32 => &[PostChannel::Luma],
+            FrameFormat::Gray8 => &[PostChannel::Luma],
             FrameFormat::Yuv420 => &[PostChannel::Luma, PostChannel::Chroma, PostChannel::Chroma],
             FrameFormat::Rgb8 => &[PostChannel::Red, PostChannel::Green, PostChannel::Blue],
         }
@@ -207,23 +200,6 @@ impl FrameFormat {
     pub fn is_multi_plane(self) -> bool {
         self.planes() > 1
     }
-
-    /// Whether the per-plane element type is `u8` (every format except
-    /// [`FrameFormat::GrayF32`]). The multi-plane machinery routes
-    /// these planes through the `Gray8` engines.
-    pub fn has_u8_planes(self) -> bool {
-        !matches!(self, FrameFormat::GrayF32)
-    }
-
-    /// Gather cost of one frame relative to a same-resolution gray
-    /// frame (pixel count ratio): 1.0 gray, 1.5 for 4:2:0, 3.0 RGB.
-    pub fn relative_cost(self) -> f64 {
-        match self {
-            FrameFormat::Gray8 | FrameFormat::GrayF32 => 1.0,
-            FrameFormat::Yuv420 => 1.5,
-            FrameFormat::Rgb8 => 3.0,
-        }
-    }
 }
 
 impl fmt::Display for FrameFormat {
@@ -238,11 +214,10 @@ impl FromStr for FrameFormat {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "gray8" | "gray" => Ok(FrameFormat::Gray8),
-            "grayf32" => Ok(FrameFormat::GrayF32),
             "yuv420" | "yuv" => Ok(FrameFormat::Yuv420),
             "rgb8" | "rgb" => Ok(FrameFormat::Rgb8),
             other => Err(format!(
-                "unknown frame format '{other}' (expected gray8|grayf32|yuv420|rgb8)"
+                "unknown frame format '{other}' (expected gray8|yuv420|rgb8)"
             )),
         }
     }
@@ -260,8 +235,6 @@ impl FromStr for FrameFormat {
 pub enum Frame {
     /// Single 8-bit gray plane.
     Gray8(Image<Gray8>),
-    /// Single float gray plane.
-    GrayF32(Image<GrayF32>),
     /// Planar 4:2:0 — `y` full-res, `cb`/`cr` at `ceil(dim/2)`.
     Yuv420(Yuv420),
     /// Three full-resolution 8-bit planes.
@@ -281,7 +254,6 @@ impl Frame {
     pub fn new(format: FrameFormat, width: u32, height: u32) -> Frame {
         match format {
             FrameFormat::Gray8 => Frame::Gray8(Image::new(width, height)),
-            FrameFormat::GrayF32 => Frame::GrayF32(Image::new(width, height)),
             FrameFormat::Yuv420 => {
                 let (cw, ch) = PlaneClass::HalfChroma.apply((width, height));
                 Frame::Yuv420(Yuv420 {
@@ -312,7 +284,6 @@ impl Frame {
     pub fn format(&self) -> FrameFormat {
         match self {
             Frame::Gray8(_) => FrameFormat::Gray8,
-            Frame::GrayF32(_) => FrameFormat::GrayF32,
             Frame::Yuv420(_) => FrameFormat::Yuv420,
             Frame::Rgb8 { .. } => FrameFormat::Rgb8,
         }
@@ -322,7 +293,6 @@ impl Frame {
     pub fn dims(&self) -> (u32, u32) {
         match self {
             Frame::Gray8(img) => img.dims(),
-            Frame::GrayF32(img) => img.dims(),
             Frame::Yuv420(yuv) => yuv.y.dims(),
             Frame::Rgb8 { r, .. } => r.dims(),
         }
@@ -332,32 +302,35 @@ impl Frame {
     pub fn bytes(&self) -> usize {
         match self {
             Frame::Gray8(img) => img.len(),
-            Frame::GrayF32(img) => img.len() * 4,
             Frame::Yuv420(yuv) => yuv.bytes(),
             Frame::Rgb8 { r, g, b } => r.len() + g.len() + b.len(),
         }
     }
 
-    /// Shared references to the `u8` planes, in plane order (`None`
-    /// for [`Frame::GrayF32`]).
-    pub fn u8_planes(&self) -> Option<Vec<&Image<Gray8>>> {
+    /// Shared references to the planes, in plane order.
+    pub fn planes(&self) -> Vec<&Image<Gray8>> {
         match self {
-            Frame::Gray8(img) => Some(vec![img]),
-            Frame::GrayF32(_) => None,
-            Frame::Yuv420(yuv) => Some(vec![&yuv.y, &yuv.cb, &yuv.cr]),
-            Frame::Rgb8 { r, g, b } => Some(vec![r, g, b]),
+            Frame::Gray8(img) => vec![img],
+            Frame::Yuv420(yuv) => vec![&yuv.y, &yuv.cb, &yuv.cr],
+            Frame::Rgb8 { r, g, b } => vec![r, g, b],
         }
     }
 
-    /// Mutable references to the `u8` planes, in plane order (`None`
-    /// for [`Frame::GrayF32`]).
-    pub fn u8_planes_mut(&mut self) -> Option<Vec<&mut Image<Gray8>>> {
+    /// Mutable references to the planes, in plane order.
+    pub fn planes_mut(&mut self) -> Vec<&mut Image<Gray8>> {
         match self {
-            Frame::Gray8(img) => Some(vec![img]),
-            Frame::GrayF32(_) => None,
-            Frame::Yuv420(yuv) => Some(vec![&mut yuv.y, &mut yuv.cb, &mut yuv.cr]),
-            Frame::Rgb8 { r, g, b } => Some(vec![r, g, b]),
+            Frame::Gray8(img) => vec![img],
+            Frame::Yuv420(yuv) => vec![&mut yuv.y, &mut yuv.cb, &mut yuv.cr],
+            Frame::Rgb8 { r, g, b } => vec![r, g, b],
         }
+    }
+
+    /// [`Frame::planes`], always `Some`: every format carries byte
+    /// planes. The `Option` stays only until the framebench
+    /// benchmark's next change drops its `.expect` calls; new code
+    /// calls [`Frame::planes`].
+    pub fn u8_planes(&self) -> Option<Vec<&Image<Gray8>>> {
+        Some(self.planes())
     }
 }
 
@@ -745,20 +718,11 @@ impl fmt::Debug for ViewPlan {
 // FrameCorrector
 // ---------------------------------------------------------------------
 
-/// The per-plane engines a [`FrameCorrector`] drives: one `u8` engine
-/// shared by every `u8` plane (the plan varies per class, the engine
-/// does not), or one `f32` engine for [`FrameFormat::GrayF32`].
-pub enum FrameEngines {
-    /// Engine for `u8` planes (gray8 / yuv420 / rgb8 formats).
-    U8(Box<dyn CorrectionEngine<Gray8>>),
-    /// Engine for the float gray format.
-    F32(Box<dyn CorrectionEngine<GrayF32>>),
-}
-
-/// Drives the existing single-plane [`CorrectionEngine`]s over
-/// multi-plane [`Frame`]s: each plane is corrected through its class's
-/// plan from a [`ViewPlan`], in plane order on the calling thread
-/// (parallelism inside a frame is the `smp` engine's rows).
+/// Drives one single-plane [`CorrectionEngine`] over multi-plane
+/// [`Frame`]s: each plane is corrected through its class's plan from a
+/// [`ViewPlan`] by the one engine every plane shares (the plan varies
+/// per class, the engine does not), in plane order on the calling
+/// thread (parallelism inside a frame is the `smp` engine's rows).
 /// The per-plane [`FrameReport`]s are merged into one report whose
 /// `correct_time` is the **summed kernel cost** across planes (the
 /// quantity the paper's 1.5×-for-color claim is about) and whose model
@@ -769,7 +733,7 @@ pub enum FrameEngines {
 pub struct FrameCorrector {
     format: FrameFormat,
     plan: ViewPlan,
-    engines: FrameEngines,
+    engine: Box<dyn CorrectionEngine<Gray8>>,
     /// The configured post stage (identity when none was set).
     post_stage: PostStage,
     /// One compiled post plan per plane, in plane order; `None` for
@@ -794,21 +758,15 @@ impl FrameCorrector {
             threads,
             geometry: None,
         };
-        let engines = if format.has_u8_planes() {
-            FrameEngines::U8(build_host::<Gray8>(spec, &ctx)?)
-        } else {
-            FrameEngines::F32(build_host::<GrayF32>(spec, &ctx)?)
-        };
-        FrameCorrector::from_parts(format, plan, engines)
+        FrameCorrector::from_parts(format, plan, build_host::<Gray8>(spec, &ctx)?)
     }
 
-    /// Assemble from pre-resolved engines (the facade's accelerator
-    /// paths use this). Validates that the engine element type matches
-    /// the format's planes and that the plan is for `format`.
+    /// Assemble from a pre-resolved engine (the facade's accelerator
+    /// paths use this). Validates that the plan is for `format`.
     pub fn from_parts(
         format: FrameFormat,
         plan: ViewPlan,
-        engines: FrameEngines,
+        engine: Box<dyn CorrectionEngine<Gray8>>,
     ) -> Result<FrameCorrector, EngineError> {
         if plan.format() != format {
             return Err(EngineError::backend(
@@ -816,19 +774,10 @@ impl FrameCorrector {
                 format!("plan is for {}, corrector is {format}", plan.format()),
             ));
         }
-        match (&engines, format.has_u8_planes()) {
-            (FrameEngines::U8(_), true) | (FrameEngines::F32(_), false) => {}
-            _ => {
-                return Err(EngineError::backend(
-                    "frame-corrector",
-                    format!("engine element type does not match format {format}"),
-                ));
-            }
-        }
         Ok(FrameCorrector {
             format,
             plan,
-            engines,
+            engine,
             post_stage: PostStage::identity(),
             post: vec![None; format.planes()],
         })
@@ -866,14 +815,11 @@ impl FrameCorrector {
 
     /// The engine's canonical spec name.
     pub fn engine_name(&self) -> String {
-        match &self.engines {
-            FrameEngines::U8(e) => e.name(),
-            FrameEngines::F32(e) => e.name(),
-        }
+        self.engine.name()
     }
 
-    /// Correct one `u8` plane of class `class` through its plan — the
-    /// typed single-plane entry the facade's gray path collapses onto.
+    /// Correct one plane of class `class` through its plan — the
+    /// single-plane entry the facade's gray path collapses onto.
     pub fn correct_plane_u8(
         &self,
         class: PlaneClass,
@@ -895,31 +841,7 @@ impl FrameCorrector {
             .iter()
             .position(|&c| c == class)
             .and_then(|i| self.plane_post(i));
-        match &self.engines {
-            FrameEngines::U8(e) => e.correct_frame_post(src, plan, post, out),
-            FrameEngines::F32(_) => Err(EngineError::backend(
-                "frame-corrector",
-                "u8 plane on a float-plane corrector",
-            )),
-        }
-    }
-
-    /// Correct the float gray plane (the [`FrameFormat::GrayF32`]
-    /// degenerate case).
-    pub fn correct_plane_f32(
-        &self,
-        src: &Image<GrayF32>,
-        out: &mut Image<GrayF32>,
-    ) -> Result<FrameReport, EngineError> {
-        match &self.engines {
-            FrameEngines::F32(e) => {
-                e.correct_frame_post(src, self.plan.full(), self.plane_post(0), out)
-            }
-            FrameEngines::U8(_) => Err(EngineError::backend(
-                "frame-corrector",
-                "float plane on a u8-plane corrector",
-            )),
-        }
+        self.engine.correct_frame_post(src, plan, post, out)
     }
 
     /// Correct a whole frame into a caller-supplied output frame of
@@ -942,16 +864,7 @@ impl FrameCorrector {
                 ),
             ));
         }
-        if let (Frame::GrayF32(s), Frame::GrayF32(o)) = (src, &mut *out) {
-            return self.correct_plane_f32(s, o);
-        }
-        let Some(mut outs) = out.u8_planes_mut() else {
-            return Err(EngineError::backend(
-                "frame-corrector",
-                "a float frame has no u8 planes",
-            ));
-        };
-        self.correct_u8_planes_into(src, &mut outs)
+        self.correct_u8_planes_into(src, &mut out.planes_mut())
     }
 
     /// Correct a whole frame into a freshly allocated output frame.
@@ -962,7 +875,7 @@ impl FrameCorrector {
         Ok((out, report))
     }
 
-    /// Correct every `u8` plane of `src` into caller-supplied plane
+    /// Correct every plane of `src` into caller-supplied plane
     /// buffers, in plane order (the pooled zero-allocation path:
     /// videopipe and the serve layer pass pool-acquired planes here).
     /// `src` must be of the corrector's format and `outs` must hold
@@ -978,12 +891,6 @@ impl FrameCorrector {
     where
         O: DerefMut<Target = Image<Gray8>>,
     {
-        let FrameEngines::U8(engine) = &self.engines else {
-            return Err(EngineError::backend(
-                "frame-corrector",
-                "u8 planes on a float-plane corrector",
-            ));
-        };
         let labels = self.format.plane_labels();
         if src.format() != self.format || outs.len() != labels.len() {
             return Err(EngineError::backend(
@@ -998,18 +905,18 @@ impl FrameCorrector {
             ));
         }
         if let (Frame::Gray8(s), [o]) = (src, &mut *outs) {
-            return engine.correct_frame_post(s, self.plan.plane_plan(0), self.plane_post(0), o);
+            return self.engine.correct_frame_post(
+                s,
+                self.plan.plane_plan(0),
+                self.plane_post(0),
+                o,
+            );
         }
-        let Some(srcs) = src.u8_planes() else {
-            return Err(EngineError::backend(
-                "frame-corrector",
-                "a float frame has no u8 planes",
-            ));
-        };
+        let srcs = src.planes();
         let t0 = Instant::now();
         let mut reports = Vec::with_capacity(labels.len());
         for (i, out) in outs.iter_mut().enumerate() {
-            let report = engine.correct_frame_post(
+            let report = self.engine.correct_frame_post(
                 srcs[i],
                 self.plan.plane_plan(i),
                 self.plane_post(i),
@@ -1083,6 +990,7 @@ mod tests {
             assert_eq!(fmt.to_string(), fmt.name());
         }
         assert!("bgr".parse::<FrameFormat>().is_err());
+        assert!("grayf32".parse::<FrameFormat>().is_err());
     }
 
     #[test]
@@ -1262,8 +1170,8 @@ mod tests {
         assert_eq!(out.dims(), (80, 60));
 
         // reference: each plane independently through the plan path
-        let srcs = src.u8_planes().expect("u8");
-        let outs = out.u8_planes().expect("u8");
+        let srcs = src.planes();
+        let outs = out.planes();
         for (i, (s, o)) in srcs.iter().zip(&outs).enumerate() {
             let reference = crate::plan::correct_plan(s, vp.plane_plan(i), Interpolator::Bilinear);
             assert_eq!(reference.pixels(), o.pixels(), "plane {i}");
@@ -1316,7 +1224,7 @@ mod tests {
         let fc = FrameCorrector::from_parts(
             FrameFormat::Yuv420,
             vp,
-            FrameEngines::U8(Box::new(Recorder(Arc::clone(&calls)))),
+            Box::new(Recorder(Arc::clone(&calls))),
         )
         .expect("recording corrector");
         // y, cb and cr each carry their own sample value
@@ -1365,45 +1273,11 @@ mod tests {
         .expect("host corrector");
         let (out, report) = fc.correct_frame(&frame).expect("correct");
         assert_eq!(report.model.get("planes"), Some(&3.0));
-        let outs = out.u8_planes().expect("u8");
-        for (i, (s, o)) in frame.u8_planes().expect("u8").iter().zip(&outs).enumerate() {
+        let outs = out.planes();
+        for (i, (s, o)) in frame.planes().iter().zip(&outs).enumerate() {
             let reference = crate::plan::correct_plan(s, vp.full(), Interpolator::Bilinear);
             assert_eq!(reference.pixels(), o.pixels(), "plane {i}");
         }
-    }
-
-    #[test]
-    fn grayf32_is_the_float_degenerate_case() {
-        let (lens, view) = geometry();
-        let vp = ViewPlan::compile(
-            FrameFormat::GrayF32,
-            &lens,
-            &view,
-            96,
-            72,
-            &PlanOptions::default(),
-        );
-        let src = Frame::GrayF32(crate::synth::capture_fisheye_f32(
-            &RadialGradient,
-            crate::synth::World::Spherical,
-            &lens,
-            96,
-            72,
-            1,
-        ));
-        let fc = FrameCorrector::host(
-            FrameFormat::GrayF32,
-            vp,
-            &EngineSpec::Serial,
-            Interpolator::Bilinear,
-            4,
-        )
-        .expect("host corrector");
-        let (out, report) = fc.correct_frame(&src).expect("correct");
-        assert_eq!(out.dims(), (80, 60));
-        // degenerate case: the engine's own report, no plane sections
-        assert_eq!(report.backend, "serial");
-        assert!(!report.model.contains_key("planes"));
     }
 
     #[test]
@@ -1458,8 +1332,8 @@ mod tests {
         )
         .expect("smp corrector");
         let (out, _) = fc.correct_frame(&src).expect("correct");
-        let outs = out.u8_planes().expect("u8");
-        let srcs = src.u8_planes().expect("u8");
+        let outs = out.planes();
+        let srcs = src.planes();
         for (i, (s, o)) in srcs.iter().zip(&outs).enumerate() {
             let reference = crate::plan::correct_plan(s, vp.plane_plan(i), Interpolator::Bilinear);
             assert_eq!(reference.pixels(), o.pixels(), "plane {i}");

@@ -55,9 +55,7 @@ pub use correct::{correct, correct_fixed, correct_fixed_into, correct_into};
 pub use engine::{
     Capabilities, CorrectionEngine, EngineError, EnginePixel, EngineSpec, FrameReport, NumericClass,
 };
-pub use frame::{
-    Frame, FrameCorrector, FrameEngines, FrameFormat, PlaneClass, PlaneRequest, ViewPlan,
-};
+pub use frame::{Frame, FrameCorrector, FrameFormat, PlaneClass, PlaneRequest, ViewPlan};
 pub use interp::Interpolator;
 pub use map::{FixedRemapMap, MapEntry, RemapMap};
 pub use plan::{

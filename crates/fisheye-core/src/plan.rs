@@ -680,15 +680,22 @@ impl RemapPlan {
     }
 
     /// Total plan size in bytes (map + SoA planes + span and
-    /// interior-run indices + quantized LUTs); what a view change
-    /// costs in memory.
+    /// interior-run indices + quantized LUTs, compiled or derived on
+    /// first use); what a view change costs in memory. Grows when
+    /// [`RemapPlan::fixed_lazy`] derives a LUT.
     pub fn bytes(&self) -> usize {
+        let memo = self.fixed_memo.lock();
         self.map.bytes()
             + self.sx.len() * 4
             + self.sy.len() * 4
             + self.spans.bytes()
             + self.interior.bytes()
-            + self.fixed.iter().map(|f| f.bytes()).sum::<usize>()
+            + self
+                .fixed
+                .iter()
+                .chain(memo.iter())
+                .map(|f| f.bytes())
+                .sum::<usize>()
     }
 
     /// The options the plan was compiled with (the eager artifact

@@ -41,8 +41,9 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Ready entries currently cached.
     pub entries: usize,
-    /// Total bytes of plan data currently cached (LUTs, spans, tile
-    /// indexes — what `RemapPlan::bytes` reports).
+    /// Total bytes of plan data currently cached, read live: what
+    /// `RemapPlan::bytes` reports for each entry, including LUTs a
+    /// plan derived after it was cached.
     pub bytes: usize,
 }
 
@@ -61,7 +62,6 @@ impl CacheStats {
 struct CachedPlan {
     plan: Arc<RemapPlan>,
     last_used: u64,
-    bytes: usize,
 }
 
 struct CacheState {
@@ -180,7 +180,6 @@ impl PlanCache {
         drop(state);
         let guard = InflightGuard { inner, digest };
         let plan = Arc::new(compile());
-        let bytes = plan.bytes();
         let mut state = inner.state.lock();
         state.tick += 1;
         let tick = state.tick;
@@ -189,7 +188,6 @@ impl PlanCache {
             CachedPlan {
                 plan: Arc::clone(&plan),
                 last_used: tick,
-                bytes,
             },
         );
         inner.misses.fetch_add(1, Ordering::Relaxed);
@@ -223,15 +221,23 @@ impl PlanCache {
         self.inner.capacity
     }
 
-    /// Current counters.
+    /// Current counters. Plan sizes are read after the cache lock is
+    /// released: `RemapPlan::bytes` takes the plan's own LUT lock.
     pub fn stats(&self) -> CacheStats {
-        let state = self.inner.state.lock();
+        let plans: Vec<Arc<RemapPlan>> = {
+            let state = self.inner.state.lock();
+            state
+                .entries
+                .values()
+                .map(|e| Arc::clone(&e.plan))
+                .collect()
+        };
         CacheStats {
             hits: self.inner.hits.load(Ordering::Relaxed),
             misses: self.inner.misses.load(Ordering::Relaxed),
             evictions: self.inner.evictions.load(Ordering::Relaxed),
-            entries: state.entries.len(),
-            bytes: state.entries.values().map(|e| e.bytes).sum(),
+            entries: plans.len(),
+            bytes: plans.iter().map(|p| p.bytes()).sum(),
         }
     }
 
@@ -279,6 +285,18 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         assert_eq!(s.bytes, a.bytes());
         assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn bytes_count_luts_a_cached_plan_derives() {
+        let cache = PlanCache::new(2).expect("capacity ok");
+        let plan = cache.get_or_compile(1, || compile_view(0));
+        let before = cache.stats().bytes;
+        // a plan compiled without the 12-bit LUT derives it on first use
+        let (lut, derived) = plan.fixed_lazy(12);
+        assert!(derived.is_some());
+        assert_eq!(cache.stats().bytes, before + lut.bytes());
+        assert_eq!(cache.stats().bytes, plan.bytes());
     }
 
     #[test]

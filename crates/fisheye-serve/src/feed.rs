@@ -11,7 +11,7 @@ use std::sync::Arc;
 use fisheye_core::frame::{Frame, FrameFormat};
 use pixmap::scene::random_gray;
 use pixmap::yuv::Yuv420;
-use pixmap::{Gray8, GrayF32, Image};
+use pixmap::{Gray8, Image};
 
 /// Deterministic frame generator: a fixed random base image whose
 /// rows rotate one step per frame, cheap enough that the serving loop
@@ -50,7 +50,6 @@ impl CameraFeed {
         let y = self.rotated();
         let frame = match format {
             FrameFormat::Gray8 => Frame::Gray8(y),
-            FrameFormat::GrayF32 => Frame::GrayF32(y.map(|p| GrayF32(p.0 as f32 / 255.0))),
             FrameFormat::Yuv420 => {
                 let (cw, ch) = (self.width.div_ceil(2), self.height.div_ceil(2));
                 Frame::Yuv420(Yuv420 {

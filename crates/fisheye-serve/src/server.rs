@@ -235,9 +235,7 @@ pub struct SessionConfig {
     /// dims for multi-plane formats.
     pub source: (u32, u32),
     /// The frame format this session submits (through
-    /// [`Session::submit_frame`]) and receives. `grayf32` is not
-    /// servable (the serving layer's pools and ladder are byte-plane
-    /// machinery).
+    /// [`Session::submit_frame`]) and receives.
     pub format: FrameFormat,
     /// Execution backend.
     pub backend: EngineSpec,
@@ -508,15 +506,6 @@ impl Server {
     }
 
     fn admit(&self, cfg: SessionConfig, id: u64) -> Result<Session, fisheye::Error> {
-        // admission is format-capability driven: the pools, ladder
-        // and wire protocol are byte-plane machinery, so any format
-        // without u8 planes is refused up front
-        if !cfg.format.has_u8_planes() {
-            return Err(fisheye::Error::config(format!(
-                "the serving layer corrects byte formats; {} is not servable",
-                cfg.format
-            )));
-        }
         let single = matches!(cfg.workload, Workload::Single);
         // composites run on the plan-consuming host executors:
         // accelerator specs have no multi-source gather, and direct
@@ -1301,14 +1290,7 @@ impl Session {
                 )));
             }
         }
-        let plane_sets: Vec<Vec<&Image<Gray8>>> = frames
-            .iter()
-            .map(|f| {
-                f.u8_planes().ok_or_else(|| {
-                    fisheye::Error::config("grayf32 sessions are rejected at connect")
-                })
-            })
-            .collect::<Result<_, _>>()?;
+        let plane_sets: Vec<Vec<&Image<Gray8>>> = frames.iter().map(|f| f.planes()).collect();
         let env = HostEnv {
             pool: self.smp.as_ref(),
             ..HostEnv::default()

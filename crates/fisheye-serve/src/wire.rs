@@ -217,8 +217,6 @@ pub fn wire_plane_dims(format: FrameFormat, w: u32, h: u32) -> [(u32, u32); MAX_
         FrameFormat::Gray8 => [(w, h), (0, 0), (0, 0)],
         FrameFormat::Yuv420 => [(w, h), c, c],
         FrameFormat::Rgb8 => [(w, h), (w, h), (w, h)],
-        // not servable over the wire; encode rejects it first
-        FrameFormat::GrayF32 => [(0, 0); MAX_PLANES],
     }
 }
 
@@ -241,7 +239,6 @@ impl<'a> FramePayload<'a> {
         height: u32,
         planes: &[&'a [u8]],
     ) -> Result<FramePayload<'a>, WireError> {
-        wire_format_code(format)?;
         if width == 0 || height == 0 {
             return Err(WireError::BadValue("frame dimensions must be positive"));
         }
@@ -366,14 +363,12 @@ const TAG_SET_VIEW: u8 = 5;
 const TAG_SHED: u8 = 6;
 const TAG_GOODBYE: u8 = 7;
 
-/// Wire code for a frame format ([`FrameFormat::GrayF32`] has no
-/// code: the serving layer is byte-plane machinery).
-fn wire_format_code(format: FrameFormat) -> Result<u8, WireError> {
+/// Wire code for a frame format.
+fn wire_format_code(format: FrameFormat) -> u8 {
     match format {
-        FrameFormat::Gray8 => Ok(0),
-        FrameFormat::Yuv420 => Ok(1),
-        FrameFormat::Rgb8 => Ok(2),
-        FrameFormat::GrayF32 => Err(WireError::BadValue("grayf32 is not servable over the wire")),
+        FrameFormat::Gray8 => 0,
+        FrameFormat::Yuv420 => 1,
+        FrameFormat::Rgb8 => 2,
     }
 }
 
@@ -451,21 +446,15 @@ fn put_view(out: &mut Vec<u8>, view: &PerspectiveView) {
 
 /// Write the frame-payload head; plane bytes follow separately so
 /// image-backed encoders can stream pixels without a staging buffer.
-fn put_payload_head(
-    out: &mut Vec<u8>,
-    format: FrameFormat,
-    width: u32,
-    height: u32,
-) -> Result<(), WireError> {
-    put_u8(out, wire_format_code(format)?);
+fn put_payload_head(out: &mut Vec<u8>, format: FrameFormat, width: u32, height: u32) {
+    put_u8(out, wire_format_code(format));
     put_u32(out, width);
     put_u32(out, height);
     put_u8(out, format.planes() as u8);
-    Ok(())
 }
 
 fn put_payload(out: &mut Vec<u8>, frame: &FramePayload<'_>) -> Result<(), WireError> {
-    put_payload_head(out, frame.format, frame.width, frame.height)?;
+    put_payload_head(out, frame.format, frame.width, frame.height);
     for plane in frame.planes() {
         let len = u32::try_from(plane.len()).map_err(|_| WireError::Oversized {
             len: plane.len(),
@@ -524,7 +513,7 @@ impl Message<'_> {
                     put_view(out, &desc.view);
                     put_u32(out, desc.source.0);
                     put_u32(out, desc.source.1);
-                    put_u8(out, wire_format_code(desc.format)?);
+                    put_u8(out, wire_format_code(desc.format));
                     put_u8(out, interp_code(desc.interp));
                     put_u32(out, desc.deadline_us);
                     let backend = desc.backend.as_bytes();
@@ -581,11 +570,34 @@ impl Message<'_> {
 /// client hot path. Pixel bytes stream straight from the planes into
 /// `out` (one pass, no staging payload).
 pub fn encode_submit(seq: u64, frame: &Frame, out: &mut Vec<u8>) -> Result<(), WireError> {
-    let (w, h) = frame_dims(frame)?;
-    encode_frame_message(TAG_SUBMIT, out, frame, w, h, |out| {
+    let (w, h) = frame.dims();
+    let start = begin_frame(out);
+    let body = (|| -> Result<(), WireError> {
+        put_u8(out, TAG_SUBMIT);
         put_u64(out, seq);
+        put_payload_head(out, frame.format(), w, h);
+        match frame {
+            Frame::Gray8(img) => put_plane_pixels(out, img)?,
+            Frame::Yuv420(yuv) => {
+                put_plane_pixels(out, &yuv.y)?;
+                put_plane_pixels(out, &yuv.cb)?;
+                put_plane_pixels(out, &yuv.cr)?;
+            }
+            Frame::Rgb8 { r, g, b } => {
+                put_plane_pixels(out, r)?;
+                put_plane_pixels(out, g)?;
+                put_plane_pixels(out, b)?;
+            }
+        }
         Ok(())
-    })
+    })();
+    match body {
+        Ok(()) => end_frame(out, start),
+        Err(e) => {
+            out.truncate(start);
+            Err(e)
+        }
+    }
 }
 
 /// Encode a `FrameDone` directly from corrected plane images — the
@@ -614,7 +626,7 @@ pub fn encode_frame_done(
         put_u32(out, latency_us);
         put_u8(out, u8::from(missed));
         put_u8(out, level.index() as u8);
-        put_payload_head(out, format, w, h)?;
+        put_payload_head(out, format, w, h);
         for plane in planes {
             put_plane_pixels(out, plane)?;
         }
@@ -629,15 +641,6 @@ pub fn encode_frame_done(
     }
 }
 
-fn frame_dims(frame: &Frame) -> Result<(u32, u32), WireError> {
-    match frame {
-        Frame::Gray8(img) => Ok(img.dims()),
-        Frame::Yuv420(yuv) => Ok(yuv.y.dims()),
-        Frame::Rgb8 { r, .. } => Ok(r.dims()),
-        Frame::GrayF32(_) => Err(WireError::BadValue("grayf32 is not servable over the wire")),
-    }
-}
-
 fn put_plane_pixels(out: &mut Vec<u8>, plane: &Image<Gray8>) -> Result<(), WireError> {
     let len = u32::try_from(plane.len()).map_err(|_| WireError::Oversized {
         len: plane.len(),
@@ -646,47 +649,6 @@ fn put_plane_pixels(out: &mut Vec<u8>, plane: &Image<Gray8>) -> Result<(), WireE
     put_u32(out, len);
     out.extend(plane.pixels().iter().map(|p| p.0));
     Ok(())
-}
-
-fn encode_frame_message(
-    tag: u8,
-    out: &mut Vec<u8>,
-    frame: &Frame,
-    w: u32,
-    h: u32,
-    head: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
-) -> Result<(), WireError> {
-    let format = frame.format();
-    let start = begin_frame(out);
-    let body = (|| -> Result<(), WireError> {
-        put_u8(out, tag);
-        head(out)?;
-        put_payload_head(out, format, w, h)?;
-        match frame {
-            Frame::Gray8(img) => put_plane_pixels(out, img)?,
-            Frame::Yuv420(yuv) => {
-                put_plane_pixels(out, &yuv.y)?;
-                put_plane_pixels(out, &yuv.cb)?;
-                put_plane_pixels(out, &yuv.cr)?;
-            }
-            Frame::Rgb8 { r, g, b } => {
-                put_plane_pixels(out, r)?;
-                put_plane_pixels(out, g)?;
-                put_plane_pixels(out, b)?;
-            }
-            Frame::GrayF32(_) => {
-                return Err(WireError::BadValue("grayf32 is not servable over the wire"))
-            }
-        }
-        Ok(())
-    })();
-    match body {
-        Ok(()) => end_frame(out, start),
-        Err(e) => {
-            out.truncate(start);
-            Err(e)
-        }
-    }
 }
 
 // ---------------------------------------------------------------- decode

@@ -26,7 +26,6 @@
 //! methodology of *Rust Atomics and Locks* (Bos, 2023).
 
 mod pool;
-mod reduce;
 mod schedule;
 mod slice;
 pub mod sync;

@@ -105,16 +105,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Non-blocking pop.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut st = self.inner.queue.lock();
-        let item = st.items.pop_front();
-        if item.is_some() {
-            self.inner.not_full.notify_one();
-        }
-        item
-    }
-
     /// Close the queue: producers fail fast, consumers drain then get
     /// `None`.
     pub fn close(&self) {

@@ -199,9 +199,8 @@ struct CorrectedPlanes {
 /// Panics if `config.engine` is not one of the worker-compatible
 /// specs (see [`PipeConfig::engine`]), conflicts with the
 /// interpolator, or needs a fixed-point LUT that some plane class's
-/// plan was not compiled with, or if the source format has no byte
-/// planes (`grayf32`) — engine/plan compatibility is a configuration
-/// error, caught before any thread starts.
+/// plan was not compiled with — engine/plan compatibility is a
+/// configuration error, caught before any thread starts.
 pub fn run_frame_pipeline(
     mut source: Box<dyn FrameSource>,
     plan: &ViewPlan,
@@ -210,10 +209,6 @@ pub fn run_frame_pipeline(
 ) -> PipeReport {
     assert!(config.workers >= 1, "need at least one worker");
     let format = source.format();
-    assert!(
-        format.has_u8_planes(),
-        "the frame pipeline corrects byte planes; '{format}' has none"
-    );
     let caps = check_worker_engine(&config.engine, config.interp);
     if let Some(frac_bits) = caps.requires_lut {
         for class_plan in plan.plans() {
@@ -604,8 +599,7 @@ mod tests {
         let spec = EngineSpec::FixedPoint { frac_bits: 12 };
         let plan = test_plan_in(frame.format(), &spec);
         let expect: Vec<_> = frame
-            .u8_planes()
-            .unwrap()
+            .planes()
             .iter()
             .enumerate()
             .map(|(i, src)| correct_fixed(src, &plan.plane_plan(i).map().to_fixed(12)))
@@ -770,7 +764,7 @@ mod tests {
     fn yuv_frames_reach_sink_and_match_offline() {
         let plan = test_plan_in(FrameFormat::Yuv420, &EngineSpec::Serial);
         let frame = yuv_frame(21);
-        let srcs = frame.u8_planes().unwrap();
+        let srcs = frame.planes();
         let expect: Vec<_> = srcs
             .iter()
             .enumerate()
@@ -793,17 +787,6 @@ mod tests {
             .map(|(l, _)| l.as_str())
             .collect();
         assert_eq!(labels, ["y", "cb", "cr"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "has none")]
-    fn frame_pipeline_rejects_float_frames() {
-        let plan = test_plan_in(FrameFormat::Yuv420, &EngineSpec::Serial);
-        let src = Box::new(CycledFrames::new(
-            vec![Frame::new(FrameFormat::GrayF32, 128, 96)],
-            3,
-        ));
-        let _ = run_frame_pipeline(src, &plan, PipeConfig::default(), |_, _| {});
     }
 
     #[test]

@@ -36,11 +36,11 @@
 //! ## Multi-plane formats
 //!
 //! The corrector speaks every [`FrameFormat`], not just single gray
-//! planes. Internally *every* corrector collapses onto a
-//! [`FrameCorrector`] from the core frame layer; the generic
-//! single-image path ([`Corrector::correct_into`]) is simply the
-//! degenerate one-plane case. Declare a format on the builder and
-//! feed whole [`Frame`]s:
+//! planes. Every format carries 8-bit planes, and internally *every*
+//! corrector collapses onto a [`FrameCorrector`] from the core frame
+//! layer driving one `Gray8` engine; the single-image path
+//! ([`Corrector::correct_into`]) is simply the degenerate one-plane
+//! case. Declare a format on the builder and feed whole [`Frame`]s:
 //!
 //! ```
 //! use fisheye::prelude::*;
@@ -72,140 +72,42 @@ use std::time::{Duration, Instant};
 use crate::cell::{CellConfig, CellEngine};
 use crate::codegen::SimtEngine;
 use crate::core::engine::{build_host, CorrectionEngine, EngineError, EngineSpec, HostCtx};
-use crate::core::frame::{Frame, FrameCorrector, FrameEngines, FrameFormat, PlaneClass, ViewPlan};
+use crate::core::frame::{Frame, FrameCorrector, FrameFormat, PlaneClass, ViewPlan};
 use crate::core::plan::plan_request_digest;
 use crate::core::post::{DitherSeed, Lut3d, PostStage, ToneMap};
 use crate::core::{FrameReport, Interpolator, PlanOptions, RemapMap, RemapPlan};
 use crate::error::Error;
 use crate::geom::{FisheyeLens, OutputProjection, PerspectiveView};
 use crate::gpu::{GpuConfig, GpuEngine};
-use crate::img::{Gray8, GrayF32, Image};
+use crate::img::{Gray8, Image};
 use crate::par::{Schedule, ThreadPool};
 
-/// Everything [`CorrectorPixel::resolve_engine`] needs to build an
-/// engine: host resources plus the accelerator machine descriptions.
-/// Public because the trait method signature must name it; built by
-/// the corrector, not by users.
-#[doc(hidden)]
-#[derive(Clone, Copy)]
-pub struct ResolveCtx<'a> {
-    /// Interpolation kernel for the float paths.
-    pub interp: Interpolator,
-    /// Worker threads for `smp` engines.
-    pub threads: usize,
-    /// Lens + view, required by `direct`.
-    pub geometry: Option<(&'a FisheyeLens, &'a PerspectiveView)>,
-    /// Cell machine description.
-    pub cell: CellConfig,
-    /// GPU machine description.
-    pub gpu: GpuConfig,
-}
+/// The pixel type a [`Corrector`] serves. Every [`FrameFormat`]
+/// carries 8-bit planes, so [`Gray8`] is the one implementation; the
+/// bound keeps `Corrector<Gray8>` spelling its pixel type.
+pub trait CorrectorPixel: crate::core::engine::EnginePixel + 'static {}
 
-impl<'a> ResolveCtx<'a> {
-    fn host(&self) -> HostCtx<'a> {
-        HostCtx {
-            interp: self.interp,
-            threads: self.threads,
-            geometry: self.geometry,
-        }
-    }
-}
+impl CorrectorPixel for Gray8 {}
 
-/// Pixel types the [`Corrector`] can serve: each knows how to resolve
-/// any [`EngineSpec`] — host or accelerator — for itself, and how the
-/// frame layer carries its planes.
-pub trait CorrectorPixel: crate::core::engine::EnginePixel + 'static {
-    /// The degenerate single-plane format of this pixel type (the
-    /// builder default).
-    #[doc(hidden)]
-    const FORMAT: FrameFormat;
-
-    /// Resolve `spec` to a boxed engine for this pixel type, or
-    /// explain why the combination has no implementation.
-    #[doc(hidden)]
-    fn resolve_engine(
-        spec: &EngineSpec,
-        ctx: &ResolveCtx<'_>,
-    ) -> Result<Box<dyn CorrectionEngine<Self>>, EngineError>;
-
-    /// Wrap a resolved engine in the frame layer's engine holder.
-    #[doc(hidden)]
-    fn pack_engine(engine: Box<dyn CorrectionEngine<Self>>) -> FrameEngines;
-
-    /// The degenerate single-plane correction: one full-res plane of
-    /// this pixel type through the frame corrector.
-    #[doc(hidden)]
-    fn correct_single(
-        frames: &FrameCorrector,
-        src: &Image<Self>,
-        out: &mut Image<Self>,
-    ) -> Result<FrameReport, EngineError>;
-}
-
-/// Every registry spec resolves for byte-gray frames.
-impl CorrectorPixel for Gray8 {
-    const FORMAT: FrameFormat = FrameFormat::Gray8;
-
-    fn resolve_engine(
-        spec: &EngineSpec,
-        ctx: &ResolveCtx<'_>,
-    ) -> Result<Box<dyn CorrectionEngine<Gray8>>, EngineError> {
-        match spec {
-            EngineSpec::Cell { .. } => Ok(Box::new(CellEngine::from_spec(spec, ctx.cell)?)),
-            EngineSpec::Gpu { .. } => {
-                Ok(Box::new(GpuEngine::from_spec(spec, ctx.gpu, ctx.interp)?))
-            }
-            EngineSpec::Simt { .. } => Ok(Box::new(SimtEngine::from_spec(spec, ctx.interp)?)),
-            _ => build_host::<Gray8>(spec, &ctx.host()),
-        }
-    }
-
-    fn pack_engine(engine: Box<dyn CorrectionEngine<Gray8>>) -> FrameEngines {
-        FrameEngines::U8(engine)
-    }
-
-    fn correct_single(
-        frames: &FrameCorrector,
-        src: &Image<Gray8>,
-        out: &mut Image<Gray8>,
-    ) -> Result<FrameReport, EngineError> {
-        frames.correct_plane_u8(PlaneClass::Full, src, out)
-    }
-}
-
-/// Float frames: the integer datapaths (`fixed`, `cell`) have no
-/// float implementation and resolve to
-/// [`EngineError::Unsupported`].
-impl CorrectorPixel for GrayF32 {
-    const FORMAT: FrameFormat = FrameFormat::GrayF32;
-
-    fn resolve_engine(
-        spec: &EngineSpec,
-        ctx: &ResolveCtx<'_>,
-    ) -> Result<Box<dyn CorrectionEngine<GrayF32>>, EngineError> {
-        match spec {
-            EngineSpec::Cell { .. } => Err(EngineError::unsupported(
-                spec.name(),
-                "the Cell SPE kernel is the byte-wise fixed-point datapath",
-            )),
-            EngineSpec::Gpu { .. } => {
-                Ok(Box::new(GpuEngine::from_spec(spec, ctx.gpu, ctx.interp)?))
-            }
-            EngineSpec::Simt { .. } => Ok(Box::new(SimtEngine::from_spec(spec, ctx.interp)?)),
-            _ => build_host::<GrayF32>(spec, &ctx.host()),
-        }
-    }
-
-    fn pack_engine(engine: Box<dyn CorrectionEngine<GrayF32>>) -> FrameEngines {
-        FrameEngines::F32(engine)
-    }
-
-    fn correct_single(
-        frames: &FrameCorrector,
-        src: &Image<GrayF32>,
-        out: &mut Image<GrayF32>,
-    ) -> Result<FrameReport, EngineError> {
-        frames.correct_plane_f32(src, out)
+/// Resolve `spec` to an engine, host or accelerator. The Cell and GPU
+/// models run on their default machine descriptions; experiments that
+/// sweep machines build those engines directly.
+fn resolve_engine(
+    spec: &EngineSpec,
+    ctx: &HostCtx<'_>,
+) -> Result<Box<dyn CorrectionEngine<Gray8>>, EngineError> {
+    match spec {
+        EngineSpec::Cell { .. } => Ok(Box::new(CellEngine::from_spec(
+            spec,
+            CellConfig::default(),
+        )?)),
+        EngineSpec::Gpu { .. } => Ok(Box::new(GpuEngine::from_spec(
+            spec,
+            GpuConfig::default(),
+            ctx.interp,
+        )?)),
+        EngineSpec::Simt { .. } => Ok(Box::new(SimtEngine::from_spec(spec, ctx.interp)?)),
+        _ => build_host::<Gray8>(spec, ctx),
     }
 }
 
@@ -248,15 +150,13 @@ pub struct CorrectorBuilder<P: CorrectorPixel = Gray8> {
     spec: EngineSpec,
     interp: Interpolator,
     threads: usize,
-    cell: CellConfig,
-    gpu: GpuConfig,
     plan: Option<Arc<RemapPlan>>,
     view_plan: Option<ViewPlan>,
     post: PostStage,
     _pixel: PhantomData<P>,
 }
 
-impl<P: CorrectorPixel> Default for CorrectorBuilder<P> {
+impl Default for CorrectorBuilder {
     fn default() -> Self {
         CorrectorBuilder {
             lens: None,
@@ -266,8 +166,6 @@ impl<P: CorrectorPixel> Default for CorrectorBuilder<P> {
             spec: EngineSpec::Serial,
             interp: Interpolator::Bilinear,
             threads: 4,
-            cell: CellConfig::default(),
-            gpu: GpuConfig::default(),
             plan: None,
             view_plan: None,
             post: PostStage::identity(),
@@ -276,7 +174,7 @@ impl<P: CorrectorPixel> Default for CorrectorBuilder<P> {
     }
 }
 
-impl<P: CorrectorPixel> CorrectorBuilder<P> {
+impl CorrectorBuilder {
     /// The fisheye camera producing the source frames (required).
     pub fn lens(mut self, lens: FisheyeLens) -> Self {
         self.lens = Some(lens);
@@ -305,11 +203,10 @@ impl<P: CorrectorPixel> CorrectorBuilder<P> {
         self
     }
 
-    /// The frame format this corrector accepts (default: the pixel
-    /// type's own single-plane format). Multi-plane formats
-    /// ([`FrameFormat::Yuv420`], [`FrameFormat::Rgb8`]) require the
-    /// `Gray8` pixel type (their planes are byte planes), a
-    /// perspective-view target, and a plan-consuming backend (any
+    /// The frame format this corrector accepts (default
+    /// [`FrameFormat::Gray8`]). Multi-plane formats
+    /// ([`FrameFormat::Yuv420`], [`FrameFormat::Rgb8`]) require a
+    /// perspective-view target and a plan-consuming backend (any
     /// registry spec except `direct`).
     pub fn format(mut self, format: FrameFormat) -> Self {
         self.format = Some(format);
@@ -332,18 +229,6 @@ impl<P: CorrectorPixel> CorrectorBuilder<P> {
     /// Worker threads for the `smp` backends (default 4).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Cell machine description for `cell` specs.
-    pub fn cell_config(mut self, cell: CellConfig) -> Self {
-        self.cell = cell;
-        self
-    }
-
-    /// GPU machine description for `gpu` specs.
-    pub fn gpu_config(mut self, gpu: GpuConfig) -> Self {
-        self.gpu = gpu;
         self
     }
 
@@ -401,20 +286,14 @@ impl<P: CorrectorPixel> CorrectorBuilder<P> {
     /// Compile the plan(s) (unless injected), resolve the engine, and
     /// return the ready corrector. All validation happens here —
     /// nothing in the builder chain panics on bad input.
-    pub fn build(self) -> Result<Corrector<P>, Error> {
+    pub fn build(self) -> Result<Corrector, Error> {
         let lens = self
             .lens
             .ok_or_else(|| Error::config("Corrector::builder(): .lens(..) is required"))?;
         let target = self.target.ok_or_else(|| {
             Error::config("Corrector::builder(): .view(..) or .projection(..) is required")
         })?;
-        let format = self.format.unwrap_or(P::FORMAT);
-        if format != P::FORMAT && !(P::FORMAT == FrameFormat::Gray8 && format.is_multi_plane()) {
-            return Err(Error::config(format!(
-                "format {format} is not available on the {} pixel type",
-                P::FORMAT
-            )));
-        }
+        let format = self.format.unwrap_or(FrameFormat::Gray8);
         if format.is_multi_plane() {
             if matches!(target, Target::Projection(_)) {
                 return Err(Error::config(
@@ -482,14 +361,12 @@ impl<P: CorrectorPixel> CorrectorBuilder<P> {
             }
             (None, None) => compile_target(format, &lens, &target, src_w, src_h, &opts, None)?,
         };
-        let ctx = ResolveCtx {
+        let ctx = HostCtx {
             interp: self.interp,
             threads: self.threads,
             geometry: target.geometry(&lens),
-            cell: self.cell,
-            gpu: self.gpu,
         };
-        let frames = assemble_frames::<P>(format, &self.spec, &ctx, plan, &self.post)?;
+        let frames = assemble_frames(format, &self.spec, &ctx, plan, &self.post)?;
         Ok(Corrector {
             lens,
             target,
@@ -499,8 +376,6 @@ impl<P: CorrectorPixel> CorrectorBuilder<P> {
             spec: self.spec,
             interp: self.interp,
             threads: self.threads,
-            cell: self.cell,
-            gpu: self.gpu,
             frames,
             map_time,
             plan_time,
@@ -513,15 +388,14 @@ impl<P: CorrectorPixel> CorrectorBuilder<P> {
 
 /// Resolve `spec`'s engine for `ctx` and assemble the frame corrector
 /// around `plan`, its post tables compiled from `post`.
-fn assemble_frames<P: CorrectorPixel>(
+fn assemble_frames(
     format: FrameFormat,
     spec: &EngineSpec,
-    ctx: &ResolveCtx<'_>,
+    ctx: &HostCtx<'_>,
     plan: ViewPlan,
     post: &PostStage,
 ) -> Result<FrameCorrector, Error> {
-    let engine = P::resolve_engine(spec, ctx)?;
-    let mut frames = FrameCorrector::from_parts(format, plan, P::pack_engine(engine))?;
+    let mut frames = FrameCorrector::from_parts(format, plan, resolve_engine(spec, ctx)?)?;
     frames.set_post(post);
     Ok(frames)
 }
@@ -611,8 +485,6 @@ pub struct Corrector<P: CorrectorPixel = Gray8> {
     spec: EngineSpec,
     interp: Interpolator,
     threads: usize,
-    cell: CellConfig,
-    gpu: GpuConfig,
     frames: FrameCorrector,
     map_time: Duration,
     plan_time: Duration,
@@ -625,9 +497,9 @@ pub struct Corrector<P: CorrectorPixel = Gray8> {
     _pixel: PhantomData<P>,
 }
 
-impl<P: CorrectorPixel> Corrector<P> {
+impl Corrector {
     /// Start building a corrector (see the module docs).
-    pub fn builder() -> CorrectorBuilder<P> {
+    pub fn builder() -> CorrectorBuilder {
         CorrectorBuilder::default()
     }
 
@@ -637,13 +509,17 @@ impl<P: CorrectorPixel> Corrector<P> {
     /// corrector this corrects one full-resolution plane (the luma /
     /// single-channel view of the stream); whole frames go through
     /// [`correct_frame_into`](Self::correct_frame_into).
-    pub fn correct_into(&self, src: &Image<P>, out: &mut Image<P>) -> Result<FrameReport, Error> {
-        Ok(P::correct_single(&self.frames, src, out)?)
+    pub fn correct_into(
+        &self,
+        src: &Image<Gray8>,
+        out: &mut Image<Gray8>,
+    ) -> Result<FrameReport, Error> {
+        Ok(self.frames.correct_plane_u8(PlaneClass::Full, src, out)?)
     }
 
     /// Correct one single-plane frame into a freshly allocated output
     /// image.
-    pub fn correct(&self, src: &Image<P>) -> Result<(Image<P>, FrameReport), Error> {
+    pub fn correct(&self, src: &Image<Gray8>) -> Result<(Image<Gray8>, FrameReport), Error> {
         let (w, h) = self.target.out_dims();
         let mut out = Image::new(w, h);
         let report = self.correct_into(src, &mut out)?;
@@ -853,14 +729,12 @@ impl<P: CorrectorPixel> Corrector<P> {
         interp: Interpolator,
         plan: ViewPlan,
     ) -> Result<FrameCorrector, Error> {
-        let ctx = ResolveCtx {
+        let ctx = HostCtx {
             interp,
             threads: self.threads,
             geometry: target.geometry(&self.lens),
-            cell: self.cell,
-            gpu: self.gpu,
         };
-        assemble_frames::<P>(self.format, &self.spec, &ctx, plan, &self.post)
+        assemble_frames(self.format, &self.spec, &ctx, plan, &self.post)
     }
 
     /// The lazily-created row-parallel pool for map retraces (`None`
@@ -875,7 +749,7 @@ impl<P: CorrectorPixel> Corrector<P> {
     }
 }
 
-impl<P: CorrectorPixel> std::fmt::Debug for Corrector<P> {
+impl std::fmt::Debug for Corrector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Corrector")
             .field("spec", &self.spec.name())
@@ -1109,21 +983,6 @@ mod tests {
     }
 
     #[test]
-    fn float_corrector_rejects_integer_datapaths() {
-        let (lens, view) = lens_view();
-        for name in ["fixed", "cell"] {
-            let spec: EngineSpec = name.parse().unwrap();
-            let e = Corrector::<GrayF32>::builder()
-                .lens(lens)
-                .view(view)
-                .backend(spec)
-                .build()
-                .unwrap_err();
-            assert_eq!(e.kind(), crate::ErrorKind::Engine, "{name}");
-        }
-    }
-
-    #[test]
     fn zero_threads_is_a_config_error_not_a_panic() {
         let (lens, view) = lens_view();
         let e = Corrector::<Gray8>::builder()
@@ -1160,8 +1019,8 @@ mod tests {
         assert_eq!(report.model["planes"], 3.0);
         // each plane bit-exact against the single-plane engine path
         let vp = c.view_plan();
-        let srcs = src.u8_planes().unwrap();
-        let outs = out.u8_planes().unwrap();
+        let srcs = src.planes();
+        let outs = out.planes();
         for (i, (s, o)) in srcs.iter().zip(&outs).enumerate() {
             let reference = crate::core::correct_plan(s, vp.plane_plan(i), Interpolator::Bilinear);
             assert_eq!(reference.pixels(), o.pixels(), "plane {i}");
@@ -1174,14 +1033,6 @@ mod tests {
     #[test]
     fn multi_plane_misconfigurations_are_config_errors() {
         let (lens, view) = lens_view();
-        // float pixel type cannot carry byte planes
-        let e = Corrector::<GrayF32>::builder()
-            .lens(lens)
-            .view(view)
-            .format(FrameFormat::Yuv420)
-            .build()
-            .unwrap_err();
-        assert_eq!(e.kind(), crate::ErrorKind::Config);
         // direct ignores the plan → wrong chroma geometry
         let e = Corrector::<Gray8>::builder()
             .lens(lens)

@@ -203,7 +203,8 @@ fn identity_post_stage_is_invisible_on_every_backend() {
 
 /// The fused post path is byte-identical to correct-then-post_row for
 /// arbitrary stages (any builtin LUT, strength, curve, dither seed,
-/// channel) on every host backend — including the degenerate 1×1
+/// channel) on every plan-driven host backend, each reporting
+/// `fused=1` for an active stage — including the degenerate 1×1
 /// output and the all-invalid map a backward-looking view produces.
 #[test]
 fn fused_post_always_matches_two_pass() {
@@ -243,6 +244,7 @@ fn fused_post_always_matches_two_pass() {
                 schedule: Schedule::Static { chunk: None },
             },
             EngineSpec::Simd,
+            EngineSpec::FixedPoint { frac_bits: 12 },
         ];
         let threads = g.usize_in(1, 5);
         for spec in specs {
@@ -258,9 +260,11 @@ fn fused_post_always_matches_two_pass() {
             )
             .expect("host engine builds");
             let mut fused = Image::new(out_w, out_h);
-            engine
+            let report = engine
                 .correct_frame_post(&frame, &plan, Some(&post), &mut fused)
                 .expect("fused correct");
+            let want = (!post.is_noop()).then_some(&1.0);
+            ensure_eq!(report.model.get("fused"), want, "{} fused", spec.name());
             let mut two = Image::new(out_w, out_h);
             engine
                 .correct_frame(&frame, &plan, &mut two)
