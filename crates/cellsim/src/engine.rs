@@ -66,7 +66,7 @@ impl CellEngine {
     }
 }
 
-impl CorrectionEngine<Gray8> for CellEngine {
+impl CorrectionEngine for CellEngine {
     fn name(&self) -> String {
         self.spec.name()
     }

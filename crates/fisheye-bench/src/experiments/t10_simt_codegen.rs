@@ -133,7 +133,7 @@ fn simt_point(res_name: &'static str, workgroup: usize, reps: usize) -> SimtPoin
     let c = batch.counters;
 
     // serial reference for float bit-exactness
-    let serial = build_host::<Gray8>(
+    let serial = build_host(
         &EngineSpec::Serial,
         &HostCtx {
             interp: Interpolator::Bilinear,

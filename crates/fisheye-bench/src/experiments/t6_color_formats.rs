@@ -59,9 +59,9 @@ fn backends() -> Vec<(&'static str, EngineSpec, usize)> {
 /// 1.5× the time of 2 + 2, and whenever the gray and yuv420 pools sat
 /// differently the ratio read that (1.0 or 2.3), not the frame
 /// layer's 1.5.
-struct SharedEngine(Arc<dyn CorrectionEngine<Gray8>>);
+struct SharedEngine(Arc<dyn CorrectionEngine>);
 
-impl CorrectionEngine<Gray8> for SharedEngine {
+impl CorrectionEngine for SharedEngine {
     fn name(&self) -> String {
         self.0.name()
     }
@@ -147,9 +147,8 @@ pub fn run(scale: Scale) -> Table {
             threads,
             geometry: None,
         };
-        let engine: Arc<dyn CorrectionEngine<Gray8>> = build_host::<Gray8>(&spec, &ctx)
-            .expect("host backend builds")
-            .into();
+        let engine: Arc<dyn CorrectionEngine> =
+            build_host(&spec, &ctx).expect("host backend builds").into();
         let correctors: Vec<FrameCorrector> = frames
             .iter()
             .map(|(format, frame)| {

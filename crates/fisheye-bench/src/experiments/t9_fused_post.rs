@@ -131,7 +131,7 @@ fn post_point(
 ) -> PostPoint {
     let workload = random_workload(res, 0x7009);
     let plan = workload.plan_for(spec);
-    let engine = build_host::<Gray8>(
+    let engine = build_host(
         spec,
         &HostCtx {
             interp: Interpolator::Bilinear,

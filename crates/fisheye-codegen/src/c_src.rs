@@ -5,9 +5,12 @@
 //! that compute as the host's `interp` samplers do, op for op, on
 //! channels in [0, 1]; the fixed-LUT kernel emits the 8-byte entry
 //! struct and the 64-bit two-stage accumulator exactly as
-//! `sample_bilinear_fixed_gray8` computes it. Built without FMA
-//! contraction (`-ffp-contract=off`), both are bit-exact with the
-//! host (`tests/emitted_c.rs`).
+//! `sample_bilinear_fixed_gray8` computes it. The fused post stage
+//! grades as the host's `PostPlan::apply_u8` does: the stage's f32
+//! transfer table, the dither offset only when the stage dithers, and
+//! the host's rounding. Built without FMA contraction
+//! (`-ffp-contract=off`), all of it is bit-exact with the host
+//! (`tests/emitted_c.rs`).
 
 use crate::ir::{KernelIr, KernelOp, SampleMode};
 
@@ -63,18 +66,21 @@ fn header(s: &mut String, ir: &KernelIr) {
 fn post_fns(s: &mut String) {
     s.push_str(
         "/* Interleaved-gradient-noise dither, same constants as the host\n\
-         \x20* post stage; pass table == NULL to disable the stage. */\n\
+         \x20* post stage. */\n\
          static inline float fisheye_ign(float x, float y) {\n\
          \x20   float t = 0.06711056f * x + 0.00583715f * y;\n\
          \x20   t = t - floorf(t);\n\
          \x20   t = 52.982918f * t;\n\
          \x20   return t - floorf(t);\n\
          }\n\n\
+         /* The host's post grade: the stage's 255-domain transfer table,\n\
+         \x20* plus the dither offset when the stage dithers, rounded to a\n\
+         \x20* byte. Pass table == NULL to disable the stage. */\n\
          static inline uint8_t fisheye_post(uint8_t v, uint32_t x, uint32_t y,\n\
-         \x20                                  const uint8_t *table,\n\
+         \x20                                  const float *table, uint32_t dither,\n\
          \x20                                  uint32_t dither_x, uint32_t dither_y) {\n\
-         \x20   float d = (fisheye_ign((float)(x + dither_x), (float)(y + dither_y)) - 0.5f) * 0.95f;\n\
-         \x20   float out = (float)table[v] + d;\n\
+         \x20   float out = table[v];\n\
+         \x20   if (dither) out = out + (fisheye_ign((float)(x + dither_x), (float)(y + dither_y)) - 0.5f) * 0.95f;\n\
          \x20   if (out < 0.0f) out = 0.0f;\n\
          \x20   if (out > 255.0f) out = 255.0f;\n\
          \x20   return (uint8_t)(out + 0.5f);\n\
@@ -172,7 +178,7 @@ fn body_ops(s: &mut String, ir: &KernelIr, sample_call: &str, valid_expr: &str) 
             ),
             KernelOp::Post => s.push_str(
                 "            /* Post (fused; covers gap lanes too) */\n\
-                 \x20           if (post_table) v = fisheye_post(v, x, y, post_table, dither_x, dither_y);\n",
+                 \x20           if (post_table) v = fisheye_post(v, x, y, post_table, post_dither, dither_x, dither_y);\n",
             ),
             KernelOp::Store => s.push_str("            /* Store */\n            dst[idx] = v;\n"),
         }
@@ -215,7 +221,7 @@ fn float_kernel(s: &mut String, ir: &KernelIr) {
 
 fn post_params(ir: &KernelIr) -> &'static str {
     if ir.fused_post {
-        ",\n        const uint8_t *post_table, uint32_t dither_x, uint32_t dither_y"
+        ",\n        const float *post_table, uint32_t post_dither,\n        uint32_t dither_x, uint32_t dither_y"
     } else {
         ""
     }

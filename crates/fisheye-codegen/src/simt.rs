@@ -5,23 +5,25 @@
 //! `gpusim` models analytically (warps, cache-line touches per warp)
 //! plus what only execution can observe (divergence, lane occupancy).
 //!
-//! The interpreter is *functionally* bit-exact with the host engines:
-//! the float datapath calls the same `interp` kernels the serial and
-//! SIMD engines use, and the fixed datapath calls
-//! [`sample_bilinear_fixed_gray8`] on the plan's prequantized LUT, so
-//! `simt` output equals `serial`/`simd` (float) and the fixed-LUT
-//! kernel interpretation equals [`fisheye_core::correct_fixed`].
-//! Coalescing accounting mirrors `gpusim::model` line for line so the
-//! T10 bench can compare the two without slack.
+//! The interpreter corrects byte planes, as every engine does, and is
+//! *functionally* bit-exact with the host engines: the float datapath
+//! calls the same `interp` kernels the serial engine uses, the fixed
+//! datapath calls [`sample_bilinear_fixed_gray8`] on the plan's
+//! prequantized LUT, and the fused post grades each lane with the
+//! host's [`PostPlan::apply_u8`], so `simt` output equals
+//! `serial`/`simd` (float) and the fixed-LUT kernel interpretation
+//! equals [`fisheye_core::correct_fixed`]. Coalescing accounting is
+//! `gpusim::model`'s shared count ([`tap_lines`]) so the T10 bench can
+//! compare the two without slack.
 
 use std::time::Instant;
 
 use fisheye_core::engine::{
-    check_frame_dims, CorrectionEngine, EngineError, EnginePixel, EngineSpec, FrameReport,
+    check_frame_dims, CorrectionEngine, EngineError, EngineSpec, FrameReport,
 };
 use fisheye_core::interp::sample_bilinear_fixed_gray8;
 use fisheye_core::plan::RemapPlan;
-use fisheye_core::post::{PostPixel, PostPlan};
+use fisheye_core::post::PostPlan;
 use fisheye_core::tile::{tap_lines, TileJob};
 use fisheye_core::Interpolator;
 use pixmap::{Gray8, Image, Pixel};
@@ -135,32 +137,31 @@ pub struct SimtBatchReport {
 /// fixed kernel — so the lockstep loop, mask handling and coalescing
 /// accounting are written exactly once.
 #[allow(clippy::too_many_arguments)]
-fn interpret_frame<P, C, FL, FV, FO, FS>(
+fn interpret_frame<C, FL, FV, FO, FS>(
     ir: &KernelIr,
     jobs: &[TileJob],
     line_bytes: u64,
     post: Option<&PostPlan>,
-    out: &mut Image<P>,
+    out: &mut Image<Gray8>,
     counters: &mut SimtCounters,
     mut load: FL,
     valid_of: FV,
     origin_of: FO,
     mut sample: FS,
 ) where
-    P: Pixel + PostPixel,
     C: Copy,
     FL: FnMut(u32, u32) -> C,
     FV: Fn(&C) -> bool,
     FO: Fn(&C) -> (u64, u64),
-    FS: FnMut(&C) -> P,
+    FS: FnMut(&C) -> Gray8,
 {
     let src_w = ir.src_dims.0 as u64;
-    let bytes_pp = std::mem::size_of::<P>() as u64;
+    let bytes_pp = std::mem::size_of::<Gray8>() as u64;
     let reach = ir.sample.reach() as u64;
     let line_bytes = line_bytes.max(1);
     let mut coords: Vec<C> = Vec::with_capacity(WARP_LANES);
     let mut mask: Vec<bool> = Vec::with_capacity(WARP_LANES);
-    let mut vals: Vec<P> = Vec::with_capacity(WARP_LANES);
+    let mut vals: Vec<Gray8> = Vec::with_capacity(WARP_LANES);
     let mut warp_lines: Vec<u64> = Vec::new();
     for job in jobs {
         counters.workgroups += 1;
@@ -213,14 +214,14 @@ fn interpret_frame<P, C, FL, FV, FO, FS>(
                                 vals.push(if mask[l] {
                                     sample(&coords[l])
                                 } else {
-                                    P::BLACK
+                                    Gray8::BLACK
                                 });
                             }
                         }
                         KernelOp::FillGap => {
                             for l in 0..lanes {
                                 if !mask[l] {
-                                    vals[l] = P::BLACK;
+                                    vals[l] = Gray8::BLACK;
                                 }
                             }
                         }
@@ -231,7 +232,7 @@ fn interpret_frame<P, C, FL, FV, FO, FS>(
                             // dependent).
                             if let Some(pp) = post {
                                 for (l, v) in vals.iter_mut().enumerate().take(lanes) {
-                                    *v = v.post(pp, wx0 + l as u32, wy);
+                                    *v = Gray8(pp.apply_u8(v.0, wx0 + l as u32, wy));
                                 }
                             }
                         }
@@ -309,12 +310,12 @@ impl SimtEngine {
 
     /// Interpret the float kernel for one frame, accumulating into
     /// `counters`; returns whether the tile plan was derived here.
-    fn run_float_frame<P: EnginePixel + PostPixel>(
+    fn run_float_frame(
         &self,
-        src: &Image<P>,
+        src: &Image<Gray8>,
         plan: &RemapPlan,
         post: Option<&PostPlan>,
-        out: &mut Image<P>,
+        out: &mut Image<Gray8>,
         counters: &mut SimtCounters,
     ) -> Result<Option<f64>, EngineError> {
         check_frame_dims(&self.spec().name(), src, plan, out)?;
@@ -396,12 +397,12 @@ impl SimtEngine {
 
     /// Correct a batch of frames through one plan, one kernel launch
     /// per frame, aggregating the counters across the batch.
-    pub fn run_batch<P: EnginePixel + PostPixel>(
+    pub fn run_batch(
         &self,
-        srcs: &[Image<P>],
+        srcs: &[Image<Gray8>],
         plan: &RemapPlan,
         post: Option<&PostPlan>,
-        outs: &mut [Image<P>],
+        outs: &mut [Image<Gray8>],
     ) -> Result<SimtBatchReport, EngineError> {
         if srcs.len() != outs.len() {
             return Err(EngineError::backend(
@@ -463,39 +464,30 @@ impl SimtEngine {
     }
 }
 
-impl<P: EnginePixel + PostPixel> CorrectionEngine<P> for SimtEngine {
+impl CorrectionEngine for SimtEngine {
     fn name(&self) -> String {
         self.spec().name()
     }
 
     fn correct_frame(
         &self,
-        src: &Image<P>,
+        src: &Image<Gray8>,
         plan: &RemapPlan,
-        out: &mut Image<P>,
+        out: &mut Image<Gray8>,
     ) -> Result<FrameReport, EngineError> {
         self.correct_frame_post(src, plan, None, out)
     }
 
     fn correct_frame_post(
         &self,
-        src: &Image<P>,
+        src: &Image<Gray8>,
         plan: &RemapPlan,
         post: Option<&PostPlan>,
-        out: &mut Image<P>,
+        out: &mut Image<Gray8>,
     ) -> Result<FrameReport, EngineError> {
         let name = self.spec().name();
-        // Mirror the host engines' post gate: strip inert stages, and
-        // reject active ones on pixel types with no post datapath.
-        let pp = match post.filter(|p| !p.is_noop()) {
-            Some(_) if !P::HAS_POST => {
-                return Err(EngineError::unsupported(
-                    name,
-                    "no post-stage datapath for this pixel type",
-                ))
-            }
-            other => other,
-        };
+        // strip inert stages, as the host engines do
+        let pp = post.filter(|p| !p.is_noop());
         let t0 = Instant::now();
         let mut counters = SimtCounters::default();
         let derive_ms = self.run_float_frame(src, plan, pp, out, &mut counters)?;

@@ -1,11 +1,12 @@
 //! WGSL compute emitter: renders the kernel IR as a WGSL compute
 //! shader, one workgroup per output tile (workgroup = tile, one warp
 //! of the `@workgroup_size(32, H, 1)` grid per tile row). The float
-//! samplers compute as the C emitter's do, which the C harness runs
-//! bit-exact against the host: channels in [0, 1], the host's
-//! expression order, and its quantizer. No WGSL runtime checks the
-//! shader; the emitted text is pinned by golden snapshot tests keyed
-//! to the plan digest.
+//! samplers and the fused post compute as the C emitter's do, which
+//! the C harness runs bit-exact against the host: channels in [0, 1],
+//! the host's expression order and quantizer, and the post stage's f32
+//! transfer table with dither only when the stage dithers. No WGSL
+//! runtime checks the shader; the emitted text is pinned by golden
+//! snapshot tests keyed to the plan digest.
 
 use crate::ir::{KernelIr, KernelOp, SampleMode};
 
@@ -48,7 +49,7 @@ fn params(s: &mut String, ir: &KernelIr) {
     );
     if ir.fused_post {
         s.push_str(
-            "    post_enabled: u32,\n    dither_x: u32,\n    dither_y: u32,\n    _pad: u32,\n",
+            "    post_enabled: u32,\n    dither_enabled: u32,\n    dither_x: u32,\n    dither_y: u32,\n",
         );
     }
     s.push_str("}\n\n");
@@ -207,10 +208,14 @@ fn post_fns(s: &mut String, _ir: &KernelIr) {
          fn ign(x: f32, y: f32) -> f32 {\n\
          \x20   return fract(52.982918 * fract(0.06711056 * x + 0.00583715 * y));\n\
          }\n\n\
+         // The host's post grade: the transfer table, plus the dither\n\
+         // offset when the stage dithers, rounded to a byte value.\n\
          fn post_apply(v: f32, x: u32, y: u32) -> f32 {\n\
-         \x20   let t = post_table[u32(clamp(v, 0.0, 255.0))];\n\
-         \x20   let d = (ign(f32(x + params.dither_x), f32(y + params.dither_y)) - 0.5) * 0.95;\n\
-         \x20   return clamp(t + d, 0.0, 255.0);\n\
+         \x20   var t = post_table[u32(clamp(v, 0.0, 255.0))];\n\
+         \x20   if (params.dither_enabled != 0u) {\n\
+         \x20       t = t + (ign(f32(x + params.dither_x), f32(y + params.dither_y)) - 0.5) * 0.95;\n\
+         \x20   }\n\
+         \x20   return clamp(floor(t + 0.5), 0.0, 255.0);\n\
          }\n\n",
     );
 }

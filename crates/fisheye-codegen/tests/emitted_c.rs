@@ -5,7 +5,11 @@
 //! driver with `cc -std=c99 -O2 -ffp-contract=off` (contracting
 //! multiply-adds into FMAs would change float rounding) and compares
 //! the kernel's output with `correct_plan` or `correct_fixed`, pixel
-//! for pixel. The fused post stage stays off (`post_table` NULL).
+//! for pixel. The fused post stage is off (`post_table` NULL) except in
+//! the graded cases, which hand the `simt:64` bilinear and `fixed_q12`
+//! kernels a stage whose transfer table has fractional entries, with
+//! and without dither, and compare with the host reference graded row
+//! by row.
 //!
 //! The kernel source opens the driver's translation unit, so it must
 //! be self-contained: nothing it uses can come from the driver's own
@@ -15,11 +19,15 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::Arc;
 
 use fisheye_codegen::{emit_kernel, lower, KernelTarget};
 use fisheye_core::engine::EngineSpec;
 use fisheye_core::plan::{PlanOptions, RemapPlan};
-use fisheye_core::{correct_fixed, correct_plan, Interpolator, RemapMap};
+use fisheye_core::{
+    correct_fixed, correct_plan, DitherSeed, Interpolator, Lut3d, PostChannel, PostPlan, PostStage,
+    RemapMap,
+};
 use fisheye_geom::{FisheyeLens, PerspectiveView};
 use pixmap::{Gray8, Image};
 
@@ -135,9 +143,50 @@ fn pixels(img: &Image<Gray8>) -> Vec<u8> {
     img.pixels().iter().map(|p| p.0).collect()
 }
 
+/// The graded stage: builtin `warm` at strength 0.6, whose transfer
+/// table has fractional entries, dithered or not.
+fn graded(dither: bool) -> PostPlan {
+    let warm = Lut3d::builtin("warm").expect("builtin LUT");
+    let mut stage = PostStage::identity().with_grade(Arc::new(warm), 0.6);
+    if dither {
+        stage = stage.with_dither(DitherSeed(7));
+    }
+    let pp = stage.compile(PostChannel::Luma);
+    assert!(pp.table().iter().any(|v| v.fract() != 0.0));
+    pp
+}
+
+/// The post arguments of a fused kernel's call: `post_table` NULL
+/// without a stage, else the stage's f32 transfer table (written to
+/// `post.bin` and loaded by the returned declaration), whether it
+/// dithers, and its dither offsets.
+fn post_args(dir: &Path, post: Option<&PostPlan>) -> (String, String) {
+    let Some(pp) = post else {
+        return (String::new(), ", NULL, 0, 0, 0".into());
+    };
+    let table: Vec<u8> = pp.table().iter().flat_map(|v| v.to_ne_bytes()).collect();
+    fs::write(dir.join("post.bin"), table).expect("write post table");
+    let (dither, (dx, dy)) = pp.dither().map_or((0, (0, 0)), |off| (1, off));
+    (
+        "\n    const float *post_table = slurp(\"post.bin\", 256 * sizeof(float));".into(),
+        format!(", post_table, {dither}u, {dx}u, {dy}u"),
+    )
+}
+
+/// `reference` graded row by row with `post`, as the host engines do.
+fn graded_pixels(mut reference: Image<Gray8>, post: Option<&PostPlan>) -> Vec<u8> {
+    if let Some(pp) = post {
+        for y in 0..reference.height() {
+            pp.apply_row(reference.row_mut(y), y);
+        }
+    }
+    pixels(&reference)
+}
+
 /// Emit the float kernel for `interp` on a `simt` spec, run it on every
-/// geometry and compare it with `correct_plan`.
-fn check_float_kernel(test: &str, interp: Interpolator) {
+/// geometry with the fused post stage `post` (off when `None`) and
+/// compare it with `correct_plan`, graded by `post`.
+fn check_float_kernel(test: &str, interp: Interpolator, post: Option<&PostPlan>) {
     if !cc_available() {
         println!("{test}: skipped, no `cc` on the path to build the emitted C");
         return;
@@ -146,7 +195,7 @@ fn check_float_kernel(test: &str, interp: Interpolator) {
     for (gi, &geometry) in GEOMETRIES.iter().enumerate() {
         let (plan, src) = plan_and_source(geometry, 11 + gi as u64);
         let kernel = emit_kernel(&plan, &spec, interp, KernelTarget::C).expect("emit C");
-        let fused = lower(&plan, &spec, interp).expect("lower").fused_post;
+        assert!(lower(&plan, &spec, interp).expect("lower").fused_post);
         let dir = scratch_dir(test, gi);
         fs::write(dir.join("kernel.c"), &kernel.source).expect("write kernel");
         let plane = |row: fn(&RemapPlan, u32) -> &[f32]| -> Vec<u8> {
@@ -157,43 +206,30 @@ fn check_float_kernel(test: &str, interp: Interpolator) {
         fs::write(dir.join("sx.bin"), plane(RemapPlan::row_sx)).expect("write sx");
         fs::write(dir.join("sy.bin"), plane(RemapPlan::row_sy)).expect("write sy");
         fs::write(dir.join("src.bin"), pixels(&src)).expect("write source");
-        let post = if fused { ", NULL, 0, 0" } else { "" };
+        let (post_decl, post_call) = post_args(&dir, post);
         let got = build_and_run(
             &dir,
-            "const float *sx = slurp(\"sx.bin\", n_out * sizeof(float));\n\
-             \x20   const float *sy = slurp(\"sy.bin\", n_out * sizeof(float));",
-            &format!("{}(sx, sy, src, dst{post})", kernel.name),
+            &format!(
+                "const float *sx = slurp(\"sx.bin\", n_out * sizeof(float));\n\
+                 \x20   const float *sy = slurp(\"sy.bin\", n_out * sizeof(float));{post_decl}"
+            ),
+            &format!("{}(sx, sy, src, dst{post_call})", kernel.name),
             (plan.width() * plan.height()) as usize,
         );
-        let want = pixels(&correct_plan(&src, &plan, interp));
+        let want = graded_pixels(correct_plan(&src, &plan, interp), post);
         let differ = got.iter().zip(&want).filter(|(a, b)| a != b).count();
         assert_eq!(
             differ, 0,
-            "{}: {differ} pixels differ from correct_plan on geometry {gi}",
-            kernel.name
+            "{test}: {differ} pixels differ from correct_plan on geometry {gi}"
         );
         let _ = fs::remove_dir_all(&dir);
     }
 }
 
-#[test]
-fn emitted_c_nearest_matches_correct_plan() {
-    check_float_kernel("nearest", Interpolator::Nearest);
-}
-
-#[test]
-fn emitted_c_bilinear_matches_correct_plan() {
-    check_float_kernel("bilinear", Interpolator::Bilinear);
-}
-
-#[test]
-fn emitted_c_bicubic_matches_correct_plan() {
-    check_float_kernel("bicubic", Interpolator::Bicubic);
-}
-
-#[test]
-fn emitted_c_fixed_q12_matches_correct_fixed() {
-    let test = "fixed_q12";
+/// Emit the `fixed_q12` kernel, run it on every geometry with the
+/// fused post stage `post` (off when `None`) and compare it with
+/// `correct_fixed`, graded by `post`.
+fn check_fixed_kernel(test: &str, post: Option<&PostPlan>) {
     if !cc_available() {
         println!("{test}: skipped, no `cc` on the path to build the emitted C");
         return;
@@ -205,9 +241,11 @@ fn emitted_c_fixed_q12_matches_correct_fixed() {
         let (plan, src) = plan_and_source(geometry, 21 + gi as u64);
         let kernel =
             emit_kernel(&plan, &spec, Interpolator::Bilinear, KernelTarget::C).expect("emit C");
-        let fused = lower(&plan, &spec, Interpolator::Bilinear)
-            .expect("lower")
-            .fused_post;
+        assert!(
+            lower(&plan, &spec, Interpolator::Bilinear)
+                .expect("lower")
+                .fused_post
+        );
         let lut = plan.fixed(FRAC_BITS).expect("compiled LUT");
         let dir = scratch_dir(test, gi);
         fs::write(dir.join("kernel.c"), &kernel.source).expect("write kernel");
@@ -227,22 +265,63 @@ fn emitted_c_fixed_q12_matches_correct_fixed() {
             .collect();
         fs::write(dir.join("lut.bin"), entries).expect("write LUT");
         fs::write(dir.join("src.bin"), pixels(&src)).expect("write source");
-        let post = if fused { ", NULL, 0, 0" } else { "" };
+        let (post_decl, post_call) = post_args(&dir, post);
         let got = build_and_run(
             &dir,
-            "if (sizeof(fisheye_fixed_entry) != 8) return 3;\n\
-             \x20   const fisheye_fixed_entry *map =\n\
-             \x20       slurp(\"lut.bin\", n_out * sizeof(fisheye_fixed_entry));",
-            &format!("{}(map, src, dst{post})", kernel.name),
+            &format!(
+                "if (sizeof(fisheye_fixed_entry) != 8) return 3;\n\
+                 \x20   const fisheye_fixed_entry *map =\n\
+                 \x20       slurp(\"lut.bin\", n_out * sizeof(fisheye_fixed_entry));{post_decl}"
+            ),
+            &format!("{}(map, src, dst{post_call})", kernel.name),
             (plan.width() * plan.height()) as usize,
         );
-        let want = pixels(&correct_fixed(&src, lut));
+        let want = graded_pixels(correct_fixed(&src, lut), post);
         let differ = got.iter().zip(&want).filter(|(a, b)| a != b).count();
         assert_eq!(
             differ, 0,
-            "{}: {differ} pixels differ from correct_fixed on geometry {gi}",
-            kernel.name
+            "{test}: {differ} pixels differ from correct_fixed on geometry {gi}"
         );
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn emitted_c_nearest_matches_correct_plan() {
+    check_float_kernel("nearest", Interpolator::Nearest, None);
+}
+
+#[test]
+fn emitted_c_bilinear_matches_correct_plan() {
+    check_float_kernel("bilinear", Interpolator::Bilinear, None);
+}
+
+#[test]
+fn emitted_c_bicubic_matches_correct_plan() {
+    check_float_kernel("bicubic", Interpolator::Bicubic, None);
+}
+
+#[test]
+fn emitted_c_fixed_q12_matches_correct_fixed() {
+    check_fixed_kernel("fixed_q12", None);
+}
+
+#[test]
+fn emitted_c_bilinear_grades_as_the_host() {
+    check_float_kernel(
+        "bilinear_graded",
+        Interpolator::Bilinear,
+        Some(&graded(false)),
+    );
+    check_float_kernel(
+        "bilinear_dithered",
+        Interpolator::Bilinear,
+        Some(&graded(true)),
+    );
+}
+
+#[test]
+fn emitted_c_fixed_q12_grades_as_the_host() {
+    check_fixed_kernel("fixed_q12_graded", Some(&graded(false)));
+    check_fixed_kernel("fixed_q12_dithered", Some(&graded(true)));
 }

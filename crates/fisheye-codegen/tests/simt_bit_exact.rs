@@ -10,13 +10,12 @@ use std::sync::Arc;
 use fisheye_codegen::{SimtConfig, SimtEngine};
 use fisheye_core::engine::{execute_host_post, CorrectionEngine, EngineSpec, HostEnv};
 use fisheye_core::plan::{PlanOptions, RemapPlan};
-use fisheye_core::post::PostPixel;
 use fisheye_core::{
     correct_fixed, DitherSeed, Interpolator, Lut3d, MapEntry, PostChannel, PostPlan, PostStage,
     RemapMap, ToneMap,
 };
 use fisheye_geom::{FisheyeLens, PerspectiveView};
-use pixmap::{Gray8, GrayF32, Image};
+use pixmap::{Gray8, Image};
 use proputil::{ensure, ensure_eq, Gen};
 
 const CASES: u32 = 24;
@@ -157,7 +156,7 @@ fn simt_fixed_lut_kernel_bit_exact_vs_correct_fixed() {
             let mut reference = correct_fixed(&frame, lut);
             if let Some(pp) = post.as_ref().filter(|p| !p.is_noop()) {
                 for y in 0..reference.height() {
-                    Gray8::post_row(reference.row_mut(y), y, pp);
+                    pp.apply_row(reference.row_mut(y), y);
                 }
             }
             let engine = simt(g, Interpolator::Bilinear);
@@ -173,44 +172,6 @@ fn simt_fixed_lut_kernel_bit_exact_vs_correct_fixed() {
             Ok(())
         },
     );
-}
-
-#[test]
-fn simt_float_kernel_bit_exact_on_gray_f32() {
-    proputil::check("simt_float_kernel_bit_exact_on_gray_f32", CASES, |g| {
-        let (map, frame8) = arb_workload(g);
-        let frame: Image<GrayF32> = frame8.map(|p| GrayF32(p.0 as f32 / 255.0));
-        let interp = arb_interp(g);
-        let plan = RemapPlan::compile(&map, PlanOptions::default());
-        let env = HostEnv {
-            pool: None,
-            geometry: None,
-        };
-        let mut reference = Image::new(map.width(), map.height());
-        execute_host_post(
-            &EngineSpec::Serial,
-            interp,
-            &frame,
-            &plan,
-            None,
-            &env,
-            &mut reference,
-        )
-        .map_err(|e| format!("serial reference: {e}"))?;
-        let mut out = Image::new(map.width(), map.height());
-        simt(g, interp)
-            .correct_frame_post(&frame, &plan, None, &mut out)
-            .map_err(|e| format!("simt: {e}"))?;
-        // f32 equality must be bit-level, not approximate.
-        let bits = |img: &Image<GrayF32>| {
-            img.pixels()
-                .iter()
-                .map(|p| p.0.to_bits())
-                .collect::<Vec<_>>()
-        };
-        ensure_eq!(bits(&reference), bits(&out), "interp {}", interp.name());
-        Ok(())
-    });
 }
 
 /// Degenerate maps: 1×1 outputs, all-invalid maps, single rows and

@@ -21,7 +21,7 @@ static inline uint8_t fisheye_load_src(const uint8_t *src, int64_t x, int64_t y)
 }
 
 /* Interleaved-gradient-noise dither, same constants as the host
- * post stage; pass table == NULL to disable the stage. */
+ * post stage. */
 static inline float fisheye_ign(float x, float y) {
     float t = 0.06711056f * x + 0.00583715f * y;
     t = t - floorf(t);
@@ -29,11 +29,14 @@ static inline float fisheye_ign(float x, float y) {
     return t - floorf(t);
 }
 
+/* The host's post grade: the stage's 255-domain transfer table,
+ * plus the dither offset when the stage dithers, rounded to a
+ * byte. Pass table == NULL to disable the stage. */
 static inline uint8_t fisheye_post(uint8_t v, uint32_t x, uint32_t y,
-                                   const uint8_t *table,
+                                   const float *table, uint32_t dither,
                                    uint32_t dither_x, uint32_t dither_y) {
-    float d = (fisheye_ign((float)(x + dither_x), (float)(y + dither_y)) - 0.5f) * 0.95f;
-    float out = (float)table[v] + d;
+    float out = table[v];
+    if (dither) out = out + (fisheye_ign((float)(x + dither_x), (float)(y + dither_y)) - 0.5f) * 0.95f;
     if (out < 0.0f) out = 0.0f;
     if (out > 255.0f) out = 255.0f;
     return (uint8_t)(out + 0.5f);
@@ -67,7 +70,8 @@ static inline uint8_t fisheye_sample_fixed(const uint8_t *src, fisheye_fixed_ent
 
 void fisheye_remap_fixed_q12(const fisheye_fixed_entry *map,
          const uint8_t *src, uint8_t *dst,
-        const uint8_t *post_table, uint32_t dither_x, uint32_t dither_y) {
+        const float *post_table, uint32_t post_dither,
+        uint32_t dither_x, uint32_t dither_y) {
     for (uint32_t y = 0; y < FISHEYE_OUT_H; y++) {
         for (uint32_t x = 0; x < FISHEYE_OUT_W; x++) {
             size_t idx = (size_t)y * FISHEYE_OUT_W + x;
@@ -77,7 +81,7 @@ void fisheye_remap_fixed_q12(const fisheye_fixed_entry *map,
             if (e.x0 != INT16_MIN) v = fisheye_sample_fixed(src, e);
             /* FillGap: v stays 0 (black) for gap lanes */
             /* Post (fused; covers gap lanes too) */
-            if (post_table) v = fisheye_post(v, x, y, post_table, dither_x, dither_y);
+            if (post_table) v = fisheye_post(v, x, y, post_table, post_dither, dither_x, dither_y);
             /* Store */
             dst[idx] = v;
         }

@@ -27,7 +27,9 @@
 //! source (reading that source plan's SoA planes or fixed LUT), and a
 //! segment walk hands each `Exclusive` run to its source's kernel
 //! whole and each `Blend` pixel to every weighted source's kernel.
-//! Every backend grades each finished row with the post stage in the
+//! Sources and output are byte planes, and a blend pixel rounds
+//! `(Σ vᵢ·qᵢ + 127) / 255` in integers, the legacy stitcher's exact
+//! arithmetic. Every backend grades each finished row with the post stage in the
 //! row driver. Every backend is bit-exact against
 //! [`compose_layers`] applied to per-camera corrections from the
 //! matching single-plan backend — the "two-pass" reference the
@@ -48,11 +50,10 @@ use std::sync::Arc;
 use fisheye_geom::{
     CameraRig, FisheyeLens, Mat3, MountedLens, OutputProjection, RectifiedPair, StereoRig,
 };
-use pixmap::{Gray8, GrayF32, Image, Pixel};
+use pixmap::{Gray8, Image, Pixel};
 
 use crate::engine::{
-    active_post, drive_rows, host_pool, refuse_host, EngineError, EnginePixel, EngineSpec,
-    FrameReport, HostEnv,
+    drive_rows, host_pool, refuse_host, EngineError, EngineSpec, FrameReport, HostEnv,
 };
 use crate::frame::FrameFormat;
 use crate::interp::Interpolator;
@@ -60,7 +61,7 @@ use crate::map::{MapEntry, RemapMap};
 use crate::plan::{
     correct_plan, with_sampler, Fixed, Float, Fnv, Lanes, PlanOptions, RemapPlan, SpanKernel,
 };
-use crate::post::{PostPixel, PostPlan};
+use crate::post::PostPlan;
 
 // ---------------------------------------------------------------------
 // Geometry tracing
@@ -626,103 +627,50 @@ impl fmt::Debug for StereoPlan {
 }
 
 // ---------------------------------------------------------------------
-// CompositePixel: blend arithmetic
+// Blend arithmetic, the segment walk and the two-pass reference
 // ---------------------------------------------------------------------
 
-/// Pixel types the composite executor can blend. The accumulator and
-/// finish rule define the overlap arithmetic each element type uses —
-/// integer `(Σ vᵢ·qᵢ + 127) / 255` for `u8` planes (the legacy
-/// stitcher's exact rounding), float `Σ vᵢ·(qᵢ/255)` for `f32`. The
-/// samples come from the [`EnginePixel`] datapaths, so a composite
-/// backend exists wherever the single-plan one does.
-pub trait CompositePixel: EnginePixel + PostPixel {
-    /// Weighted-blend accumulator.
-    type Acc: Copy;
-
-    /// The zero accumulator.
-    fn acc_zero() -> Self::Acc;
-
-    /// Accumulate one source sample with quantized weight `q`.
-    fn acc_add(acc: &mut Self::Acc, v: Self, q: u8);
-
-    /// Finish the accumulator into an output pixel. With a single
-    /// `q = 255` contribution this is exact (identity), so exclusive
-    /// runs and blend runs share one arithmetic definition.
-    fn acc_finish(acc: Self::Acc) -> Self;
+/// Finish an overlap pixel's accumulator `Σ vᵢ·qᵢ` over the sources
+/// with a nonzero quantized weight `qᵢ`: `(acc + 127) / 255`, the
+/// legacy stitcher's exact rounding. A single `q = 255` contribution
+/// is the identity, which is what lets an exclusive run copy its
+/// source's samples.
+#[inline]
+fn blend_finish(acc: u32) -> Gray8 {
+    Gray8(((acc + 127) / 255) as u8)
 }
-
-impl CompositePixel for Gray8 {
-    type Acc = u32;
-
-    fn acc_zero() -> u32 {
-        0
-    }
-
-    fn acc_add(acc: &mut u32, v: Gray8, q: u8) {
-        *acc += v.0 as u32 * q as u32;
-    }
-
-    fn acc_finish(acc: u32) -> Gray8 {
-        Gray8(((acc + 127) / 255) as u8)
-    }
-}
-
-impl CompositePixel for GrayF32 {
-    type Acc = f32;
-
-    fn acc_zero() -> f32 {
-        0.0
-    }
-
-    fn acc_add(acc: &mut f32, v: GrayF32, q: u8) {
-        *acc += v.0 * (q as f32 / 255.0);
-    }
-
-    fn acc_finish(acc: f32) -> GrayF32 {
-        GrayF32(acc)
-    }
-}
-
-// ---------------------------------------------------------------------
-// The segment walk + two-pass reference
-// ---------------------------------------------------------------------
 
 /// The segment row walk every composite datapath runs, with one span
 /// kernel per source: gaps fill black, an `Exclusive` run goes through
 /// its source's [`SpanKernel::span`] (the single-plan kernel,
 /// unchanged), and a `Blend` run accumulates every weighted source's
 /// [`SpanKernel::sample`] in source order.
-fn seg_row<P: CompositePixel, K: SpanKernel<P>>(
-    plan: &CompositePlan,
-    ks: &[K],
-    y: u32,
-    out_row: &mut [P],
-) {
+fn seg_row<K: SpanKernel<Gray8>>(plan: &CompositePlan, ks: &[K], y: u32, out_row: &mut [Gray8]) {
     let row_start = y as usize * out_row.len();
     let mut cursor = 0usize;
     for seg in plan.row_segs(y) {
         let (Seg::Exclusive { start, end, .. } | Seg::Blend { start, end, .. }) = *seg;
         let (start, end) = (start as usize, end as usize);
-        out_row[cursor..start].fill(P::BLACK);
+        out_row[cursor..start].fill(Gray8::BLACK);
         let run = &mut out_row[start..end];
         match *seg {
             Seg::Exclusive { source, .. } => ks[source as usize].span(y, start, run),
             Seg::Blend { woff, .. } => {
                 let weights = plan.weights[woff as usize..].chunks_exact(ks.len());
                 for ((i, o), qs) in (row_start + start..).zip(run).zip(weights) {
-                    let mut acc = P::acc_zero();
+                    let mut acc = 0u32;
                     for (k, &q) in ks.iter().zip(qs) {
                         if q > 0 {
-                            P::acc_add(&mut acc, k.sample(i), q);
+                            acc += k.sample(i).0 as u32 * q as u32;
                         }
                     }
-                    *o = P::acc_finish(acc);
+                    *o = blend_finish(acc);
                 }
             }
         }
         cursor = end;
     }
-    out_row[cursor..].fill(P::BLACK);
+    out_row[cursor..].fill(Gray8::BLACK);
 }
 
 /// The blend half of the two-pass reference: given per-camera
@@ -730,7 +678,7 @@ fn seg_row<P: CompositePixel, K: SpanKernel<P>>(
 /// the composite's segment program and quantized weights per pixel.
 /// [`execute_composite_host`] must match `compose_layers` over layers
 /// produced by the matching per-camera backend, byte for byte.
-pub fn compose_layers<P: CompositePixel>(plan: &CompositePlan, layers: &[&Image<P>]) -> Image<P> {
+pub fn compose_layers(plan: &CompositePlan, layers: &[&Image<Gray8>]) -> Image<Gray8> {
     assert_eq!(layers.len(), plan.sources.len(), "one layer per source");
     for l in layers {
         assert_eq!(
@@ -747,7 +695,7 @@ pub fn compose_layers<P: CompositePixel>(plan: &CompositePlan, layers: &[&Image<
         for seg in plan.row_segs(y) {
             match *seg {
                 Seg::Exclusive { source, start, end } => {
-                    out_row[cursor..start as usize].fill(P::BLACK);
+                    out_row[cursor..start as usize].fill(Gray8::BLACK);
                     let r = start as usize..end as usize;
                     for (off, o) in out_row[r.clone()].iter_mut().enumerate() {
                         *o = layers[source as usize].pixel((r.start + off) as u32, y);
@@ -755,25 +703,25 @@ pub fn compose_layers<P: CompositePixel>(plan: &CompositePlan, layers: &[&Image<
                     cursor = r.end;
                 }
                 Seg::Blend { start, end, woff } => {
-                    out_row[cursor..start as usize].fill(P::BLACK);
+                    out_row[cursor..start as usize].fill(Gray8::BLACK);
                     let r = start as usize..end as usize;
                     let mut wo = woff as usize;
                     for (off, o) in out_row[r.clone()].iter_mut().enumerate() {
                         let x = (r.start + off) as u32;
-                        let mut acc = P::acc_zero();
+                        let mut acc = 0u32;
                         for (i, &q) in plan.weights[wo..wo + n].iter().enumerate() {
                             if q > 0 {
-                                P::acc_add(&mut acc, layers[i].pixel(x, y), q);
+                                acc += layers[i].pixel(x, y).0 as u32 * q as u32;
                             }
                         }
-                        *o = P::acc_finish(acc);
+                        *o = blend_finish(acc);
                         wo += n;
                     }
                     cursor = r.end;
                 }
             }
         }
-        out_row[cursor..].fill(P::BLACK);
+        out_row[cursor..].fill(Gray8::BLACK);
     }
     out
 }
@@ -781,19 +729,19 @@ pub fn compose_layers<P: CompositePixel>(plan: &CompositePlan, layers: &[&Image<
 /// The full two-pass reference: correct every camera independently
 /// through [`correct_plan`] (the serial float/byte sampler), then
 /// blend with [`compose_layers`].
-pub fn compose_two_pass<P: CompositePixel>(
-    srcs: &[&Image<P>],
+pub fn compose_two_pass(
+    srcs: &[&Image<Gray8>],
     plan: &CompositePlan,
     interp: Interpolator,
-) -> Image<P> {
+) -> Image<Gray8> {
     assert_eq!(srcs.len(), plan.sources.len(), "one frame per source");
-    let layers: Vec<Image<P>> = plan
+    let layers: Vec<Image<Gray8>> = plan
         .sources
         .iter()
         .zip(srcs)
         .map(|(sp, s)| correct_plan(s, sp, interp))
         .collect();
-    let refs: Vec<&Image<P>> = layers.iter().collect();
+    let refs: Vec<&Image<Gray8>> = layers.iter().collect();
     compose_layers(plan, &refs)
 }
 
@@ -801,11 +749,11 @@ pub fn compose_two_pass<P: CompositePixel>(
 // Engine execution
 // ---------------------------------------------------------------------
 
-fn check_composite_dims<P: Pixel>(
+fn check_composite_dims(
     name: &str,
-    srcs: &[&Image<P>],
+    srcs: &[&Image<Gray8>],
     plan: &CompositePlan,
-    out: &Image<P>,
+    out: &Image<Gray8>,
 ) -> Result<(), EngineError> {
     if out.dims() != (plan.width, plan.height) {
         return Err(EngineError::backend(
@@ -851,18 +799,18 @@ fn check_composite_dims<P: Pixel>(
 /// Accelerator specs (cell/gpu/simt) are `Unsupported`: in particular
 /// the SIMT kernel ISA has no multi-source gather operand, so
 /// composites stay on host backends.
-pub fn execute_composite_host<P: CompositePixel>(
+pub fn execute_composite_host(
     spec: &EngineSpec,
     interp: Interpolator,
-    srcs: &[&Image<P>],
+    srcs: &[&Image<Gray8>],
     plan: &CompositePlan,
     post: Option<&PostPlan>,
     env: &HostEnv<'_>,
-    out: &mut Image<P>,
+    out: &mut Image<Gray8>,
 ) -> Result<FrameReport, EngineError> {
     let name = spec.name();
     check_composite_dims(&name, srcs, plan, out)?;
-    let post = active_post::<P>(&name, post)?;
+    let post = post.filter(|p| !p.is_noop());
     if let EngineSpec::Simt { .. } = spec {
         return Err(EngineError::unsupported(
             &name,
@@ -870,7 +818,7 @@ pub fn execute_composite_host<P: CompositePixel>(
              composites need a per-pixel multi-source gather and run on host backends",
         ));
     }
-    refuse_host::<P>(&name, spec, interp)?;
+    refuse_host(&name, spec, interp)?;
     let mut report = FrameReport::new(&name);
     report.rows = plan.height as u64;
     report.invalid_pixels = plan.uncovered_pixels();
@@ -1090,6 +1038,7 @@ mod tests {
     use par_runtime::{Schedule, ThreadPool};
     use pixmap::metrics::psnr;
     use pixmap::scene::{RadialGradient, Scene, SinusoidField};
+    use pixmap::GrayF32;
 
     /// The legacy back-camera capture trick: the back fisheye sees the
     /// spherical scene shifted by half a turn in azimuth.
@@ -1484,7 +1433,7 @@ mod tests {
             // reference: composite without post, then the two-pass post
             let mut two_pass = Image::new(96, 48);
             let mut plain = run(None, &mut two_pass);
-            post_pass(&name, Some(&pp), &mut two_pass, &mut plain).expect("post pass");
+            post_pass(Some(&pp), &mut two_pass, &mut plain);
             assert_eq!(fused, two_pass, "{name}");
         }
     }
@@ -1523,7 +1472,7 @@ mod tests {
         assert_eq!(report.model.get("fused"), Some(&1.0));
         let mut two_pass = compose_two_pass(&srcs, &plan, Interpolator::Bilinear);
         for y in 0..48u32 {
-            <Gray8 as PostPixel>::post_row(two_pass.row_mut(y), y, &pp);
+            pp.apply_row(two_pass.row_mut(y), y);
         }
         assert_eq!(fused, two_pass);
     }

@@ -12,29 +12,32 @@
 //! latency accounting, the serve metrics and the bench CSV emission
 //! all consume.
 //!
+//! Engines correct byte planes: every frame format carries 8-bit
+//! planes, so a [`CorrectionEngine`] takes an `Image<Gray8>` in and
+//! writes one out. The golden references (`correct`, `correct_plan`,
+//! `correct_fixed`) and the `interp` samplers stay generic over the
+//! pixel type.
+//!
 //! Host paths (`serial`, `smp`, `direct`, `fixed`, `simd`) are
 //! implemented here, by [`execute_host_post`]: each plan-based spec
 //! picks its datapath's span kernel (`crate::plan`) and one row driver
 //! runs the plan's valid-span walk with it, the same kernels and driver
 //! the composite executor runs its segment walk with. The accelerator
-//! models (`cell` in `cellsim`, `gpu` in `gpusim`) implement
+//! models (`cell` in `cellsim`, `gpu` in `gpusim`) and the SIMT
+//! interpreter (`simt` in `fisheye-codegen`) implement
 //! [`CorrectionEngine`] in their own crates, and the `fisheye` facade
-//! crate's `engine` module resolves *any* spec to a boxed engine.
-//! Adding the next backend means implementing the trait in one file
-//! and registering its spec — no consumer changes.
+//! crate's `Corrector` resolves *any* spec to a boxed engine. Adding
+//! the next backend means implementing the trait in one file and
+//! registering its spec — no consumer changes.
 //!
-//! The `simd` and `fixed` datapaths reach pixel types through two
-//! span-level hooks, [`EnginePixel::lane_span`] and
-//! [`EnginePixel::fixed_span`]. Their span kernels split every x-range
-//! at the plan's interior runs
-//! ([`RemapPlan::interior_runs`]): `lane_span` is handed only interior
-//! runs, whose taps it reads with no range check and no clamp, while
-//! the kernel sends border runs to `sample_bilinear` itself;
-//! `fixed_span` is told per run whether it is interior, and samples a
-//! border run through the clamping `sample_bilinear_fixed_gray8`.
+//! The `simd` and `fixed` span kernels split every x-range at the
+//! plan's interior runs ([`RemapPlan::interior_runs`]): interior runs
+//! go to the 8-lane gather and the unclamped Q-format loop, whose taps
+//! are read with no range check and no clamp, and border runs to the
+//! clamping scalar samplers.
 
-// Every served frame runs this module's dispatch and its Gray8 span
-// hooks; a panic here takes streams down.
+// Every served frame runs this module's dispatch; a panic here takes
+// streams down.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::BTreeMap;
@@ -43,12 +46,11 @@ use std::time::{Duration, Instant};
 
 use fisheye_geom::{FisheyeLens, PerspectiveView};
 use par_runtime::{Schedule, ThreadPool};
-use pixmap::{Gray8, GrayF32, Image, Pixel};
+use pixmap::{Gray8, Image, Pixel};
 
-use crate::interp::{interior_fixed_gray8, sample_bilinear_fixed_gray8, Interpolator};
-use crate::map::FixedMapEntry;
+use crate::interp::Interpolator;
 use crate::plan::{span_row, with_sampler, Fixed, Float, Lanes, RemapPlan};
-use crate::post::{PostPixel, PostPlan};
+use crate::post::PostPlan;
 use crate::simd;
 
 /// Default fractional weight bits for the quantized (fixed-point)
@@ -70,9 +72,9 @@ pub const DEFAULT_SIMT_WG: usize = 256;
 /// Why an engine could not be built or could not run a frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EngineError {
-    /// The (spec, pixel type, context) combination has no
-    /// implementation — e.g. the integer datapath on float pixels, or
-    /// an accelerator spec handed to the host-only builder.
+    /// The (spec, context) combination has no implementation — e.g.
+    /// `simd` off bilinear, or an accelerator spec handed to the
+    /// host-only builder.
     Unsupported {
         /// Canonical backend name.
         backend: String,
@@ -636,10 +638,10 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
 }
 
 // ---------------------------------------------------------------------
-// The engine trait and pixel-capability plumbing
+// The engine trait
 // ---------------------------------------------------------------------
 
-/// One execution path, prepared and ready to correct frames.
+/// One execution path, prepared and ready to correct byte planes.
 ///
 /// Implementations must be bit-exact with the serial reference of
 /// their [`NumericClass`]: the engine layer may route any consumer's
@@ -652,7 +654,7 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
 /// artifact it needs derives it on the fly and sets `plan_miss=1` in
 /// the report's model section — functional, but the caller is leaving
 /// per-frame work on the table.
-pub trait CorrectionEngine<P: EnginePixel>: Send + Sync {
+pub trait CorrectionEngine: Send + Sync {
     /// Canonical spec name ([`EngineSpec::name`]).
     fn name(&self) -> String;
 
@@ -660,162 +662,50 @@ pub trait CorrectionEngine<P: EnginePixel>: Send + Sync {
     /// (dimensions must match the plan) and report what happened.
     fn correct_frame(
         &self,
-        src: &Image<P>,
+        src: &Image<Gray8>,
         plan: &RemapPlan,
-        out: &mut Image<P>,
+        out: &mut Image<Gray8>,
     ) -> Result<FrameReport, EngineError>;
 
     /// [`CorrectionEngine::correct_frame`] with an optional compiled
-    /// post stage. The default runs the correction and then a second
-    /// pass of [`EnginePixel::post_row`] over the output (reported as
-    /// `post_ms` with `fused=0`) — correct for every backend,
-    /// including the accelerator models that cannot fuse; the host
-    /// engines override this to grade each row as the span walk
-    /// finishes it (`fused=1`, post cost inside `correct_time`). Both
-    /// paths are bit-exact with each other by construction.
+    /// post stage. The default runs the correction and then the
+    /// two-pass [`post_pass`] over the output (reported as `post_ms`
+    /// with `fused=0`) — correct for every backend, including the
+    /// accelerator models that cannot fuse; the host engines override
+    /// this to grade each row as the span walk finishes it (`fused=1`,
+    /// post cost inside `correct_time`). Both paths grade through
+    /// [`PostPlan::apply_row`], so they are bit-exact with each other
+    /// by construction.
     fn correct_frame_post(
         &self,
-        src: &Image<P>,
+        src: &Image<Gray8>,
         plan: &RemapPlan,
         post: Option<&PostPlan>,
-        out: &mut Image<P>,
+        out: &mut Image<Gray8>,
     ) -> Result<FrameReport, EngineError> {
         let mut report = self.correct_frame(src, plan, out)?;
-        post_pass::<P>(&self.name(), post, out, &mut report)?;
+        post_pass(post, out, &mut report);
         Ok(report)
-    }
-}
-
-/// Reject an active post stage on a pixel type with no post
-/// datapath; strip inert stages so engines skip them entirely.
-pub(crate) fn active_post<'a, P: EnginePixel>(
-    name: &str,
-    post: Option<&'a PostPlan>,
-) -> Result<Option<&'a PostPlan>, EngineError> {
-    match post.filter(|p| !p.is_noop()) {
-        Some(_) if !P::HAS_POST => Err(EngineError::unsupported(
-            name,
-            "no post-stage datapath for this pixel type",
-        )),
-        other => Ok(other),
     }
 }
 
 /// The two-pass post application: a full extra traversal of `out`,
 /// measured into `post_ms` with `fused=0`. This is the golden
 /// reference the fused path must match byte for byte, and the only
-/// path available to engines that cannot fuse.
-pub fn post_pass<P: EnginePixel>(
-    name: &str,
-    post: Option<&PostPlan>,
-    out: &mut Image<P>,
-    report: &mut FrameReport,
-) -> Result<(), EngineError> {
-    let Some(pp) = active_post::<P>(name, post)? else {
-        return Ok(());
+/// path available to engines that cannot fuse. An inert stage is
+/// skipped entirely.
+pub fn post_pass(post: Option<&PostPlan>, out: &mut Image<Gray8>, report: &mut FrameReport) {
+    let Some(pp) = post.filter(|p| !p.is_noop()) else {
+        return;
     };
     let w = (out.dims().0 as usize).max(1);
     let t0 = Instant::now();
     for (y, row) in out.pixels_mut().chunks_mut(w).enumerate() {
-        P::post_row(row, y as u32, pp);
+        pp.apply_row(row, y as u32);
     }
     report.kv("post_ms", t0.elapsed().as_secs_f64() * 1e3);
     report.kv("fused", 0.0);
-    Ok(())
 }
-
-/// Pixel types the engine layer can route: the float kernels work for
-/// every [`Pixel`], while the integer and SoA-SIMD datapaths exist
-/// only for specific types. The capability flags let builders reject
-/// unsupported (spec, pixel) pairs up front; each of those datapaths
-/// is one span-level hook its span kernel calls.
-pub trait EnginePixel: Pixel {
-    /// An integer (quantized-LUT) datapath exists for this type.
-    const HAS_FIXED: bool = false;
-    /// The 8-lane SoA bilinear kernel exists for this type.
-    const HAS_SIMD: bool = false;
-    /// The post-correction color stage exists for this type.
-    const HAS_POST: bool = false;
-
-    /// The integer datapath over one run of a span: Q-format bilinear
-    /// samples of `src` at the valid LUT entries `lut`, bit-exact with
-    /// [`crate::correct_fixed`]. On an `interior` run (one of the
-    /// plan's interior runs) every entry's four taps lie inside `src`
-    /// and are read with no clamp; any other run is a border run,
-    /// sampled through the clamping scalar sampler. Executors refuse
-    /// `fixed` unless [`EnginePixel::HAS_FIXED`] holds, so the default
-    /// (black) only runs for types they never reach it with.
-    fn fixed_span(
-        _src: &Image<Self>,
-        _lut: &[FixedMapEntry],
-        _frac_bits: u32,
-        _interior: bool,
-        out: &mut [Self],
-    ) {
-        out.fill(Self::BLACK);
-    }
-
-    /// The SoA-SIMD datapath over one interior run: 8-lane bilinear
-    /// gathers at coordinates `sx`/`sy` whose four taps all lie inside
-    /// `src` (the span kernel samples border runs itself), bit-exact
-    /// with the serial bilinear reference for this type. Guarded by
-    /// [`EnginePixel::HAS_SIMD`] like [`EnginePixel::fixed_span`].
-    fn lane_span(_src: &Image<Self>, _sx: &[f32], _sy: &[f32], out: &mut [Self]) {
-        out.fill(Self::BLACK);
-    }
-
-    /// Apply the post stage over a corrected row: the two-pass path,
-    /// and the row driver's grade of each finished row. No-op by
-    /// default; every caller guards it behind [`EnginePixel::HAS_POST`].
-    fn post_row(_row: &mut [Self], _y: u32, _post: &PostPlan) {}
-}
-
-impl EnginePixel for Gray8 {
-    const HAS_FIXED: bool = true;
-    const HAS_SIMD: bool = true;
-    const HAS_POST: bool = true;
-
-    fn fixed_span(
-        src: &Image<Self>,
-        lut: &[FixedMapEntry],
-        frac_bits: u32,
-        interior: bool,
-        out: &mut [Self],
-    ) {
-        if interior {
-            interior_fixed_gray8(src, lut, frac_bits, out);
-        } else {
-            for (e, o) in lut.iter().zip(out) {
-                *o = sample_bilinear_fixed_gray8(src, e.x0, e.y0, e.wx, e.wy, frac_bits);
-            }
-        }
-    }
-
-    fn lane_span(src: &Image<Self>, sx: &[f32], sy: &[f32], out: &mut [Self]) {
-        simd::gather_span(src, sx, sy, out);
-    }
-
-    fn post_row(row: &mut [Self], y: u32, post: &PostPlan) {
-        <Gray8 as PostPixel>::post_row(row, y, post);
-    }
-}
-
-impl EnginePixel for GrayF32 {
-    const HAS_SIMD: bool = true;
-    const HAS_POST: bool = true;
-
-    fn lane_span(src: &Image<Self>, sx: &[f32], sy: &[f32], out: &mut [Self]) {
-        simd::gather_span(src, sx, sy, out);
-    }
-
-    fn post_row(row: &mut [Self], y: u32, post: &PostPlan) {
-        <GrayF32 as PostPixel>::post_row(row, y, post);
-    }
-}
-
-impl EnginePixel for pixmap::Gray16 {}
-impl EnginePixel for pixmap::Rgb8 {}
-impl EnginePixel for pixmap::RgbF32 {}
 
 // ---------------------------------------------------------------------
 // Host execution
@@ -838,11 +728,11 @@ pub struct HostEnv<'a> {
 /// The dimension check every engine runs before a frame: `out` must
 /// have the plan's output dims and `src` the plan's source dims, or
 /// the frame is refused with [`EngineError::Backend`] under `name`.
-pub fn check_frame_dims<P: Pixel>(
+pub fn check_frame_dims(
     name: &str,
-    src: &Image<P>,
+    src: &Image<Gray8>,
     plan: &RemapPlan,
-    out: &Image<P>,
+    out: &Image<Gray8>,
 ) -> Result<(), EngineError> {
     if out.dims() != (plan.width(), plan.height()) {
         return Err(EngineError::backend(
@@ -867,20 +757,15 @@ pub fn check_frame_dims<P: Pixel>(
     Ok(())
 }
 
-/// The refusals every host executor shares: `fixed` on a pixel type
-/// without an integer datapath, `simd` on one without a lane kernel,
-/// `simd` off bilinear, and the accelerator specs, which run outside
-/// this crate. Every other spec passes.
-pub(crate) fn refuse_host<P: EnginePixel>(
+/// The refusals every host executor shares: `simd` off bilinear, and
+/// the accelerator specs, which run outside this crate. Every other
+/// spec passes.
+pub(crate) fn refuse_host(
     name: &str,
     spec: &EngineSpec,
     interp: Interpolator,
 ) -> Result<(), EngineError> {
     let reason: String = match *spec {
-        EngineSpec::FixedPoint { .. } if !P::HAS_FIXED => {
-            "no integer datapath for this pixel type".into()
-        }
-        EngineSpec::Simd if !P::HAS_SIMD => "no SoA kernel for this pixel type".into(),
         EngineSpec::Simd if interp != Interpolator::Bilinear => {
             format!("simd implements bilinear only, not {}", interp.name())
         }
@@ -913,19 +798,19 @@ pub(crate) fn host_pool<'a>(
 /// The row driver every host datapath shares: `row` fills output row
 /// `y`, in order on the calling thread or across `pool`. An active
 /// `post` stage then grades each finished row while it is still hot in
-/// cache, through the two-pass path's own [`EnginePixel::post_row`],
-/// so fusing cannot change a byte. Returns the time the rows took.
-pub(crate) fn drive_rows<P: EnginePixel>(
+/// cache, through the two-pass path's own [`PostPlan::apply_row`], so
+/// fusing cannot change a byte. Returns the time the rows took.
+pub(crate) fn drive_rows(
     pool: Option<(&ThreadPool, Schedule)>,
     post: Option<&PostPlan>,
-    out: &mut Image<P>,
-    row: impl Fn(u32, &mut [P]) + Sync,
+    out: &mut Image<Gray8>,
+    row: impl Fn(u32, &mut [Gray8]) + Sync,
 ) -> Duration {
     let t0 = Instant::now();
-    let body = |y: usize, out_row: &mut [P]| {
+    let body = |y: usize, out_row: &mut [Gray8]| {
         row(y as u32, out_row);
         if let Some(pp) = post {
-            P::post_row(out_row, y as u32, pp);
+            pp.apply_row(out_row, y as u32);
         }
     };
     let w = (out.dims().0 as usize).max(1);
@@ -954,22 +839,21 @@ pub(crate) fn drive_rows<P: EnginePixel>(
 /// the frame and then runs the [`post_pass`] reference over the output
 /// (`fused=0`, cost in `post_ms`). All paths are bit-exact with each
 /// other.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_host_post<P: EnginePixel>(
+pub fn execute_host_post(
     spec: &EngineSpec,
     interp: Interpolator,
-    src: &Image<P>,
+    src: &Image<Gray8>,
     plan: &RemapPlan,
     post: Option<&PostPlan>,
     env: &HostEnv,
-    out: &mut Image<P>,
+    out: &mut Image<Gray8>,
 ) -> Result<FrameReport, EngineError> {
     let name = spec.name();
     if spec.is_host() {
         check_frame_dims(&name, src, plan, out)?;
     }
-    refuse_host::<P>(&name, spec, interp)?;
-    let post = active_post::<P>(&name, post)?;
+    refuse_host(&name, spec, interp)?;
+    let post = post.filter(|p| !p.is_noop());
     let mut report = FrameReport::new(&name);
     report.rows = plan.height() as u64;
     report.invalid_pixels = plan.invalid_pixels();
@@ -992,7 +876,7 @@ pub fn execute_host_post<P: EnginePixel>(
                 ));
             }
             report = execute_direct(interp, src, lens, view, out)?;
-            post_pass::<P>(&name, post, out, &mut report)?;
+            post_pass(post, out, &mut report);
             return Ok(report);
         }
         EngineSpec::FixedPoint { frac_bits } => {
@@ -1025,12 +909,12 @@ pub fn execute_host_post<P: EnginePixel>(
 /// Execute the LUT-free `direct` path — the one host spec that needs
 /// no [`crate::RemapMap`] at all (the F9 comparison mode). `out` must match
 /// the view's dimensions.
-pub fn execute_direct<P: Pixel>(
+pub fn execute_direct(
     interp: Interpolator,
-    src: &Image<P>,
+    src: &Image<Gray8>,
     lens: &FisheyeLens,
     view: &PerspectiveView,
-    out: &mut Image<P>,
+    out: &mut Image<Gray8>,
 ) -> Result<FrameReport, EngineError> {
     let name = EngineSpec::Direct.name();
     if out.dims() != (view.width, view.height) {
@@ -1057,7 +941,7 @@ pub fn execute_direct<P: Pixel>(
                 }
                 _ => {
                     invalid += 1;
-                    P::BLACK
+                    Gray8::BLACK
                 }
             };
             out.set(x, y, v);
@@ -1098,12 +982,12 @@ impl Default for HostCtx<'_> {
 /// Build a boxed host engine for `spec`. Accelerator specs return
 /// [`EngineError::Unsupported`]; the `fisheye` facade crate resolves
 /// those.
-pub fn build_host<P: EnginePixel>(
+pub fn build_host(
     spec: &EngineSpec,
     ctx: &HostCtx,
-) -> Result<Box<dyn CorrectionEngine<P>>, EngineError> {
+) -> Result<Box<dyn CorrectionEngine>, EngineError> {
     let name = spec.name();
-    refuse_host::<P>(&name, spec, ctx.interp)?;
+    refuse_host(&name, spec, ctx.interp)?;
     let mut engine = HostEngine {
         spec: *spec,
         interp: ctx.interp,
@@ -1135,26 +1019,26 @@ struct HostEngine {
     geometry: Option<(FisheyeLens, PerspectiveView)>,
 }
 
-impl<P: EnginePixel> CorrectionEngine<P> for HostEngine {
+impl CorrectionEngine for HostEngine {
     fn name(&self) -> String {
         self.spec.name()
     }
 
     fn correct_frame(
         &self,
-        src: &Image<P>,
+        src: &Image<Gray8>,
         plan: &RemapPlan,
-        out: &mut Image<P>,
+        out: &mut Image<Gray8>,
     ) -> Result<FrameReport, EngineError> {
         self.correct_frame_post(src, plan, None, out)
     }
 
     fn correct_frame_post(
         &self,
-        src: &Image<P>,
+        src: &Image<Gray8>,
         plan: &RemapPlan,
         post: Option<&PostPlan>,
-        out: &mut Image<P>,
+        out: &mut Image<Gray8>,
     ) -> Result<FrameReport, EngineError> {
         let env = HostEnv {
             pool: self.pool.as_ref(),
@@ -1318,7 +1202,7 @@ mod tests {
             ..Default::default()
         };
         for spec in EngineSpec::registry().iter().filter(|s| s.is_host()) {
-            let engine = build_host::<Gray8>(spec, &ctx).unwrap();
+            let engine = build_host(spec, &ctx).unwrap();
             let mut out = Image::new(map.width(), map.height());
             let report = engine.correct_frame(&src, &plan, &mut out).unwrap();
             assert_eq!(report.backend, spec.name());
@@ -1348,7 +1232,7 @@ mod tests {
         for s in ["cell", "gpu", "simt"] {
             let spec = EngineSpec::parse(s).unwrap();
             assert!(matches!(
-                build_host::<Gray8>(&spec, &ctx),
+                build_host(&spec, &ctx),
                 Err(EngineError::Unsupported { .. })
             ));
             // the host dispatcher refuses them too, recoverably
@@ -1369,39 +1253,18 @@ mod tests {
     }
 
     #[test]
-    fn fixed_engine_unsupported_on_float_pixels() {
-        let spec = EngineSpec::FixedPoint { frac_bits: 12 };
-        assert!(matches!(
-            build_host::<GrayF32>(&spec, &HostCtx::default()),
-            Err(EngineError::Unsupported { .. })
-        ));
-    }
-
-    #[test]
-    fn simd_engine_bit_exact_on_f32() {
-        let (_, _, map, src) = workload();
-        let plan = plan_for(&map);
-        let srcf: Image<GrayF32> = src.map(GrayF32::from);
-        let reference = correct(&srcf, &map, Interpolator::Bilinear);
-        let engine = build_host::<GrayF32>(&EngineSpec::Simd, &HostCtx::default()).unwrap();
-        let mut out = Image::new(map.width(), map.height());
-        engine.correct_frame(&srcf, &plan, &mut out).unwrap();
-        assert_eq!(out, reference);
-    }
-
-    #[test]
     fn simd_rejects_non_bilinear() {
         let ctx = HostCtx {
             interp: Interpolator::Bicubic,
             ..Default::default()
         };
-        assert!(build_host::<GrayF32>(&EngineSpec::Simd, &ctx).is_err());
+        assert!(build_host(&EngineSpec::Simd, &ctx).is_err());
     }
 
     #[test]
     fn direct_needs_geometry() {
         assert!(matches!(
-            build_host::<Gray8>(&EngineSpec::Direct, &HostCtx::default()),
+            build_host(&EngineSpec::Direct, &HostCtx::default()),
             Err(EngineError::Unsupported { .. })
         ));
         // the dispatcher refuses a spec whose borrowed resource is
@@ -1433,7 +1296,7 @@ mod tests {
     fn dimension_mismatch_is_an_error_not_a_panic() {
         let (_, _, map, src) = workload();
         let plan = plan_for(&map);
-        let engine = build_host::<Gray8>(&EngineSpec::Serial, &HostCtx::default()).unwrap();
+        let engine = build_host(&EngineSpec::Serial, &HostCtx::default()).unwrap();
         let mut wrong: Image<Gray8> = Image::new(10, 10);
         assert!(matches!(
             engine.correct_frame(&src, &plan, &mut wrong),
@@ -1464,7 +1327,7 @@ mod tests {
         let plan = plan_for(&map);
         assert_eq!(plan.invalid_pixels(), expect);
         for spec in EngineSpec::registry().iter().filter(|s| s.is_host()) {
-            let engine = build_host::<Gray8>(spec, &ctx).unwrap();
+            let engine = build_host(spec, &ctx).unwrap();
             let mut out = Image::new(80, 60);
             let report = engine.correct_frame(&src, &plan, &mut out).unwrap();
             assert_eq!(report.invalid_pixels, expect, "{}", spec.name());
@@ -1476,7 +1339,7 @@ mod tests {
         // engines hold no map-derived state: swapping plans swaps the
         // quantized LUT with them, with nothing stale in between
         let (lens, view, map, src) = workload();
-        let engine = build_host::<Gray8>(
+        let engine = build_host(
             &EngineSpec::FixedPoint { frac_bits: 12 },
             &HostCtx::default(),
         )
@@ -1500,7 +1363,7 @@ mod tests {
         // engine requantizes per frame and flags it
         let (_, _, map, src) = workload();
         let bare = RemapPlan::compile(&map, PlanOptions::default());
-        let engine = build_host::<Gray8>(
+        let engine = build_host(
             &EngineSpec::FixedPoint { frac_bits: 12 },
             &HostCtx::default(),
         )

@@ -733,7 +733,7 @@ impl fmt::Debug for ViewPlan {
 pub struct FrameCorrector {
     format: FrameFormat,
     plan: ViewPlan,
-    engine: Box<dyn CorrectionEngine<Gray8>>,
+    engine: Box<dyn CorrectionEngine>,
     /// The configured post stage (identity when none was set).
     post_stage: PostStage,
     /// One compiled post plan per plane, in plane order; `None` for
@@ -758,7 +758,7 @@ impl FrameCorrector {
             threads,
             geometry: None,
         };
-        FrameCorrector::from_parts(format, plan, build_host::<Gray8>(spec, &ctx)?)
+        FrameCorrector::from_parts(format, plan, build_host(spec, &ctx)?)
     }
 
     /// Assemble from a pre-resolved engine (the facade's accelerator
@@ -766,7 +766,7 @@ impl FrameCorrector {
     pub fn from_parts(
         format: FrameFormat,
         plan: ViewPlan,
-        engine: Box<dyn CorrectionEngine<Gray8>>,
+        engine: Box<dyn CorrectionEngine>,
     ) -> Result<FrameCorrector, EngineError> {
         if plan.format() != format {
             return Err(EngineError::backend(
@@ -1192,7 +1192,7 @@ mod tests {
     /// the source plane's first sample, and leaves the output as is.
     struct Recorder(Arc<par_runtime::sync::Mutex<Vec<(std::thread::ThreadId, u8)>>>);
 
-    impl CorrectionEngine<Gray8> for Recorder {
+    impl CorrectionEngine for Recorder {
         fn name(&self) -> String {
             "recorder".into()
         }

@@ -36,10 +36,6 @@ pub mod frame;
 pub mod interp;
 pub mod map;
 pub mod plan;
-// the post stage runs inside the fused span loop on every frame; a
-// panic here takes down whole streams, so unwrap is denied at the
-// module
-#[deny(clippy::unwrap_used)]
 pub mod post;
 pub mod simd;
 pub mod synth;
@@ -49,11 +45,11 @@ pub use antialias::{correct_antialiased, AaConfig};
 pub use composite::{
     compose_layers, compose_two_pass, execute_composite_host, panorama_camera_digest,
     panorama_camera_map, panorama_scores, rectified_camera_digest, rectified_camera_map,
-    CompositePixel, CompositePlan, CompositeViewPlan, StereoPlan,
+    CompositePlan, CompositeViewPlan, StereoPlan,
 };
 pub use correct::{correct, correct_fixed, correct_fixed_into, correct_into};
 pub use engine::{
-    Capabilities, CorrectionEngine, EngineError, EnginePixel, EngineSpec, FrameReport, NumericClass,
+    Capabilities, CorrectionEngine, EngineError, EngineSpec, FrameReport, NumericClass,
 };
 pub use frame::{Frame, FrameCorrector, FrameFormat, PlaneClass, PlaneRequest, ViewPlan};
 pub use interp::Interpolator;
@@ -61,5 +57,5 @@ pub use map::{FixedRemapMap, MapEntry, RemapMap};
 pub use plan::{
     correct_plan, correct_plan_into, plan_request_digest, PlanOptions, RemapPlan, ValidSpan,
 };
-pub use post::{DitherSeed, Lut3d, PostChannel, PostPixel, PostPlan, PostStage, ToneMap};
+pub use post::{DitherSeed, Lut3d, PostChannel, PostPlan, PostStage, ToneMap};
 pub use tile::{TileJob, TilePlan};

@@ -64,10 +64,12 @@
 //! writing one valid x-range of one output row, and the valid-span
 //! row walk that drives them. The single-plan executor and the
 //! composite executor's exclusive runs call the same kernels, so each
-//! datapath's pixel loop is written once. The lane and Q-format
-//! kernels split every x-range they are handed at the plan's interior
-//! runs, so a composite's exclusive run meets the same split as a
-//! whole valid span.
+//! datapath's pixel loop is written once. The engines run all three
+//! on byte planes; the float kernel stays generic over [`Pixel`]
+//! because the golden reference [`correct_plan`] runs it on every
+//! pixel type. The lane and Q-format kernels split every x-range they
+//! are handed at the plan's interior runs, so a composite's exclusive
+//! run meets the same split as a whole valid span.
 
 // Every serial, smp, simd and fixed frame of every serving session,
 // single or composite, runs the span kernels below; a panic here takes
@@ -79,12 +81,14 @@ use std::sync::Arc;
 
 use fisheye_geom::{FisheyeLens, PerspectiveView};
 use par_runtime::sync::Mutex;
-use pixmap::{Image, Pixel};
+use pixmap::{Gray8, Image, Pixel};
 
-use crate::engine::{EnginePixel, EngineSpec};
-use crate::interp::{sample_bilinear, Interpolator};
-use crate::map::{FixedRemapMap, MapEntry, RemapMap};
-use crate::simd::FLOOR_EXACT;
+use crate::engine::EngineSpec;
+use crate::interp::{
+    interior_fixed_gray8, sample_bilinear, sample_bilinear_fixed_gray8, Interpolator,
+};
+use crate::map::{FixedMapEntry, FixedRemapMap, MapEntry, RemapMap};
+use crate::simd::{gather_span, FLOOR_EXACT};
 use crate::tile::TilePlan;
 
 /// What [`RemapPlan::compile`] should prederive beyond the SoA planes
@@ -886,17 +890,18 @@ macro_rules! with_sampler {
 }
 pub(crate) use with_sampler;
 
-/// The `simd` datapath: [`EnginePixel::lane_span`] (the 8-lane gather)
-/// over the interior runs of a span, `sample_bilinear` over its border
-/// runs and over a lone pixel — the same arithmetic one lane computes.
-pub(crate) struct Lanes<'a, P: Pixel> {
-    src: &'a Image<P>,
+/// The `simd` datapath on byte planes: [`gather_span`] (the 8-lane
+/// gather) over the interior runs of a span, `sample_bilinear` over its
+/// border runs and over a lone pixel — the same arithmetic one lane
+/// computes.
+pub(crate) struct Lanes<'a> {
+    src: &'a Image<Gray8>,
     xy: Coords<'a>,
     interior: &'a RowRuns,
 }
 
-impl<'a, P: Pixel> Lanes<'a, P> {
-    pub(crate) fn new(src: &'a Image<P>, plan: &'a RemapPlan) -> Self {
+impl<'a> Lanes<'a> {
+    pub(crate) fn new(src: &'a Image<Gray8>, plan: &'a RemapPlan) -> Self {
         let xy = Coords::of(plan);
         Lanes {
             src,
@@ -906,14 +911,14 @@ impl<'a, P: Pixel> Lanes<'a, P> {
     }
 }
 
-impl<P: EnginePixel> SpanKernel<P> for Lanes<'_, P> {
+impl SpanKernel<Gray8> for Lanes<'_> {
     #[inline]
-    fn span(&self, y: u32, x0: usize, out: &mut [P]) {
+    fn span(&self, y: u32, x0: usize, out: &mut [Gray8]) {
         let (sx, sy) = self.xy.span(y, x0, out.len());
         self.interior.split(y, x0, out.len(), |r, interior| {
             let (sx, sy, out) = (&sx[r.clone()], &sy[r.clone()], &mut out[r]);
             if interior {
-                P::lane_span(self.src, sx, sy, out);
+                gather_span(self.src, sx, sy, out);
             } else {
                 for ((o, &x), &y) in out.iter_mut().zip(sx).zip(sy) {
                     *o = sample_bilinear(self.src, x, y);
@@ -923,27 +928,30 @@ impl<P: EnginePixel> SpanKernel<P> for Lanes<'_, P> {
     }
 
     #[inline]
-    fn sample(&self, i: usize) -> P {
+    fn sample(&self, i: usize) -> Gray8 {
         sample_bilinear(self.src, self.xy.sx[i], self.xy.sy[i])
     }
 }
 
-/// The `fixed` datapath: [`EnginePixel::fixed_span`] (the Q-format
-/// sampler) over a quantized LUT of the plan's map, told per run
-/// whether the run is interior. A valid span holds only valid entries,
-/// so the kernel reads no per-pixel validity, and the LUT's weight
-/// width is read once, when the kernel is built.
-pub(crate) struct Fixed<'a, P: Pixel> {
-    src: &'a Image<P>,
+/// The `fixed` datapath on byte planes: the Q-format sampler over a
+/// quantized LUT of the plan's map. An interior run's taps all lie
+/// inside the source and are read with no clamp
+/// ([`interior_fixed_gray8`]); a border run, and a lone pixel, go
+/// through the clamping [`sample_bilinear_fixed_gray8`]. A valid span
+/// holds only valid entries, so the kernel reads no per-pixel
+/// validity, and the LUT's weight width is read once, when the kernel
+/// is built.
+pub(crate) struct Fixed<'a> {
+    src: &'a Image<Gray8>,
     lut: &'a FixedRemapMap,
     frac_bits: u32,
     interior: &'a RowRuns,
 }
 
-impl<'a, P: Pixel> Fixed<'a, P> {
+impl<'a> Fixed<'a> {
     /// `lut` must be quantized from `plan`'s map
     /// ([`RemapPlan::fixed_lazy`]).
-    pub(crate) fn new(src: &'a Image<P>, plan: &'a RemapPlan, lut: &'a FixedRemapMap) -> Self {
+    pub(crate) fn new(src: &'a Image<Gray8>, plan: &'a RemapPlan, lut: &'a FixedRemapMap) -> Self {
         Fixed {
             src,
             lut,
@@ -951,29 +959,32 @@ impl<'a, P: Pixel> Fixed<'a, P> {
             interior: &plan.interior,
         }
     }
+
+    #[inline]
+    fn border(&self, e: &FixedMapEntry) -> Gray8 {
+        sample_bilinear_fixed_gray8(self.src, e.x0, e.y0, e.wx, e.wy, self.frac_bits)
+    }
 }
 
-impl<P: EnginePixel> SpanKernel<P> for Fixed<'_, P> {
+impl SpanKernel<Gray8> for Fixed<'_> {
     #[inline]
-    fn span(&self, y: u32, x0: usize, out: &mut [P]) {
+    fn span(&self, y: u32, x0: usize, out: &mut [Gray8]) {
         let lut = &self.lut.row(y)[x0..x0 + out.len()];
         self.interior.split(y, x0, out.len(), |r, interior| {
-            P::fixed_span(
-                self.src,
-                &lut[r.clone()],
-                self.frac_bits,
-                interior,
-                &mut out[r],
-            );
+            let (lut, out) = (&lut[r.clone()], &mut out[r]);
+            if interior {
+                interior_fixed_gray8(self.src, lut, self.frac_bits, out);
+            } else {
+                for (e, o) in lut.iter().zip(out) {
+                    *o = self.border(e);
+                }
+            }
         });
     }
 
     #[inline]
-    fn sample(&self, i: usize) -> P {
-        let mut px = [P::BLACK];
-        let lut = &self.lut.entries()[i..=i];
-        P::fixed_span(self.src, lut, self.frac_bits, false, &mut px);
-        px[0]
+    fn sample(&self, i: usize) -> Gray8 {
+        self.border(&self.lut.entries()[i])
     }
 }
 

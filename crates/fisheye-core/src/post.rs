@@ -9,19 +9,22 @@
 //! (3D-LUT grade → tone map → sRGB encode → interleaved-gradient-
 //! noise dither), and [`PostStage::compile`] lowers it into a
 //! [`PostPlan`] — an immutable per-plane execution artifact
-//! analogous to [`RemapPlan`](crate::plan::RemapPlan) — that the
-//! host engines' row driver applies to each corrected row while it is
-//! still hot in cache ([`execute_host_post`](crate::engine::execute_host_post)).
+//! analogous to [`RemapPlan`](crate::plan::RemapPlan) — whose row
+//! grade ([`PostPlan::apply_row`]) the host engines' row driver runs
+//! on each corrected row while it is still hot in cache
+//! ([`execute_host_post`](crate::engine::execute_host_post)).
 //!
 //! # Bit-exactness by construction
 //!
 //! Byte planes go through a 256-entry table: `table[b]` is computed
 //! by *the same scalar expression* ([`PostStage::transfer255`]) that
-//! the two-pass golden reference ([`PostPlan::apply_u8`] over an
-//! already-corrected frame) evaluates per pixel, so the fused and
-//! two-pass paths produce identical f32 intermediates and identical
-//! rounded bytes — the T9 bench and the proputil properties assert
-//! this, they do not tolerate it.
+//! the per-pixel reference ([`PostPlan::apply_u8`]) evaluates, and the
+//! fused path and the two-pass golden reference
+//! ([`post_pass`](crate::engine::post_pass) over an already-corrected
+//! frame) both grade through [`PostPlan::apply_row`], so they produce
+//! identical f32 intermediates and identical rounded bytes — the T9
+//! bench and the proputil properties assert this, they do not tolerate
+//! it.
 //!
 //! An identity stage (no grade, linear tone, dither off) has a
 //! strictly identity transfer — the sRGB EOTF/OETF pair is only
@@ -35,9 +38,14 @@
 //! interaction — so repeated corrections of the same frame are
 //! byte-identical across backends and thread counts.
 
+// Every graded frame's rows run through this module, and `parse_cube`
+// reads users' LUT files for the CLI; a panic here takes streams down.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use std::fmt;
 use std::sync::Arc;
 
-use pixmap::{Gray8, GrayF32, Pixel};
+use pixmap::Gray8;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -131,25 +139,30 @@ impl Lut3d {
     }
 
     /// Parse an Adobe `.cube` 3D LUT (the `LUT_3D_SIZE` format, red
-    /// index fastest). Returns a human-readable error string on
-    /// malformed input — never panics.
-    pub fn parse_cube(text: &str) -> Result<Lut3d, String> {
+    /// index fastest). Returns a [`CubeError`] on malformed input —
+    /// never panics.
+    #[deny(clippy::indexing_slicing)]
+    pub fn parse_cube(text: &str) -> Result<Lut3d, CubeError> {
         let mut size: Option<u32> = None;
         let mut entries: Vec<[f32; 3]> = Vec::new();
         for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
+            let line = lineno + 1;
+            let trimmed = raw.trim();
+            if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
             }
-            let mut parts = line.split_whitespace();
+            let mut parts = trimmed.split_whitespace();
             let Some(first) = parts.next() else { continue };
             if first == "LUT_3D_SIZE" {
                 let n: u32 = parts
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| format!("line {}: bad LUT_3D_SIZE", lineno + 1))?;
+                    .ok_or(CubeError::BadSize { line, size: None })?;
                 if !(2..=129).contains(&n) {
-                    return Err(format!("LUT_3D_SIZE {n} out of range (2..=129)"));
+                    return Err(CubeError::BadSize {
+                        line,
+                        size: Some(n),
+                    });
                 }
                 size = Some(n);
                 continue;
@@ -162,28 +175,19 @@ impl Lut3d {
                 // TITLE, DOMAIN_MIN/MAX and other keywords: skipped
                 continue;
             }
-            let r: f32 = first
-                .parse()
-                .map_err(|_| format!("line {}: bad sample", lineno + 1))?;
-            let g: f32 = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| format!("line {}: bad sample", lineno + 1))?;
-            let b: f32 = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| format!("line {}: bad sample", lineno + 1))?;
+            let bad = || CubeError::BadSample { line };
+            let r: f32 = first.parse().map_err(|_| bad())?;
+            let g: f32 = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
+            let b: f32 = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
             entries.push([r, g, b]);
         }
-        let n = size.ok_or("missing LUT_3D_SIZE")?;
+        let n = size.ok_or(CubeError::MissingSize)?;
         let expect = (n * n * n) as usize;
         if entries.len() != expect {
-            return Err(format!(
-                "expected {} samples for LUT_3D_SIZE {}, got {}",
-                expect,
-                n,
-                entries.len()
-            ));
+            return Err(CubeError::CountMismatch {
+                size: n,
+                got: entries.len(),
+            });
         }
         // .cube is red-fastest: entry i is lattice (r, g, b) =
         // (i % n, i/n % n, i/n²); re-address into the tiled atlas.
@@ -192,7 +196,9 @@ impl Lut3d {
             let x = i as u32 % n;
             let y = (i as u32 / n) % n;
             let z = i as u32 / (n * n);
-            data[(y * n * n + z * n + x) as usize] = c;
+            if let Some(slot) = data.get_mut((y * n * n + z * n + x) as usize) {
+                *slot = c;
+            }
         }
         let mut digest = fnv_mix(FNV_OFFSET, n as u64);
         for c in &data {
@@ -257,6 +263,56 @@ impl Lut3d {
         lerp3(c0, c1, fz)
     }
 }
+
+/// Why [`Lut3d::parse_cube`] refused a `.cube` text. `Display`
+/// gives the message the CLI prints; line numbers count from 1.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CubeError {
+    /// A `LUT_3D_SIZE` line whose size does not parse (`size` is
+    /// `None`) or lies outside 2..=129.
+    BadSize {
+        /// Line of the size keyword.
+        line: usize,
+        /// The parsed size, when it parsed.
+        size: Option<u32>,
+    },
+    /// A sample line without three parseable numbers.
+    BadSample {
+        /// Line of the sample.
+        line: usize,
+    },
+    /// The text holds a number of samples other than size³.
+    CountMismatch {
+        /// The declared `LUT_3D_SIZE`.
+        size: u32,
+        /// Samples found.
+        got: usize,
+    },
+    /// No `LUT_3D_SIZE` line.
+    MissingSize,
+}
+
+impl fmt::Display for CubeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CubeError::BadSize { line, size: None } => {
+                write!(f, "line {line}: bad LUT_3D_SIZE")
+            }
+            CubeError::BadSize { size: Some(n), .. } => {
+                write!(f, "LUT_3D_SIZE {n} out of range (2..=129)")
+            }
+            CubeError::BadSample { line } => write!(f, "line {line}: bad sample"),
+            CubeError::CountMismatch { size, got } => write!(
+                f,
+                "expected {} samples for LUT_3D_SIZE {size}, got {got}",
+                (*size as usize).pow(3)
+            ),
+            CubeError::MissingSize => f.write_str("missing LUT_3D_SIZE"),
+        }
+    }
+}
+
+impl std::error::Error for CubeError {}
 
 /// The tone-mapping curve applied after the grade, in linear light.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -639,53 +695,23 @@ impl PostPlan {
         }
     }
 
-    /// Apply the plan to one `[0, 1]` float sample. Float planes
-    /// have no quantization step, so dither does not apply — the
-    /// curve does.
-    #[inline]
-    pub fn apply_f32(&self, v: f32) -> f32 {
-        self.stage.transfer01(self.channel, v)
-    }
-}
-
-/// Pixel types the post stage knows how to encode. The engines' fused
-/// row grade and their two-pass fallback both run
-/// [`PostPixel::post_row`], so the two cannot differ by a byte.
-pub trait PostPixel: Pixel {
-    /// Apply `plan` to one pixel at output coordinate `(x, y)`.
-    fn post(self, plan: &PostPlan, x: u32, y: u32) -> Self;
-
-    /// Apply `plan` across a full output row `y`.
-    fn post_row(row: &mut [Self], y: u32, plan: &PostPlan) {
-        if plan.is_noop() {
+    /// Grade output row `y` in place: the row grade the fused row
+    /// driver and the two-pass [`post_pass`](crate::engine::post_pass)
+    /// both run, byte for byte [`PostPlan::apply_u8`] at every pixel.
+    pub fn apply_row(&self, row: &mut [Gray8], y: u32) {
+        if self.noop {
             return;
         }
-        for (x, p) in row.iter_mut().enumerate() {
-            *p = p.post(plan, x as u32, y);
-        }
-    }
-}
-
-impl PostPixel for Gray8 {
-    #[inline]
-    fn post(self, plan: &PostPlan, x: u32, y: u32) -> Gray8 {
-        Gray8(plan.apply_u8(self.0, x, y))
-    }
-
-    fn post_row(row: &mut [Gray8], y: u32, plan: &PostPlan) {
-        if plan.is_noop() {
-            return;
-        }
-        match plan.dither() {
+        match self.dither {
             // dither-free: a pure table pass, no per-pixel rounding
             None => {
-                let table = plan.table_u8();
+                let table = &self.table_u8;
                 for p in row.iter_mut() {
                     p.0 = table[p.0 as usize];
                 }
             }
             Some(off) => {
-                let table = plan.table();
+                let table = &self.table;
                 for (x, p) in row.iter_mut().enumerate() {
                     p.0 = quantize255(table[p.0 as usize] + dither_offset(x as u32, y, off));
                 }
@@ -694,14 +720,8 @@ impl PostPixel for Gray8 {
     }
 }
 
-impl PostPixel for GrayF32 {
-    #[inline]
-    fn post(self, plan: &PostPlan, _x: u32, _y: u32) -> GrayF32 {
-        GrayF32(plan.apply_f32(self.0))
-    }
-}
-
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 
@@ -757,9 +777,40 @@ mod tests {
 
     #[test]
     fn cube_rejects_malformed() {
-        assert!(Lut3d::parse_cube("").is_err());
-        assert!(Lut3d::parse_cube("LUT_3D_SIZE 2\n0 0 0\n").is_err());
-        assert!(Lut3d::parse_cube("LUT_3D_SIZE 200\n").is_err());
+        // each refusal's variant, and the message the CLI prints for it
+        let cases = [
+            ("", CubeError::MissingSize, "missing LUT_3D_SIZE"),
+            (
+                "LUT_3D_SIZE 2\n0 0 0\n",
+                CubeError::CountMismatch { size: 2, got: 1 },
+                "expected 8 samples for LUT_3D_SIZE 2, got 1",
+            ),
+            (
+                "LUT_3D_SIZE 200\n",
+                CubeError::BadSize {
+                    line: 1,
+                    size: Some(200),
+                },
+                "LUT_3D_SIZE 200 out of range (2..=129)",
+            ),
+            (
+                "# c\nLUT_3D_SIZE x\n",
+                CubeError::BadSize {
+                    line: 2,
+                    size: None,
+                },
+                "line 2: bad LUT_3D_SIZE",
+            ),
+            (
+                "LUT_3D_SIZE 2\n0 0\n",
+                CubeError::BadSample { line: 2 },
+                "line 2: bad sample",
+            ),
+        ];
+        for (text, err, shown) in cases {
+            assert_eq!(err.to_string(), shown);
+            assert_eq!(Lut3d::parse_cube(text), Err(err), "{text:?}");
+        }
     }
 
     /// Random `.cube` text: a size line (in and out of range), sample
@@ -944,9 +995,9 @@ mod tests {
         let per_pixel: Vec<Gray8> = row
             .iter()
             .enumerate()
-            .map(|(x, p)| p.post(&plan, x as u32, 9))
+            .map(|(x, p)| Gray8(plan.apply_u8(p.0, x as u32, 9)))
             .collect();
-        Gray8::post_row(&mut row, 9, &plan);
+        plan.apply_row(&mut row, 9);
         assert_eq!(row, per_pixel);
     }
 }

@@ -4,26 +4,25 @@
 //! bilinear inner loop into structure-of-arrays lanes over a
 //! memory-bound gather. Stable Rust has no portable-SIMD API, so this
 //! module writes that loop over fixed `[_; LANES]` arrays and lets
-//! LLVM autovectorize it. One span kernel serves every caller, generic
-//! over the tap type ([`LaneTap`]):
+//! LLVM autovectorize it. One span kernel serves every caller, on
+//! byte planes:
 //!
-//! * Each lane's 2×2 taps are read straight from the source plane. A
-//!   `u8` tap goes through a 256-entry table of `v as f32 / 255.0`,
-//!   exactly what `Gray8::channel_f32` returns; an `f32` tap is used
-//!   as is. An 8-bit frame is never lifted to a float image.
+//! * Each lane's 2×2 taps are read straight from the source plane
+//!   through a 256-entry table of `v as f32 / 255.0`, exactly what
+//!   `Gray8::channel_f32` returns. An 8-bit frame is never lifted to a
+//!   float image.
 //! * [`LANES`] = 8 lanes are computed at a time, and the floor is
 //!   done in integers (`floor_i32`). On baseline x86-64 `f32::floor`
 //!   is a `floorf` call, and a saturating `fx as i32` compiles to a
 //!   scalar `cvttss2si` with NaN and overflow fix-ups per lane; either
 //!   keeps LLVM from vectorizing the lane arithmetic. The rounding-bias
 //!   floor is plain SSE2 adds, compares and integer subtracts.
-//! * Each lane is quantized straight into the output row, with the
-//!   pixel type's own `from_channels_f32`.
+//! * Each lane is quantized straight into the output row, with
+//!   `Gray8`'s own `from_channels_f32`.
 //!
-//! The kernel gathers one interior run at a time: it is the `simd`
-//! datapath's [`EnginePixel::lane_span`], which the plan's lane span
-//! kernel calls with coordinates straight from a plan's SoA planes for
-//! each of the plan's interior runs
+//! The kernel gathers one interior run at a time: the plan's lane
+//! span kernel calls `gather_span` with coordinates straight from a
+//! plan's SoA planes for each of the plan's interior runs
 //! ([`RemapPlan::interior_runs`](crate::plan::RemapPlan::interior_runs))
 //! within a valid span or a composite's exclusive run. Every lane's
 //! four taps lie inside the source there, and `|fx|`, `|fy|` stay
@@ -45,9 +44,8 @@
 // and composite; a panic here takes streams down.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use pixmap::{Gray8, GrayF32, Image};
+use pixmap::{Gray8, Image, Pixel};
 
-use crate::engine::EnginePixel;
 use crate::interp::sample_bilinear;
 use crate::plan::{span_row, Lanes, RemapPlan};
 
@@ -84,30 +82,10 @@ static UNIT_U8: [f32; 256] = {
     t
 };
 
-/// A one-channel pixel the span kernel can gather.
-pub trait LaneTap: EnginePixel {
-    /// The pixel as the float `Pixel::channel_f32(0)` returns.
-    fn tap(self) -> f32;
-}
-
-impl LaneTap for Gray8 {
-    #[inline]
-    fn tap(self) -> f32 {
-        UNIT_U8[self.0 as usize]
-    }
-}
-
-impl LaneTap for GrayF32 {
-    #[inline]
-    fn tap(self) -> f32 {
-        self.0
-    }
-}
-
 /// Bilinear-correct one frame with the span kernel. Bit-exact with
 /// `correct(…, Interpolator::Bilinear, …)`. `src` must have the
 /// plan's source dimensions: interior taps are read unclamped.
-pub fn correct_bilinear_simd<P: LaneTap>(src: &Image<P>, plan: &RemapPlan) -> Image<P> {
+pub fn correct_bilinear_simd(src: &Image<Gray8>, plan: &RemapPlan) -> Image<Gray8> {
     assert_eq!(
         src.dims(),
         plan.src_dims(),
@@ -125,10 +103,9 @@ pub fn correct_bilinear_simd<P: LaneTap>(src: &Image<P>, plan: &RemapPlan) -> Im
 /// lane blocks through the lane kernel, the tail through
 /// `sample_bilinear`. Every coordinate's four taps must lie inside
 /// `src` with `|fx|`, `|fy|` below 2²² (the caller walks a plan's
-/// interior runs). This is the `simd` datapath's
-/// [`EnginePixel::lane_span`](crate::engine::EnginePixel::lane_span),
-/// which the engine's and the composite's walks both reach.
-pub(crate) fn gather_span<P: LaneTap>(src: &Image<P>, sx: &[f32], sy: &[f32], out: &mut [P]) {
+/// interior runs). The plan's lane span kernel calls it, so the
+/// engine's and the composite's walks both reach it.
+pub(crate) fn gather_span(src: &Image<Gray8>, sx: &[f32], sy: &[f32], out: &mut [Gray8]) {
     debug_assert_eq!(sx.len(), out.len());
     debug_assert_eq!(sy.len(), out.len());
     let taps = Taps {
@@ -147,16 +124,16 @@ pub(crate) fn gather_span<P: LaneTap>(src: &Image<P>, sx: &[f32], sy: &[f32], ou
 }
 
 /// The source plane as the lane kernel reads it: row-major pixels.
-struct Taps<'a, P> {
-    data: &'a [P],
+struct Taps<'a> {
+    data: &'a [Gray8],
     stride: usize,
 }
 
-impl<P: LaneTap> Taps<'_, P> {
+impl Taps<'_> {
     /// Interpolate one block of [`LANES`] interior coordinates into
     /// `out`, with `sample_bilinear`'s operation order per lane.
     #[inline]
-    fn lane_block(&self, cx: &[f32; LANES], cy: &[f32; LANES], out: &mut [P; LANES]) {
+    fn lane_block(&self, cx: &[f32; LANES], cy: &[f32; LANES], out: &mut [Gray8; LANES]) {
         let mut x0 = [0i32; LANES];
         let mut y0 = [0i32; LANES];
         let mut wx = [0f32; LANES];
@@ -178,15 +155,15 @@ impl<P: LaneTap> Taps<'_, P> {
         for i in 0..LANES {
             let at = y0[i] as usize * self.stride + x0[i] as usize;
             let (top, bot) = (&self.data[at..][..2], &self.data[at + self.stride..][..2]);
-            p00[i] = top[0].tap();
-            p10[i] = top[1].tap();
-            p01[i] = bot[0].tap();
-            p11[i] = bot[1].tap();
+            p00[i] = UNIT_U8[top[0].0 as usize];
+            p10[i] = UNIT_U8[top[1].0 as usize];
+            p01[i] = UNIT_U8[bot[0].0 as usize];
+            p11[i] = UNIT_U8[bot[1].0 as usize];
         }
         for i in 0..LANES {
             let top = p00[i] * (1.0 - wx[i]) + p10[i] * wx[i];
             let bot = p01[i] * (1.0 - wx[i]) + p11[i] * wx[i];
-            out[i] = P::from_channels_f32(&[top * (1.0 - wy[i]) + bot * wy[i]]);
+            out[i] = Gray8::from_channels_f32(&[top * (1.0 - wy[i]) + bot * wy[i]]);
         }
     }
 }
@@ -200,12 +177,12 @@ mod tests {
     use crate::{correct, Interpolator};
     use fisheye_geom::{FisheyeLens, PerspectiveView};
 
-    fn setup(out_w: u32) -> (RemapMap, RemapPlan, Image<GrayF32>) {
+    fn setup(out_w: u32) -> (RemapMap, RemapPlan, Image<Gray8>) {
         let lens = FisheyeLens::equidistant_fov(160, 120, 180.0);
         let view = PerspectiveView::centered(out_w, 60, 90.0);
         let map = RemapMap::build(&lens, &view, 160, 120);
         let plan = RemapPlan::compile(&map, PlanOptions::default());
-        let src = pixmap::scene::random_gray(160, 120, 77).map(GrayF32::from);
+        let src = pixmap::scene::random_gray(160, 120, 77);
         (map, plan, src)
     }
 
@@ -236,10 +213,10 @@ mod tests {
         let map = RemapMap::build(&lens, &view, 160, 120);
         let plan = RemapPlan::compile(&map, PlanOptions::default());
         assert!(plan.invalid_pixels() > 0);
-        let src = pixmap::Image::filled(160, 120, GrayF32(1.0));
+        let src = pixmap::Image::filled(160, 120, Gray8(255));
         let out = correct_bilinear_simd(&src, &plan);
-        assert_eq!(out.pixel(0, 0), GrayF32(0.0));
-        assert_eq!(out.pixel(40, 30), GrayF32(1.0));
+        assert_eq!(out.pixel(0, 0), Gray8(0));
+        assert_eq!(out.pixel(40, 30), Gray8(255));
         // and it still matches the branchy scalar reference exactly
         assert_eq!(out, correct(&src, &map, Interpolator::Bilinear));
     }

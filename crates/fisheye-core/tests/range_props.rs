@@ -8,10 +8,10 @@
 //! exact only below 2²² in magnitude, so such maps drive its scalar
 //! fallback, and the scalar reference's tap offsets must not overflow
 //! past its saturating floor casts. Output widths 1–40 give every span length
-//! modulo the lane width. `simd`, `serial`, `smp` and the map-based
-//! `correct` must agree bit for bit, on `Gray8` and on `GrayF32`
-//! (compared by bit pattern, so NaN outputs count too), and `fixed`
-//! must agree with `correct_fixed` over the same map's quantized LUT.
+//! modulo the lane width. On the byte planes engines correct, `simd`,
+//! `serial`, `smp` and the map-based `correct` must agree bit for bit,
+//! and `fixed` must agree with `correct_fixed` over the same map's
+//! quantized LUT.
 //!
 //! Composites run the same span kernels from a segment walk: a
 //! one-source composite over such a plan must equal the single-plan
@@ -33,11 +33,10 @@ use fisheye_core::composite::{compose_layers, CompositePlan};
 use fisheye_core::engine::{build_host, execute_host_post, EngineSpec, HostCtx, HostEnv};
 use fisheye_core::plan::{PlanOptions, RemapPlan};
 use fisheye_core::{
-    correct, correct_fixed, execute_composite_host, CompositePixel, EnginePixel, FixedRemapMap,
-    Interpolator, MapEntry, RemapMap,
+    correct, correct_fixed, execute_composite_host, Interpolator, MapEntry, RemapMap,
 };
 use par_runtime::{Schedule, ThreadPool};
-use pixmap::{Gray8, GrayF32, Image};
+use pixmap::{Gray8, Image};
 use proputil::{ensure, ensure_eq, CaseResult, Gen};
 
 const CASES: u32 = 96;
@@ -89,10 +88,10 @@ fn arb_map_sized(g: &mut Gen, w: u32, h: u32, sw: u32, sh: u32) -> RemapMap {
 
 /// `simd` and `serial` outputs for `src` over `map`, through the
 /// engine layer.
-fn engine_outputs<P: EnginePixel>(src: &Image<P>, map: &RemapMap) -> Result<[Image<P>; 2], String> {
+fn engine_outputs(src: &Image<Gray8>, map: &RemapMap) -> Result<[Image<Gray8>; 2], String> {
     let plan = RemapPlan::compile(map, PlanOptions::default());
-    let run = |spec: EngineSpec| -> Result<Image<P>, String> {
-        let engine = build_host::<P>(&spec, &HostCtx::default()).map_err(|e| e.to_string())?;
+    let run = |spec: EngineSpec| -> Result<Image<Gray8>, String> {
+        let engine = build_host(&spec, &HostCtx::default()).map_err(|e| e.to_string())?;
         let mut out = Image::new(map.width(), map.height());
         engine
             .correct_frame(src, &plan, &mut out)
@@ -100,10 +99,6 @@ fn engine_outputs<P: EnginePixel>(src: &Image<P>, map: &RemapMap) -> Result<[Ima
         Ok(out)
     };
     Ok([run(EngineSpec::Simd)?, run(EngineSpec::Serial)?])
-}
-
-fn bits(img: &Image<GrayF32>) -> Vec<u32> {
-    img.pixels().iter().map(|p| p.0.to_bits()).collect()
 }
 
 fn check_case(g: &mut Gen) -> CaseResult {
@@ -115,15 +110,6 @@ fn check_case(g: &mut Gen) -> CaseResult {
     let reference = correct(&src8, &map, Interpolator::Bilinear);
     ensure_eq!(serial, reference, "gray8 serial vs correct");
     ensure_eq!(simd, reference, "gray8 simd vs correct");
-
-    let values: Vec<GrayF32> = (0..sw * sh)
-        .map(|_| GrayF32(g.f64_in(-2.0, 300.0) as f32))
-        .collect();
-    let srcf = Image::from_vec(sw, sh, values);
-    let [simd, serial] = engine_outputs(&srcf, &map)?;
-    let reference = bits(&correct(&srcf, &map, Interpolator::Bilinear));
-    ensure_eq!(bits(&serial), reference, "f32 serial vs correct");
-    ensure_eq!(bits(&simd), reference, "f32 simd vs correct");
     Ok(())
 }
 
@@ -149,17 +135,13 @@ fn datapaths() -> [EngineSpec; 4] {
     ]
 }
 
-/// `spec`'s output for `src` over `plan`, or `None` where the pixel
-/// type has no such datapath (`fixed` on `GrayF32`).
-fn host<P: EnginePixel>(
+/// `spec`'s output for `src` over `plan`.
+fn host(
     spec: &EngineSpec,
-    src: &Image<P>,
+    src: &Image<Gray8>,
     plan: &RemapPlan,
     pool: &ThreadPool,
-) -> Result<Option<Image<P>>, String> {
-    if matches!(spec, EngineSpec::FixedPoint { .. }) && !P::HAS_FIXED {
-        return Ok(None);
-    }
+) -> Result<Image<Gray8>, String> {
     let env = HostEnv {
         pool: Some(pool),
         geometry: None,
@@ -175,16 +157,16 @@ fn host<P: EnginePixel>(
         &mut out,
     )
     .map_err(|e| format!("{}: {e}", spec.name()))?;
-    Ok(Some(out))
+    Ok(out)
 }
 
 /// `spec`'s output for `srcs` through the composite executor.
-fn composite<P: CompositePixel>(
+fn composite(
     spec: &EngineSpec,
-    srcs: &[&Image<P>],
+    srcs: &[&Image<Gray8>],
     plan: &CompositePlan,
     pool: &ThreadPool,
-) -> Result<Image<P>, String> {
+) -> Result<Image<Gray8>, String> {
     let env = HostEnv {
         pool: Some(pool),
         geometry: None,
@@ -203,33 +185,6 @@ fn composite<P: CompositePixel>(
     Ok(out)
 }
 
-/// Pixel types compared by bit pattern, so NaN outputs count too.
-trait Bits: CompositePixel {
-    fn bits(img: &Image<Self>) -> Vec<u32>;
-
-    /// `correct_fixed` over `lut`, where the type has an integer
-    /// datapath.
-    fn fixed_reference(_src: &Image<Self>, _lut: &FixedRemapMap) -> Option<Image<Self>> {
-        None
-    }
-}
-
-impl Bits for Gray8 {
-    fn bits(img: &Image<Gray8>) -> Vec<u32> {
-        img.pixels().iter().map(|p| p.0 as u32).collect()
-    }
-
-    fn fixed_reference(src: &Image<Gray8>, lut: &FixedRemapMap) -> Option<Image<Gray8>> {
-        Some(correct_fixed(src, lut))
-    }
-}
-
-impl Bits for GrayF32 {
-    fn bits(img: &Image<GrayF32>) -> Vec<u32> {
-        bits(img)
-    }
-}
-
 /// A blend score plane: zeros, negatives (clamped to zero) and
 /// fractions, so overlap pixels split, share evenly or go exclusive.
 fn arb_scores(g: &mut Gen, n: u32) -> Vec<f32> {
@@ -243,18 +198,15 @@ fn arb_scores(g: &mut Gen, n: u32) -> Vec<f32> {
 }
 
 /// One- and two-source composites over out-of-range plans against the
-/// single-plan engines, on every datapath the pixel type has.
-fn check_composites<P: Bits>(
-    g: &mut Gen,
-    pool: &ThreadPool,
-    frame: &mut impl FnMut(&mut Gen, u32, u32) -> Image<P>,
-) -> CaseResult {
+/// single-plan engines, on every host datapath.
+fn check_composites(g: &mut Gen, pool: &ThreadPool) -> CaseResult {
     let (sw, sh) = (g.u32_in(1, 17), g.u32_in(1, 17));
     let a = arb_map(g, sw, sh);
     let (w, h) = (a.width(), a.height());
     let (tw, th) = (g.u32_in(1, 17), g.u32_in(1, 17));
     let b = arb_map_sized(g, w, h, tw, th);
-    let (src_a, src_b) = (frame(g, sw, sh), frame(g, tw, th));
+    let src_a = pixmap::scene::random_gray(sw, sh, g.u64_any());
+    let src_b = pixmap::scene::random_gray(tw, th, g.u64_any());
     let plan_a = Arc::new(RemapPlan::compile(&a, PlanOptions::default()));
     let plan_b = Arc::new(RemapPlan::compile(&b, PlanOptions::default()));
     let one = CompositePlan::assemble(vec![Arc::clone(&plan_a)], &[arb_scores(g, w * h)]);
@@ -263,24 +215,20 @@ fn check_composites<P: Bits>(
         &[arb_scores(g, w * h), arb_scores(g, w * h)],
     );
     for spec in datapaths() {
-        let (Some(layer_a), Some(layer_b)) = (
-            host(&spec, &src_a, &plan_a, pool)?,
-            host(&spec, &src_b, &plan_b, pool)?,
-        ) else {
-            continue;
-        };
+        let layer_a = host(&spec, &src_a, &plan_a, pool)?;
+        let layer_b = host(&spec, &src_b, &plan_b, pool)?;
         let single = composite(&spec, &[&src_a], &one, pool)?;
         ensure_eq!(
-            P::bits(&single),
-            P::bits(&layer_a),
+            single,
+            layer_a,
             "{} one-source composite vs engine",
             spec.name()
         );
         let blended = composite(&spec, &[&src_a, &src_b], &two, pool)?;
         let reference = compose_layers(&two, &[&layer_a, &layer_b]);
         ensure_eq!(
-            P::bits(&blended),
-            P::bits(&reference),
+            blended,
+            reference,
             "{} two-source composite vs compose_layers",
             spec.name()
         );
@@ -301,23 +249,15 @@ fn smp_and_fixed_agree_on_out_of_range_maps() {
         let reference = correct(&src8, &map, Interpolator::Bilinear);
         ensure_eq!(
             host(&smp, &src8, &plan, &pool)?,
-            Some(reference),
+            reference,
             "gray8 smp vs correct"
         );
         let reference = correct_fixed(&src8, &map.to_fixed(12));
         ensure_eq!(
             host(&fixed, &src8, &plan, &pool)?,
-            Some(reference),
+            reference,
             "gray8 fixed vs correct_fixed"
         );
-
-        let values: Vec<GrayF32> = (0..sw * sh)
-            .map(|_| GrayF32(g.f64_in(-2.0, 300.0) as f32))
-            .collect();
-        let srcf = Image::from_vec(sw, sh, values);
-        let out = host(&smp, &srcf, &plan, &pool)?.ok_or("smp runs on f32")?;
-        let reference = bits(&correct(&srcf, &map, Interpolator::Bilinear));
-        ensure_eq!(bits(&out), reference, "f32 smp vs correct");
         Ok(())
     });
 }
@@ -328,17 +268,7 @@ fn composites_agree_with_engines_on_out_of_range_maps() {
     proputil::check(
         "composites_agree_with_engines_on_out_of_range_maps",
         CASES,
-        |g| {
-            check_composites(g, &pool, &mut |g, w, h| {
-                pixmap::scene::random_gray(w, h, g.u64_any())
-            })?;
-            check_composites(g, &pool, &mut |g, w, h| {
-                let values = (0..w * h)
-                    .map(|_| GrayF32(g.f64_in(-2.0, 300.0) as f32))
-                    .collect();
-                Image::from_vec(w, h, values)
-            })
-        },
+        |g| check_composites(g, &pool),
     );
 }
 
@@ -385,30 +315,26 @@ fn boundary_map(g: &mut Gen, w: u32, h: u32, sw: u32, sh: u32) -> RemapMap {
 }
 
 /// `spec`'s output for one source through a one-source composite.
-fn one_source<P: CompositePixel>(
+fn one_source(
     spec: &EngineSpec,
-    src: &Image<P>,
+    src: &Image<Gray8>,
     plan: &Arc<RemapPlan>,
     pool: &ThreadPool,
-) -> Result<Image<P>, String> {
+) -> Result<Image<Gray8>, String> {
     let (w, h) = (plan.width(), plan.height());
     let one = CompositePlan::assemble(vec![Arc::clone(plan)], &[vec![1.0; (w * h) as usize]]);
     composite(spec, &[src], &one, pool)
 }
 
-/// `simd` on `P` and `fixed` on `Gray8`, each against its reference
-/// (`correct`, `correct_fixed` of the Q12 LUT), on a single plan, a
-/// one-source composite and a two-source composite over boundary maps.
-fn check_boundary<P: Bits>(
-    g: &mut Gen,
-    pool: &ThreadPool,
-    (sw, sh): (u32, u32),
-    frame: &mut impl FnMut(&mut Gen, u32, u32) -> Image<P>,
-) -> CaseResult {
+/// `simd` and `fixed`, each against its reference (`correct`,
+/// `correct_fixed` of the Q12 LUT), on a single plan, a one-source
+/// composite and a two-source composite over boundary maps.
+fn check_boundary(g: &mut Gen, pool: &ThreadPool, (sw, sh): (u32, u32)) -> CaseResult {
     let (w, h) = (g.u32_in(1, 41), g.u32_in(1, 4));
     let (tw, th) = (g.u32_in(2, 17), g.u32_in(2, 17));
     let (a, b) = (boundary_map(g, w, h, sw, sh), boundary_map(g, w, h, tw, th));
-    let (src_a, src_b) = (frame(g, sw, sh), frame(g, tw, th));
+    let src_a = pixmap::scene::random_gray(sw, sh, g.u64_any());
+    let src_b = pixmap::scene::random_gray(tw, th, g.u64_any());
     let plan_a = Arc::new(RemapPlan::compile(&a, PlanOptions::default()));
     let plan_b = Arc::new(RemapPlan::compile(&b, PlanOptions::default()));
     let two = CompositePlan::assemble(
@@ -417,31 +343,19 @@ fn check_boundary<P: Bits>(
     );
     let [.., simd, fixed] = datapaths();
     for spec in [simd, fixed] {
-        let reference = |map: &RemapMap, src: &Image<P>| match spec {
-            EngineSpec::FixedPoint { frac_bits } => {
-                P::fixed_reference(src, &map.to_fixed(frac_bits))
-            }
-            _ => Some(correct(src, map, Interpolator::Bilinear)),
+        let reference = |map: &RemapMap, src: &Image<Gray8>| match spec {
+            EngineSpec::FixedPoint { frac_bits } => correct_fixed(src, &map.to_fixed(frac_bits)),
+            _ => correct(src, map, Interpolator::Bilinear),
         };
-        let (Some(ref_a), Some(ref_b)) = (reference(&a, &src_a), reference(&b, &src_b)) else {
-            continue;
-        };
+        let (ref_a, ref_b) = (reference(&a, &src_a), reference(&b, &src_b));
         let name = spec.name();
-        let single = host(&spec, &src_a, &plan_a, pool)?.ok_or("datapath vanished")?;
-        ensure_eq!(P::bits(&single), P::bits(&ref_a), "{name} single plan");
+        let single = host(&spec, &src_a, &plan_a, pool)?;
+        ensure_eq!(single, ref_a, "{name} single plan");
         let one = one_source(&spec, &src_a, &plan_a, pool)?;
-        ensure_eq!(
-            P::bits(&one),
-            P::bits(&ref_a),
-            "{name} one-source composite"
-        );
+        ensure_eq!(one, ref_a, "{name} one-source composite");
         let blended = composite(&spec, &[&src_a, &src_b], &two, pool)?;
         let expect = compose_layers(&two, &[&ref_a, &ref_b]);
-        ensure_eq!(
-            P::bits(&blended),
-            P::bits(&expect),
-            "{name} two-source composite"
-        );
+        ensure_eq!(blended, expect, "{name} two-source composite");
     }
     Ok(())
 }
@@ -454,15 +368,7 @@ fn simd_and_fixed_agree_on_interior_boundary_maps() {
         CASES,
         |g| {
             let dims = (g.u32_in(2, 17), g.u32_in(2, 17));
-            check_boundary(g, &pool, dims, &mut |g, w, h| {
-                pixmap::scene::random_gray(w, h, g.u64_any())
-            })?;
-            check_boundary(g, &pool, dims, &mut |g, w, h| {
-                let values = (0..w * h)
-                    .map(|_| GrayF32(g.f64_in(-2.0, 300.0) as f32))
-                    .collect();
-                Image::from_vec(w, h, values)
-            })
+            check_boundary(g, &pool, dims)
         },
     );
 }
@@ -481,9 +387,7 @@ fn simd_and_fixed_agree_where_the_floor_range_bounds_the_interior() {
             let (sw, sh) = ((1 << 22) + 3, 2);
             let (w, h) = (g.u32_in(1, 41), g.u32_in(1, 4));
             check_partition(&boundary_map(g, w, h, sw, sh))?;
-            check_boundary(g, &pool, (sw, sh), &mut |g, w, h| {
-                pixmap::scene::random_gray(w, h, g.u64_any())
-            })
+            check_boundary(g, &pool, (sw, sh))
         },
     );
 }

@@ -75,8 +75,8 @@ pub use client::{Client, ClientEvent};
 pub use feed::CameraFeed;
 pub use metrics::{Histogram, Registry};
 pub use server::{
-    pump_round, AdmissionBudget, DegradeConfig, DegradeLevel, FrameOutcome, PumpStats, ServedFrame,
-    Server, ServerConfig, Session, SessionConfig, SubmitOutcome, Workload,
+    pump_round, AdmissionBudget, DegradeConfig, DegradeLevel, FrameOutcome, ServedFrame, Server,
+    ServerConfig, Session, SessionConfig, SubmitOutcome, Workload,
 };
 pub use shard::{NetServer, NetServerConfig};
 pub use wire::{Message, SessionDesc, ShedReason, WireError};

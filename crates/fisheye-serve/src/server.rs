@@ -1553,38 +1553,26 @@ fn rig_frames<'a>(
     Ok(frames)
 }
 
-/// Aggregate result of one [`pump_round`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PumpStats {
-    /// Frames corrected this round.
-    pub processed: u64,
-    /// Of those, frames over their deadline.
-    pub missed: u64,
-}
-
 /// Drive `sessions` round-robin until all queues drain or `budget`
 /// wall time elapses — the serving loop's inner step. The budget is
 /// what creates overload pressure: with more work queued than the
 /// budget covers, frames age, deadlines slip, and the ladder engages.
-pub fn pump_round(sessions: &mut [Session], budget: Duration) -> Result<PumpStats, fisheye::Error> {
+/// The registry counts what a round served (`serve.frames.completed`,
+/// `serve.frames.deadline_missed`).
+pub fn pump_round(sessions: &mut [Session], budget: Duration) -> Result<(), fisheye::Error> {
     let started = Instant::now();
-    let mut stats = PumpStats::default();
     loop {
         let mut any = false;
         for session in sessions.iter_mut() {
             if started.elapsed() >= budget {
-                return Ok(stats);
+                return Ok(());
             }
-            if let Some(outcome) = session.pump_one()? {
-                stats.processed += 1;
-                if outcome.missed {
-                    stats.missed += 1;
-                }
+            if session.pump_one()?.is_some() {
                 any = true;
             }
         }
         if !any {
-            return Ok(stats);
+            return Ok(());
         }
     }
 }

@@ -880,7 +880,7 @@ mod composite_sessions {
         }
 
         // the single session's report is what the engine itself reports
-        let engine = build_host::<Gray8>(
+        let engine = build_host(
             &EngineSpec::Serial,
             &HostCtx {
                 interp: Interpolator::Bicubic,

@@ -1,8 +1,9 @@
 //! [`CorrectionEngine`] adapter: the modeled GPU behind the same
 //! interface as every host path.
 //!
-//! The SIMT model is generic over pixel type and needs no derived
-//! state, so the adapter is thin: it reads the float map straight out
+//! The SIMT model needs no derived state, so the adapter is thin: it
+//! corrects byte planes, as every engine does, reading the float map
+//! straight out
 //! of the compiled [`RemapPlan`] (the GPU gathers through the raw
 //! LUT — texture hardware does the interpolation, no quantized or
 //! tiled artifact needed), runs the frame, copies the functional
@@ -11,15 +12,15 @@
 //! [`FrameReport`]'s uniform key/value section.
 
 use fisheye_core::engine::{
-    check_frame_dims, CorrectionEngine, EngineError, EnginePixel, EngineSpec, FrameReport,
+    check_frame_dims, CorrectionEngine, EngineError, EngineSpec, FrameReport,
 };
 use fisheye_core::plan::RemapPlan;
 use fisheye_core::Interpolator;
-use pixmap::Image;
+use pixmap::{Gray8, Image};
 
 use crate::{GpuConfig, GpuRunner};
 
-/// The modeled GPU as a correction engine (any pixel type).
+/// The modeled GPU as a correction engine.
 pub struct GpuEngine {
     runner: GpuRunner,
     spec: EngineSpec,
@@ -58,16 +59,16 @@ impl GpuEngine {
     }
 }
 
-impl<P: EnginePixel> CorrectionEngine<P> for GpuEngine {
+impl CorrectionEngine for GpuEngine {
     fn name(&self) -> String {
         self.spec.name()
     }
 
     fn correct_frame(
         &self,
-        src: &Image<P>,
+        src: &Image<Gray8>,
         plan: &RemapPlan,
-        out: &mut Image<P>,
+        out: &mut Image<Gray8>,
     ) -> Result<FrameReport, EngineError> {
         let name = self.spec.name();
         check_frame_dims(&name, src, plan, out)?;
@@ -98,7 +99,6 @@ mod tests {
     use fisheye_core::map::RemapMap;
     use fisheye_core::plan::PlanOptions;
     use fisheye_geom::{FisheyeLens, PerspectiveView};
-    use pixmap::{Gray8, GrayF32};
 
     fn workload() -> (RemapPlan, Image<Gray8>) {
         let lens = FisheyeLens::equidistant_fov(160, 120, 180.0);
@@ -112,32 +112,23 @@ mod tests {
     #[test]
     fn engine_bit_exact_vs_host_float_gray8() {
         let (plan, src) = workload();
-        let spec = EngineSpec::parse("gpu").unwrap();
-        let engine =
-            GpuEngine::from_spec(&spec, GpuConfig::default(), Interpolator::Bilinear).unwrap();
-        let mut out = Image::new(80, 60);
-        let report =
-            CorrectionEngine::<Gray8>::correct_frame(&engine, &src, &plan, &mut out).unwrap();
-        assert_eq!(out, correct(&src, plan.map(), Interpolator::Bilinear));
-        assert_eq!(report.backend, "gpu");
-        assert!(report.tiles > 0);
-        assert!(report.model.contains_key("cache_hit_rate"));
-        assert!(report.model["frame_cycles"] > 0.0);
-    }
-
-    #[test]
-    fn engine_bit_exact_on_f32() {
-        let (plan, src8) = workload();
-        let src: Image<GrayF32> = src8.map(GrayF32::from);
-        let spec = EngineSpec::parse("gpu:512").unwrap();
-        let engine =
-            GpuEngine::from_spec(&spec, GpuConfig::default(), Interpolator::Bilinear).unwrap();
-        let mut out = Image::new(80, 60);
-        let report =
-            CorrectionEngine::<GrayF32>::correct_frame(&engine, &src, &plan, &mut out).unwrap();
-        assert_eq!(out, correct(&src, plan.map(), Interpolator::Bilinear));
-        assert_eq!(report.backend, "gpu:512");
-        assert_eq!(report.model["block_threads"], 512.0);
+        for (name, block_threads) in [("gpu", 256.0), ("gpu:512", 512.0)] {
+            let spec = EngineSpec::parse(name).unwrap();
+            let engine =
+                GpuEngine::from_spec(&spec, GpuConfig::default(), Interpolator::Bilinear).unwrap();
+            let mut out = Image::new(80, 60);
+            let report = engine.correct_frame(&src, &plan, &mut out).unwrap();
+            assert_eq!(
+                out,
+                correct(&src, plan.map(), Interpolator::Bilinear),
+                "{name}"
+            );
+            assert_eq!(report.backend, name);
+            assert_eq!(report.model["block_threads"], block_threads);
+            assert!(report.tiles > 0);
+            assert!(report.model.contains_key("cache_hit_rate"));
+            assert!(report.model["frame_cycles"] > 0.0);
+        }
     }
 
     #[test]

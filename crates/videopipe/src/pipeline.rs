@@ -58,11 +58,6 @@ pub struct PipeConfig {
     /// `on_frame` calls strictly in sequence (late frames are
     /// dropped and counted in [`PipeReport::dropped`]).
     pub resequence: Option<usize>,
-    /// Per-frame latency budget, capture → sink. Frames over budget
-    /// are still delivered — a corrected late frame beats a gap — but
-    /// are counted in [`PipeReport::deadline_missed`], the overload
-    /// signal the serving layer's degradation controller consumes.
-    pub frame_deadline: Option<Duration>,
 }
 
 impl Default for PipeConfig {
@@ -73,7 +68,6 @@ impl Default for PipeConfig {
             interp: Interpolator::Bilinear,
             engine: EngineSpec::Serial,
             resequence: None,
-            frame_deadline: None,
         }
     }
 }
@@ -102,9 +96,6 @@ pub struct PipeReport {
     pub out_of_order: u64,
     /// Frames dropped by the resequencer (0 when resequencing is off).
     pub dropped: u64,
-    /// Frames whose capture→sink latency exceeded
-    /// [`PipeConfig::frame_deadline`] (0 when no deadline is set).
-    pub deadline_missed: u64,
     /// Total correction-kernel time summed over all sunk frames (CPU
     /// work, as opposed to the queue-inclusive latency percentiles).
     pub kernel_time: Duration,
@@ -234,7 +225,6 @@ pub fn run_frame_pipeline(
     let mut latency = crate::latency::LatencyStats::new();
     let mut out_of_order = 0u64;
     let mut dropped = 0u64;
-    let mut deadline_missed = 0u64;
     let mut kernel_time = Duration::ZERO;
     let mut plane_times = vec![Duration::ZERO; labels.len()];
     let mut invalid_pixels = 0u64;
@@ -299,11 +289,7 @@ pub fn run_frame_pipeline(
             .resequence
             .map(crate::resequencer::Resequencer::<CorrectedPlanes>::new);
         while let Some(done) = q_out.pop() {
-            let lat = done.captured_at.elapsed();
-            latency.record(lat);
-            if config.frame_deadline.is_some_and(|d| lat > d) {
-                deadline_missed += 1;
-            }
+            latency.record(done.captured_at.elapsed());
             kernel_time += done.kernel_time;
             for (acc, t) in plane_times.iter_mut().zip(&done.plane_times) {
                 *acc += *t;
@@ -353,7 +339,6 @@ pub fn run_frame_pipeline(
         in_queue_high_water: q_in.high_water(),
         out_of_order,
         dropped,
-        deadline_missed,
         kernel_time,
         invalid_pixels,
         pool_hits: pool.hits(),
@@ -725,39 +710,6 @@ mod tests {
     #[should_panic(expected = "a plane plan was not compiled with a 12-bit LUT")]
     fn frame_pipeline_fixed_without_lut_rejected_up_front() {
         run_fixed_on_serial_plan(FrameFormat::Yuv420, 61);
-    }
-
-    #[test]
-    fn deadline_misses_are_counted_and_bounded() {
-        // a zero deadline makes every sunk frame a deterministic miss:
-        // the overload case. Misses are *counted*, never dropped, and
-        // backpressure still bounds the queue — overload degrades
-        // latency accounting, not memory.
-        let plan = test_plan();
-        let config = PipeConfig {
-            queue_capacity: 2,
-            frame_deadline: Some(Duration::ZERO),
-            ..Default::default()
-        };
-        let report = run_frame_pipeline(gray_video(13, 1, 30), &plan, config, |_, _| {});
-        assert_eq!(report.frames, 30, "late frames are delivered, not lost");
-        assert_eq!(report.deadline_missed, 30);
-        assert!(
-            report.in_queue_high_water <= 2,
-            "no queue growth under overload"
-        );
-    }
-
-    #[test]
-    fn generous_deadline_misses_nothing() {
-        let plan = test_plan();
-        let config = PipeConfig {
-            frame_deadline: Some(Duration::from_secs(3600)),
-            ..Default::default()
-        };
-        let report = run_frame_pipeline(gray_video(14, 1, 10), &plan, config, |_, _| {});
-        assert_eq!(report.frames, 10);
-        assert_eq!(report.deadline_missed, 0);
     }
 
     #[test]

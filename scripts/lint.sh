@@ -70,11 +70,13 @@ tr -d ' \n' < crates/fisheye-serve/src/readiness.rs \
 # module-level panic-free deny attributes. So does the simd span
 # kernel, which every simd frame, single or composite, runs, the plan
 # module, whose span kernels and valid-span walk every host frame
-# runs, the engine module, whose host dispatch and Gray8 span hooks
-# every served frame runs, the frame module, whose plane loop every
-# served frame goes through, and the facade's corrector module, which
-# every frame served to a single-camera session passes through.
-echo "lint: rig/rectify/composite/simd/plan/engine/frame/corrector panic-free deny attributes present"
+# runs, the engine module, whose host dispatch every served frame
+# runs, the frame module, whose plane loop every served frame goes
+# through, the post module, which grades the rows of every graded
+# frame and parses users' `.cube` files for the CLI, and the facade's
+# corrector module, which every frame served to a single-camera
+# session passes through.
+echo "lint: rig/rectify/composite/simd/plan/engine/frame/post/corrector panic-free deny attributes present"
 for f in crates/fisheye-geom/src/rig.rs \
          crates/fisheye-geom/src/rectify.rs \
          crates/fisheye-core/src/composite.rs \
@@ -82,6 +84,7 @@ for f in crates/fisheye-geom/src/rig.rs \
          crates/fisheye-core/src/plan.rs \
          crates/fisheye-core/src/engine.rs \
          crates/fisheye-core/src/frame.rs \
+         crates/fisheye-core/src/post.rs \
          src/corrector.rs; do
   tr -d ' \n' < "$f" | grep -q '#!\[deny(clippy::unwrap_used,clippy::expect_used,clippy::panic' \
     || { echo "lint: FAIL ($f lost its panic-free deny attribute)"; exit 1; }
@@ -101,10 +104,11 @@ tr -d ' \n' < crates/fisheye-codegen/src/lib.rs \
 
 # The post stage sits on the per-pixel hot path of every backend and
 # inside the serving layer's degrade machinery: a panic there takes
-# frames (or sessions) down, so unwrap is banned in fisheye-core too.
-# The crate carries #[deny(clippy::unwrap_used)] on the post module;
-# this run makes the gate observable in CI alongside the others.
-echo "lint: cargo clippy fisheye-core lib (deny unwrap_used on post)"
+# frames (or sessions) down. post.rs carries the panic-free deny
+# attribute checked above (and parse_cube also denies
+# indexing_slicing); this run makes the gate observable in CI
+# alongside the others.
+echo "lint: cargo clippy fisheye-core lib (panic-free post)"
 cargo clippy --offline -p fisheye-core --no-deps --lib -- -D warnings
 
 echo "lint: cargo doc (warnings are errors)"

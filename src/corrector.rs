@@ -85,7 +85,7 @@ use crate::par::{Schedule, ThreadPool};
 /// The pixel type a [`Corrector`] serves. Every [`FrameFormat`]
 /// carries 8-bit planes, so [`Gray8`] is the one implementation; the
 /// bound keeps `Corrector<Gray8>` spelling its pixel type.
-pub trait CorrectorPixel: crate::core::engine::EnginePixel + 'static {}
+pub trait CorrectorPixel: crate::img::Pixel + 'static {}
 
 impl CorrectorPixel for Gray8 {}
 
@@ -95,7 +95,7 @@ impl CorrectorPixel for Gray8 {}
 fn resolve_engine(
     spec: &EngineSpec,
     ctx: &HostCtx<'_>,
-) -> Result<Box<dyn CorrectionEngine<Gray8>>, EngineError> {
+) -> Result<Box<dyn CorrectionEngine>, EngineError> {
     match spec {
         EngineSpec::Cell { .. } => Ok(Box::new(CellEngine::from_spec(
             spec,
@@ -107,7 +107,7 @@ fn resolve_engine(
             ctx.interp,
         )?)),
         EngineSpec::Simt { .. } => Ok(Box::new(SimtEngine::from_spec(spec, ctx.interp)?)),
-        _ => build_host::<Gray8>(spec, ctx),
+        _ => build_host(spec, ctx),
     }
 }
 
@@ -766,7 +766,6 @@ impl std::fmt::Debug for Corrector {
 mod tests {
     use super::*;
     use crate::core::engine::EngineSpec;
-    use crate::core::post::PostPixel;
 
     fn lens_view() -> (FisheyeLens, PerspectiveView) {
         (
@@ -1097,7 +1096,7 @@ mod tests {
             let (mut reference, _) = plain.correct(&src).unwrap();
             let plan = stage.compile(crate::core::post::PostChannel::Luma);
             for (y, row) in (0..).zip(reference.pixels_mut().chunks_mut(32)) {
-                Gray8::post_row(row, y, &plan);
+                plan.apply_row(row, y);
             }
             assert_eq!(out.pixels(), reference.pixels(), "{spec:?}");
         }

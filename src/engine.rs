@@ -13,7 +13,7 @@
 
 use crate::core::engine::EngineSpec;
 
-pub use crate::core::engine::{EnginePixel, FrameReport, NumericClass};
+pub use crate::core::engine::{FrameReport, NumericClass};
 
 /// The canonical spec list ([`EngineSpec::registry`]) — one entry per
 /// backend, each buildable by the [`Corrector`](crate::Corrector)

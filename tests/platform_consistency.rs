@@ -19,10 +19,8 @@
 
 use std::sync::Arc;
 
-use fisheye::codegen::SimtEngine;
-use fisheye::core::engine::{build_host, execute_host_post, HostCtx, HostEnv, NumericClass};
+use fisheye::core::engine::{execute_host_post, HostEnv, NumericClass};
 use fisheye::core::{correct, correct_fixed};
-use fisheye::gpu::{GpuConfig, GpuEngine};
 use fisheye::img::metrics::psnr;
 use fisheye::prelude::*;
 use fisheye::stream::FixedMapGen;
@@ -90,50 +88,6 @@ fn every_registered_engine_bit_exact_on_gray8() {
             None,
             "{name}: the registry-union plan must carry every artifact"
         );
-    }
-}
-
-/// Float frames have no frame format and no facade path, but the
-/// float-class engines still run on `GrayF32` planes. Built directly
-/// (the Cell SPE kernel exists only for bytes), each must match the
-/// serial float reference, and the host refuses `fixed` on floats.
-#[test]
-fn float_engines_bit_exact_on_gray_f32() {
-    let (lens, view, plan, frame) = workload();
-    let framef: Image<GrayF32> = frame.map(GrayF32::from);
-    let serial = correct(&framef, plan.map(), Interpolator::Bilinear);
-    let ctx = HostCtx {
-        geometry: Some((&lens, &view)),
-        ..HostCtx::default()
-    };
-    for spec in registry() {
-        let name = spec.name();
-        let engine: Box<dyn CorrectionEngine<GrayF32>> = match spec {
-            EngineSpec::Cell { .. } => continue,
-            EngineSpec::Gpu { .. } => Box::new(
-                GpuEngine::from_spec(&spec, GpuConfig::default(), ctx.interp)
-                    .unwrap_or_else(|e| panic!("{name}: {e}")),
-            ),
-            EngineSpec::Simt { .. } => Box::new(
-                SimtEngine::from_spec(&spec, ctx.interp).unwrap_or_else(|e| panic!("{name}: {e}")),
-            ),
-            _ => match build_host::<GrayF32>(&spec, &ctx) {
-                Ok(engine) => engine,
-                Err(e) => {
-                    // only the integer datapaths may refuse float frames
-                    assert!(
-                        matches!(spec.numeric_class(), NumericClass::Fixed { .. }),
-                        "{name} refused GrayF32: {e}"
-                    );
-                    continue;
-                }
-            },
-        };
-        let mut out = Image::new(128, 96);
-        engine
-            .correct_frame(&framef, &plan, &mut out)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(out, serial, "{name}");
     }
 }
 

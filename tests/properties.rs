@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use fisheye::core::engine::{build_host, execute_host_post, HostCtx, HostEnv};
-use fisheye::core::post::{PostChannel, PostPixel};
+use fisheye::core::post::PostChannel;
 use fisheye::core::{correct, correct_fixed};
 use fisheye::geom::{FisheyeLens, LensModel, PerspectiveView, Vec3};
 use fisheye::prelude::*;
@@ -201,7 +201,7 @@ fn identity_post_stage_is_invisible_on_every_backend() {
     );
 }
 
-/// The fused post path is byte-identical to correct-then-post_row for
+/// The fused post path is byte-identical to correct-then-apply_row for
 /// arbitrary stages (any builtin LUT, strength, curve, dither seed,
 /// channel) on every plan-driven host backend, each reporting
 /// `fused=1` for an active stage — including the degenerate 1×1
@@ -250,7 +250,7 @@ fn fused_post_always_matches_two_pass() {
         for spec in specs {
             let plan =
                 RemapPlan::compile(&map, PlanOptions::for_spec(&spec, Interpolator::Bilinear));
-            let engine = build_host::<Gray8>(
+            let engine = build_host(
                 &spec,
                 &HostCtx {
                     interp: Interpolator::Bilinear,
@@ -270,7 +270,7 @@ fn fused_post_always_matches_two_pass() {
                 .correct_frame(&frame, &plan, &mut two)
                 .expect("plain correct");
             for (y, row) in two.pixels_mut().chunks_mut(out_w as usize).enumerate() {
-                Gray8::post_row(row, y as u32, &post);
+                post.apply_row(row, y as u32);
             }
             ensure_eq!(
                 fused,
