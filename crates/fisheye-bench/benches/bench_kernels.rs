@@ -6,7 +6,7 @@
 
 use fisheye_bench::timing::Group;
 use fisheye_bench::workloads::{random_workload, resolution};
-use fisheye_core::engine::{execute_direct, execute_host_post, EngineSpec, HostEnv};
+use fisheye_core::engine::{execute_direct, execute_host_post, EngineSpec};
 use fisheye_core::plan::{PlanOptions, RemapPlan};
 use fisheye_core::{correct, correct_fixed, Interpolator, RemapMap};
 use fisheye_geom::{FisheyeLens, PerspectiveView};
@@ -83,7 +83,7 @@ fn bench_engines() {
                     &frame,
                     &plan,
                     None,
-                    &HostEnv::default(),
+                    None,
                     &mut out,
                 )
                 .expect("frame and output sized to the plan");

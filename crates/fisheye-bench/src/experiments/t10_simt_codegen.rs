@@ -138,7 +138,6 @@ fn simt_point(res_name: &'static str, workgroup: usize, reps: usize) -> SimtPoin
         &HostCtx {
             interp: Interpolator::Bilinear,
             threads: 1,
-            geometry: None,
         },
     )
     .expect("serial builds");

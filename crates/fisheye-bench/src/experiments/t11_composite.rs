@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fisheye_core::composite::{compose_two_pass, CompositePlan, StereoPlan};
-use fisheye_core::engine::{EngineSpec, HostEnv};
+use fisheye_core::engine::EngineSpec;
 use fisheye_core::frame::Frame;
 use fisheye_core::plan::{correct_plan_into, PlanOptions};
 use fisheye_core::{execute_composite_host, Interpolator};
@@ -105,7 +105,7 @@ fn composite_point(res: Resolution, reps: usize) -> CompositePoint {
         &srcs,
         &plan,
         None,
-        &HostEnv::default(),
+        None,
         &mut out,
     )
     .expect("serial composite");
@@ -135,7 +135,7 @@ fn composite_point(res: Resolution, reps: usize) -> CompositePoint {
             &srcs,
             &plan,
             None,
-            &HostEnv::default(),
+            None,
             &mut out,
         )
         .expect("composite rep");

@@ -142,11 +142,7 @@ pub fn run(scale: Scale) -> Table {
         ],
     );
     for (name, spec, threads) in backends() {
-        let ctx = HostCtx {
-            interp,
-            threads,
-            geometry: None,
-        };
+        let ctx = HostCtx { interp, threads };
         let engine: Arc<dyn CorrectionEngine> =
             build_host(&spec, &ctx).expect("host backend builds").into();
         let correctors: Vec<FrameCorrector> = frames

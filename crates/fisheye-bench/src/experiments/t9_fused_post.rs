@@ -136,7 +136,6 @@ fn post_point(
         &HostCtx {
             interp: Interpolator::Bilinear,
             threads,
-            geometry: None,
         },
     )
     .expect("host backend builds");

@@ -1,6 +1,6 @@
 //! Standard workloads shared by the experiments.
 
-use fisheye_core::engine::{execute_host_post, EngineSpec, HostEnv};
+use fisheye_core::engine::{execute_host_post, EngineSpec};
 use fisheye_core::plan::{PlanOptions, RemapPlan};
 use fisheye_core::synth::{capture_fisheye, World};
 use fisheye_core::{Interpolator, RemapMap};
@@ -139,10 +139,6 @@ pub fn time_smp(
     schedule: Schedule,
 ) -> f64 {
     let spec = EngineSpec::Smp { schedule };
-    let env = HostEnv {
-        pool: Some(pool),
-        geometry: None,
-    };
     let mut out = Image::new(plan.width(), plan.height());
     time_median(reps, || {
         execute_host_post(
@@ -151,7 +147,7 @@ pub fn time_smp(
             frame,
             plan,
             None,
-            &env,
+            Some(pool),
             &mut out,
         )
         .expect("smp correction");

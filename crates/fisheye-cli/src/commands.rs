@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use fisheye::Corrector;
-use fisheye_core::engine::{EngineSpec, HostEnv};
+use fisheye_core::engine::EngineSpec;
 use fisheye_core::frame::{Frame, FrameFormat};
 use fisheye_core::plan::{PlanOptions, RemapPlan};
 use fisheye_core::post::{DitherSeed, Lut3d, PostStage, ToneMap};
@@ -341,7 +341,7 @@ fn emit_kernel(args: &Args) -> CmdResult {
     let view = PerspectiveView::centered(ow, oh, view_fov).look(pan, tilt);
     let map = RemapMap::build(&lens, &view, sw, sh);
     let plan = RemapPlan::compile(&map, PlanOptions::for_specs(&[spec]));
-    let kernel = fisheye::codegen::emit_kernel(&plan, &spec, interp, target)?;
+    let kernel = fisheye::codegen::emit_kernel(&plan, &spec, interp, target);
 
     let out = args.req("out")?;
     let path = std::path::Path::new(out);
@@ -439,7 +439,7 @@ fn stitch(args: &Args) -> CmdResult {
         &[&front, &back],
         &plan,
         None,
-        &HostEnv::default(),
+        None,
         &mut pano,
     )
     .map_err(|e| CliError::Runtime(e.to_string()))?;
@@ -980,14 +980,6 @@ mod tests {
         let dir = std::env::temp_dir().join("fisheye_cli_emit_err");
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("k.wgsl");
-        // the direct backend has no compiled plan to lower
-        let err = run(&format!(
-            "emit-kernel --out {} --backend direct --size 64x48 --out-size 32x24",
-            out.display()
-        ))
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 2, "{err}");
-        assert!(err.to_string().contains("codegen"), "{err}");
         // unknown targets are rejected before any work happens
         let err = run(&format!(
             "emit-kernel --out {} --target spirv",

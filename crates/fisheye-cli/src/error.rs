@@ -48,10 +48,6 @@ impl From<fisheye::Error> for CliError {
     fn from(e: fisheye::Error) -> Self {
         match e.kind() {
             fisheye::ErrorKind::Config => CliError::Usage(e.to_string()),
-            // a codegen refusal means the command line paired a backend
-            // with a target it cannot lower to — the request is wrong,
-            // not the run
-            fisheye::ErrorKind::Codegen => CliError::Usage(e.to_string()),
             fisheye::ErrorKind::Engine => match e.as_engine() {
                 Some(fisheye::core::engine::EngineError::Unsupported { .. }) => {
                     CliError::Usage(e.to_string())
@@ -95,12 +91,6 @@ mod tests {
         .into();
         assert_eq!(e.exit_code(), 1, "rejection is a runtime error: {e}");
         assert!(e.to_string().contains("4/4"), "{e}");
-        let e: CliError = fisheye::Error::from(fisheye::codegen::CodegenError::unsupported(
-            "direct",
-            "no compiled plan to lower",
-        ))
-        .into();
-        assert_eq!(e.exit_code(), 2, "codegen refusal is a usage error: {e}");
     }
 
     #[test]

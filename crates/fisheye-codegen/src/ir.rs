@@ -14,8 +14,6 @@ use fisheye_core::engine::{simt_tile, EngineSpec, DEFAULT_SIMT_WG};
 use fisheye_core::plan::RemapPlan;
 use fisheye_core::Interpolator;
 
-use crate::CodegenError;
-
 /// How the kernel turns a remap coordinate into a sample value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SampleMode {
@@ -118,22 +116,9 @@ pub struct KernelIr {
 ///
 /// The spec picks the datapath: `fixed`/`cell` lower to the integer
 /// LUT kernel at their weight width, `simd` to the bilinear kernel it
-/// is locked to, and every other plan-consuming spec to `interp`, the
-/// kernel its engine runs (a plan carries none). `direct` recomputes
-/// the projection per pixel and has no plan-driven kernel, so it is
-/// rejected.
-pub fn lower(
-    plan: &RemapPlan,
-    spec: &EngineSpec,
-    interp: Interpolator,
-) -> Result<KernelIr, CodegenError> {
-    let caps = spec.capabilities();
-    if !caps.uses_plan {
-        return Err(CodegenError::unsupported(
-            spec.name(),
-            "recomputes the projection per pixel; only plan-consuming specs lower to a kernel",
-        ));
-    }
+/// is locked to, and every other spec to `interp`, the kernel its
+/// engine runs (a plan carries none). Every registry spec lowers.
+pub fn lower(plan: &RemapPlan, spec: &EngineSpec, interp: Interpolator) -> KernelIr {
     let sample = match *spec {
         EngineSpec::FixedPoint { frac_bits } | EngineSpec::Cell { frac_bits, .. } => {
             SampleMode::FixedLut { frac_bits }
@@ -151,7 +136,7 @@ pub fn lower(
         EngineSpec::Cell { tile_w, tile_h, .. } => (tile_w, tile_h),
         _ => simt_tile(DEFAULT_SIMT_WG),
     };
-    let fused_post = caps.fused_post;
+    let fused_post = spec.capabilities().fused_post;
     let mut ops = vec![
         KernelOp::LoadCoords,
         KernelOp::ValidCheck,
@@ -165,7 +150,7 @@ pub fn lower(
         ops.push(KernelOp::Post);
     }
     ops.push(KernelOp::Store);
-    Ok(KernelIr {
+    KernelIr {
         name: format!("fisheye_remap_{}", sample.label()),
         sample,
         workgroup,
@@ -174,5 +159,5 @@ pub fn lower(
         fused_post,
         plan_digest: plan.digest(),
         ops,
-    })
+    }
 }

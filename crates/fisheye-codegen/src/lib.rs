@@ -40,41 +40,6 @@ use fisheye_core::engine::EngineSpec;
 use fisheye_core::plan::RemapPlan;
 use fisheye_core::Interpolator;
 
-/// Why a plan/spec combination could not be lowered to kernel source.
-#[derive(Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum CodegenError {
-    /// The spec has no plan-driven kernel form.
-    Unsupported {
-        /// Canonical backend name.
-        backend: String,
-        /// What is missing.
-        reason: String,
-    },
-}
-
-impl CodegenError {
-    /// Convenience constructor for [`CodegenError::Unsupported`].
-    pub fn unsupported(backend: impl Into<String>, reason: impl Into<String>) -> Self {
-        CodegenError::Unsupported {
-            backend: backend.into(),
-            reason: reason.into(),
-        }
-    }
-}
-
-impl std::fmt::Display for CodegenError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CodegenError::Unsupported { backend, reason } => {
-                write!(f, "codegen for '{backend}' unsupported: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CodegenError {}
-
 /// Emission target language.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KernelTarget {
@@ -138,17 +103,17 @@ pub fn emit_kernel(
     spec: &EngineSpec,
     interp: Interpolator,
     target: KernelTarget,
-) -> Result<EmittedKernel, CodegenError> {
-    let ir = ir::lower(plan, spec, interp)?;
+) -> EmittedKernel {
+    let ir = ir::lower(plan, spec, interp);
     let source = match target {
         KernelTarget::Wgsl => wgsl::emit(&ir),
         KernelTarget::C => c_src::emit(&ir),
     };
-    Ok(EmittedKernel {
+    EmittedKernel {
         target,
         entry_point: ir.name.clone(),
         name: ir.name,
         source,
         plan_digest: ir.plan_digest,
-    })
+    }
 }

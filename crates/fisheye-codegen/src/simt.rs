@@ -29,7 +29,6 @@ use fisheye_core::Interpolator;
 use pixmap::{Gray8, Image, Pixel};
 
 use crate::ir::{lower, KernelIr, KernelOp};
-use crate::CodegenError;
 
 /// Lanes per warp — the SIMT width every workgroup row executes at.
 pub const WARP_LANES: usize = 32;
@@ -300,14 +299,6 @@ impl SimtEngine {
         (self.config.workgroup / WARP_LANES).max(1) as u32
     }
 
-    fn lower_ir(&self, plan: &RemapPlan) -> Result<KernelIr, EngineError> {
-        lower(plan, &self.spec(), self.interp).map_err(|e| match e {
-            CodegenError::Unsupported { backend, reason } => {
-                EngineError::unsupported(backend, reason)
-            }
-        })
-    }
-
     /// Interpret the float kernel for one frame, accumulating into
     /// `counters`; returns whether the tile plan was derived here.
     fn run_float_frame(
@@ -319,7 +310,7 @@ impl SimtEngine {
         counters: &mut SimtCounters,
     ) -> Result<Option<f64>, EngineError> {
         check_frame_dims(&self.spec().name(), src, plan, out)?;
-        let ir = self.lower_ir(plan)?;
+        let ir = lower(plan, &self.spec(), self.interp);
         // Tiles compiled eagerly (the spec's capabilities asked for
         // them) are free; only an unrequested geometry pays the
         // derive-and-memoize path and reports a plan miss.
@@ -360,14 +351,7 @@ impl SimtEngine {
         let name = self.spec().name();
         check_frame_dims(&self.spec().name(), src, plan, out)?;
         let pp = post.filter(|p| !p.is_noop());
-        let ir =
-            lower(plan, &EngineSpec::FixedPoint { frac_bits }, self.interp).map_err(
-                |e| match e {
-                    CodegenError::Unsupported { backend, reason } => {
-                        EngineError::unsupported(backend, reason)
-                    }
-                },
-            )?;
+        let ir = lower(plan, &EngineSpec::FixedPoint { frac_bits }, self.interp);
         let t0 = Instant::now();
         // The eagerly-compiled artifacts when the plan has them, else
         // the memoized derive path for a (LUT width, tile shape) the

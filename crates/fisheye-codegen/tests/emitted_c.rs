@@ -194,8 +194,8 @@ fn check_float_kernel(test: &str, interp: Interpolator, post: Option<&PostPlan>)
     let spec = EngineSpec::Simt { workgroup: 64 };
     for (gi, &geometry) in GEOMETRIES.iter().enumerate() {
         let (plan, src) = plan_and_source(geometry, 11 + gi as u64);
-        let kernel = emit_kernel(&plan, &spec, interp, KernelTarget::C).expect("emit C");
-        assert!(lower(&plan, &spec, interp).expect("lower").fused_post);
+        let kernel = emit_kernel(&plan, &spec, interp, KernelTarget::C);
+        assert!(lower(&plan, &spec, interp).fused_post);
         let dir = scratch_dir(test, gi);
         fs::write(dir.join("kernel.c"), &kernel.source).expect("write kernel");
         let plane = |row: fn(&RemapPlan, u32) -> &[f32]| -> Vec<u8> {
@@ -239,13 +239,8 @@ fn check_fixed_kernel(test: &str, post: Option<&PostPlan>) {
     };
     for (gi, &geometry) in GEOMETRIES.iter().enumerate() {
         let (plan, src) = plan_and_source(geometry, 21 + gi as u64);
-        let kernel =
-            emit_kernel(&plan, &spec, Interpolator::Bilinear, KernelTarget::C).expect("emit C");
-        assert!(
-            lower(&plan, &spec, Interpolator::Bilinear)
-                .expect("lower")
-                .fused_post
-        );
+        let kernel = emit_kernel(&plan, &spec, Interpolator::Bilinear, KernelTarget::C);
+        assert!(lower(&plan, &spec, Interpolator::Bilinear).fused_post);
         let lut = plan.fixed(FRAC_BITS).expect("compiled LUT");
         let dir = scratch_dir(test, gi);
         fs::write(dir.join("kernel.c"), &kernel.source).expect("write kernel");

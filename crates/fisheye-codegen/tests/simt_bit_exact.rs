@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use fisheye_codegen::{SimtConfig, SimtEngine};
-use fisheye_core::engine::{execute_host_post, CorrectionEngine, EngineSpec, HostEnv};
+use fisheye_core::engine::{execute_host_post, CorrectionEngine, EngineSpec};
 use fisheye_core::plan::{PlanOptions, RemapPlan};
 use fisheye_core::{
     correct_fixed, DitherSeed, Interpolator, Lut3d, MapEntry, PostChannel, PostPlan, PostStage,
@@ -86,10 +86,6 @@ fn simt_float_kernel_bit_exact_vs_serial_and_simd() {
             let interp = arb_interp(g);
             let post = arb_post(g);
             let plan = RemapPlan::compile(&map, PlanOptions::default());
-            let env = HostEnv {
-                pool: None,
-                geometry: None,
-            };
             let mut reference = Image::new(map.width(), map.height());
             execute_host_post(
                 &EngineSpec::Serial,
@@ -97,7 +93,7 @@ fn simt_float_kernel_bit_exact_vs_serial_and_simd() {
                 &frame,
                 &plan,
                 post.as_ref(),
-                &env,
+                None,
                 &mut reference,
             )
             .map_err(|e| format!("serial reference: {e}"))?;
@@ -123,7 +119,7 @@ fn simt_float_kernel_bit_exact_vs_serial_and_simd() {
                     &frame,
                     &plan,
                     post.as_ref(),
-                    &env,
+                    None,
                     &mut simd_out,
                 )
                 .map_err(|e| format!("simd reference: {e}"))?;
@@ -206,10 +202,6 @@ fn simt_handles_degenerate_and_ragged_maps() {
         let interp = arb_interp(g);
         let post = arb_post(g);
         let plan = RemapPlan::compile(&map, PlanOptions::default());
-        let env = HostEnv {
-            pool: None,
-            geometry: None,
-        };
         let mut reference = Image::new(w, h);
         execute_host_post(
             &EngineSpec::Serial,
@@ -217,7 +209,7 @@ fn simt_handles_degenerate_and_ragged_maps() {
             &frame,
             &plan,
             post.as_ref(),
-            &env,
+            None,
             &mut reference,
         )
         .map_err(|e| format!("serial reference: {e}"))?;

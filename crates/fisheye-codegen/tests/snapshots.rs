@@ -11,7 +11,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use fisheye_codegen::{emit_kernel, lower, CodegenError, EmittedKernel, KernelTarget, SampleMode};
+use fisheye_codegen::{emit_kernel, lower, EmittedKernel, KernelTarget, SampleMode};
 use fisheye_core::engine::EngineSpec;
 use fisheye_core::plan::{PlanOptions, RemapPlan};
 use fisheye_core::{Interpolator, RemapMap};
@@ -70,8 +70,7 @@ fn check_snapshot(kernel: &EmittedKernel, plan: &RemapPlan) {
 fn wgsl_bilinear_snapshot() {
     let plan = snapshot_plan(None);
     let spec = EngineSpec::Simt { workgroup: 256 };
-    let kernel =
-        emit_kernel(&plan, &spec, Interpolator::Bilinear, KernelTarget::Wgsl).expect("emit");
+    let kernel = emit_kernel(&plan, &spec, Interpolator::Bilinear, KernelTarget::Wgsl);
     assert_eq!(kernel.name, "fisheye_remap_bilinear");
     assert_eq!(kernel.entry_point, kernel.name);
     assert_eq!(kernel.plan_digest, plan.digest());
@@ -82,8 +81,7 @@ fn wgsl_bilinear_snapshot() {
 fn wgsl_bicubic_snapshot() {
     let plan = snapshot_plan(None);
     let spec = EngineSpec::Simt { workgroup: 256 };
-    let kernel =
-        emit_kernel(&plan, &spec, Interpolator::Bicubic, KernelTarget::Wgsl).expect("emit");
+    let kernel = emit_kernel(&plan, &spec, Interpolator::Bicubic, KernelTarget::Wgsl);
     assert_eq!(kernel.name, "fisheye_remap_bicubic");
     check_snapshot(&kernel, &plan);
 }
@@ -92,8 +90,7 @@ fn wgsl_bicubic_snapshot() {
 fn wgsl_fixed_lut_snapshot() {
     let plan = snapshot_plan(Some(12));
     let spec = EngineSpec::FixedPoint { frac_bits: 12 };
-    let kernel =
-        emit_kernel(&plan, &spec, Interpolator::Bilinear, KernelTarget::Wgsl).expect("emit");
+    let kernel = emit_kernel(&plan, &spec, Interpolator::Bilinear, KernelTarget::Wgsl);
     assert_eq!(kernel.name, "fisheye_remap_fixed_q12");
     check_snapshot(&kernel, &plan);
 }
@@ -102,7 +99,7 @@ fn wgsl_fixed_lut_snapshot() {
 fn c_bilinear_snapshot() {
     let plan = snapshot_plan(None);
     let spec = EngineSpec::Simt { workgroup: 256 };
-    let kernel = emit_kernel(&plan, &spec, Interpolator::Bilinear, KernelTarget::C).expect("emit");
+    let kernel = emit_kernel(&plan, &spec, Interpolator::Bilinear, KernelTarget::C);
     assert_eq!(kernel.file_name(), "fisheye_remap_bilinear.c");
     check_snapshot(&kernel, &plan);
 }
@@ -111,7 +108,7 @@ fn c_bilinear_snapshot() {
 fn c_fixed_lut_snapshot() {
     let plan = snapshot_plan(Some(12));
     let spec = EngineSpec::FixedPoint { frac_bits: 12 };
-    let kernel = emit_kernel(&plan, &spec, Interpolator::Bilinear, KernelTarget::C).expect("emit");
+    let kernel = emit_kernel(&plan, &spec, Interpolator::Bilinear, KernelTarget::C);
     assert_eq!(kernel.file_name(), "fisheye_remap_fixed_q12.c");
     check_snapshot(&kernel, &plan);
 }
@@ -120,7 +117,7 @@ fn c_fixed_lut_snapshot() {
 fn lowering_tracks_spec_datapath_and_tile_shape() {
     let plan = snapshot_plan(Some(10));
     // simd is locked to bilinear regardless of the kernel asked for.
-    let ir = lower(&plan, &EngineSpec::Simd, Interpolator::Bicubic).expect("lower simd");
+    let ir = lower(&plan, &EngineSpec::Simd, Interpolator::Bicubic);
     assert_eq!(ir.sample, SampleMode::Bilinear);
     // fixed/cell lower to the LUT kernel at their own width.
     let ir = lower(
@@ -132,8 +129,7 @@ fn lowering_tracks_spec_datapath_and_tile_shape() {
             frac_bits: 10,
         },
         Interpolator::Bicubic,
-    )
-    .expect("lower cell");
+    );
     assert_eq!(ir.sample, SampleMode::FixedLut { frac_bits: 10 });
     assert_eq!(ir.workgroup, (64, 16));
     // simt derives its tile from the workgroup: 32-wide warps.
@@ -141,33 +137,13 @@ fn lowering_tracks_spec_datapath_and_tile_shape() {
         &plan,
         &EngineSpec::Simt { workgroup: 96 },
         Interpolator::Bicubic,
-    )
-    .expect("lower simt");
+    );
     assert_eq!(ir.workgroup, (32, 3));
     assert_eq!(ir.sample, SampleMode::Bicubic);
     // serial lowers to the kernel it is handed and fuses post.
-    let ir = lower(&plan, &EngineSpec::Serial, Interpolator::Nearest).expect("lower serial");
+    let ir = lower(&plan, &EngineSpec::Serial, Interpolator::Nearest);
     assert_eq!(ir.sample, SampleMode::Nearest);
     assert!(ir.fused_post);
-}
-
-#[test]
-fn direct_spec_has_no_plan_kernel() {
-    let plan = snapshot_plan(None);
-    let err = emit_kernel(
-        &plan,
-        &EngineSpec::Direct,
-        Interpolator::Bilinear,
-        KernelTarget::Wgsl,
-    )
-    .expect_err("direct must not lower");
-    match err {
-        CodegenError::Unsupported { backend, reason } => {
-            assert_eq!(backend, "direct");
-            assert!(reason.contains("per pixel"), "reason: {reason}");
-        }
-        other => panic!("unexpected error variant: {other:?}"),
-    }
 }
 
 #[test]
@@ -175,8 +151,8 @@ fn emission_is_deterministic() {
     let plan = snapshot_plan(None);
     let spec = EngineSpec::Simt { workgroup: 256 };
     for target in [KernelTarget::Wgsl, KernelTarget::C] {
-        let a = emit_kernel(&plan, &spec, Interpolator::Bilinear, target).expect("emit a");
-        let b = emit_kernel(&plan, &spec, Interpolator::Bilinear, target).expect("emit b");
+        let a = emit_kernel(&plan, &spec, Interpolator::Bilinear, target);
+        let b = emit_kernel(&plan, &spec, Interpolator::Bilinear, target);
         assert_eq!(a, b, "emission must be deterministic for {target}");
     }
 }

@@ -50,11 +50,10 @@ use std::sync::Arc;
 use fisheye_geom::{
     CameraRig, FisheyeLens, Mat3, MountedLens, OutputProjection, RectifiedPair, StereoRig,
 };
+use par_runtime::ThreadPool;
 use pixmap::{Gray8, Image, Pixel};
 
-use crate::engine::{
-    drive_rows, host_pool, refuse_host, EngineError, EngineSpec, FrameReport, HostEnv,
-};
+use crate::engine::{drive_rows, host_pool, refuse_host, EngineError, EngineSpec, FrameReport};
 use crate::frame::FrameFormat;
 use crate::interp::Interpolator;
 use crate::map::{MapEntry, RemapMap};
@@ -793,7 +792,8 @@ fn check_composite_dims(
 /// Execute a composite on a host backend — the multi-source analogue
 /// of the single-plan host executor, sharing its span kernels, row
 /// driver, report and error conventions: the spec picks one kernel per
-/// source, and the segment walk drives them. Every backend fuses the
+/// source, and the segment walk drives them (over `pool`, which `smp`
+/// requires). Every backend fuses the
 /// post stage row by row (`fused=1`), bit-exact with correcting first
 /// and running [`post_pass`](crate::engine::post_pass) after.
 /// Accelerator specs (cell/gpu/simt) are `Unsupported`: in particular
@@ -805,7 +805,7 @@ pub fn execute_composite_host(
     srcs: &[&Image<Gray8>],
     plan: &CompositePlan,
     post: Option<&PostPlan>,
-    env: &HostEnv<'_>,
+    pool: Option<&ThreadPool>,
     out: &mut Image<Gray8>,
 ) -> Result<FrameReport, EngineError> {
     let name = spec.name();
@@ -826,7 +826,7 @@ pub fn execute_composite_host(
     report.kv("blend_pixels", plan.blend_pixels as f64);
     match *spec {
         EngineSpec::Serial | EngineSpec::Smp { .. } => {
-            let pool = host_pool(&name, spec, env, &mut report)?;
+            let pool = host_pool(&name, spec, pool, &mut report)?;
             report.correct_time = with_sampler!(interp, f => {
                 let ks: Vec<_> = srcs
                     .iter()
@@ -873,11 +873,8 @@ pub fn execute_composite_host(
             report.correct_time = drive_rows(None, post, out, |y, row| seg_row(plan, &ks, y, row));
             report.kv("frac_bits", frac_bits as f64);
         }
-        _ => {
-            return Err(EngineError::unsupported(
-                &name,
-                "no composite datapath for this backend",
-            ));
+        EngineSpec::Cell { .. } | EngineSpec::Gpu { .. } | EngineSpec::Simt { .. } => {
+            unreachable!("refuse_host refuses {name}")
         }
     }
     if post.is_some() {
@@ -1083,7 +1080,7 @@ mod tests {
             &[&front, &back],
             &plan,
             None,
-            &HostEnv::default(),
+            None,
             &mut out,
         )
         .expect("serial composite");
@@ -1107,7 +1104,7 @@ mod tests {
             &[&front, &back],
             &plan,
             None,
-            &HostEnv::default(),
+            None,
             &mut out,
         )
         .expect("serial composite");
@@ -1160,7 +1157,7 @@ mod tests {
             &[&small, &ok],
             &plan,
             None,
-            &HostEnv::default(),
+            None,
             &mut out,
         );
         assert!(err.is_err(), "mismatched source frame must be rejected");
@@ -1170,7 +1167,7 @@ mod tests {
             &[&ok],
             &plan,
             None,
-            &HostEnv::default(),
+            None,
             &mut out,
         );
         assert!(err.is_err(), "missing source frame must be rejected");
@@ -1192,7 +1189,7 @@ mod tests {
             &[&src],
             &plan,
             None,
-            &HostEnv::default(),
+            None,
             &mut out,
         )
         .expect("serial composite");
@@ -1214,17 +1211,13 @@ mod tests {
             },
         ] {
             let mut out = Image::new(96, 48);
-            let env = HostEnv {
-                pool: Some(&pool),
-                ..HostEnv::default()
-            };
             let report = execute_composite_host(
                 &spec,
                 Interpolator::Bilinear,
                 &srcs,
                 &plan,
                 None,
-                &env,
+                Some(&pool),
                 &mut out,
             )
             .expect("composite");
@@ -1253,7 +1246,7 @@ mod tests {
             &srcs,
             &plan,
             None,
-            &HostEnv::default(),
+            None,
             &mut out,
         )
         .expect("simd composite");
@@ -1289,7 +1282,7 @@ mod tests {
             &srcs,
             &plan,
             None,
-            &HostEnv::default(),
+            None,
             &mut out,
         )
         .expect("fixed composite");
@@ -1315,7 +1308,7 @@ mod tests {
                 &[&front, &back],
                 &plan,
                 None,
-                &HostEnv::default(),
+                None,
                 &mut out,
             )
             .expect("fixed composite");
@@ -1346,7 +1339,7 @@ mod tests {
             &[&a, &b],
             &plan,
             None,
-            &HostEnv::default(),
+            None,
             &mut out,
         );
         assert!(matches!(err, Err(EngineError::Unsupported { .. })));
@@ -1423,8 +1416,7 @@ mod tests {
         ] {
             let name = spec.name();
             let run = |post, out: &mut Image<Gray8>| {
-                let env = HostEnv::default();
-                execute_composite_host(&spec, Interpolator::Bilinear, &srcs, &plan, post, &env, out)
+                execute_composite_host(&spec, Interpolator::Bilinear, &srcs, &plan, post, None, out)
                     .expect("composite")
             };
             let mut fused = Image::new(96, 48);
@@ -1451,10 +1443,6 @@ mod tests {
             .with_dither(DitherSeed(7));
         let pp = stage.compile(PostChannel::Luma);
         let pool = ThreadPool::new(3);
-        let env = HostEnv {
-            pool: Some(&pool),
-            ..HostEnv::default()
-        };
         let smp = EngineSpec::Smp {
             schedule: Schedule::Dynamic { chunk: 2 },
         };
@@ -1465,7 +1453,7 @@ mod tests {
             &srcs,
             &plan,
             Some(&pp),
-            &env,
+            Some(&pool),
             &mut fused,
         )
         .expect("fused smp");

@@ -95,7 +95,7 @@ pub fn correct_fixed_into(src: &Image<Gray8>, map: &FixedRemapMap, out: &mut Ima
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{execute_host_post, EngineSpec, HostEnv};
+    use crate::engine::{execute_host_post, EngineSpec};
     use crate::map::MapEntry;
     use crate::plan::{PlanOptions, RemapPlan};
     use fisheye_geom::{FisheyeLens, PerspectiveView};
@@ -122,10 +122,6 @@ mod tests {
         let (map, src) = setup();
         let serial = correct(&src, &map, Interpolator::Bilinear);
         let pool = ThreadPool::new(4);
-        let env = HostEnv {
-            pool: Some(&pool),
-            geometry: None,
-        };
         let plan = RemapPlan::compile(&map, PlanOptions::default());
         for sched in [
             Schedule::Static { chunk: None },
@@ -140,7 +136,7 @@ mod tests {
                 &src,
                 &plan,
                 None,
-                &env,
+                Some(&pool),
                 &mut par,
             )
             .unwrap();
@@ -259,7 +255,7 @@ mod tests {
                 &src,
                 &plan,
                 None,
-                &HostEnv::default(),
+                None,
                 &mut out,
             )
             .unwrap();

@@ -18,11 +18,16 @@
 //! `correct_fixed`) and the `interp` samplers stay generic over the
 //! pixel type.
 //!
-//! Host paths (`serial`, `smp`, `direct`, `fixed`, `simd`) are
-//! implemented here, by [`execute_host_post`]: each plan-based spec
-//! picks its datapath's span kernel (`crate::plan`) and one row driver
-//! runs the plan's valid-span walk with it, the same kernels and driver
-//! the composite executor runs its segment walk with. The accelerator
+//! Host paths (`serial`, `smp`, `fixed`, `simd`) are implemented
+//! here, by [`execute_host_post`]: each spec picks its datapath's span
+//! kernel (`crate::plan`) and one row driver runs the plan's
+//! valid-span walk with it, the same kernels and driver the composite
+//! executor runs its segment walk with. Every engine is built from its
+//! spec, kernel and thread count alone ([`HostCtx`]) and holds no view
+//! state, so a view change swaps plans under the engine it already
+//! has. [`execute_direct`], which recomputes the projection per pixel
+//! instead of reading a plan, is a plain function for experiment F9,
+//! not an engine. The accelerator
 //! models (`cell` in `cellsim`, `gpu` in `gpusim`) and the SIMT
 //! interpreter (`simt` in `fisheye-codegen`) implement
 //! [`CorrectionEngine`] in their own crates, and the `fisheye` facade
@@ -231,9 +236,6 @@ pub enum EngineSpec {
         /// Row-distribution policy.
         schedule: Schedule,
     },
-    /// LUT-free per-pixel recomputation (`direct`, the F9 comparison
-    /// mode). Needs lens + view geometry.
-    Direct,
     /// Integer-only host path through a quantized LUT (`fixed`,
     /// `fixed:10`).
     FixedPoint {
@@ -293,13 +295,6 @@ pub struct Capabilities {
     /// that own a thread pool (`smp`) or model one device (`cell`,
     /// `gpu`).
     pub supports_frame_concurrency: bool,
-    /// The spec is built and run by this module's host builder;
-    /// false means the facade crate resolves it (accelerator models
-    /// and the SIMT interpreter).
-    pub host_executable: bool,
-    /// The engine consumes a compiled [`RemapPlan`] (everything but
-    /// `direct`, which recomputes the projection per pixel).
-    pub uses_plan: bool,
     /// The engine implements exactly one interpolator; requesting any
     /// other is a build error (the `simd` SoA kernel is bilinear
     /// only).
@@ -318,7 +313,6 @@ impl EngineSpec {
                 Schedule::Dynamic { chunk } => format!("smp:dynamic:{chunk}"),
                 Schedule::Guided { min_chunk } => format!("smp:guided:{min_chunk}"),
             },
-            EngineSpec::Direct => "direct".into(),
             EngineSpec::FixedPoint { frac_bits } => {
                 if frac_bits == DEFAULT_FRAC_BITS {
                     "fixed".into()
@@ -371,7 +365,6 @@ impl EngineSpec {
             EngineSpec::Smp {
                 schedule: Schedule::default_static(),
             },
-            EngineSpec::Direct,
             EngineSpec::FixedPoint {
                 frac_bits: DEFAULT_FRAC_BITS,
             },
@@ -411,10 +404,6 @@ impl EngineSpec {
             "serial" => {
                 no_params(&rest, "serial")?;
                 Ok(EngineSpec::Serial)
-            }
-            "direct" => {
-                no_params(&rest, "direct")?;
-                Ok(EngineSpec::Direct)
             }
             "simd" => {
                 no_params(&rest, "simd")?;
@@ -541,16 +530,14 @@ impl EngineSpec {
     /// query instead of maintaining their own per-backend rejection
     /// lists. See [`Capabilities`] for field semantics.
     pub fn capabilities(&self) -> Capabilities {
-        // the conservative baseline: a plan-consuming engine with no
-        // fused post, no artifact requirements and no concurrency or
-        // host guarantees — each arm widens what it actually supports
+        // the conservative baseline: an engine with no fused post, no
+        // artifact requirements and no concurrency guarantee — each
+        // arm widens what it actually supports
         let base = Capabilities {
             fused_post: false,
             requires_lut: None,
             requires_tiles: None,
             supports_frame_concurrency: false,
-            host_executable: true,
-            uses_plan: true,
             interp_locked: None,
         };
         match *self {
@@ -563,11 +550,6 @@ impl EngineSpec {
             // instance oversubscribe the machine
             EngineSpec::Smp { .. } => Capabilities {
                 fused_post: true,
-                ..base
-            },
-            EngineSpec::Direct => Capabilities {
-                uses_plan: false,
-                supports_frame_concurrency: true,
                 ..base
             },
             EngineSpec::FixedPoint { frac_bits } => Capabilities {
@@ -590,18 +572,13 @@ impl EngineSpec {
             } => Capabilities {
                 requires_lut: Some(frac_bits),
                 requires_tiles: Some((tile_w, tile_h)),
-                host_executable: false,
                 ..base
             },
-            EngineSpec::Gpu { .. } => Capabilities {
-                host_executable: false,
-                ..base
-            },
+            EngineSpec::Gpu { .. } => base,
             EngineSpec::Simt { workgroup } => Capabilities {
                 fused_post: true,
                 requires_tiles: Some(simt_tile(workgroup)),
                 supports_frame_concurrency: true,
-                host_executable: false,
                 ..base
             },
         }
@@ -711,20 +688,6 @@ pub fn post_pass(post: Option<&PostPlan>, out: &mut Image<Gray8>, report: &mut F
 // Host execution
 // ---------------------------------------------------------------------
 
-/// Shared resources a host execution may borrow from its caller. The
-/// boxed host engine owns its resources; callers that already hold
-/// a pool / geometry (e.g. serve's composite sessions) pass them here
-/// instead so nothing is rebuilt per frame. Map-derived state
-/// (quantized LUTs, span indices) comes from the compiled
-/// [`RemapPlan`], never from here.
-#[derive(Clone, Copy, Default)]
-pub struct HostEnv<'a> {
-    /// Thread pool for `smp` (required by that spec).
-    pub pool: Option<&'a ThreadPool>,
-    /// Lens + view for `direct` (required by that spec).
-    pub geometry: Option<(&'a FisheyeLens, &'a PerspectiveView)>,
-}
-
 /// The dimension check every engine runs before a frame: `out` must
 /// have the plan's output dims and `src` the plan's source dims, or
 /// the frame is refused with [`EngineError::Backend`] under `name`.
@@ -777,20 +740,19 @@ pub(crate) fn refuse_host(
     Err(EngineError::unsupported(name, reason))
 }
 
-/// The pool an `smp` spec spreads its rows over, recording `threads`;
-/// `None` (rows in order on the calling thread) for every other spec.
+/// The pool an `smp` spec spreads its rows over (the caller's `pool`,
+/// which that spec requires), recording `threads`; `None` (rows in
+/// order on the calling thread) for every other spec.
 pub(crate) fn host_pool<'a>(
     name: &str,
     spec: &EngineSpec,
-    env: &HostEnv<'a>,
+    pool: Option<&'a ThreadPool>,
     report: &mut FrameReport,
 ) -> Result<Option<(&'a ThreadPool, Schedule)>, EngineError> {
     let EngineSpec::Smp { schedule } = *spec else {
         return Ok(None);
     };
-    let pool = env
-        .pool
-        .ok_or_else(|| EngineError::unsupported(name, "smp needs a thread pool (HostEnv::pool)"))?;
+    let pool = pool.ok_or_else(|| EngineError::unsupported(name, "smp needs a thread pool"))?;
     report.kv("threads", pool.threads() as f64);
     Ok(Some((pool, schedule)))
 }
@@ -829,23 +791,22 @@ pub(crate) fn drive_rows(
 /// compiled post stage. This is the single dispatch point the boxed
 /// host engine and videopipe share: the spec picks its datapath's span
 /// kernel once, and one row driver runs the plan's valid-span walk
-/// with it, so no pixel loop branches on validity. `fixed` reads the
-/// plan's prequantized LUT, requantizing (and reporting `plan_miss=1`)
-/// only when the plan was compiled without the requested width.
+/// with it, so no pixel loop branches on validity. `smp` spreads its
+/// rows over `pool`, which it requires; the other specs ignore it.
+/// `fixed` reads the plan's prequantized LUT, requantizing (and
+/// reporting `plan_miss=1`) only when the plan was compiled without
+/// the requested width.
 ///
-/// Every plan-driven datapath (`serial`, `smp`, `fixed`, `simd`) fuses
-/// the post stage in the row driver, grading each row as it is
-/// finished (`fused=1`, cost inside `correct_time`); `direct` corrects
-/// the frame and then runs the [`post_pass`] reference over the output
-/// (`fused=0`, cost in `post_ms`). All paths are bit-exact with each
-/// other.
+/// Every datapath fuses the post stage in the row driver, grading each
+/// row as it is finished (`fused=1`, cost inside `correct_time`),
+/// bit-exact with the two-pass [`post_pass`] reference.
 pub fn execute_host_post(
     spec: &EngineSpec,
     interp: Interpolator,
     src: &Image<Gray8>,
     plan: &RemapPlan,
     post: Option<&PostPlan>,
-    env: &HostEnv,
+    pool: Option<&ThreadPool>,
     out: &mut Image<Gray8>,
 ) -> Result<FrameReport, EngineError> {
     let name = spec.name();
@@ -859,25 +820,11 @@ pub fn execute_host_post(
     report.invalid_pixels = plan.invalid_pixels();
     match *spec {
         EngineSpec::Serial | EngineSpec::Smp { .. } => {
-            let pool = host_pool(&name, spec, env, &mut report)?;
+            let pool = host_pool(&name, spec, pool, &mut report)?;
             report.correct_time = with_sampler!(interp, f => {
                 let k = Float::new(src, plan, f);
                 drive_rows(pool, post, out, |y, row| span_row(plan, &k, y, row))
             });
-        }
-        EngineSpec::Direct => {
-            let (lens, view) = env.geometry.ok_or_else(|| {
-                EngineError::unsupported(&name, "direct needs lens+view (HostEnv::geometry)")
-            })?;
-            if (view.width, view.height) != (plan.width(), plan.height()) {
-                return Err(EngineError::backend(
-                    &name,
-                    "view dimensions do not match the plan",
-                ));
-            }
-            report = execute_direct(interp, src, lens, view, out)?;
-            post_pass(post, out, &mut report);
-            return Ok(report);
         }
         EngineSpec::FixedPoint { frac_bits } => {
             // only the first frame after a (delta) compile without this
@@ -906,9 +853,11 @@ pub fn execute_host_post(
     Ok(report)
 }
 
-/// Execute the LUT-free `direct` path — the one host spec that needs
-/// no [`crate::RemapMap`] at all (the F9 comparison mode). `out` must match
-/// the view's dimensions.
+/// Correct a frame with no [`crate::RemapMap`] or plan at all,
+/// recomputing the projection per pixel: the LUT-free side of
+/// experiment F9's crossover. `out` must match the view's dimensions;
+/// the report is filed under `direct`. Bit-exact with
+/// [`crate::correct()`](fn@crate::correct) over the view's map.
 pub fn execute_direct(
     interp: Interpolator,
     src: &Image<Gray8>,
@@ -916,10 +865,10 @@ pub fn execute_direct(
     view: &PerspectiveView,
     out: &mut Image<Gray8>,
 ) -> Result<FrameReport, EngineError> {
-    let name = EngineSpec::Direct.name();
+    let name = "direct";
     if out.dims() != (view.width, view.height) {
         return Err(EngineError::backend(
-            &name,
+            name,
             format!(
                 "output {:?} does not match view {:?}",
                 out.dims(),
@@ -927,7 +876,7 @@ pub fn execute_direct(
             ),
         ));
     }
-    let mut report = FrameReport::new(&name);
+    let mut report = FrameReport::new(name);
     report.rows = view.height as u64;
     let (sw, sh) = src.dims();
     let mut invalid = 0u64;
@@ -957,24 +906,20 @@ pub fn execute_direct(
 // ---------------------------------------------------------------------
 
 /// Build context for [`build_host`]: the interpolator every engine
-/// uses, the pool size `smp` engines allocate, and the geometry the
-/// `direct` engine captures.
+/// uses and the pool size `smp` engines allocate.
 #[derive(Clone, Copy)]
-pub struct HostCtx<'a> {
+pub struct HostCtx {
     /// Interpolation kernel.
     pub interp: Interpolator,
     /// Worker threads for `smp` engines.
     pub threads: usize,
-    /// Lens + view, required by `direct`.
-    pub geometry: Option<(&'a FisheyeLens, &'a PerspectiveView)>,
 }
 
-impl Default for HostCtx<'_> {
+impl Default for HostCtx {
     fn default() -> Self {
         HostCtx {
             interp: Interpolator::Bilinear,
             threads: 4,
-            geometry: None,
         }
     }
 }
@@ -986,25 +931,13 @@ pub fn build_host(
     spec: &EngineSpec,
     ctx: &HostCtx,
 ) -> Result<Box<dyn CorrectionEngine>, EngineError> {
-    let name = spec.name();
-    refuse_host(&name, spec, ctx.interp)?;
-    let mut engine = HostEngine {
+    refuse_host(&spec.name(), spec, ctx.interp)?;
+    let pool = matches!(spec, EngineSpec::Smp { .. }).then(|| ThreadPool::new(ctx.threads.max(1)));
+    Ok(Box::new(HostEngine {
         spec: *spec,
         interp: ctx.interp,
-        pool: None,
-        geometry: None,
-    };
-    match *spec {
-        EngineSpec::Smp { .. } => engine.pool = Some(ThreadPool::new(ctx.threads.max(1))),
-        EngineSpec::Direct => {
-            let (lens, view) = ctx.geometry.ok_or_else(|| {
-                EngineError::unsupported(&name, "direct needs lens+view (HostCtx::geometry)")
-            })?;
-            engine.geometry = Some((*lens, *view));
-        }
-        _ => {}
-    }
-    Ok(Box::new(engine))
+        pool,
+    }))
 }
 
 /// The one boxed host engine: every host spec runs through
@@ -1015,8 +948,6 @@ struct HostEngine {
     interp: Interpolator,
     /// Row-level pool, `smp` only.
     pool: Option<ThreadPool>,
-    /// Lens + view, `direct` only.
-    geometry: Option<(FisheyeLens, PerspectiveView)>,
 }
 
 impl CorrectionEngine for HostEngine {
@@ -1040,11 +971,15 @@ impl CorrectionEngine for HostEngine {
         post: Option<&PostPlan>,
         out: &mut Image<Gray8>,
     ) -> Result<FrameReport, EngineError> {
-        let env = HostEnv {
-            pool: self.pool.as_ref(),
-            geometry: self.geometry.as_ref().map(|(lens, view)| (lens, view)),
-        };
-        execute_host_post(&self.spec, self.interp, src, plan, post, &env, out)
+        execute_host_post(
+            &self.spec,
+            self.interp,
+            src,
+            plan,
+            post,
+            self.pool.as_ref(),
+            out,
+        )
     }
 }
 
@@ -1130,6 +1065,9 @@ mod tests {
         assert!(EngineSpec::parse("simt:0").is_err());
         assert!(EngineSpec::parse("simt:100").is_err());
         assert!(EngineSpec::parse("simt:64:64").is_err());
+        // per-pixel recomputation is F9's `execute_direct`, not a backend
+        let err = EngineSpec::parse("direct").unwrap_err();
+        assert!(err.starts_with("unknown backend 'direct'"), "{err}");
     }
 
     #[test]
@@ -1139,35 +1077,24 @@ mod tests {
         // change here is a change to videopipe/serve/CLI behavior and
         // must be deliberate
         let expect = |name: &str| match name {
-            "serial" => (true, None, None, true, true, true, None),
-            "smp" => (true, None, None, false, true, true, None),
-            "direct" => (false, None, None, true, true, false, None),
-            "fixed" => (true, Some(12), None, true, true, true, None),
-            "simd" => (
-                true,
-                None,
-                None,
-                true,
-                true,
-                true,
-                Some(Interpolator::Bilinear),
-            ),
-            "cell" => (false, Some(12), Some((32, 16)), false, false, true, None),
-            "gpu" => (false, None, None, false, false, true, None),
-            "simt" => (true, None, Some((32, 8)), true, false, true, None),
+            "serial" => (true, None, None, true, None),
+            "smp" => (true, None, None, false, None),
+            "fixed" => (true, Some(12), None, true, None),
+            "simd" => (true, None, None, true, Some(Interpolator::Bilinear)),
+            "cell" => (false, Some(12), Some((32, 16)), false, None),
+            "gpu" => (false, None, None, false, None),
+            "simt" => (true, None, Some((32, 8)), true, None),
             other => panic!("registry grew '{other}' without pinning its capabilities"),
         };
+        assert_eq!(EngineSpec::registry().len(), 7);
         for spec in EngineSpec::registry() {
             let name = spec.name();
             let c = spec.capabilities();
-            let (fused, lut, tiles, conc, host, plan, locked) = expect(&name);
+            let (fused, lut, tiles, conc, locked) = expect(&name);
             assert_eq!(c.fused_post, fused, "{name} fused_post");
             assert_eq!(c.requires_lut, lut, "{name} requires_lut");
             assert_eq!(c.requires_tiles, tiles, "{name} requires_tiles");
             assert_eq!(c.supports_frame_concurrency, conc, "{name} concurrency");
-            assert_eq!(c.host_executable, host, "{name} host_executable");
-            assert_eq!(c.host_executable, spec.is_host(), "{name} is_host agrees");
-            assert_eq!(c.uses_plan, plan, "{name} uses_plan");
             assert_eq!(c.interp_locked, locked, "{name} interp_locked");
         }
     }
@@ -1194,15 +1121,11 @@ mod tests {
 
     #[test]
     fn host_engines_match_serial_reference_gray8() {
-        let (lens, view, map, src) = workload();
+        let (_, _, map, src) = workload();
         let plan = plan_for(&map);
         let reference = correct(&src, &map, Interpolator::Bilinear);
-        let ctx = HostCtx {
-            geometry: Some((&lens, &view)),
-            ..Default::default()
-        };
         for spec in EngineSpec::registry().iter().filter(|s| s.is_host()) {
-            let engine = build_host(spec, &ctx).unwrap();
+            let engine = build_host(spec, &HostCtx::default()).unwrap();
             let mut out = Image::new(map.width(), map.height());
             let report = engine.correct_frame(&src, &plan, &mut out).unwrap();
             assert_eq!(report.backend, spec.name());
@@ -1244,7 +1167,7 @@ mod tests {
                     &src,
                     &plan,
                     None,
-                    &HostEnv::default(),
+                    None,
                     &mut out
                 ),
                 Err(EngineError::Unsupported { .. })
@@ -1262,34 +1185,27 @@ mod tests {
     }
 
     #[test]
-    fn direct_needs_geometry() {
-        assert!(matches!(
-            build_host(&EngineSpec::Direct, &HostCtx::default()),
-            Err(EngineError::Unsupported { .. })
-        ));
-        // the dispatcher refuses a spec whose borrowed resource is
-        // missing (direct without geometry, smp without a pool) with
+    fn smp_needs_a_pool() {
+        // the dispatcher refuses smp without the pool it borrows with
         // a recoverable error, not a panic
         let (_, _, map, src) = workload();
         let plan = plan_for(&map);
         let smp = EngineSpec::Smp {
             schedule: Schedule::default_static(),
         };
-        for spec in [EngineSpec::Direct, smp] {
-            let mut out = Image::new(80, 60);
-            assert!(matches!(
-                execute_host_post(
-                    &spec,
-                    Interpolator::Bilinear,
-                    &src,
-                    &plan,
-                    None,
-                    &HostEnv::default(),
-                    &mut out
-                ),
-                Err(EngineError::Unsupported { .. })
-            ));
-        }
+        let mut out = Image::new(80, 60);
+        assert!(matches!(
+            execute_host_post(
+                &smp,
+                Interpolator::Bilinear,
+                &src,
+                &plan,
+                None,
+                None,
+                &mut out
+            ),
+            Err(EngineError::Unsupported { .. })
+        ));
     }
 
     #[test]
@@ -1318,20 +1234,23 @@ mod tests {
         let view = PerspectiveView::centered(80, 60, 140.0);
         let map = RemapMap::build(&lens, &view, 160, 120);
         let src = pixmap::scene::random_gray(160, 120, 7);
-        let ctx = HostCtx {
-            geometry: Some((&lens, &view)),
-            ..Default::default()
-        };
         let expect = map.entries().iter().filter(|e| !e.is_valid()).count() as u64;
         assert!(expect > 0);
         let plan = plan_for(&map);
         assert_eq!(plan.invalid_pixels(), expect);
         for spec in EngineSpec::registry().iter().filter(|s| s.is_host()) {
-            let engine = build_host(spec, &ctx).unwrap();
+            let engine = build_host(spec, &HostCtx::default()).unwrap();
             let mut out = Image::new(80, 60);
             let report = engine.correct_frame(&src, &plan, &mut out).unwrap();
             assert_eq!(report.invalid_pixels, expect, "{}", spec.name());
         }
+        // the LUT-free path recomputes the same projection: the map's
+        // bytes, black corners included, and the same invalid count
+        let mut out = Image::new(80, 60);
+        let report = execute_direct(Interpolator::Bilinear, &src, &lens, &view, &mut out).unwrap();
+        assert_eq!(out, correct(&src, &map, Interpolator::Bilinear));
+        assert_eq!(report.invalid_pixels, expect);
+        assert_eq!(report.backend, "direct");
     }
 
     #[test]

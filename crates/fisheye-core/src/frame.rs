@@ -753,11 +753,7 @@ impl FrameCorrector {
         interp: Interpolator,
         threads: usize,
     ) -> Result<FrameCorrector, EngineError> {
-        let ctx = HostCtx {
-            interp,
-            threads,
-            geometry: None,
-        };
+        let ctx = HostCtx { interp, threads };
         FrameCorrector::from_parts(format, plan, build_host(spec, &ctx)?)
     }
 
@@ -768,12 +764,7 @@ impl FrameCorrector {
         plan: ViewPlan,
         engine: Box<dyn CorrectionEngine>,
     ) -> Result<FrameCorrector, EngineError> {
-        if plan.format() != format {
-            return Err(EngineError::backend(
-                "frame-corrector",
-                format!("plan is for {}, corrector is {format}", plan.format()),
-            ));
-        }
+        check_plan_format(&plan, format)?;
         Ok(FrameCorrector {
             format,
             plan,
@@ -781,6 +772,17 @@ impl FrameCorrector {
             post_stage: PostStage::identity(),
             post: vec![None; format.planes()],
         })
+    }
+
+    /// Swap in another view's plans under the engine this corrector
+    /// already has: engines hold no view state, so a view change needs
+    /// no new engine (nor, for `smp`, a new thread pool). Validates
+    /// that the plan is for this corrector's format, as
+    /// [`FrameCorrector::from_parts`] does.
+    pub fn set_plan(&mut self, plan: ViewPlan) -> Result<(), EngineError> {
+        check_plan_format(&plan, self.format)?;
+        self.plan = plan;
+        Ok(())
     }
 
     /// Configure the post-correction color stage, compiling one
@@ -936,6 +938,18 @@ impl fmt::Debug for FrameCorrector {
             .field("plan", &self.plan)
             .finish()
     }
+}
+
+/// The plan-format check [`FrameCorrector::from_parts`] and
+/// [`FrameCorrector::set_plan`] share.
+fn check_plan_format(plan: &ViewPlan, format: FrameFormat) -> Result<(), EngineError> {
+    if plan.format() != format {
+        return Err(EngineError::backend(
+            "frame-corrector",
+            format!("plan is for {}, corrector is {format}", plan.format()),
+        ));
+    }
+    Ok(())
 }
 
 /// Merge per-plane reports: `correct_time` is the summed kernel cost,

@@ -33,8 +33,9 @@
 //! * **Tile plans** with source footprints for every requested tile
 //!   geometry ([`PlanOptions::tiles`]) — what the Cell model DMAs.
 //! * The original [`RemapMap`] itself, for consumers that need the
-//!   AoS view (the GPU cache model replays entry order; `direct`
-//!   comparisons read it for reference).
+//!   AoS view (the GPU cache model replays entry order; the golden
+//!   references `correct` and `correct_fixed` read it, as do
+//!   coverage reports).
 //!
 //! A plan holds no interpolation kernel. Everything above is a
 //! function of lens, view and the requested artifact set, while the

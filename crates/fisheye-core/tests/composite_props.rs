@@ -12,7 +12,7 @@
 //! crate is used.
 
 use fisheye_core::composite::{compose_layers, compose_two_pass, CompositePlan, StereoPlan};
-use fisheye_core::engine::{EngineSpec, HostEnv};
+use fisheye_core::engine::EngineSpec;
 use fisheye_core::plan::{correct_plan, PlanOptions};
 use fisheye_core::{correct_fixed_into, execute_composite_host, Interpolator};
 use fisheye_geom::{CameraRig, FisheyeLens, Mat3, MountedLens, StereoRig, Vec3};
@@ -71,12 +71,8 @@ fn serial_and_smp_bit_exact_with_two_pass_reference() {
                     schedule: par_runtime::Schedule::Static { chunk: None },
                 },
             ] {
-                let env = HostEnv {
-                    pool: Some(&pool),
-                    ..HostEnv::default()
-                };
                 let mut out = Image::new(ow, oh);
-                execute_composite_host(&spec, interp, &srcs, &plan, None, &env, &mut out)
+                execute_composite_host(&spec, interp, &srcs, &plan, None, Some(&pool), &mut out)
                     .map_err(|e| format!("{}: {e}", spec.name()))?;
                 ensure_eq!(out, reference, "{} interp {}", spec.name(), interp.name());
             }
@@ -101,7 +97,7 @@ fn simd_bit_exact_with_two_pass_reference() {
             &srcs,
             &plan,
             None,
-            &HostEnv::default(),
+            None,
             &mut out,
         )
         .map_err(|e| format!("simd: {e}"))?;
@@ -147,7 +143,7 @@ fn fixed_bit_exact_with_quantized_layer_reference() {
                 &srcs,
                 &plan,
                 None,
-                &HostEnv::default(),
+                None,
                 &mut out,
             )
             .map_err(|e| format!("fixed:{frac_bits}: {e}"))?;
@@ -202,7 +198,7 @@ fn single_camera_composite_is_plain_remap() {
             &[&frame],
             &plan,
             None,
-            &HostEnv::default(),
+            None,
             &mut out,
         )
         .map_err(|e| format!("serial: {e}"))?;
@@ -239,7 +235,7 @@ fn zero_overlap_rigs_never_blend() {
             &srcs,
             &plan,
             None,
-            &HostEnv::default(),
+            None,
             &mut out,
         )
         .map_err(|e| format!("serial: {e}"))?;

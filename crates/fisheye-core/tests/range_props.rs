@@ -30,7 +30,7 @@
 use std::sync::Arc;
 
 use fisheye_core::composite::{compose_layers, CompositePlan};
-use fisheye_core::engine::{build_host, execute_host_post, EngineSpec, HostCtx, HostEnv};
+use fisheye_core::engine::{build_host, execute_host_post, EngineSpec, HostCtx};
 use fisheye_core::plan::{PlanOptions, RemapPlan};
 use fisheye_core::{
     correct, correct_fixed, execute_composite_host, Interpolator, MapEntry, RemapMap,
@@ -142,10 +142,6 @@ fn host(
     plan: &RemapPlan,
     pool: &ThreadPool,
 ) -> Result<Image<Gray8>, String> {
-    let env = HostEnv {
-        pool: Some(pool),
-        geometry: None,
-    };
     let mut out = Image::new(plan.width(), plan.height());
     execute_host_post(
         spec,
@@ -153,7 +149,7 @@ fn host(
         src,
         plan,
         None,
-        &env,
+        Some(pool),
         &mut out,
     )
     .map_err(|e| format!("{}: {e}", spec.name()))?;
@@ -167,10 +163,6 @@ fn composite(
     plan: &CompositePlan,
     pool: &ThreadPool,
 ) -> Result<Image<Gray8>, String> {
-    let env = HostEnv {
-        pool: Some(pool),
-        geometry: None,
-    };
     let mut out = Image::new(plan.width(), plan.height());
     execute_composite_host(
         spec,
@@ -178,7 +170,7 @@ fn composite(
         srcs,
         plan,
         None,
-        &env,
+        Some(pool),
         &mut out,
     )
     .map_err(|e| format!("composite {}: {e}", spec.name()))?;

@@ -72,7 +72,7 @@ use fisheye_core::composite::{
     execute_composite_host, panorama_camera_digest, panorama_camera_map, rectified_camera_digest,
     rectified_camera_map, CompositePlan, CompositeViewPlan, StereoPlan,
 };
-use fisheye_core::engine::{execute_host_post, EngineSpec, FrameReport, HostEnv};
+use fisheye_core::engine::{execute_host_post, EngineSpec, FrameReport};
 use fisheye_core::frame::{Frame, FrameFormat, PlaneRequest, ViewPlan};
 use fisheye_core::map::RemapMap;
 use fisheye_core::plan::{PlanOptions, RemapPlan};
@@ -507,12 +507,11 @@ impl Server {
 
     fn admit(&self, cfg: SessionConfig, id: u64) -> Result<Session, fisheye::Error> {
         let single = matches!(cfg.workload, Workload::Single);
-        // composites run on the plan-consuming host executors:
-        // accelerator specs have no multi-source gather, and direct
-        // mode has no plan to execute
-        if !single && (!cfg.backend.is_host() || matches!(cfg.backend, EngineSpec::Direct)) {
+        // composites run on the host executors: accelerator specs
+        // have no multi-source gather
+        if !single && !cfg.backend.is_host() {
             return Err(fisheye::Error::config(format!(
-                "composite sessions run on plan-consuming host backends, not {}",
+                "composite sessions run on host backends, not {}",
                 cfg.backend.name()
             )));
         }
@@ -1291,10 +1290,6 @@ impl Session {
             }
         }
         let plane_sets: Vec<Vec<&Image<Gray8>>> = frames.iter().map(|f| f.planes()).collect();
-        let env = HostEnv {
-            pool: self.smp.as_ref(),
-            ..HostEnv::default()
-        };
         let composite = |p: usize, out: &mut Image<Gray8>| -> Result<FrameReport, fisheye::Error> {
             let plane_srcs: Vec<&Image<Gray8>> = plane_sets.iter().map(|set| set[p]).collect();
             Ok(execute_composite_host(
@@ -1303,7 +1298,7 @@ impl Session {
                 &plane_srcs,
                 plan.plane_plan(p),
                 self.post[p].as_ref(),
-                &env,
+                self.smp.as_ref(),
                 out,
             )?)
         };
@@ -1340,10 +1335,6 @@ impl Session {
                 }
             }
         }
-        let env = HostEnv {
-            pool: self.smp.as_ref(),
-            ..HostEnv::default()
-        };
         let post = self.post.first().and_then(Option::as_ref);
         let mut planes = self.pool.acquire();
         let mut merged = FrameReport::new(self.spec.name());
@@ -1355,7 +1346,7 @@ impl Session {
                 eyes[i],
                 eye_plans[i],
                 post,
-                &env,
+                self.smp.as_ref(),
                 out,
             )?;
             merged.merge_plane(label, &report);

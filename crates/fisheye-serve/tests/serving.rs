@@ -773,7 +773,7 @@ fn every_rung_serves_its_kernel_on_every_backend() {
 mod composite_sessions {
     use super::*;
     use fisheye_core::composite::{CompositePlan, CompositeViewPlan, StereoPlan};
-    use fisheye_core::engine::{EngineSpec, HostEnv};
+    use fisheye_core::engine::EngineSpec;
     use fisheye_core::plan::PlanOptions;
     use fisheye_core::{correct_plan, execute_composite_host};
     use fisheye_geom::{CameraRig, Mat3, StereoRig};
@@ -838,7 +838,7 @@ mod composite_sessions {
             &sources(&frames),
             &plan,
             None,
-            &HostEnv::default(),
+            None,
             &mut want,
         )
         .expect("serial composite");
@@ -885,7 +885,6 @@ mod composite_sessions {
             &HostCtx {
                 interp: Interpolator::Bicubic,
                 threads: 1,
-                geometry: None,
             },
         )
         .expect("serial engine");
@@ -953,7 +952,7 @@ mod composite_sessions {
                 &[cams[0][p], cams[1][p]],
                 pp,
                 None,
-                &HostEnv::default(),
+                None,
                 &mut want,
             )
             .expect("plane composite");
@@ -1295,7 +1294,7 @@ mod composite_sessions {
             .expect_err("yuv stereo");
         assert_eq!(err.kind(), ErrorKind::Config);
 
-        // panoramas need a plan-consuming host backend
+        // panoramas need a host backend
         let err = server
             .connect(SessionConfig {
                 backend: EngineSpec::Simt { workgroup: 32 },

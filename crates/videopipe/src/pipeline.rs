@@ -140,18 +140,17 @@ impl PipeReport {
 
 /// The capability gate for the worker pool. Workers run the engine's
 /// host datapath concurrently over one shared plan, so admission is
-/// exactly the capability triple `host_executable &&
-/// supports_frame_concurrency && uses_plan` — derived from
-/// [`EngineSpec::capabilities`], not an engine name allow-list, so a
-/// new engine that declares the right capabilities is admitted
-/// without an edit here. Returns the capabilities so the caller can
-/// apply the engine's LUT requirement to its plans.
+/// exactly `spec.is_host() && supports_frame_concurrency` — derived
+/// from the spec and [`EngineSpec::capabilities`], not an engine name
+/// allow-list, so a new host engine that declares frame concurrency
+/// is admitted without an edit here. Returns the capabilities so the
+/// caller can apply the engine's LUT requirement to its plans.
 fn check_worker_engine(spec: &EngineSpec, interp: Interpolator) -> Capabilities {
     let caps = spec.capabilities();
     assert!(
-        caps.host_executable && caps.supports_frame_concurrency && caps.uses_plan,
-        "videopipe workers support engines that are host-executable, \
-         frame-concurrent plan consumers; '{}' is not",
+        spec.is_host() && caps.supports_frame_concurrency,
+        "videopipe workers support engines that are host-executable \
+         and frame-concurrent; '{}' is not",
         spec.name()
     );
     if let Some(locked) = caps.interp_locked {
@@ -635,16 +634,14 @@ mod tests {
 
     #[test]
     fn registry_admission_follows_capabilities() {
-        // The worker-pool gate is the capability triple, not an
-        // engine allow-list: walking the whole registry, every spec
-        // whose capabilities say host-executable + frame-concurrent +
-        // plan-consuming runs frames, and every other spec panics
-        // up front with the admission message. A new engine is
-        // admitted (or refused) here purely by what it declares.
+        // The worker-pool gate is host + frame concurrency, not an
+        // engine allow-list: walking the whole registry, every host
+        // spec whose capabilities say frame-concurrent runs frames,
+        // and every other spec panics up front with the admission
+        // message. A new engine is admitted (or refused) here purely
+        // by what it declares.
         for spec in EngineSpec::registry() {
-            let caps = spec.capabilities();
-            let admitted =
-                caps.host_executable && caps.supports_frame_concurrency && caps.uses_plan;
+            let admitted = spec.is_host() && spec.capabilities().supports_frame_concurrency;
             let name = spec.name();
             let outcome = std::panic::catch_unwind(|| {
                 let plan = test_plan_in(FrameFormat::Gray8, &spec);

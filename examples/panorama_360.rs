@@ -7,7 +7,7 @@
 //! cargo run --release --example panorama_360
 //! ```
 
-use fisheye::core::engine::{EngineSpec, HostEnv};
+use fisheye::core::engine::EngineSpec;
 use fisheye::core::synth::{capture_fisheye, World};
 use fisheye::core::{execute_composite_host, CompositePlan, Interpolator, PlanOptions};
 use fisheye::geom::CameraRig;
@@ -71,7 +71,7 @@ fn main() {
         &[&front, &back],
         &plan,
         None,
-        &HostEnv::default(),
+        None,
         &mut pano,
     )
     .expect("serial composite");

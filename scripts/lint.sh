@@ -94,8 +94,9 @@ done
 # programs and its interpreter runs inside the engine registry: the
 # whole crate carries
 #   #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-# so every refusal is a typed CodegenError, never a panic. Clippy
-# enforces the attribute; the grep makes sure nobody quietly drops it.
+# so lowering, emission and the interpreter have no panic paths.
+# Clippy enforces the attribute; the grep makes sure nobody quietly
+# drops it.
 echo "lint: cargo clippy fisheye-codegen (panic-free crate)"
 cargo clippy --offline -p fisheye-codegen --no-deps --all-targets -- -D warnings
 tr -d ' \n' < crates/fisheye-codegen/src/lib.rs \

@@ -31,7 +31,8 @@
 //! changes go through [`Corrector::set_view`] (recompile) or, in the
 //! serving layer, [`Corrector::set_view_plan`] (adopt cached plans
 //! compiled by another session — the same `Arc<RemapPlan>`s serve
-//! every tenant with that view).
+//! every tenant with that view); both keep the engine `build()`
+//! resolved.
 //!
 //! ## Multi-plane formats
 //!
@@ -94,7 +95,7 @@ impl CorrectorPixel for Gray8 {}
 /// sweep machines build those engines directly.
 fn resolve_engine(
     spec: &EngineSpec,
-    ctx: &HostCtx<'_>,
+    ctx: &HostCtx,
 ) -> Result<Box<dyn CorrectionEngine>, EngineError> {
     match spec {
         EngineSpec::Cell { .. } => Ok(Box::new(CellEngine::from_spec(
@@ -124,18 +125,6 @@ impl Target {
         match self {
             Target::View(v) => (v.width, v.height),
             Target::Projection(p) => p.dims(),
-        }
-    }
-
-    /// The lens + view pair a `direct` engine recomputes the projection
-    /// from (`None` for projection targets).
-    fn geometry<'a>(
-        &'a self,
-        lens: &'a FisheyeLens,
-    ) -> Option<(&'a FisheyeLens, &'a PerspectiveView)> {
-        match self {
-            Target::View(v) => Some((lens, v)),
-            Target::Projection(_) => None,
         }
     }
 }
@@ -206,8 +195,7 @@ impl CorrectorBuilder {
     /// The frame format this corrector accepts (default
     /// [`FrameFormat::Gray8`]). Multi-plane formats
     /// ([`FrameFormat::Yuv420`], [`FrameFormat::Rgb8`]) require a
-    /// perspective-view target and a plan-consuming backend (any
-    /// registry spec except `direct`).
+    /// perspective-view target.
     pub fn format(mut self, format: FrameFormat) -> Self {
         self.format = Some(format);
         self
@@ -300,12 +288,6 @@ impl CorrectorBuilder {
                     "multi-plane formats require a perspective-view target",
                 ));
             }
-            if matches!(self.spec, EngineSpec::Direct) {
-                return Err(Error::config(
-                    "the direct backend ignores the compiled plan and cannot \
-                     render half-resolution chroma geometry; pick a plan-consuming backend",
-                ));
-            }
             if self.plan.is_some() {
                 return Err(Error::config(
                     "a single injected plan cannot drive a multi-plane format; \
@@ -361,12 +343,14 @@ impl CorrectorBuilder {
             }
             (None, None) => compile_target(format, &lens, &target, src_w, src_h, &opts, None)?,
         };
-        let ctx = HostCtx {
-            interp: self.interp,
-            threads: self.threads,
-            geometry: target.geometry(&lens),
-        };
-        let frames = assemble_frames(format, &self.spec, &ctx, plan, &self.post)?;
+        let frames = assemble_frames(
+            format,
+            &self.spec,
+            self.interp,
+            self.threads,
+            plan,
+            &self.post,
+        )?;
         Ok(Corrector {
             lens,
             target,
@@ -386,16 +370,21 @@ impl CorrectorBuilder {
     }
 }
 
-/// Resolve `spec`'s engine for `ctx` and assemble the frame corrector
-/// around `plan`, its post tables compiled from `post`.
+/// Resolve `spec`'s engine for `interp` and `threads` and assemble the
+/// frame corrector around `plan`, its post tables compiled from
+/// `post`. Only building a corrector and changing its kernel resolve
+/// an engine: engines hold no view state, so a view change swaps plans
+/// under the engine the corrector already has.
 fn assemble_frames(
     format: FrameFormat,
     spec: &EngineSpec,
-    ctx: &HostCtx<'_>,
+    interp: Interpolator,
+    threads: usize,
     plan: ViewPlan,
     post: &PostStage,
 ) -> Result<FrameCorrector, Error> {
-    let mut frames = FrameCorrector::from_parts(format, plan, resolve_engine(spec, ctx)?)?;
+    let engine = resolve_engine(spec, &HostCtx { interp, threads })?;
+    let mut frames = FrameCorrector::from_parts(format, plan, engine)?;
     frames.set_post(post);
     Ok(frames)
 }
@@ -548,8 +537,10 @@ impl Corrector {
     /// corrector's pool and [`ViewPlan::recompile_timed`] reuses
     /// everything the view change did not invalidate, deferring
     /// LUT/tile materialization to first use. Otherwise the plans
-    /// compile cold. Bit-exact against a cold rebuild either way.
-    /// Reports [`Error::Config`] on a projection-target corrector.
+    /// compile cold. Bit-exact against a cold rebuild either way. The
+    /// new plans run under the corrector's engine (and, for `smp`, its
+    /// thread pool): no engine is resolved. Reports [`Error::Config`]
+    /// on a projection-target corrector.
     pub fn set_view(&mut self, view: PerspectiveView) -> Result<(), Error> {
         if view.width == 0 || view.height == 0 {
             return Err(Error::config("view dimensions must be positive"));
@@ -573,7 +564,7 @@ impl Corrector {
             } else {
                 compile_target(self.format, &self.lens, &target, src_w, src_h, &opts, pool)?
             };
-        self.frames = self.assemble(&target, self.interp, plan)?;
+        self.frames.set_plan(plan)?;
         self.target = target;
         self.map_time = map_time;
         self.plan_time = plan_time;
@@ -589,14 +580,23 @@ impl Corrector {
         if interp == self.interp {
             return Ok(());
         }
-        self.frames = self.assemble(&self.target, interp, self.frames.plan().clone())?;
+        let plan = self.frames.plan().clone();
+        self.frames = assemble_frames(
+            self.format,
+            &self.spec,
+            interp,
+            self.threads,
+            plan,
+            &self.post,
+        )?;
         self.interp = interp;
         Ok(())
     }
 
     /// Adopt a whole [`ViewPlan`] compiled/assembled elsewhere for a
     /// new view (the serving layer resolves each plane class against
-    /// its shared cache and injects the assembly here).
+    /// its shared cache and injects the assembly here). Like
+    /// [`set_view`](Self::set_view), it keeps the corrector's engine.
     pub fn set_view_plan(&mut self, view: PerspectiveView, plan: ViewPlan) -> Result<(), Error> {
         if let Target::Projection(_) = self.target {
             return Err(Error::config(
@@ -609,9 +609,8 @@ impl Corrector {
             (view.width, view.height),
             (self.src_w, self.src_h),
         )?;
-        let target = Target::View(view);
-        self.frames = self.assemble(&target, self.interp, plan)?;
-        self.target = target;
+        self.frames.set_plan(plan)?;
+        self.target = Target::View(view);
         self.map_time = Duration::ZERO;
         self.plan_time = Duration::ZERO;
         Ok(())
@@ -721,22 +720,6 @@ impl Corrector {
         PlanOptions::for_specs(&[self.spec])
     }
 
-    /// Resolve the engine for `interp` and `target`'s geometry, and
-    /// assemble a frame corrector around `plan`.
-    fn assemble(
-        &self,
-        target: &Target,
-        interp: Interpolator,
-        plan: ViewPlan,
-    ) -> Result<FrameCorrector, Error> {
-        let ctx = HostCtx {
-            interp,
-            threads: self.threads,
-            geometry: target.geometry(&self.lens),
-        };
-        assemble_frames(self.format, &self.spec, &ctx, plan, &self.post)
-    }
-
     /// The lazily-created row-parallel pool for map retraces (`None`
     /// for single-threaded correctors).
     fn map_pool(&mut self) -> Option<Arc<ThreadPool>> {
@@ -838,31 +821,42 @@ mod tests {
 
     #[test]
     fn set_view_delta_path_bit_exact_with_cold_build() {
+        // fixed defers its LUT on the delta path; smp keeps its engine
+        // and row pool across both pans
         let (lens, view) = lens_view();
-        let build = |v| {
-            Corrector::<Gray8>::builder()
-                .lens(lens)
-                .view(v)
-                .backend(EngineSpec::FixedPoint { frac_bits: 12 })
-                .build()
-                .unwrap()
-        };
-        let mut c = build(view);
-        let panned = view.look(1.0, 0.5);
-        c.set_view(panned).unwrap();
-        let cold = build(panned);
-        // the delta-recompiled plans hash identically to a cold build
-        assert_eq!(c.view_plan().digest(), cold.view_plan().digest());
         let src = crate::img::scene::random_gray(64, 48, 9);
-        let (a, r1) = c.correct(&src).unwrap();
-        let (b, _) = cold.correct(&src).unwrap();
-        assert_eq!(a, b);
-        // the delta plan defers LUT quantization: the first frame
-        // derives it once (a reported plan miss), the second hits the
-        // plan's memo silently
-        assert_eq!(r1.model.get("plan_miss"), Some(&1.0));
-        let (_, r2) = c.correct(&src).unwrap();
-        assert_eq!(r2.model.get("plan_miss"), None);
+        let smp = EngineSpec::Smp {
+            schedule: Schedule::default_static(),
+        };
+        for spec in [EngineSpec::FixedPoint { frac_bits: 12 }, smp] {
+            let build = |v| {
+                Corrector::<Gray8>::builder()
+                    .lens(lens)
+                    .view(v)
+                    .backend(spec)
+                    .threads(2)
+                    .build()
+                    .unwrap()
+            };
+            let mut c = build(view);
+            for panned in [view.look(1.0, 0.5), view.look(-0.5, 0.25)] {
+                c.set_view(panned).unwrap();
+                let cold = build(panned);
+                // the delta-recompiled plans hash identically to a
+                // cold build
+                assert_eq!(c.view_plan().digest(), cold.view_plan().digest());
+                let (a, r1) = c.correct(&src).unwrap();
+                let (b, _) = cold.correct(&src).unwrap();
+                assert_eq!(a, b, "{spec}");
+                // the delta plan defers LUT quantization: the first
+                // frame derives it once (a reported plan miss), the
+                // second hits the plan's memo silently
+                let miss = spec.capabilities().requires_lut.map(|_| &1.0);
+                assert_eq!(r1.model.get("plan_miss"), miss, "{spec}");
+                let (_, r2) = c.correct(&src).unwrap();
+                assert_eq!(r2.model.get("plan_miss"), None, "{spec}");
+            }
+        }
     }
 
     #[test]
@@ -1032,15 +1026,6 @@ mod tests {
     #[test]
     fn multi_plane_misconfigurations_are_config_errors() {
         let (lens, view) = lens_view();
-        // direct ignores the plan → wrong chroma geometry
-        let e = Corrector::<Gray8>::builder()
-            .lens(lens)
-            .view(view)
-            .format(FrameFormat::Yuv420)
-            .backend(EngineSpec::Direct)
-            .build()
-            .unwrap_err();
-        assert_eq!(e.kind(), crate::ErrorKind::Config);
         // projections have no chroma-class geometry
         let e = Corrector::<Gray8>::builder()
             .lens(lens)

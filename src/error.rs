@@ -16,7 +16,6 @@
 use std::fmt;
 
 use crate::core::engine::EngineError;
-use fisheye_codegen::CodegenError;
 
 /// Any failure the `fisheye` facade can report.
 #[derive(Clone, Debug, PartialEq)]
@@ -40,10 +39,6 @@ pub enum Error {
     /// A runtime failure outside engine execution (file I/O in the
     /// CLI, a closed pipeline channel, …).
     Runtime(String),
-    /// Kernel lowering refused the (plan, spec) combination — e.g.
-    /// the `direct` backend, which has no plan-shaped kernel to emit
-    /// (wraps [`CodegenError`] with its diagnostics intact).
-    Codegen(CodegenError),
 }
 
 /// Coarse classification of an [`Error`], stable across new variants.
@@ -58,8 +53,6 @@ pub enum ErrorKind {
     Rejected,
     /// Something failed at runtime outside the engines.
     Runtime,
-    /// Kernel lowering/emission refused the request.
-    Codegen,
 }
 
 impl Error {
@@ -80,7 +73,6 @@ impl Error {
             Error::Config(_) => ErrorKind::Config,
             Error::Rejected { .. } => ErrorKind::Rejected,
             Error::Runtime(_) => ErrorKind::Runtime,
-            Error::Codegen(_) => ErrorKind::Codegen,
         }
     }
 
@@ -107,7 +99,6 @@ impl fmt::Display for Error {
                 write!(f, "session rejected: {active}/{capacity} slots in use")
             }
             Error::Runtime(msg) => write!(f, "{msg}"),
-            Error::Codegen(e) => write!(f, "{e}"),
         }
     }
 }
@@ -116,7 +107,6 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Engine(e) => Some(e),
-            Error::Codegen(e) => Some(e),
             _ => None,
         }
     }
@@ -125,12 +115,6 @@ impl std::error::Error for Error {
 impl From<EngineError> for Error {
     fn from(e: EngineError) -> Error {
         Error::Engine(e)
-    }
-}
-
-impl From<CodegenError> for Error {
-    fn from(e: CodegenError) -> Error {
-        Error::Codegen(e)
     }
 }
 
@@ -151,13 +135,6 @@ mod tests {
         };
         assert!(rejected.is_rejected());
         assert_eq!(rejected.to_string(), "session rejected: 4/4 slots in use");
-        let codegen: Error = CodegenError::unsupported("direct", "no plan").into();
-        assert_eq!(codegen.kind(), ErrorKind::Codegen);
-        assert!(std::error::Error::source(&codegen).is_some());
-        assert_eq!(
-            codegen.to_string(),
-            "codegen for 'direct' unsupported: no plan"
-        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use fisheye::core::antialias::{correct_antialiased, supersampled_fraction, AaConfig};
 use fisheye::core::composite::CompositePlan;
 use fisheye::core::correct;
-use fisheye::core::engine::{EngineSpec, HostEnv};
+use fisheye::core::engine::EngineSpec;
 use fisheye::core::plan::PlanOptions;
 use fisheye::core::synth::{capture_fisheye, World};
 use fisheye::geom::OutputProjection;
@@ -153,7 +153,7 @@ fn stitch_covers_sphere_and_blends() {
         &[&front, &back],
         &plan,
         None,
-        &HostEnv::default(),
+        None,
         &mut pano,
     )
     .expect("serial composite");

@@ -1,6 +1,6 @@
 //! Cross-platform functional consistency, driven by the engine
 //! registry: every registered [`EngineSpec`] — host serial, SMP,
-//! direct, fixed-point, SIMD, Cell model, GPU model — is built
+//! fixed-point, SIMD, Cell model, GPU model, SIMT interpreter — is built
 //! through the [`Corrector`] facade and must reproduce its
 //! numeric-class reference bit-exactly:
 //!
@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use fisheye::core::engine::{execute_host_post, HostEnv, NumericClass};
+use fisheye::core::engine::{execute_host_post, NumericClass};
 use fisheye::core::{correct, correct_fixed};
 use fisheye::img::metrics::psnr;
 use fisheye::prelude::*;
@@ -195,10 +195,6 @@ fn smp_schedules_bit_exact() {
     let serial = correct(&frame, map, Interpolator::Bilinear);
     for threads in [2usize, 3, 8] {
         let pool = ThreadPool::new(threads);
-        let env = HostEnv {
-            pool: Some(&pool),
-            geometry: None,
-        };
         for sched in [
             Schedule::Static { chunk: None },
             Schedule::Dynamic { chunk: 1 },
@@ -212,7 +208,7 @@ fn smp_schedules_bit_exact() {
                 &frame,
                 &plan,
                 None,
-                &env,
+                Some(&pool),
                 &mut par,
             )
             .unwrap_or_else(|e| panic!("{threads} threads {sched:?}: {e}"));

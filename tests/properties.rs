@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use fisheye::core::engine::{build_host, execute_host_post, HostCtx, HostEnv};
+use fisheye::core::engine::{build_host, execute_host_post, HostCtx};
 use fisheye::core::post::PostChannel;
 use fisheye::core::{correct, correct_fixed};
 use fisheye::geom::{FisheyeLens, LensModel, PerspectiveView, Vec3};
@@ -124,10 +124,6 @@ fn parallel_always_matches_serial() {
         let frame = fisheye::img::scene::random_gray(101, 83, 5);
         let serial = correct(&frame, &map, Interpolator::Bilinear);
         let pool = ThreadPool::new(threads);
-        let env = HostEnv {
-            pool: Some(&pool),
-            geometry: None,
-        };
         let spec = EngineSpec::Smp {
             schedule: Schedule::Dynamic { chunk },
         };
@@ -139,7 +135,7 @@ fn parallel_always_matches_serial() {
             &frame,
             &plan,
             None,
-            &env,
+            Some(&pool),
             &mut par,
         )
         .map_err(|e| e.to_string())?;
@@ -255,7 +251,6 @@ fn fused_post_always_matches_two_pass() {
                 &HostCtx {
                     interp: Interpolator::Bilinear,
                     threads,
-                    geometry: None,
                 },
             )
             .expect("host engine builds");
